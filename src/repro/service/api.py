@@ -127,18 +127,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: ReplayHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY, so no write (SSE events included) waits ~40 ms on Nagle.
+    disable_nagle_algorithm = True
 
     # ---- plumbing -----------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence per-request stderr chatter (metrics cover observability)."""
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, code: int, body: bytes, content_type: str, headers=()) -> None:
+        """Send a fixed-length response: head and body in one socket write."""
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Not end_headers(): it flushes the head alone (HTTP/0.9 buffers none).
+        head = self.__dict__.pop("_headers_buffer", [])
+        self.wfile.write(b"".join([*head, b"\r\n" if head else b"", body]))
+
+    def _send_json(self, code: int, payload: dict, headers=()) -> None:
+        self._send(code, json.dumps(payload).encode(), "application/json", headers)
 
     def _send_error_json(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
@@ -165,20 +173,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             job, deduped = self.server.service.submit_info(payload)
         except QueueFullError as exc:
-            body = json.dumps(
+            self._send_json(
+                429,
                 {
                     "error": str(exc),
                     "queue_depth": exc.depth,
                     "queue_capacity": exc.max_queue,
                     "retry_after_s": exc.retry_after_s,
-                }
-            ).encode()
-            self.send_response(429)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Retry-After", str(max(1, int(exc.retry_after_s))))
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+                },
+                [("Retry-After", str(max(1, int(exc.retry_after_s))))],
+            )
             return
         except ValueError as exc:
             self._send_error_json(400, str(exc))
@@ -203,11 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, self.server.service.health())
         elif url.path == "/metrics":
             body = _metrics_text(self.server.service.metrics()).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, body, "text/plain; version=0.0.4")
         elif len(parts) == 2 and parts[0] == "jobs":
             job = self._job_or_404(parts[1])
             if job is not None:

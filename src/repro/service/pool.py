@@ -78,6 +78,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.experiments.runner import (
     ExperimentContext,
@@ -114,6 +115,7 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "DEFAULT_BULK_ESCAPE_EVERY",
     "DEFAULT_MAX_RETRIES",
+    "LATENCY_WINDOW",
 ]
 
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -134,6 +136,10 @@ DEFAULT_BULK_ESCAPE_EVERY = 8
 
 #: Default retry budget: a job gets ``1 + max_retries`` attempts total.
 DEFAULT_MAX_RETRIES = 2
+
+#: Settled-job latencies kept per lane for the ``/metrics`` percentiles; a
+#: long-lived service reports over this sliding window, not all history.
+LATENCY_WINDOW = 1024
 
 
 class WatchdogTimeout(Exception):
@@ -383,7 +389,9 @@ class ReplayService:
         self.watchdog_timeouts = 0
         self.store_put_errors = 0
         self.client_disconnects = 0
-        self._latencies_s: dict[str, list[float]] = {lane: [] for lane in LANES}
+        self._latencies_s: dict[str, deque[float]] = {
+            lane: deque(maxlen=LATENCY_WINDOW) for lane in LANES
+        }
         self._draining = False
         self._started = False
         self._workers = [
@@ -520,7 +528,7 @@ class ReplayService:
 
     def _retry_after_s(self, depth: int) -> float:
         """Estimated seconds until the queue frees a slot (>= 1)."""
-        latencies = [v for vals in self._latencies_s.values() for v in vals[-32:]]
+        latencies = [v for vals in self._latencies_s.values() for v in islice(reversed(vals), 32)]
         per_job = (sum(latencies) / len(latencies)) if latencies else 2.0
         return max(1.0, math.ceil(per_job * (depth + 1) / len(self._workers)))
 

@@ -3,8 +3,10 @@
 Covers the request/job model (validation, canonicalisation, the hypothesis
 round-trip of the job-hash canonicalisation), single-job happy paths
 bit-identical to the library path, results-store serving across service
-instances, failed-job retry, the in-flight registry hook, and every HTTP
-endpoint including the server-sent interval-sample stream.
+instances, failed-job retry, the in-flight registry hook, the bounded
+latency window, every HTTP endpoint including the server-sent
+interval-sample stream, and the keep-alive transport (one write per
+response, TCP_NODELAY).
 
 The concurrency harness (identical-submission dedup storms, S1-S7 mixed
 storms, crash-mid-job) lives in ``tests/test_service_concurrency.py``; the
@@ -13,8 +15,11 @@ golden-hash suite in ``tests/test_service_golden.py``.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from repro.experiments.runner import RM2, ExperimentContext, ManagerSpec
 from repro.service import JobSpec, ReplayService, build_item, job_spec_from_json, make_server
 from repro.service.jobs import SCENARIO_SHAPES, WORKLOAD_SHAPE
-from repro.simulation.metrics import run_result_digest
+from repro.simulation.metrics import RunResult, run_result_digest
 from repro.simulation.results_store import InflightRegistry, ResultsStore
 from repro.simulation.rma_sim import simulate_scenario, simulate_workload
 from tests.test_engine_equivalence import assert_bit_identical
@@ -232,6 +237,44 @@ class TestServiceSingleJob:
         assert m["workers"] == 2
         assert m["job_latency_p50_s"] > 0.0
         assert m["job_latency_p95_s"] >= m["job_latency_p50_s"]
+
+    def test_latency_window_is_bounded(self, system4, db4, tmp_path, monkeypatch):
+        """Percentiles come from a fixed per-lane window, not all history."""
+        import repro.service.pool as pool_mod
+
+        class InstantExecutor:
+            stores_results = False
+
+            def run(self, ctx, job_id, item, manager):
+                return RunResult("stub", "stub", [])
+
+            def close(self):
+                pass
+
+        window = 8
+        monkeypatch.setattr(pool_mod, "LATENCY_WINDOW", window)
+        svc = ReplayService(
+            context_factory=_factory(system4, db4, tmp_path), workers=1,
+            executor=InstantExecutor(),
+        )
+        settled = {"interactive": [], "bulk": []}
+        try:
+            for seed in range(4 * window):
+                lane = "bulk" if seed % 3 == 0 else "interactive"
+                job = svc.submit(_s1_request(params=dict(S1_PARAMS, seed=seed)), lane=lane)
+                assert job.wait(60) and job.status == "done"
+                settled[lane].append(job.finished_s - job.submitted_s)
+            m = svc.metrics()
+        finally:
+            svc.close()
+        assert min(len(history) for history in settled.values()) > window
+        for lane, history in settled.items():
+            newest = history[-window:]
+            assert list(svc._latencies_s[lane]) == newest
+            assert m[f"lane_latency_{lane}_p50_s"] == svc._percentile(sorted(newest), 0.50)
+        retained = sorted(v for history in settled.values() for v in history[-window:])
+        assert m["job_latency_p50_s"] == svc._percentile(retained, 0.50)
+        assert m["job_latency_p95_s"] == svc._percentile(retained, 0.95)
 
 
 class TestInflightRegistry:
@@ -497,3 +540,112 @@ class TestBackpressureHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(http_base, dict(_s1_request(), lane="premium"))
         assert err.value.code == 400
+
+
+class _WriteRecorder:
+    """Wraps a handler's ``wfile``, recording every write that reaches the socket."""
+
+    def __init__(self, wfile, writes: list) -> None:
+        self._wfile, self._writes = wfile, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+class TestKeepAliveHTTP:
+    """One persistent connection: no response may wait on a delayed ACK.
+
+    A response sent as two small writes (head, then body) is held back by
+    Nagle until the client ACKs the head, which a keep-alive client delays
+    by ~40 ms, so every request on the connection would stall.
+    """
+
+    def test_sequential_requests_on_one_connection(self, system4, db4, tmp_path, monkeypatch):
+        import repro.service.api as api_mod
+        import repro.service.pool as pool_mod
+
+        started, release = threading.Event(), threading.Event()
+
+        def blocked(ctx, item, manager):
+            started.set()
+            release.wait(120)
+            raise RuntimeError("released without result")
+
+        writes: list[bytes] = []
+        nodelay: list[int] = []
+        real_setup = api_mod._Handler.setup
+
+        def recording_setup(handler):
+            real_setup(handler)
+            nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            handler.wfile = _WriteRecorder(handler.wfile, writes)
+
+        monkeypatch.setattr(pool_mod, "_execute_replay", blocked)
+        monkeypatch.setattr(api_mod._Handler, "setup", recording_setup)
+        svc = ReplayService(
+            context_factory=_factory(system4, db4, tmp_path), workers=1, max_queue=1
+        )
+        server = make_server(svc)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=60)
+        bodies: list[bytes] = []
+
+        def request(method, path, payload=None):
+            body = None if payload is None else json.dumps(payload).encode()
+            conn.request(method, path, body=body, headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            raw = resp.read()
+            assert int(resp.getheader("Content-Length")) == len(raw)
+            bodies.append(raw)
+            if resp.getheader("Content-Type") == "application/json":
+                return resp.status, json.loads(raw), resp
+            return resp.status, raw.decode(), resp
+
+        try:
+            status, running, _ = request("POST", "/jobs", _s1_request(name="ka-0"))
+            assert status == 202
+            assert started.wait(120), "worker never claimed the first job"
+            status, queued, _ = request("POST", "/jobs", _s1_request(name="ka-1"))
+            assert status == 202
+            status, full, resp = request("POST", "/jobs", _s1_request(name="ka-2"))
+            assert status == 429 and full["queue_capacity"] == 1
+            assert int(resp.getheader("Retry-After")) >= 1
+
+            gets = [
+                (f"/jobs/{running['job_id']}", 200),
+                (f"/jobs/{queued['job_id']}", 200),
+                ("/healthz", 200),
+                ("/metrics", 200),
+                ("/jobs/deadbeef", 404),
+                (f"/jobs/{running['job_id']}/result", 409),
+                ("/nope", 404),
+            ] * 2
+            t0 = time.perf_counter()
+            for path, want in gets:
+                status, payload, _ = request("GET", path)
+                assert status == want, (path, status, payload)
+                if path == "/metrics":
+                    assert "repro_service_jobs_rejected 1\n" in payload
+                elif path == "/healthz":
+                    assert payload["status"] == "degraded"  # the queue is full
+            elapsed = time.perf_counter() - t0
+            # 14 round trips: a delayed-ACK stall each would take >= 0.5 s.
+            assert elapsed < 0.3, f"{len(gets)} keep-alive GETs took {elapsed:.3f}s"
+        finally:
+            conn.close()
+            release.set()
+            server.shutdown()
+            server.server_close()
+            svc.close()
+        # Deterministic: one connection with TCP_NODELAY set (SSE events
+        # are many small writes), and each fixed-length response reached
+        # the socket in exactly one write, head and body together.
+        assert len(nodelay) == 1 and nodelay[0]
+        assert len(writes) == len(bodies) == 3 + len(gets)
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 ") and write.endswith(b"\r\n\r\n" + body)

@@ -7,9 +7,11 @@ The CI ``service-smoke`` job's driver, in three stages (``--stage``):
   small-suite benchmark subset and bench-smoke fidelity
   (``REPRO_MAX_SLICES=12``, ``REPRO_ACCESSES_PER_SET=400``), submit the
   bench-smoke S1 scenario under the baseline and RM2 managers, poll to
-  ``done``, require an identical resubmission to coalesce, and compare
-  every ``result_hash`` against the committed baseline
-  (``benchmarks/_artifacts/baselines/BENCH_service_smoke.json``).
+  ``done`` over one keep-alive connection, require an identical
+  resubmission to coalesce, and compare every ``result_hash`` against the
+  committed baseline
+  (``benchmarks/_artifacts/baselines/BENCH_service_smoke.json``).  The
+  median keep-alive round trip must stay under ``MAX_POLL_RTT_MS``.
 * ``restart`` -- submit a four-job burst to a journalled single-worker
   server, **SIGKILL it mid-queue**, read the journal's unsettled set,
   reboot the server on the same journal, and require every journalled job
@@ -39,14 +41,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -100,6 +105,11 @@ RESTART_JOBS = {
 STARTUP_TIMEOUT_S = 180.0
 JOB_TIMEOUT_S = 300.0
 
+#: Ceiling on the smoke stage's median keep-alive round trip.  A response
+#: that leaves the server as two writes waits on Nagle for the client's
+#: delayed ACK, ~40 ms per round trip; one write takes ~1 ms.
+MAX_POLL_RTT_MS = 20.0
+
 
 def _get_json(url: str, timeout: float = 30.0) -> dict:
     with urllib.request.urlopen(url, timeout=timeout) as resp:
@@ -114,6 +124,28 @@ def _post_json(url: str, payload: dict, timeout: float = 30.0) -> dict:
     )
     with urllib.request.urlopen(req, timeout=timeout) as resp:
         return json.load(resp)
+
+
+class _KeepAliveClient:
+    """GETs over one persistent HTTP/1.1 connection, each round trip timed."""
+
+    def __init__(self, base: str) -> None:
+        url = urllib.parse.urlsplit(base)
+        self.conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30.0)
+        self.rtts_s: list[float] = []
+
+    def get_json(self, path: str) -> dict:
+        t0 = time.perf_counter()
+        self.conn.request("GET", path)
+        resp = self.conn.getresponse()
+        body = resp.read()
+        self.rtts_s.append(time.perf_counter() - t0)
+        if resp.status != 200:
+            raise SystemExit(f"GET {path} answered {resp.status}: {body[:200]!r}")
+        return json.loads(body)
+
+    def close(self) -> None:
+        self.conn.close()
 
 
 def _scrape_metrics(base: str) -> dict:
@@ -188,10 +220,10 @@ def _wait_healthy(base: str) -> None:
     raise SystemExit("/healthz never came up")
 
 
-def _poll_done(base: str, job_id: str) -> dict:
+def _poll_done(client: _KeepAliveClient, job_id: str) -> dict:
     deadline = time.monotonic() + JOB_TIMEOUT_S
     while time.monotonic() < deadline:
-        status = _get_json(f"{base}/jobs/{job_id}")
+        status = client.get_json(f"/jobs/{job_id}")
         if status["status"] == "done":
             return status
         if status["status"] == "failed":
@@ -206,13 +238,14 @@ def _poll_done(base: str, job_id: str) -> dict:
 def _stage_smoke(cache_dir: str | None, report: dict, failures: list[str]) -> None:
     """Happy path: submit, poll, fetch, dedup, metrics sanity."""
     proc, base = _start_server(cache_dir, ["--no-journal"])
+    client = _KeepAliveClient(base)  # connects on its first request
     try:
         _wait_healthy(base)
         report["jobs"] = {}
         for label, body in SMOKE_JOBS.items():
             submitted = _post_json(base + "/jobs", body)
-            _poll_done(base, submitted["job_id"])
-            result = _get_json(f"{base}/jobs/{submitted['job_id']}/result")
+            _poll_done(client, submitted["job_id"])
+            result = client.get_json(f"/jobs/{submitted['job_id']}/result")
             report["jobs"][label] = {
                 "job_id": submitted["job_id"],
                 "result_hash": result["result_hash"],
@@ -242,7 +275,18 @@ def _stage_smoke(cache_dir: str | None, report: dict, failures: list[str]) -> No
             failures.append(f"jobs_done metric too low: {metrics}")
         if metrics["repro_service_jobs_deduped"] < 1:
             failures.append("dedup metric never incremented")
+
+        for _ in range(8):  # back-to-back polls: a stall would show in every one
+            client.get_json(f"/jobs/{again['job_id']}")
+        rtt_ms = statistics.median(client.rtts_s) * 1000.0
+        print(f"keep-alive round trip: median {rtt_ms:.2f} ms over {len(client.rtts_s)} GETs")
+        if rtt_ms > MAX_POLL_RTT_MS:
+            failures.append(
+                f"median keep-alive round trip {rtt_ms:.1f} ms > {MAX_POLL_RTT_MS} ms "
+                "(a response split across writes stalls on a delayed ACK)"
+            )
     finally:
+        client.close()
         _stop_server(proc)
 
 
@@ -295,6 +339,7 @@ def _stage_restart(
         )
 
     proc, base = _start_server(cache_dir, journal_args, workers=1)
+    client = _KeepAliveClient(base)
     try:
         _wait_healthy(base)
         metrics = _scrape_metrics(base)
@@ -314,8 +359,8 @@ def _stage_restart(
                     f"{label}: job id changed across restart "
                     f"({submitted_ids[label]} -> {job_id})"
                 )
-            _poll_done(base, job_id)
-            result = _get_json(f"{base}/jobs/{job_id}/result")
+            _poll_done(client, job_id)
+            result = client.get_json(f"/jobs/{job_id}/result")
             report["restart_jobs"][label] = {
                 "job_id": job_id,
                 "result_hash": result["result_hash"],
@@ -327,6 +372,7 @@ def _stage_restart(
         if leftover:
             failures.append(f"journal still holds unsettled jobs after drain: {leftover}")
     finally:
+        client.close()
         _stop_server(proc)
         shutil.rmtree(journal_dir, ignore_errors=True)
 

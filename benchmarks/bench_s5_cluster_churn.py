@@ -1,8 +1,8 @@
 """S5: many-core cluster churn (hierarchical vs flat coordinated RMA).
 
 Whole clusters drain (power-gated) and refill with fresh tenants, the
-group-scheduling pattern of a many-core part.  Compares flat incremental
-RM2 against the hierarchical ClusteredManager on the same event streams.
+group-scheduling pattern of a many-core part.  Compares flat RM2 against
+the hierarchical ClusteredManager on the same event streams.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """S7: the scaling experiment (flat vs clustered RM2 across system sizes).
 
 Replays the same cluster-churn shape at 8/16/32 cores under the static
-baseline, flat incremental RM2 and clustered RM2; reports savings, the
+baseline, flat RM2 and clustered RM2; reports savings, the
 clustered-vs-flat energy gap and the modelled RMA overhead per invocation.
 The 64-core point is tracked by ``tools/bench_scaling.py`` and its
 committed ``BENCH_scaling.json`` baseline.

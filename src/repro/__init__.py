@@ -36,7 +36,6 @@ from repro.core import (
     ResourceManager,
     StaticBaselineManager,
     dvfs_only,
-    global_optimize,
     local_optimize,
     rm1_partitioning_only,
     rm2_combined,
@@ -83,7 +82,6 @@ __all__ = [
     "ResourceManager",
     "StaticBaselineManager",
     "dvfs_only",
-    "global_optimize",
     "local_optimize",
     "rm1_partitioning_only",
     "rm2_combined",

@@ -13,12 +13,7 @@ from repro.core.perf_model import predict_tpi_grid, predict_tpi_grid_batch
 from repro.core.energy_model import predict_epi_grid, predict_epi_grid_batch
 from repro.core.qos import qos_target_tpi
 from repro.core.local_opt import DimSpec, local_optimize, local_optimize_batch
-from repro.core.global_opt import (
-    ReductionTree,
-    cluster_way_caps,
-    global_optimize,
-    partition_clusters,
-)
+from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.managers import (
@@ -49,8 +44,6 @@ __all__ = [
     "DimSpec",
     "local_optimize",
     "local_optimize_batch",
-    "global_optimize",
-    "ReductionTree",
     "partition_clusters",
     "cluster_way_caps",
     "analytical_curves_batch",

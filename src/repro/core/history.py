@@ -148,16 +148,13 @@ class HistoryAwareManager(CoordinatedManager):
         )
 
 
-def rm2_history(mlp_model: str = "model2", incremental: bool = True) -> HistoryAwareManager:
+def rm2_history(mlp_model: str = "model2") -> HistoryAwareManager:
     """Paper I's combined RMA plus phase history/prediction."""
-    return HistoryAwareManager(
-        name="rm2-history", mlp_model=mlp_model, incremental=incremental
-    )
+    return HistoryAwareManager(name="rm2-history", mlp_model=mlp_model)
 
 
-def rm3_history(mlp_model: str = "model3", incremental: bool = True) -> HistoryAwareManager:
+def rm3_history(mlp_model: str = "model3") -> HistoryAwareManager:
     """Paper II's RM3 plus phase history/prediction."""
     return HistoryAwareManager(
         name="rm3-history", control_core_size=True, mlp_model=mlp_model,
-        incremental=incremental,
     )

@@ -22,33 +22,30 @@ setting until a core has statistics).  ``oracle=True`` gives every decision
 error-free statistics for the *upcoming* interval of every core -- the
 paper's "perfect models" configuration.
 
-Two execution pipelines produce bit-identical decisions and metered
-overheads:
-
-* the **batched incremental pipeline** (default, ``incremental=True``):
-  curve construction runs through :mod:`repro.core.batch_opt`'s stacked
-  ``(N, C, F, W)`` tensors, per-core curves are memoized on a digest of
-  (counter snapshot, ATD miss curve, QoS slack), and the global reduction
-  uses a persistent :class:`~repro.core.global_opt.ReductionTree` that only
-  re-combines the ``O(log N)`` root path of leaves that actually changed;
-* the **reference pipeline** (``incremental=False``): the original
-  recompute-everything path, kept as the executable specification --
-  ``tests/test_engine_equivalence.py`` replays both and compares with ``==``
-  on every number, and ``tools/bench_manager_overhead.py`` measures the
-  speedup against it.
+Every decision runs one pipeline: curve construction goes through
+:mod:`repro.core.batch_opt`'s stacked ``(N, C, F, W)`` tensors, per-core
+curves are memoized on a digest of (counter snapshot, ATD miss curve, QoS
+slack), and the global reduction is a persistent
+:class:`~repro.core.packed_tree.PackedReduction` that only re-combines the
+root paths of leaves that actually changed.  The recompute-everything
+pipeline it replaced -- fresh curves and a from-scratch reduction on every
+invocation -- is kept as an executable specification in
+``tests/oracles/reference_manager.py``: ``tests/test_engine_equivalence.py``
+replays both and compares with ``==`` on every number, including the
+metered RMA overhead, and ``tools/bench_manager_overhead.py`` measures the
+speedup against it.
 
 For many-core systems (64-256 cores) the flat global reduction itself is
 the scaling wall: the top combines of the min-plus tree widen with the full
 LLC associativity, so every invocation pays a superlinear cost in the core
-count.  :class:`ClusteredManager` adds a hierarchical tier above the same
-machinery: cores are partitioned into clusters (``cluster_size``), each
-cluster runs the batched local pipeline plus its own capped
-:class:`~repro.core.global_opt.ReductionTree`, and a second-level tree
+count.  :class:`ClusteredManager` adds a hierarchical tier to the same
+reduction: cores are partitioned into clusters (``cluster_size``), each
+cluster's combines are capped at its way budget, and a second-level stage
 combines the per-cluster aggregate curves to redistribute LLC ways -- and
 with them the power/slack headroom the QoS-pruned curves encode -- across
-clusters.  With one cluster it is bit-identical to the flat incremental
-manager; with many, it trades a bounded energy gap (the cluster way caps)
-for per-invocation work that scales with the cluster size instead of the
+clusters.  With one cluster it is bit-identical to the flat manager; with
+many, it trades a bounded energy gap (the cluster way caps) for
+per-invocation work that scales with the cluster size instead of the
 system size.
 """
 
@@ -63,19 +60,13 @@ from repro.config import Allocation, AllocationMap, SystemConfig
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
 from repro.core.curves import EnergyCurve
 from repro.core.energy_model import predict_epi_grid
-from repro.core.global_opt import (
-    ReductionTree,
-    cluster_way_caps,
-    global_optimize,
-    partition_clusters,
-)
+from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.local_opt import DimSpec, local_optimize
 from repro.core.models import MLP_MODELS
-from repro.core.packed_tree import PackedReduction, packed_enabled
+from repro.core.packed_tree import PackedReduction
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.perf_model import predict_tpi_grid
 from repro.core.qos import qos_target_tpi
-from repro.util.validation import require
 
 __all__ = [
     "ResourceManager",
@@ -109,9 +100,8 @@ class ResourceManager(ABC):
         """Bind the manager to a simulator run and reset its run state."""
         self.sim = sim
         self.meter = OverheadMeter()
-        # Kernel-owned per-stage profiling (REPRO_PROFILE); None when off or
-        # when the simulator bridge predates the hook.
-        self._stage_timer = getattr(sim, "stage_timer", None)
+        # Kernel-owned per-stage profiling (REPRO_PROFILE); None when off.
+        self._stage_timer = sim.stage_timer
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
         """The co-location set changed on ``core_id`` (scenario swap/depart).
@@ -159,7 +149,6 @@ class CoordinatedManager(ResourceManager):
         control_partitioning: bool = True,
         mlp_model: str = "model2",
         oracle: bool = False,
-        incremental: bool = True,
     ) -> None:
         super().__init__()
         self.name = name
@@ -168,9 +157,8 @@ class CoordinatedManager(ResourceManager):
         self.control_partitioning = control_partitioning
         self.model = MLP_MODELS[mlp_model]
         self.oracle = oracle
-        self.incremental = incremental
         self.curves: dict[int, EnergyCurve] = {}
-        self._tree: ReductionTree | None = None
+        self._tree: PackedReduction | None = None
         self._memo: dict = {}
         self._memo_shared: dict = {}
         self._pinned_cache: dict[int, EnergyCurve] = {}
@@ -180,7 +168,7 @@ class CoordinatedManager(ResourceManager):
         self._rec_digests: dict[tuple, tuple[bytes, bytes]] = {}
 
     def attach(self, sim) -> None:
-        """Reset all run state and (re)build the incremental reduction trees."""
+        """Reset all run state and (re)build the persistent reduction."""
         super().attach(sim)
         self.curves = {}
         self._memo = {}
@@ -192,41 +180,29 @@ class CoordinatedManager(ResourceManager):
         # Per-run: a reattached manager may face a different database whose
         # records reuse the same (bench, phase) identities.
         self._rec_digests = {}
-        self._tree = None
-        if self.incremental:
-            self._init_trees(sim.system)
+        self._init_trees(sim.system)
 
     def _init_trees(self, system: SystemConfig) -> None:
-        """Build the persistent reduction structure for ``incremental=True``.
+        """Build the persistent reduction: one flat group over every core.
 
-        The flat manager keeps one tree over all cores -- at many-core
-        scale (:func:`~repro.core.packed_tree.packed_enabled`) the packed
-        level-synchronous variant, below it the node-graph reference; both
-        expose the same ``set_leaves``/``invalidate``/``solve`` surface and
-        are bit-identical.  :class:`ClusteredManager` overrides this with
-        the hierarchical tier.
+        :class:`ClusteredManager` overrides this with the hierarchical plan.
+        Either way leaf slot ``j`` holds core ``j``'s curve.
         """
-        if packed_enabled(system.ncores):
-            self._tree = PackedReduction(
-                (system.ncores,), (system.llc.ways,),
-                system.llc.ways, system.min_ways_per_core,
-            )
-        else:
-            self._tree = ReductionTree(
-                system.ncores, system.llc.ways, system.min_ways_per_core
-            )
+        self._tree = PackedReduction(
+            (system.ncores,), (system.llc.ways,),
+            system.llc.ways, system.min_ways_per_core,
+        )
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
-        """Drop the departed tenant's curve and splice the tree leaf.
+        """Drop the departed tenant's curve and splice the reduction leaf.
 
         The cached curve models the departed tenant; the new one (or the
-        idle core) is pinned until fresh statistics arrive.  The reduction
-        tree's leaf is spliced (forced dirty) so the next solve re-combines
-        its root path even if the replacement curve compares equal.
+        idle core) is pinned until fresh statistics arrive.  The reduction's
+        leaf is spliced (forced dirty) so the next solve re-combines its
+        root path even if the replacement curve compares equal.
         """
         self.curves.pop(core_id, None)
-        if self._tree is not None:
-            self._tree.invalidate(core_id)
+        self._tree.invalidate(core_id)
 
     # -- dimension restrictions ---------------------------------------------
     def _dims(self, system: SystemConfig) -> DimSpec:
@@ -236,14 +212,6 @@ class CoordinatedManager(ResourceManager):
         return DimSpec(core_indices=cores, freq_indices=freqs, pin_ways=pin)
 
     # -- curve construction ---------------------------------------------------
-    def _oracle_curve(self, core_id: int) -> EnergyCurve:
-        sim, system = self.sim, self.sim.system
-        rec = sim.upcoming_record(core_id)
-        target = qos_target_tpi(system, rec.tpi, sim.slack(core_id))
-        return local_optimize(
-            system, core_id, rec.tpi, rec.epi, target, self._dims(system), self.meter
-        )
-
     def _analytical_curve(self, core_id: int) -> EnergyCurve:
         sim, system = self.sim, self.sim.system
         snap = sim.completed_snapshot(core_id)
@@ -283,19 +251,10 @@ class CoordinatedManager(ResourceManager):
             max_ways=system.llc.ways,
         )
 
-    def _curve_for(self, core_id: int) -> EnergyCurve:
-        if not self.sim.is_active(core_id):
-            return self._idle_curve(core_id)
-        if self.oracle:
-            return self._oracle_curve(core_id)
-        if core_id in self.curves:
-            return self.curves[core_id]
-        return self._pinned_curve(core_id)
-
-    # -- memoized / cached curve plumbing (batched pipeline) -------------------
+    # -- memoized / cached curve plumbing --------------------------------------
     def _static_leaf(self, core_id: int, idle: bool) -> EnergyCurve:
         """Cached pinned/idle curve: constant per (core, run), reused so the
-        reduction tree's identity check recognises unchanged leaves."""
+        reduction's identity check recognises unchanged leaves."""
         cache = self._idle_cache if idle else self._pinned_cache
         curve = cache.get(core_id)
         if curve is None:
@@ -315,7 +274,7 @@ class CoordinatedManager(ResourceManager):
         curves, QoS slack) for a fixed manager, so the digest key fully
         determines the output and a hit can never be stale: any QoS-ramp,
         swap or allocation change alters the key.  Hits replay the modelled
-        grid cost so the metered overhead matches the recomputing reference.
+        grid cost so the metered overhead matches recomputing.
 
         Memoization is two-level.  The per-core table serves repeat
         invocations with the *same object*, which is what lets the
@@ -375,14 +334,8 @@ class CoordinatedManager(ResourceManager):
         """Oracle curves for every active core: memo hits plus one batched
         pass over the misses (stacked grids, single ``local_optimize``)."""
         sim, system = self.sim, self.sim.system
-        # Batched bridge reads where the simulator offers them; the frozen
-        # legacy reference only has the per-core accessors.
-        active_fn = getattr(sim, "active_core_ids", None)
-        ids = (active_fn() if active_fn is not None
-               else [j for j in range(system.ncores) if sim.is_active(j)])
-        fetch = getattr(sim, "upcoming_records", None)
-        recs = (fetch(ids) if fetch is not None
-                else [sim.upcoming_record(j) for j in ids])
+        ids = sim.active_core_ids()
+        recs = sim.upcoming_records(ids)
         leaves: dict[int, EnergyCurve] = {}
         miss_ids: list[int] = []
         miss_recs: list = []
@@ -412,50 +365,15 @@ class CoordinatedManager(ResourceManager):
         return leaves
 
     # -- the decision ----------------------------------------------------------
-    def _live_leaf(self, core_id: int, oracle_leaves) -> EnergyCurve:
-        """The reduction-tree leaf for ``core_id`` this invocation.
-
-        One selection rule shared by the flat and clustered incremental
-        pipelines, so the two can never drift: the oracle curve (or the idle
-        leaf) when running with perfect models, otherwise the held
-        analytical curve, the idle leaf for a power-gated core, or the
-        baseline-pinned leaf for a core without statistics yet.
-        """
-        if oracle_leaves is not None:
-            curve = oracle_leaves.get(core_id)
-            return curve if curve is not None else self._static_leaf(core_id, idle=True)
-        if not self.sim.is_active(core_id):
-            return self._static_leaf(core_id, idle=True)
-        if core_id in self.curves:
-            return self.curves[core_id]
-        return self._static_leaf(core_id, idle=False)
-
-    def _inactive_cores(self) -> frozenset[int]:
-        """Ids of power-gated cores, read once per invocation.
-
-        Uses the simulator's batched activity accessors where they exist
-        (one vector read of the struct-of-arrays state); the frozen legacy
-        reference only offers the per-core ``is_active`` probe.
-        """
-        sim = self.sim
-        inactive_fn = getattr(sim, "inactive_core_ids", None)
-        if inactive_fn is not None:
-            return frozenset(inactive_fn())
-        n = sim.system.ncores
-        active_fn = getattr(sim, "active_core_ids", None)
-        if active_fn is not None:
-            active = active_fn()
-            if len(active) == n:
-                return frozenset()
-            return frozenset(range(n)).difference(active)
-        return frozenset(j for j in range(n) if not sim.is_active(j))
-
     def _live_leaves(self, core_ids, oracle_leaves, inactive) -> list[EnergyCurve]:
-        """Batched :meth:`_live_leaf` over ``core_ids`` (same selection rule).
+        """The reduction leaves for ``core_ids`` this invocation.
 
-        ``inactive`` is the invocation-wide :meth:`_inactive_cores` set, so
-        a system-wide leaf refresh performs one activity read instead of a
-        per-core bridge round-trip.
+        One selection rule shared by the flat and clustered managers, so the
+        two can never drift: the oracle curve (or the idle leaf) when running
+        with perfect models, otherwise the idle leaf for a power-gated core,
+        the held analytical curve, or the baseline-pinned leaf for a core
+        without statistics yet.  ``inactive`` is the invocation-wide set of
+        idle core ids, read once per decision.
         """
         if oracle_leaves is not None:
             return [
@@ -479,7 +397,7 @@ class CoordinatedManager(ResourceManager):
         self.curves[core_id] = self._analytical_curve_memo(core_id)
         return None
 
-    def _to_allocations(self, assignment, touched=None) -> dict[int, Allocation] | None:
+    def _to_allocations(self, assignment, touched) -> dict[int, Allocation] | None:
         """Convert a solved ``{core: (c, f, w)}`` map into allocations.
 
         Allocation objects are cached per setting, so a core whose setting
@@ -490,8 +408,9 @@ class CoordinatedManager(ResourceManager):
         object, which the kernel recognises as already applied.  Returned
         maps are treated as immutable by that contract.
 
-        ``touched`` (the packed solver's rewritten core ids) upgrades the
-        translation to a delta: every untouched entry of ``assignment`` is
+        ``touched`` (the reduction's rewritten core ids,
+        ``PackedReduction.last_touched``) makes every translation after the
+        first a delta: every untouched entry of ``assignment`` is
         object-identical to the previous one, so the new map copies the
         previous map wholesale and re-translates only the touched cores,
         annotating the result (:class:`AllocationMap`) so the kernel's
@@ -503,11 +422,7 @@ class CoordinatedManager(ResourceManager):
         if cached is not None and cached[0] is assignment:
             return cached[1]
         cache = self._alloc_cache
-        if (
-            touched is not None
-            and cached is not None
-            and len(cached[1]) == len(assignment)
-        ):
+        if cached is not None and len(cached[1]) == len(assignment):
             prev_out = cached[1]
             out = AllocationMap(prev_out)
             delta: list[tuple[int, Allocation]] = []
@@ -537,9 +452,6 @@ class CoordinatedManager(ResourceManager):
 
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
         """Decide new allocations after ``core_id`` finished an interval."""
-        if not self.incremental:
-            return self._on_interval_reference(core_id)
-        system = self.sim.system
         timer = self._stage_timer
         if timer is not None:
             t0 = time.perf_counter()
@@ -547,40 +459,20 @@ class CoordinatedManager(ResourceManager):
         if timer is not None:
             t1 = time.perf_counter()
             timer.add("manager.curves", t1 - t0)
+        self._install_leaves(core_id, oracle_leaves,
+                             frozenset(self.sim.inactive_core_ids()))
         tree = self._tree
-        tree.set_leaves(
-            self._live_leaves(range(system.ncores), oracle_leaves,
-                              self._inactive_cores())
-        )
         assignment = tree.solve(self.meter)
-        out = self._to_allocations(
-            assignment, getattr(tree, "last_touched", None)
-        )
+        out = self._to_allocations(assignment, tree.last_touched)
         if timer is not None:
             timer.add("manager.reduce", time.perf_counter() - t1)
         return out
 
-    def _on_interval_reference(self, core_id: int) -> dict[int, Allocation] | None:
-        """The pre-batching decision path, verbatim (executable reference)."""
-        sim, system = self.sim, self.sim.system
-        self.meter.begin_invocation()
-
-        if not self.oracle:
-            self.curves[core_id] = self._analytical_curve(core_id)
-        curves = [self._curve_for(j) for j in range(system.ncores)]
-
-        assignment = global_optimize(
-            curves,
-            total_ways=system.llc.ways,
-            min_ways=system.min_ways_per_core,
-            meter=self.meter,
+    def _install_leaves(self, core_id: int, oracle_leaves, inactive) -> None:
+        """Hand the reduction every core's leaf for this decision."""
+        self._tree.set_leaves(
+            self._live_leaves(range(self.sim.system.ncores), oracle_leaves, inactive)
         )
-        if assignment is None:
-            return None
-        return {
-            j: Allocation(core=c, freq=f, ways=w)
-            for j, (c, f, w) in assignment.items()
-        }
 
 
 class ClusteredManager(CoordinatedManager):
@@ -588,27 +480,27 @@ class ClusteredManager(CoordinatedManager):
 
     Cores are partitioned into contiguous clusters of ``cluster_size``.
     Every cluster runs the flat manager's batched local pipeline -- the same
-    memoized per-core energy curves -- into its own persistent
-    :class:`~repro.core.global_opt.ReductionTree`, whose combines are capped
-    at the cluster's way budget (``overprovision`` times its proportional
-    LLC share, see :func:`~repro.core.global_opt.cluster_way_caps`).  A
-    second-level tree then min-plus combines the per-cluster *aggregate*
-    curves (the cluster roots, spliced in as leaves) to decide how many LLC
-    ways each cluster receives; back-tracking the second-level solution
-    recurses through the cluster roots down to per-core settings, so one
-    walk yields the full system assignment.  Because the QoS-pruned curves
-    already encode each core's energy/slack trade-off, redistributing ways
-    between clusters is what moves power and slack budgets between them.
+    memoized per-core energy curves -- into its own stage of one
+    :class:`~repro.core.packed_tree.PackedReduction`, whose combines are
+    capped at the cluster's way budget (``overprovision`` times its
+    proportional LLC share, see
+    :func:`~repro.core.global_opt.cluster_way_caps`).  A second-level stage
+    then min-plus combines the per-cluster *aggregate* curves (the cluster
+    roots) to decide how many LLC ways each cluster receives;
+    back-tracking the second-level solution recurses through the cluster
+    roots down to per-core settings, so one walk yields the full system
+    assignment.  Because the QoS-pruned curves already encode each core's
+    energy/slack trade-off, redistributing ways between clusters is what
+    moves power and slack budgets between them.
 
-    Scenario events splice only ``O(log cluster_size)`` intra-cluster nodes
-    plus ``O(log nclusters)`` second-level nodes: ``on_scenario_event``
-    forces the affected cluster leaf dirty, and an unchanged cluster
-    re-enters the second level as a clean cached aggregate.
+    Scenario events splice only the affected leaf's root path: an
+    unchanged cluster re-enters the second level as a clean cached
+    aggregate, and clusters outside the stale set skip leaf installation.
 
     Equivalence contract: with ``cluster_size >= ncores`` (one cluster) the
     cap equals the full associativity and the second level is a
     pass-through, so decisions, energies and metered overheads are
-    bit-identical to ``CoordinatedManager(incremental=True)`` --
+    bit-identical to the flat :class:`CoordinatedManager` --
     ``tests/test_clustered.py`` enforces this.  With several clusters the
     way caps bound each cluster's reach, giving results within a bounded
     energy gap of the flat manager in exchange for per-invocation work that
@@ -626,13 +518,7 @@ class ClusteredManager(CoordinatedManager):
         mlp_model: str = "model2",
         oracle: bool = False,
     ) -> None:
-        """Configure the hierarchy; dimension flags mirror the flat manager.
-
-        The clustered manager exists only on the incremental pipeline (there
-        is no recompute-everything reference for the hierarchy; the flat
-        incremental manager, itself verified against the reference, is its
-        anchor), so ``incremental`` is not a parameter.
-        """
+        """Configure the hierarchy; dimension flags mirror the flat manager."""
         super().__init__(
             name=name,
             control_dvfs=control_dvfs,
@@ -640,35 +526,23 @@ class ClusteredManager(CoordinatedManager):
             control_partitioning=control_partitioning,
             mlp_model=mlp_model,
             oracle=oracle,
-            incremental=True,
         )
         self.cluster_size = int(cluster_size)
         self.overprovision = float(overprovision)
         self._clusters: tuple[tuple[int, ...], ...] = ()
-        self._cluster_trees: list[ReductionTree] = []
-        self._cluster_of: dict[int, tuple[int, int]] = {}
-        self._level2: ReductionTree | None = None
-        # The many-core fast path: the whole hierarchy planned into one
-        # level-synchronous PackedReduction (None below PACKED_MIN_CORES).
-        self._packed: PackedReduction | None = None
-        self._packed_base: list[int] = []
+        self._cluster_of: dict[int, int] = {}
         # Clusters whose leaf inputs may have changed since their last
-        # grouped refresh (see on_interval).
+        # grouped refresh (see _install_leaves).
         self._stale_clusters: set[int] = set()
-        # Per-cluster (root node, replay DP cells) of the last real refresh,
-        # so clean clusters skip their tree walk wholesale.
-        self._cluster_roots: list = []
 
     def _init_trees(self, system: SystemConfig) -> None:
-        """Per-cluster capped trees plus the second-level combine tree.
+        """Plan the whole hierarchy into one packed reduction.
 
-        At many-core scale (:func:`~repro.core.packed_tree.packed_enabled`)
-        the entire hierarchy is planned into one
-        :class:`~repro.core.packed_tree.PackedReduction` instead: every
-        cluster's combine levels and the second-level stage share the same
-        packed matrices, so one invocation performs ~log N batched sweeps
-        over all dirty clusters at once rather than per-node dispatches.
-        Both paths are bit-identical (``tests/test_packed_tree.py``).
+        Every cluster's capped combine levels and the second-level stage
+        share the same packed matrices, so one invocation performs ~log N
+        batched sweeps over all dirty clusters at once.  Clusters are
+        contiguous blocks in core order, so leaf slot ``j`` is still core
+        ``j`` (the base class's leaf splice needs no translation).
         """
         self._clusters = partition_clusters(system.ncores, self.cluster_size)
         caps = cluster_way_caps(
@@ -676,130 +550,42 @@ class ClusteredManager(CoordinatedManager):
             system.min_ways_per_core, self.overprovision,
         )
         self._cluster_of = {
-            j: (ci, local)
-            for ci, members in enumerate(self._clusters)
-            for local, j in enumerate(members)
+            j: ci for ci, members in enumerate(self._clusters) for j in members
         }
         self._stale_clusters = set(range(len(self._clusters)))
-        if packed_enabled(system.ncores):
-            self._packed = PackedReduction(
-                tuple(len(members) for members in self._clusters),
-                tuple(caps), system.llc.ways, system.min_ways_per_core,
-            )
-            bases, base = [], 0
-            for members in self._clusters:
-                bases.append(base)
-                base += len(members)
-            self._packed_base = bases
-            self._cluster_trees = []
-            self._level2 = None
-            self._cluster_roots = []
-            return
-        self._packed = None
-        self._packed_base = []
-        self._cluster_trees = [
-            ReductionTree(len(members), cap, system.min_ways_per_core)
-            for members, cap in zip(self._clusters, caps)
-        ]
-        self._level2 = ReductionTree(
-            len(self._clusters), system.llc.ways, system.min_ways_per_core
+        self._tree = PackedReduction(
+            tuple(len(members) for members in self._clusters),
+            caps, system.llc.ways, system.min_ways_per_core,
         )
-        self._cluster_roots = [None] * len(self._clusters)
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
-        """Splice the affected cluster leaf on a tenancy change."""
-        # The base class drops the held curve (its flat-tree branch is a
-        # no-op here: the hierarchy never installs self._tree).
+        """Splice the affected leaf and mark its cluster stale."""
         super().on_scenario_event(core_id, kind)
-        if self._packed is not None:
-            ci, local = self._cluster_of[core_id]
-            self._packed.invalidate(self._packed_base[ci] + local)
-            self._stale_clusters.add(ci)
-        elif self._cluster_trees:
-            ci, local = self._cluster_of[core_id]
-            self._cluster_trees[ci].invalidate(local)
-            self._stale_clusters.add(ci)
+        self._stale_clusters.add(self._cluster_of[core_id])
 
-    def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
-        """Two-level decision: refresh cluster trees, combine their roots.
+    def _install_leaves(self, core_id: int, oracle_leaves, inactive) -> None:
+        """Re-install the leaves of the stale clusters only.
 
-        Leaf refreshes are grouped: each cluster receives its member curves
-        in one :meth:`~repro.core.global_opt.ReductionTree.set_leaves` call
-        and one :meth:`~repro.core.global_opt.ReductionTree.refresh`, so a
-        system-wide reallocation costs one grouped refresh per cluster (a
-        fully clean cluster short-circuits to a single replay charge)
-        instead of per-core tree walks.
+        A cluster's leaves are a pure function of the held/oracle curves
+        and the active set; both change only at the invoking core
+        (:meth:`_begin_decision`) or via :meth:`on_scenario_event`, so
+        clusters outside the stale set skip leaf installation outright.
+        Oracle curves additionally move with every phase boundary, so
+        oracle mode refreshes every cluster's leaves.  A stale cluster
+        re-installs its member leaves (identity-checked, so unchanged
+        curves stay clean); the solve then recombines every dirty root
+        path of every cluster -- cluster levels and the second-level
+        combine alike -- in ~log N batched sweeps.
         """
-        if self._packed is not None:
-            return self._on_interval_packed(core_id)
-        oracle_leaves = self._begin_decision(core_id)
-        level2 = self._level2
-        meter = self.meter
-        # A cluster's leaves are a pure function of the held/oracle curves
-        # and the active set; both change only at the invoking core
-        # (_begin_decision) or via on_scenario_event, so clusters outside
-        # the stale set can skip leaf installation outright.  Oracle curves
-        # additionally move with every phase boundary, so oracle mode
-        # refreshes every cluster's leaves.
         stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id][0])
-        if self.oracle:
-            stale = set(range(len(self._clusters)))
-        inactive = self._inactive_cores() if oracle_leaves is None else frozenset()
-        roots = self._cluster_roots
-        replay_cells = 0
-        for ci, members in enumerate(self._clusters):
-            cached = roots[ci]
-            if ci not in stale and cached is not None:
-                # Clean cluster: its root already sits in the second-level
-                # tree; batch the replay charge its refresh would make
-                # (exact integer DP-cell counts, so one summed charge is
-                # bit-identical to the per-tree charges it replaces).
-                replay_cells += cached[1]
-                continue
-            tree = self._cluster_trees[ci]
-            tree.set_leaves(self._live_leaves(members, oracle_leaves, inactive))
-            root, changed = tree.refresh(meter)
-            level2.set_leaf_node(ci, root, changed)
-            roots[ci] = (root, tree.replay_cells)
-        if replay_cells:
-            meter.charge_replay(dp_cells=replay_cells)
-        self._stale_clusters = set()
-        return self._to_allocations(level2.solve(meter))
-
-    def _on_interval_packed(self, core_id: int) -> dict[int, Allocation] | None:
-        """The many-core decision through the packed hierarchy.
-
-        Stale-cluster bookkeeping mirrors the node-graph path exactly: a
-        stale cluster re-installs its member leaves (identity-checked, so
-        unchanged curves stay clean), then one packed solve recombines
-        every dirty root path of every cluster -- cluster levels and the
-        second-level combine alike -- in ~log N batched sweeps, charging
-        the invocation's static DP total in a single integer-exact replay.
-        """
-        timer = self._stage_timer
-        if timer is not None:
-            t0 = time.perf_counter()
-        oracle_leaves = self._begin_decision(core_id)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("manager.curves", t1 - t0)
-        packed = self._packed
-        stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id][0])
+        stale.add(self._cluster_of[core_id])
         if self.oracle:
             stale = range(len(self._clusters))
-        inactive = self._inactive_cores() if oracle_leaves is None else frozenset()
         for ci in stale:
-            packed.set_group_leaves(
+            self._tree.set_group_leaves(
                 ci, self._live_leaves(self._clusters[ci], oracle_leaves, inactive)
             )
         self._stale_clusters = set()
-        assignment = packed.solve(self.meter)
-        out = self._to_allocations(assignment, packed.last_touched)
-        if timer is not None:
-            timer.add("manager.reduce", time.perf_counter() - t1)
-        return out
 
 
 def _make_manager(
@@ -809,18 +595,11 @@ def _make_manager(
     control_partitioning: bool,
     mlp_model: str,
     oracle: bool,
-    incremental: bool,
     cluster_size: int | None,
     overprovision: float,
 ) -> CoordinatedManager:
     """Build the flat or (when ``cluster_size`` is set) clustered variant."""
     if cluster_size is not None:
-        require(
-            incremental,
-            "the clustered manager exists only on the incremental pipeline "
-            "(there is no recompute-everything reference for the hierarchy); "
-            "drop cluster_size or incremental=False",
-        )
         return ClusteredManager(
             name=f"{name}-c{cluster_size}",
             cluster_size=cluster_size,
@@ -838,14 +617,12 @@ def _make_manager(
         control_partitioning=control_partitioning,
         mlp_model=mlp_model,
         oracle=oracle,
-        incremental=incremental,
     )
 
 
 def rm1_partitioning_only(
     oracle: bool = False,
     mlp_model: str = "model2",
-    incremental: bool = True,
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
@@ -855,15 +632,13 @@ def rm1_partitioning_only(
     variant (many-core tier) instead of the flat manager.
     """
     return _make_manager(
-        "rm1-partitioning", False, False, True, mlp_model, oracle,
-        incremental, cluster_size, overprovision,
+        "rm1-partitioning", False, False, True, mlp_model, oracle, cluster_size, overprovision,
     )
 
 
 def rm2_combined(
     oracle: bool = False,
     mlp_model: str = "model2",
-    incremental: bool = True,
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
@@ -873,15 +648,13 @@ def rm2_combined(
     variant (many-core tier) instead of the flat manager.
     """
     return _make_manager(
-        "rm2-combined", True, False, True, mlp_model, oracle,
-        incremental, cluster_size, overprovision,
+        "rm2-combined", True, False, True, mlp_model, oracle, cluster_size, overprovision,
     )
 
 
 def rm3_core_adaptive(
     oracle: bool = False,
     mlp_model: str = "model3",
-    incremental: bool = True,
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
@@ -891,15 +664,13 @@ def rm3_core_adaptive(
     variant (many-core tier) instead of the flat manager.
     """
     return _make_manager(
-        "rm3-core-adaptive", True, True, True, mlp_model, oracle,
-        incremental, cluster_size, overprovision,
+        "rm3-core-adaptive", True, True, True, mlp_model, oracle, cluster_size, overprovision,
     )
 
 
 def dvfs_only(
     oracle: bool = False,
     mlp_model: str = "model2",
-    incremental: bool = True,
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
@@ -909,8 +680,7 @@ def dvfs_only(
     variant (many-core tier) instead of the flat manager.
     """
     return _make_manager(
-        "dvfs-only", True, False, False, mlp_model, oracle,
-        incremental, cluster_size, overprovision,
+        "dvfs-only", True, False, False, mlp_model, oracle, cluster_size, overprovision,
     )
 
 class IndependentManager(ResourceManager):

@@ -1,12 +1,14 @@
-"""Packed level-synchronous min-plus reduction: the many-core fast path.
+"""Packed level-synchronous min-plus reduction: the managers' global optimiser.
 
-:class:`~repro.core.global_opt.ReductionTree` walks its combine nodes one
-at a time, so a 64-256-core invocation issues hundreds of small NumPy
-dispatches (one padded-window add + argmin per node) and, at the top of
-the tree, computes full ``O(ways^2)`` DP matrices of which the solve reads
-a single column.  :class:`PackedReduction` keeps the *same* reduction --
-identical pairing order, identical argmin tie-breaks, identical metered
-DP-cell accounting -- in a packed struct-of-arrays layout:
+The paper's optimiser recursively reduces pairs of per-core energy curves,
+``E_ab(s) = min over s_a + s_b = s of E_a(s_a) + E_b(s_b)``, keeping the
+argmin split for back-tracking; reducing pairs in a binary tree gives the
+exact optimum in ``O(ncores * ways^2)``.  :class:`PackedReduction` is the
+one implementation of that reduction on the production path, for the flat
+manager (one group of all cores) and the clustered hierarchy alike.  It
+is persistent across manager invocations -- only the root paths of leaves
+whose curves changed are re-combined -- and stores the tree in a packed
+struct-of-arrays layout:
 
 * **level-synchronous storage** -- all combine nodes of one tree level
   live in one padded ``(nodes, ways)`` float64 matrix, and a hierarchy
@@ -26,20 +28,18 @@ DP-cell accounting -- in a packed struct-of-arrays layout:
   changing any computed value (every in-range ``(sl, s - sl)`` pair a
   computed parent column reads lies inside both children's needed
   ranges, so the finite candidate set -- and the ascending-``sl``
-  first-minimum tie-break -- is exactly the reference's);
+  first-minimum tie-break -- is exactly that of a full-range combine);
 * **static meter totals** -- the modelled RMA cost of one invocation is
   the sum of every combine node's *untruncated* DP-cell count, a constant
   of the tree shape, charged as one integer-exact
   :meth:`~repro.core.overhead_meter.OverheadMeter.charge_replay` per
-  solve (bit-identical to the per-node charges of the node-graph path:
-  integer DP-cell counts are exact in float64 and order-free).
+  solve (integer DP-cell counts are exact in float64 and order-free, so
+  this equals charging every combine separately).
 
-The node-graph :class:`~repro.core.global_opt.ReductionTree` remains the
-golden reference; managers dispatch on :func:`packed_enabled` (threshold
-:data:`PACKED_MIN_CORES`, analogous to the engine's ``VECTOR_MIN_CORES``)
-and ``tests/test_packed_tree.py`` asserts bit-identity -- assignments,
-splits, meter charges -- across random widths, odd leaf counts, way caps
-and splice orders.
+The node-graph reduction in ``tests/oracles/node_graph.py`` is the golden
+reference: ``tests/test_packed_tree.py`` asserts bit-identity --
+assignments, splits, meter charges -- across random widths, odd leaf
+counts, way caps and splice orders.
 
 Batched sweep layout (one tree level, ``m`` dirty rows)::
 
@@ -61,24 +61,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import _arange, _dp_cell_count, _scratch
+from repro.core.global_opt import _dp_cell_count, _scratch
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
-__all__ = ["PackedReduction", "PACKED_MIN_CORES", "packed_enabled"]
-
-#: Core count at or above which the managers build a :class:`PackedReduction`
-#: instead of per-node :class:`~repro.core.global_opt.ReductionTree`s.  Below
-#: it the node-graph path is at least as fast (the packed sweep's per-level
-#: gather/scatter overhead needs several rows per level to pay off); both are
-#: bit-identical, so -- like the engine's ``VECTOR_MIN_CORES`` -- this is
-#: purely a dispatch choice.
-PACKED_MIN_CORES = 32
-
-
-def packed_enabled(ncores: int) -> bool:
-    """Whether managers should use the packed reduction at this scale."""
-    return ncores >= PACKED_MIN_CORES
+__all__ = ["PackedReduction"]
 
 
 class _Rec:
@@ -189,11 +176,11 @@ class PackedReduction:
     leaves reduce under its own way cap (the intra-cluster stage), then
     the group roots reduce under ``total_ways`` (the second-level stage).
     A single group of all leaves with ``cap == total_ways`` *is* the flat
-    tree.  Pairing order within every stage mirrors
-    :class:`~repro.core.global_opt.ReductionTree` exactly -- adjacent
-    pairs level by level, an odd trailing node carried up unchanged -- so
-    assignments, tie-breaks and metered charges are bit-identical to the
-    node-graph hierarchy over the same curves.
+    tree.  Pairing order within every stage is fixed -- adjacent pairs
+    level by level, an odd trailing node carried up unchanged -- and
+    mirrors the node-graph reference (``tests/oracles/node_graph.py``)
+    exactly, so assignments, tie-breaks and metered charges are
+    bit-identical to it over the same curves.
 
     Leaf curves must be at least as wide as their group's cap (the
     managers' curves always span the full associativity); this pins every

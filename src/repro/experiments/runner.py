@@ -83,10 +83,6 @@ class ManagerSpec:
     control_partitioning: bool = True
     mlp_model: str = "model2"
     oracle: bool = False
-    # False selects the recompute-everything reference pipeline (the
-    # executable specification the batched/incremental default is verified
-    # against); results are bit-identical either way.
-    incremental: bool = True
     # A non-None cluster size selects the hierarchical ClusteredManager
     # (per-cluster reduction trees + second-level combine) instead of the
     # flat coordinated manager; overprovision scales the per-cluster way cap.
@@ -111,13 +107,7 @@ class ManagerSpec:
             )
         if self.cluster_size is not None:
             from repro.core.managers import ClusteredManager
-            from repro.util.validation import require
 
-            require(
-                self.incremental,
-                "clustered specs exist only on the incremental pipeline "
-                "(no recompute-everything reference for the hierarchy)",
-            )
             return ClusteredManager(
                 name=self.name,
                 cluster_size=self.cluster_size,
@@ -135,7 +125,6 @@ class ManagerSpec:
             control_partitioning=self.control_partitioning,
             mlp_model=self.mlp_model,
             oracle=self.oracle,
-            incremental=self.incremental,
         )
 
 

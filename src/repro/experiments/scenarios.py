@@ -284,7 +284,7 @@ def s7_scaling(ctx: ExperimentContext | None = None) -> ExperimentResult:
     """S7: flat vs clustered RM2 across system sizes (the scaling curve).
 
     For each system size the same cluster-churn scenario replays under the
-    static baseline, flat incremental RM2 and clustered RM2.  The table
+    static baseline, flat RM2 and clustered RM2.  The table
     reports each manager's energy savings, the clustered-vs-flat energy gap
     (the price of the cluster way caps), the *modelled* RMA overhead per
     invocation (deterministic, machine-independent) and the replay

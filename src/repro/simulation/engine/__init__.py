@@ -25,7 +25,7 @@ is decomposed into four components with one orchestrator:
   event loop tying the components together.
 
 Every accounting decision is bit-identical to the frozen reference
-implementation in :mod:`repro.simulation.legacy_sim`; the golden
+implementation in ``tests/oracles/legacy_sim.py``; the golden
 equivalence suite enforces this.
 """
 

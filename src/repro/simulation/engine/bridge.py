@@ -2,8 +2,9 @@
 
 :mod:`repro.core.managers` was written against the monolithic simulator's
 surface; the bridge pins that surface down as an explicit contract --
-``system`` plus six methods -- so the kernel behind it can be restructured
-freely without touching manager code.  ``manager.attach`` receives the
+``system``, ``stage_timer`` and nine read methods, none of them optional --
+so the kernel behind it can be restructured freely without touching
+manager code.  ``manager.attach`` receives the
 bridge, and every read a manager performs goes through it.
 """
 
@@ -85,9 +86,7 @@ class ManagerBridge:
         """Batched :meth:`upcoming_record`: one scheduler read per core.
 
         The batched manager pipeline stacks these records' grids into
-        ``(N, C, F, W)`` tensors; managers fall back to per-core
-        :meth:`upcoming_record` calls on simulators without this method
-        (the frozen legacy reference).
+        ``(N, C, F, W)`` tensors.
         """
         record = self._kernel.scheduler.record
         return [record(j) for j in core_ids]

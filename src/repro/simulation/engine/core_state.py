@@ -20,7 +20,7 @@ round bookkeeping, last snapshot/record) stays an ordinary attribute.
 :func:`advance_core` is kept as the executable *scalar* reference of the
 advance arithmetic -- serve pending stall first, then retire ``dt / tpi``
 instructions and charge their energy -- exactly the frozen
-:mod:`repro.simulation.legacy_sim` implementation.  The vectorised path
+``tests/oracles/legacy_sim.py`` implementation.  The vectorised path
 performs the same IEEE operations lane-by-lane (subtracting a served stall
 of ``0.0`` and adding a retired-instruction count of ``0.0`` are bitwise
 no-ops on the non-negative state), so results are bit-identical; the

@@ -19,7 +19,7 @@ One iteration = one global event = the earliest completion of a
    :class:`~repro.simulation.engine.bridge.ManagerBridge` and any new
    system-wide setting is applied with transition overheads.
 
-Accounting is bit-identical to :mod:`repro.simulation.legacy_sim`, the
+Accounting is bit-identical to ``tests/oracles/legacy_sim.py``, the
 frozen pre-refactor reference; the golden equivalence suite enforces it.
 
 Many-core notes: the per-event hot path is vectorised over the
@@ -169,6 +169,10 @@ class SimulationKernel:
     def active_core_ids(self):
         """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.active_core_ids`."""
         return self.bridge.active_core_ids()
+
+    def inactive_core_ids(self):
+        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.inactive_core_ids`."""
+        return self.bridge.inactive_core_ids()
 
     def upcoming_records(self, core_ids):
         """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.upcoming_records`."""

@@ -22,7 +22,7 @@ The implementation lives in the layered kernel package
 next-completion scheduler, the tenancy/scenario component and the manager
 bridge.  :class:`RMASimulator` is the stable public face over that kernel;
 its accounting is bit-identical to the frozen pre-refactor reference
-(:mod:`repro.simulation.legacy_sim`), as the golden equivalence suite
+(``tests/oracles/legacy_sim.py``), as the golden equivalence suite
 asserts.
 
 **Dynamic scenarios.**  With a :class:`~repro.scenarios.events.Scenario`

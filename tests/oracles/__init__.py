@@ -1,0 +1,13 @@
+"""Executable references the production code is verified against.
+
+* :mod:`tests.oracles.node_graph` -- the node-graph min-plus reduction
+  (``global_optimize``, ``ReductionTree``), the golden reference of
+  :class:`~repro.core.packed_tree.PackedReduction`;
+* :mod:`tests.oracles.reference_manager` -- the recompute-everything
+  coordinated-manager pipeline and the node-graph clustered manager;
+* :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
+  the golden reference of :mod:`repro.simulation.engine`.
+
+None of them is on a production path; tests and the ``tools/bench_*``
+speed-up benchmarks import them with the repository root on ``sys.path``.
+"""

@@ -11,7 +11,11 @@ scenarios through both implementations and asserts bit-identical
 Do not "fix" or optimise this module: its value is that it never changes.
 New behaviour belongs in :mod:`repro.simulation.engine`; if semantics must
 change, update the engine and regenerate the golden expectations in one
-reviewed step.
+reviewed step.  The only additions since the freeze are the batched
+read-only accessors of the manager bridge (``active_core_ids``,
+``inactive_core_ids``, ``upcoming_records``) and ``stage_timer = None``,
+each a plain composition of the per-core accessors, so the managers drive
+this simulator through the same surface as the engine's bridge.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ class _CoreRun:
 
 class LegacyRMASimulator:
     """The pre-refactor monolithic simulator (reference semantics)."""
+
+    #: No per-stage profiling: managers read this like the bridge's hook.
+    stage_timer = None
 
     def __init__(
         self,
@@ -137,6 +144,16 @@ class LegacyRMASimulator:
     def upcoming_record(self, core_id: int) -> PhaseRecord:
         core = self.cores[core_id]
         return self.db.record(core.app, core.seq[core.slice_idx])
+
+    # ---- batched accessors (compositions of the per-core ones) ---------------
+    def active_core_ids(self) -> list[int]:
+        return [j for j in range(self.system.ncores) if self.is_active(j)]
+
+    def inactive_core_ids(self) -> list[int]:
+        return [j for j in range(self.system.ncores) if not self.is_active(j)]
+
+    def upcoming_records(self, core_ids: list[int]) -> list[PhaseRecord]:
+        return [self.upcoming_record(j) for j in core_ids]
 
     # ---- internals -----------------------------------------------------------
     def _current_record(self, core: _CoreRun) -> PhaseRecord:

@@ -31,6 +31,7 @@ from repro.core.perf_model import (
 from repro.core.qos import qos_target_tpi
 from repro.cpu.counters import observe_counters
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.reference_manager import reference
 
 
 def _stats(system, db, seed, n):
@@ -203,6 +204,8 @@ class TestBatchedCurves:
 class _StubSim:
     """Minimal manager-facing simulator surface for direct manager tests."""
 
+    stage_timer = None
+
     def __init__(self, system, recs, snaps, slacks):
         self.system = system
         self.recs = list(recs)
@@ -215,6 +218,9 @@ class _StubSim:
     def is_active(self, core_id):
         return True
 
+    def inactive_core_ids(self):
+        return []
+
     def completed_snapshot(self, core_id):
         return self.snaps[core_id]
 
@@ -225,7 +231,7 @@ class _StubSim:
 class TestCurveMemoization:
     def _managers(self, system4, db4, slacks):
         recs, snaps = _stats(system4, db4, seed=21, n=system4.ncores)
-        inc, ref = rm2_combined(incremental=True), rm2_combined(incremental=False)
+        inc, ref = rm2_combined(), reference(rm2_combined())
         inc.attach(_StubSim(system4, recs, snaps, slacks))
         ref.attach(_StubSim(system4, recs, snaps, slacks))
         return inc, ref

@@ -3,21 +3,22 @@
 Two guarantees anchor the cluster tier:
 
 * **single-cluster identity** -- ``ClusteredManager`` with
-  ``cluster_size >= ncores`` must equal ``CoordinatedManager
-  (incremental=True)`` bit for bit (decisions, energies, interval samples
-  and metered RMA overhead) across fixed workloads and every dynamic
-  scenario shape, because one uncapped cluster plus a pass-through second
-  level *is* the flat reduction;
+  ``cluster_size >= ncores`` must equal the flat ``CoordinatedManager``
+  bit for bit (decisions, energies, interval samples and metered RMA
+  overhead) across fixed workloads and every dynamic scenario shape,
+  because one uncapped cluster plus a pass-through second level *is* the
+  flat reduction;
 * **bounded gap** -- with several clusters the per-cluster way caps
   restrict the optimiser, but the end-to-end energy must stay within a
   small bound of the flat manager's (10% here; measured gaps are far
   smaller).
 
-Property-based tests pin the two-level reduction itself: over random
-curves and splice orders a single-cluster hierarchy matches the flat tree
-exactly, an uncapped multi-cluster hierarchy reaches the flat optimum's
-total energy, and a capped hierarchy always yields a valid allocation
-respecting its caps.
+Property-based tests pin the two-level reduction itself, on the node-graph
+reference (:mod:`tests.oracles.node_graph`): over random curves and splice
+orders a single-cluster hierarchy matches the flat tree exactly, an
+uncapped multi-cluster hierarchy reaches the flat optimum's total energy,
+and a capped hierarchy always yields a valid allocation respecting its
+caps.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import (
-    ReductionTree,
-    cluster_way_caps,
-    global_optimize,
-    partition_clusters,
-)
+from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import (
     ClusteredManager,
     dvfs_only,
@@ -52,6 +48,7 @@ from repro.scenarios import (
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.node_graph import ReductionTree, global_optimize
 
 MANAGERS = [
     ("rm1", rm1_partitioning_only),
@@ -83,14 +80,14 @@ def assert_same_numbers(a, b) -> None:
 
 
 def _flat_and_one_cluster(factory, ncores: int, oracle: bool = False):
-    flat = factory(incremental=True, oracle=oracle)
+    flat = factory(oracle=oracle)
     one = factory(cluster_size=ncores, oracle=oracle)
     assert isinstance(one, ClusteredManager)
     return flat, one
 
 
 class TestSingleClusterIdentity:
-    """cluster_size >= ncores must be the flat incremental manager, bit for bit."""
+    """cluster_size >= ncores must be the flat manager, bit for bit."""
 
     @pytest.mark.parametrize("label,factory", MANAGERS, ids=[m[0] for m in MANAGERS])
     def test_fixed_workload(self, system4, db4, label, factory):
@@ -345,7 +342,7 @@ class TestClusteredWiring:
             mgr = factory(cluster_size=8)
             assert isinstance(mgr, ClusteredManager)
             assert mgr.name.endswith("-c8")
-            assert mgr.incremental is True
+            assert mgr.cluster_size == 8
 
     def test_manager_spec_builds_clustered(self):
         from repro.experiments.runner import rm2_clustered

@@ -1,7 +1,7 @@
 """Golden equivalence suite for the layered simulation kernel.
 
 The engine refactor (:mod:`repro.simulation.engine`) must be *bit-identical*
-to the frozen pre-refactor reference (:mod:`repro.simulation.legacy_sim`):
+to the frozen pre-refactor reference (:mod:`tests.oracles.legacy_sim`):
 same event ordering, same float arithmetic, same `RunResult` numbers.  This
 suite replays representative fixed workloads and all four dynamic-scenario
 shapes (the S1-S4 generators) through both implementations, serial and
@@ -11,14 +11,14 @@ It also unit-tests the incremental scheduler's invalidation protocol: a
 core's cached completion state must be recomputed after an allocation
 change, a tenant swap, a departure, and a slack change.
 
-The second golden axis is the *manager pipeline*: the batched/incremental
-coordinated-manager path (``incremental=True`` -- stacked curve
-construction, curve memoization, persistent reduction tree) must be
-bit-identical to the recompute-everything reference path
-(``incremental=False``) across RM1/RM2/RM3/dvfs-only, fixed workloads and
-all four scenario shapes, serial and spawn-multiprocess -- including the
-metered RMA instruction counts, which model the paper's always-recomputing
-on-line algorithm.
+The second golden axis is the *manager pipeline*: the production
+coordinated-manager path (stacked curve construction, curve memoization,
+persistent packed reduction) must be bit-identical to the
+recompute-everything reference path
+(:func:`tests.oracles.reference_manager.reference`) across
+RM1/RM2/RM3/dvfs-only, fixed workloads and all four scenario shapes, serial
+and spawn-multiprocess -- including the metered RMA instruction counts,
+which model the paper's always-recomputing on-line algorithm.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.core.managers import (
     rm2_combined,
     rm3_core_adaptive,
 )
-from repro.experiments.runner import BASELINE, RM2, ExperimentContext, ManagerSpec
+from repro.experiments.runner import BASELINE, RM2, ExperimentContext
 from repro.scenarios import (
     ScenarioEvent,
     burst_load,
@@ -45,10 +45,11 @@ from repro.scenarios import (
     poisson_arrivals,
     qos_ramp,
 )
-from repro.simulation.legacy_sim import LegacyRMASimulator
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.legacy_sim import LegacyRMASimulator
+from tests.oracles.reference_manager import reference
 
 MANAGERS = [
     ("baseline", StaticBaselineManager),
@@ -181,7 +182,7 @@ class TestGoldenMultiprocess:
 
 #: Every coordinated-manager restriction the papers evaluate, plus the
 #: history-aware extension (which overrides curve construction and must
-#: bypass the curve memo while still using the incremental tree).
+#: bypass the curve memo while still using the persistent reduction).
 PIPELINE_MANAGERS = [
     ("rm1", rm1_partitioning_only),
     ("rm2", rm2_combined),
@@ -197,17 +198,17 @@ ORACLE_MANAGERS = PIPELINE_MANAGERS[:4]
 
 
 class TestManagerPipelineEquivalence:
-    """Batched/incremental manager pipeline vs the reference pipeline."""
+    """Production manager pipeline vs the reference pipeline."""
 
     @pytest.mark.parametrize(
         "label,factory", PIPELINE_MANAGERS, ids=[m[0] for m in PIPELINE_MANAGERS]
     )
     def test_fixed_workload(self, system4, db4, label, factory):
         ref = RMASimulator(
-            system4, db4, _wl4(), factory(incremental=False), max_slices=6
+            system4, db4, _wl4(), reference(factory()), max_slices=6
         ).run()
         inc = RMASimulator(
-            system4, db4, _wl4(), factory(incremental=True), max_slices=6
+            system4, db4, _wl4(), factory(), max_slices=6
         ).run()
         assert_bit_identical(ref, inc)
 
@@ -217,10 +218,10 @@ class TestManagerPipelineEquivalence:
     def test_fixed_workload_oracle(self, system4, db4, label, factory):
         """The oracle ("perfect models") path batches every active core."""
         ref = RMASimulator(
-            system4, db4, _wl4(), factory(oracle=True, incremental=False), max_slices=6
+            system4, db4, _wl4(), reference(factory(oracle=True)), max_slices=6
         ).run()
         inc = RMASimulator(
-            system4, db4, _wl4(), factory(oracle=True, incremental=True), max_slices=6
+            system4, db4, _wl4(), factory(oracle=True), max_slices=6
         ).run()
         assert_bit_identical(ref, inc)
 
@@ -235,11 +236,11 @@ class TestManagerPipelineEquivalence:
         tenant swaps and QoS ramps must never serve a stale curve."""
         sc = gen(slabel, 4, TEST_BENCHMARKS, horizon_intervals=24, seed=3, **kwargs)
         ref = RMASimulator(
-            system4, db4, sc.workload, factory(incremental=False),
+            system4, db4, sc.workload, reference(factory()),
             max_slices=6, scenario=sc,
         ).run()
         inc = RMASimulator(
-            system4, db4, sc.workload, factory(incremental=True),
+            system4, db4, sc.workload, factory(),
             max_slices=6, scenario=sc,
         ).run()
         assert_bit_identical(ref, inc)
@@ -252,11 +253,11 @@ class TestManagerPipelineEquivalence:
         phase identity + slack) or the batched bridge reads."""
         sc = gen(slabel, 4, TEST_BENCHMARKS, horizon_intervals=24, seed=3, **kwargs)
         ref = RMASimulator(
-            system4, db4, sc.workload, rm2_combined(oracle=True, incremental=False),
+            system4, db4, sc.workload, reference(rm2_combined(oracle=True)),
             max_slices=6, scenario=sc,
         ).run()
         inc = RMASimulator(
-            system4, db4, sc.workload, rm2_combined(oracle=True, incremental=True),
+            system4, db4, sc.workload, rm2_combined(oracle=True),
             max_slices=6, scenario=sc,
         ).run()
         assert_bit_identical(ref, inc)
@@ -265,11 +266,11 @@ class TestManagerPipelineEquivalence:
         sc = poisson_arrivals("pipe8-s1", 8, TEST_BENCHMARKS,
                               horizon_intervals=32, seed=1)
         ref = RMASimulator(
-            system8, db8, sc.workload, rm2_combined(incremental=False),
+            system8, db8, sc.workload, reference(rm2_combined()),
             max_slices=4, scenario=sc,
         ).run()
         inc = RMASimulator(
-            system8, db8, sc.workload, rm2_combined(incremental=True),
+            system8, db8, sc.workload, rm2_combined(),
             max_slices=4, scenario=sc,
         ).run()
         assert_bit_identical(ref, inc)
@@ -291,9 +292,13 @@ class TestManagerPipelineEquivalence:
             poisson_arrivals("pp-p", 4, TEST_BENCHMARKS, horizon_intervals=24, seed=0),
             qos_ramp("pp-q", 4, TEST_BENCHMARKS, horizon_intervals=24, seed=0),
         ]
-        ref_spec = ManagerSpec(kind="coordinated", name="rm2-combined",
-                               incremental=False)
-        serial_ref = ctx.run_scenarios(scenarios, [ref_spec], processes=1)
+        serial_ref = {
+            (sc.name, "rm2-combined"): RMASimulator(
+                system4, db4, sc.workload, reference(rm2_combined()),
+                max_slices=6, scenario=sc,
+            ).run()
+            for sc in scenarios
+        }
         serial_inc = ctx.run_scenarios(scenarios, [RM2], processes=1)
         tasks = [(sc, RM2, 6) for sc in scenarios]
         spawn_inc = parallel_map(

@@ -119,7 +119,8 @@ class TestHistoryAwareManager:
         mgr = rm2_history()
         simulate_workload(system4, db4, self.WL, mgr, max_slices=5)
         assert mgr.history
-        mgr.attach(None.__class__ and __import__("types").SimpleNamespace(system=system4))
+        stub = __import__("types").SimpleNamespace(system=system4, stage_timer=None)
+        mgr.attach(stub)
         assert mgr.history == {}
 
     def test_rm3_variant(self, system4, db4):

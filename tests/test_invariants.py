@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import Allocation, default_system
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import global_optimize
 from repro.core.managers import rm2_combined
 from repro.simulation.metrics import compare_runs
 from repro.simulation.overheads import transition_cost
 from repro.simulation.rma_sim import RMASimulator, simulate_workload
 from repro.workloads.mixes import Workload
+from tests.oracles.node_graph import global_optimize
 from tests.test_optimizer import random_curve
 
 

@@ -4,7 +4,9 @@ The load-bearing checks: the pairwise-reduction global optimiser must be
 *exactly* optimal against brute-force enumeration (the objective is separable
 so the DP is exact, which is why the paper's "heuristic" finds the optimum in
 polynomial time), and the local optimiser must match a brute-force scan of
-the QoS-feasible configuration space.
+the QoS-feasible configuration space.  The global optimiser checked here is
+the node-graph reference (:mod:`tests.oracles.node_graph`); the production
+packed reduction is held bit-identical to it by ``tests/test_packed_tree.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import default_system
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import ReductionTree, global_optimize
 from repro.core.local_opt import DimSpec, local_optimize
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.qos import qos_target_tpi
+from tests.oracles.node_graph import ReductionTree, global_optimize
 
 
 def random_curve(rng, core_id, ways, feasible_prob=0.9):

@@ -4,7 +4,7 @@
 hierarchy -- per-cluster capped combine levels plus the second-level
 stage -- into struct-of-arrays level matrices and solves it with batched
 sliding-window min-plus sweeps.  The node-graph
-:class:`~repro.core.global_opt.ReductionTree` hierarchy is the golden
+:class:`~tests.oracles.node_graph.ReductionTree` hierarchy is the golden
 reference: on every input the packed tree must reproduce its assignment
 (including tie-breaks), its ``None``-ness on infeasible inputs, and its
 metered RMA overhead (instructions and DP cells) *exactly* -- the packed
@@ -14,25 +14,27 @@ The property tests drive persistent instances through randomized splice /
 update sequences over inf-heavy curves (sporadic infeasible entries plus
 pinned single-way curves, the shapes idle cores and capped clusters
 produce), covering flat trees, odd leaf counts, uneven final clusters and
-over-provisioned way caps.  A forced-packed manager run (monkeypatched
-:data:`~repro.core.packed_tree.PACKED_MIN_CORES` threshold) pins the
-dispatch wiring end to end below the many-core scale.
+over-provisioned way caps, from the one-leaf plan up.  An 8-core
+cluster-churn replay through the production clustered manager and through
+the node-graph clustered manager oracle pins the manager wiring end to
+end.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import ReductionTree, cluster_way_caps, partition_clusters
+from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import rm2_combined
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.packed_tree import PACKED_MIN_CORES, PackedReduction, packed_enabled
+from repro.core.packed_tree import PackedReduction
 from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.node_graph import ReductionTree
+from tests.oracles.reference_manager import NodeGraphClusteredManager
 from tests.test_clustered import assert_same_numbers
 
 
@@ -145,7 +147,9 @@ class TestPackedBitIdentity:
                 reference.invalidate(j)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 100_000), ncores=st.integers(2, 16))
+    @given(seed=st.integers(0, 100_000), ncores=st.integers(1, 31))
+    @example(seed=0, ncores=1)  # the one-leaf plan
+    @example(seed=0, ncores=31)
     def test_flat_tree_matches(self, seed, ncores):
         """A one-cluster packed plan is the flat ReductionTree, bit for bit."""
         rng = np.random.default_rng(seed)
@@ -201,33 +205,22 @@ class TestPackedBitIdentity:
         assert m_pk.instructions == m_ref.instructions
 
 
-class TestPackedManagerDispatch:
-    """The manager's packed path equals its node-graph path end to end."""
+class TestPackedClusteredManager:
+    """The production clustered manager equals its node-graph oracle."""
 
-    def test_threshold_gates_the_packed_plan(self):
-        assert packed_enabled(PACKED_MIN_CORES)
-        assert not packed_enabled(PACKED_MIN_CORES - 1)
-
-    def test_forced_packed_replay_is_bit_identical(
-        self, system8, db8, monkeypatch
-    ):
-        """8-core cluster-churn replay, packed forced on vs off."""
+    def test_cluster_churn_replay_matches_node_graph_oracle(self, system8, db8):
+        """8-core cluster-churn replay: packed hierarchy vs node-graph trees."""
         sc = cluster_churn("packed-eq", 8, TEST_BENCHMARKS, cluster_size=2,
                            cycles=3, idle_intervals=1.0,
                            horizon_intervals=48, seed=5)
-
-        import repro.core.managers as managers_mod
-
-        monkeypatch.setattr(managers_mod, "packed_enabled", lambda n: True)
         mgr = rm2_combined(cluster_size=2)
-        forced = RMASimulator(system8, db8, sc.workload, mgr,
+        packed = RMASimulator(system8, db8, sc.workload, mgr,
                               max_slices=6, scenario=sc).run()
-        assert mgr._packed is not None  # the packed plan really ran
+        assert isinstance(mgr._tree, PackedReduction)
 
-        monkeypatch.setattr(managers_mod, "packed_enabled", lambda n: False)
-        mgr = rm2_combined(cluster_size=2)
-        node_graph = RMASimulator(system8, db8, sc.workload, mgr,
+        oracle = NodeGraphClusteredManager(name="rm2-node-graph", cluster_size=2)
+        node_graph = RMASimulator(system8, db8, sc.workload, oracle,
                                   max_slices=6, scenario=sc).run()
-        assert mgr._packed is None
+        assert oracle._tree is None and oracle._level2 is not None  # node graph ran
 
-        assert_same_numbers(forced, node_graph)
+        assert_same_numbers(packed, node_graph)

@@ -132,7 +132,6 @@ def _manager_specs() -> st.SearchStrategy:
         control_partitioning=st.booleans(),
         mlp_model=st.sampled_from(["model1", "model2", "model3"]),
         oracle=st.booleans(),
-        incremental=st.just(True),
         cluster_size=st.one_of(st.none(), st.integers(1, 8)),
         overprovision=st.floats(1.0, 4.0, allow_nan=False),
     )

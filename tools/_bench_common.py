@@ -44,6 +44,11 @@ def add_src_to_path() -> None:
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
+def add_repo_root_to_path() -> None:
+    """Make the reference implementations under ``tests/oracles`` importable."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+
+
 def machine_calibration_s(repeats: int = 3) -> float:
     """Best-of-N wall-clock of a fixed, deterministic yardstick workload.
 

@@ -3,7 +3,7 @@
 
 Replays the same 8-core dynamic scenario through the layered kernel
 (:mod:`repro.simulation.engine`) and the pre-refactor monolithic loop
-(:mod:`repro.simulation.legacy_sim`), verifies the results are
+(``tests/oracles/legacy_sim.py``), verifies the results are
 bit-identical, and records wall-clock plus speedup into
 ``benchmarks/_artifacts/BENCH_engine_speedup.json`` so the perf trajectory
 is tracked as an artefact per commit.
@@ -28,6 +28,7 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 from _bench_common import (  # noqa: E402
     BENCHMARK_SUBSET,
+    add_repo_root_to_path,
     add_src_to_path,
     machine_calibration_s,
     run_result_hash,
@@ -40,12 +41,13 @@ from _bench_common import (  # noqa: E402
 # cache when present.  Must be set before repro.experiments.runner imports.
 os.environ.setdefault("REPRO_ACCESSES_PER_SET", "400")
 add_src_to_path()
+add_repo_root_to_path()
 
 from repro.core.managers import StaticBaselineManager, rm2_combined  # noqa: E402
 from repro.experiments.runner import get_context  # noqa: E402
 from repro.scenarios import poisson_arrivals  # noqa: E402
-from repro.simulation.legacy_sim import LegacyRMASimulator  # noqa: E402
 from repro.simulation.rma_sim import RMASimulator  # noqa: E402
+from tests.oracles.legacy_sim import LegacyRMASimulator  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,16 +1,15 @@
 #!/usr/bin/env python
-"""Benchmark: batched/incremental manager pipeline vs the reference path.
+"""Benchmark: the coordinated manager's pipeline vs the reference path.
 
-PR 2 made scenario replay fast under the baseline manager but left the
-coordinated-manager hot path -- per-core curve construction plus a full
-rebuild of the global min-plus reduction tree on every interval --
-dominating wall-clock.  This benchmark replays the same dynamic scenario
-with the coordinated manager's batched/incremental pipeline
-(``incremental=True``: stacked curve tensors, curve memoization, persistent
-reduction tree) and with the pre-PR recompute-everything reference
-(``incremental=False``), verifies the runs are bit-identical, and records
-wall-clock, speedup and result hashes into
-``benchmarks/_artifacts/BENCH_manager_overhead.json``.
+Per-core curve construction plus a full rebuild of the global min-plus
+reduction on every interval would dominate replay wall-clock.  This
+benchmark replays the same dynamic scenario with the coordinated manager's
+production pipeline (stacked curve tensors, curve memoization, persistent
+packed reduction) and with the recompute-everything reference
+(``tests/oracles/reference_manager.py``), verifies the runs are
+bit-identical, and records wall-clock, speedup and result hashes into
+``benchmarks/_artifacts/BENCH_manager_overhead.json`` (the production
+pipeline's time under ``incremental_s``).
 
 Usage::
 
@@ -28,6 +27,7 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 from _bench_common import (  # noqa: E402
     BENCHMARK_SUBSET,
+    add_repo_root_to_path,
     add_src_to_path,
     machine_calibration_s,
     run_result_hash,
@@ -40,6 +40,7 @@ from _bench_common import (  # noqa: E402
 # cache when present.  Must be set before repro.experiments.runner imports.
 os.environ.setdefault("REPRO_ACCESSES_PER_SET", "400")
 add_src_to_path()
+add_repo_root_to_path()
 
 from repro.core.managers import (  # noqa: E402
     dvfs_only,
@@ -50,6 +51,7 @@ from repro.core.managers import (  # noqa: E402
 from repro.experiments.runner import get_context  # noqa: E402
 from repro.scenarios import poisson_arrivals  # noqa: E402
 from repro.simulation.rma_sim import RMASimulator  # noqa: E402
+from tests.oracles.reference_manager import reference  # noqa: E402
 
 MANAGERS = {
     "rm1-partitioning": rm1_partitioning_only,
@@ -100,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                 ctx.system,
                 ctx.db,
                 scenario.workload,
-                factory(incremental=False),
+                reference(factory()),
                 max_slices=args.max_slices,
                 scenario=scenario,
             ).run(),
@@ -111,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 ctx.system,
                 ctx.db,
                 scenario.workload,
-                factory(incremental=True),
+                factory(),
                 max_slices=args.max_slices,
                 scenario=scenario,
             ).run(),

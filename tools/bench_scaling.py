@@ -6,8 +6,8 @@ wall past ~32 cores: its top combines widen with the full LLC
 associativity, so per-invocation cost grows superlinearly with the core
 count.  This benchmark drives the 64-core S5 "cluster churn" scenario --
 whole clusters draining and refilling -- under the hierarchical
-``ClusteredManager`` (per-cluster capped reduction trees plus a
-second-level combine), times it against the flat incremental manager and
+``ClusteredManager`` (per-cluster capped reduction stages plus a
+second-level combine), times it against the flat manager and
 the static baseline, and verifies the single-cluster equivalence contract
 (``cluster_size >= ncores`` is bit-identical to the flat manager) on a
 16-core replay.  128- and 256-core S7 datapoints (the scaling
@@ -169,9 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         args.max_slices,
         args.repeats,
     )
-    flat_s, flat_run, _ = _replay(
-        ctx, scenario, lambda: rm2_combined(incremental=True), args.max_slices, args.repeats
-    )
+    flat_s, flat_run, _ = _replay(ctx, scenario, rm2_combined, args.max_slices, args.repeats)
     base_s, base_run, base_sim = _replay(
         ctx, scenario, StaticBaselineManager, args.max_slices, args.repeats
     )
@@ -266,9 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     _, one_run, _ = _replay(
         eq_ctx, eq_scenario, lambda: rm2_combined(cluster_size=eq_n), args.max_slices, 1
     )
-    _, eq_flat_run, _ = _replay(
-        eq_ctx, eq_scenario, lambda: rm2_combined(incremental=True), args.max_slices, 1
-    )
+    _, eq_flat_run, _ = _replay(eq_ctx, eq_scenario, rm2_combined, args.max_slices, 1)
     identical = runs_bit_identical(one_run, eq_flat_run)
     report["equivalence"] = {
         "ncores": eq_n,

@@ -72,7 +72,7 @@ associativity and the hierarchy degenerates to the flat tree).  S6
 (`skewed_load`) puts a strictly-QoS'd hot minority (the first quarter of
 the cores, contiguous so it concentrates in few clusters) under frequent
 re-tenanting amid a relaxed majority, forcing *inter-cluster* way
-redistribution.  Both compare flat incremental RM2 against the
+redistribution.  Both compare flat RM2 against the
 hierarchical variant on identical event streams; the expectation is
 near-identical savings (the bounded-gap contract), not superiority.  S7
 replays one cluster-churn shape at 8/16/32 cores under baseline, flat
@@ -139,19 +139,20 @@ hashes).  See "Running as a service" in `README.md`.
   fixed-workload block and a scenario block, cold (simulated) and warm
   (served from the run-results store), with a `result_hash` per block;
 * `BENCH_engine_speedup.json` (`tools/bench_engine_speedup.py`) — the
-  layered kernel vs the frozen `legacy_sim` reference on an 8-core
+  layered kernel vs the frozen `tests/oracles/legacy_sim.py` reference on an 8-core
   scenario replay, with per-manager `bit_identical` flags;
 * `BENCH_manager_overhead.json` (`tools/bench_manager_overhead.py`) — the
-  batched/incremental coordinated-manager pipeline (`incremental=True`:
-  stacked `(N, C, F, W)` curve construction, curve memoization, persistent
-  `ReductionTree`) vs the recompute-everything reference pipeline
-  (`incremental=False`) across RM1/RM2/RM3/dvfs-only on the 8-core Poisson
+  coordinated manager's pipeline (stacked `(N, C, F, W)` curve
+  construction, curve memoization, persistent `PackedReduction`; timed as
+  `incremental_s`) vs the recompute-everything reference pipeline
+  (`tests/oracles/reference_manager.py`, a from-scratch node-graph
+  reduction per invocation) across RM1/RM2/RM3/dvfs-only on the 8-core Poisson
   scenario (512 intervals, `--max-slices 24`, trace density 400) — ≈3–5×
   end-to-end with `bit_identical=true` per manager;
 * `BENCH_scaling.json` (`tools/bench_scaling.py`) — the many-core
   trajectory: a 64-core S5 cluster-churn replay (512 intervals,
   `--max-slices 12`, trace density 400) under the hierarchical
-  `ClusteredManager` (cluster size 8) vs flat incremental RM2 and the
+  `ClusteredManager` (cluster size 8) vs flat RM2 and the
   static baseline, recording wall-clocks, the clustered-vs-flat energy
   gap, the modelled RMA instructions per invocation (~11× lower
   clustered), and a 16-core **single-cluster equivalence check** whose

@@ -6,7 +6,9 @@
 * :mod:`tests.oracles.reference_manager` -- the recompute-everything
   coordinated-manager pipeline and the node-graph clustered manager;
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
-  the golden reference of :mod:`repro.simulation.engine`.
+  the golden reference of :mod:`repro.simulation.engine`;
+* :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,
+  the golden reference of :func:`repro.mem.mlp.leading_miss_groups`.
 
 None of them is on a production path; tests and the ``tools/bench_*``
 speed-up benchmarks import them with the repository root on ``sys.path``.

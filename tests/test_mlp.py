@@ -10,12 +10,14 @@ from repro.cache.atd import stack_distances
 from repro.cache.mlp_atd import QUANT_STEPS, MLPTable, mlp_table_from_trace, quantize
 from repro.config import default_system
 from repro.mem.mlp import (
+    MAX_MISSES_SAMPLED,
     effective_window,
     leading_miss_groups,
     mlp_grid,
     mlp_of_misses,
 )
 from repro.workloads.address_gen import generate_trace
+from tests.oracles.leading_miss import leading_miss_groups as greedy_groups
 from tests.test_phases import make_spec
 
 
@@ -51,6 +53,59 @@ class TestLeadingMissGroups:
         pos, ch = misses([0, 5, 10, 15], [0, 1, 0, 2])
         # group1 = {0,5}; group2 = {10,15}
         assert leading_miss_groups(pos, ch, 1000, 8) == 2
+
+    def test_window_end_is_exclusive(self):
+        # a miss exactly window instructions after the leader starts a group
+        pos, ch = misses([0, 50, 100, 150], [0, 1, 2, 3])
+        assert leading_miss_groups(pos, ch, 100, 8) == 2
+
+    def test_unsorted_positions_rejected(self):
+        pos, ch = misses([0, 10, 5], [0, 1, 2])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            leading_miss_groups(pos, ch, 100, 8)
+
+    def test_unsorted_positions_rejected_by_grid(self):
+        system = default_system(4)
+        dists = np.full(3, 99, dtype=np.int32)
+        pos, ch = misses([0, 10, 5], [0, 1, 2])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            mlp_grid(system, dists, pos, ch, 0.5)
+
+
+@st.composite
+def miss_streams(draw):
+    """Arbitrary miss streams: integer positions with ties, non-monotone
+    chain ids (down to a single chain), integer windows that land exactly on
+    a later position and fractional ones, and any MSHR count up to n + 2."""
+    n = draw(st.integers(0, 300))
+    gaps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    pos = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    if draw(st.booleans()):
+        pos = pos.astype(float)
+    nchains = draw(st.integers(1, max(1, n)))
+    chains = np.asarray(
+        draw(st.lists(st.integers(-3, nchains - 4), min_size=n, max_size=n)), dtype=np.int64
+    )
+    window = draw(
+        st.one_of(
+            st.integers(0, 100),
+            st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    mshrs = draw(st.integers(1, n + 2))
+    return pos, chains, window, mshrs
+
+
+class TestGreedyEquivalence:
+    """The vectorised count equals the greedy loop in tests/oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(miss_streams())
+    def test_matches_greedy_loop(self, stream):
+        pos, chains, window, mshrs = stream
+        assert leading_miss_groups(pos, chains, window, mshrs) == greedy_groups(
+            pos, chains, window, mshrs
+        )
 
 
 class TestMlpOfMisses:
@@ -132,6 +187,65 @@ class TestMlpGrid:
     def test_insensitive_phase_flat_across_cores(self):
         grid = self._grid(0.0)
         np.testing.assert_allclose(grid[0], grid[2], rtol=1e-9)
+
+
+def greedy_grid(system, dists, instr_pos, chain_ids, mlp_sensitivity):
+    """``mlp_grid`` rebuilt from the greedy loop, one stream per (c, w)."""
+    baseline = system.core_sizes[system.baseline_core_index]
+    out = np.ones((system.ncore_sizes, system.llc.ways), dtype=float)
+    for w in range(1, system.llc.ways + 1):
+        mask = dists > w
+        pos_w = instr_pos[mask][:MAX_MISSES_SAMPLED]
+        chains_w = chain_ids[mask][:MAX_MISSES_SAMPLED]
+        if len(pos_w) == 0:
+            continue
+        for ci, core in enumerate(system.core_sizes):
+            window, mshrs = effective_window(core, baseline, mlp_sensitivity)
+            groups = greedy_groups(pos_w, chains_w, window, mshrs)
+            out[ci, w - 1] = float(len(pos_w)) / float(max(groups, 1))
+    return out
+
+
+class TestGridEquivalence:
+    """``mlp_grid`` is byte-identical to the grid the greedy loop builds."""
+
+    @pytest.mark.parametrize("mlp_sensitivity", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "chain_break_prob,streaming_frac", [(0.9, 0.1), (0.3, 0.0), (0.6, 0.8)]
+    )
+    def test_generated_trace(self, mlp_sensitivity, chain_break_prob, streaming_frac):
+        system = default_system(4)
+        spec = make_spec(
+            chain_break_prob=chain_break_prob,
+            streaming_frac=streaming_frac,
+            mlp_sensitivity=mlp_sensitivity,
+        )
+        trace = generate_trace(spec, system.llc.model_sets, 150, seed_parts=("grid",))
+        dists = stack_distances(trace, system.llc.ways, system.llc.model_sets)
+        args = (system, dists, trace.instr_pos, trace.chain_ids, mlp_sensitivity)
+        assert mlp_grid(*args).tobytes() == greedy_grid(*args).tobytes()
+
+    @pytest.mark.parametrize("mlp_sensitivity", [0.0, 0.5, 1.0])
+    def test_stream_longer_than_sample_cap(self, mlp_sensitivity):
+        system = default_system(4)
+        spec = make_spec(streaming_frac=0.9, mlp_sensitivity=mlp_sensitivity)
+        trace = generate_trace(spec, system.llc.model_sets, 200, seed_parts=("long",))
+        dists = stack_distances(trace, system.llc.ways, system.llc.model_sets)
+        assert np.count_nonzero(dists > 1) > MAX_MISSES_SAMPLED
+        args = (system, dists, trace.instr_pos, trace.chain_ids, mlp_sensitivity)
+        assert mlp_grid(*args).tobytes() == greedy_grid(*args).tobytes()
+
+    @pytest.mark.parametrize("mlp_sensitivity", [0.0, 0.5, 1.0])
+    def test_way_counts_with_empty_miss_streams(self, mlp_sensitivity):
+        system = default_system(4)
+        rng = np.random.default_rng(3)
+        n = 500
+        dists = rng.integers(1, 7, n).astype(np.int32)  # no misses from w = 6 on
+        pos = np.cumsum(rng.integers(0, 20, n)).astype(float)
+        chains = rng.integers(0, 60, n)
+        grid = mlp_grid(system, dists, pos, chains, mlp_sensitivity)
+        assert np.all(grid[:, 5:] == 1.0)
+        assert grid.tobytes() == greedy_grid(system, dists, pos, chains, mlp_sensitivity).tobytes()
 
 
 class TestMLPTable:

@@ -130,7 +130,7 @@ service path is bit-identical to the library path
 (`tests/test_service_golden.py` pins E2/S1/S5-shaped runs to committed
 hashes).  See "Running as a service" in `README.md`.
 
-**Perf-trajectory artifacts and the bench-regression gate.**  Five
+**Perf-trajectory artifacts and the bench-regression gate.**  Six
 `BENCH_*.json` artifacts are regenerated by CI (the `bench` and
 `service-smoke` jobs) and committed as baselines under
 `benchmarks/_artifacts/baselines/`:
@@ -158,6 +158,13 @@ hashes).  See "Running as a service" in `README.md`.
   clustered), and a 16-core **single-cluster equivalence check** whose
   `bit_identical` field the gate enforces exactly — the hierarchy must
   never drift from the flat manager it degenerates to;
+* `BENCH_database_build.json` (`tools/bench_database_build.py`) — the
+  cold-start datapoint: serial builds of the 8- and 64-core small-suite
+  databases (trace density 400) into a throwaway directory, with the
+  best-of-2 `build_s` and a `result_hash` over every phase trace and
+  record array per core count (the `perfbench` database-digest recipe),
+  so a change to the detailed simulation's numbers or its build cost
+  fails the gate;
 * `BENCH_service_smoke.json` (`tools/service_smoke.py`, CI
   `service-smoke` job) — three stages over a real HTTP socket through
   `tools/serve.py`: the bench-smoke S1 scenario (baseline and RM2
@@ -187,6 +194,7 @@ PYTHONPATH=src REPRO_MAX_SLICES=12 REPRO_ACCESSES_PER_SET=400 python tools/bench
 PYTHONPATH=src python tools/bench_engine_speedup.py --horizon 512 --max-slices 24
 PYTHONPATH=src python tools/bench_manager_overhead.py
 PYTHONPATH=src python tools/bench_scaling.py
+PYTHONPATH=src python tools/bench_database_build.py
 python tools/bench_compare.py --update
 git add benchmarks/_artifacts/baselines/
 ```

@@ -1,22 +1,12 @@
-"""Cache substrate: LRU model, Auxiliary Tag Directory, partitioning, UCP."""
+"""Cache substrate: Auxiliary Tag Directory, MLP-ATD quantisation, UCP."""
 
-from repro.cache.lru import LRUSetCache, simulate_partitioned
 from repro.cache.atd import ATDProfile, stack_distances, atd_profile, miss_curve_mpki
-from repro.cache.mlp_atd import MLPTable, mlp_table_from_trace
-from repro.cache.partitioning import Partition, partition_masks, repartition_delta
 from repro.cache.ucp import ucp_lookahead
 
 __all__ = [
-    "LRUSetCache",
-    "simulate_partitioned",
     "ATDProfile",
     "stack_distances",
     "atd_profile",
     "miss_curve_mpki",
-    "MLPTable",
-    "mlp_table_from_trace",
-    "Partition",
-    "partition_masks",
-    "repartition_delta",
     "ucp_lookahead",
 ]

@@ -5,73 +5,25 @@ a heuristic unit that *detects and ignores overlapping cache misses* for a
 range of core sizes and cache allocations, so the RMA can predict memory
 stall time as ``leading_misses * latency`` instead of ``misses * latency``.
 
-We realise the same design: the sampled ATD sets' miss streams are run
-through the leading-miss grouping of :mod:`repro.mem.mlp` for every
+We realise the same design: the miss streams are run through the
+leading-miss grouping of :func:`repro.mem.mlp.mlp_grid` for every
 ``(core size, way allocation)`` pair, and the resulting MLP factors are
-stored in a small fixed-point table.  The fixed-point quantisation (4
+stored in a small fixed-point table (``PhaseRecord.mlp_sampled``, built in
+:mod:`repro.simulation.detailed`).  The fixed-point quantisation (4
 fractional bits) models the paper's "< 300 bytes per core" hardware budget:
 ``ncore_sizes * ways`` entries of one byte each, plus the stock ATD counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.config import SystemConfig
-from repro.mem.mlp import mlp_grid
-from repro.util.validation import require
-from repro.workloads.address_gen import AccessTrace
-from repro.cache.atd import stack_distances
-
-__all__ = ["MLPTable", "mlp_table_from_trace", "QUANT_STEPS"]
+__all__ = ["QUANT_STEPS", "quantize"]
 
 #: Fixed-point resolution of the hardware MLP counters (1/16 steps).
 QUANT_STEPS = 16
 
 
-@dataclass(frozen=True)
-class MLPTable:
-    """Quantised ``MLP[c, w]`` estimates as read from the MLP-aware ATD."""
-
-    values: np.ndarray  # (ncore_sizes, ways)
-
-    def __post_init__(self) -> None:
-        require(self.values.ndim == 2, "MLP table must be 2-D (core sizes x ways)")
-        require(bool(np.all(self.values >= 1.0 - 1e-9)), "MLP cannot be below 1")
-
-    def at(self, core_index: int, ways: int) -> float:
-        """MLP estimate for ``ways`` allocated ways on core size ``core_index``."""
-        return float(self.values[core_index, ways - 1])
-
-    @property
-    def storage_bytes(self) -> int:
-        """Hardware storage for the table at one byte per entry."""
-        return int(self.values.size)
-
-
 def quantize(values: np.ndarray) -> np.ndarray:
     """Round MLP factors to the hardware's fixed-point grid (>= 1.0)."""
     return np.maximum(np.round(values * QUANT_STEPS) / QUANT_STEPS, 1.0)
-
-
-def mlp_table_from_trace(
-    system: SystemConfig,
-    trace: AccessTrace,
-    mlp_sensitivity: float,
-    sampled_sets: int | None = None,
-) -> MLPTable:
-    """Build the MLP-ATD reading for one phase.
-
-    ``sampled_sets`` restricts the observation to the hardware's sampled sets
-    (default: the system's ``atd_sampled_sets``), which -- together with the
-    fixed-point quantisation -- is the Model 3 estimation error.  Pass
-    ``system.llc.model_sets`` for a full-trace (ground-truth) table.
-    """
-    nsets = system.llc.model_sets
-    sample = system.llc.atd_sampled_sets if sampled_sets is None else sampled_sets
-    sub = trace.restrict_to_sets(sample) if sample < nsets else trace
-    dists = stack_distances(sub, system.llc.ways, nsets)
-    grid = mlp_grid(system, dists, sub.instr_pos, sub.chain_ids, mlp_sensitivity)
-    return MLPTable(values=quantize(grid))

@@ -33,12 +33,25 @@ and ``end[i]`` is the smallest of the three (at least ``i + 1``).  Every rule
 depends only on ``i`` and the misses after it, not on how the stream was
 grouped before ``i``, so the greedy loop visits exactly the leaders
 ``0, end[0], end[end[0]], ...`` and the group count is the number of hops
-from 0 to ``n``.  Pointer doubling counts them in ``ceil(log2(groups))``
-array passes instead of one Python step per miss; the integer it returns is
-the loop's (the loop itself is kept as the test oracle in
-``tests/oracles/leading_miss.py``).  :func:`mlp_grid` shares each
-allocation's miss selection and dependence ends across the core sizes, whose
-streams differ only in window and MSHRs.
+from 0 to ``n``.  :func:`_walk_counts` takes those hops for many streams at
+once -- one array gather per hop moves every stream to its next leader --
+and the integer it returns is the loop's (the loop itself is kept as the
+test oracle in ``tests/oracles/leading_miss.py``).
+
+:func:`mlp_grid` evaluates one stream per allocation ``w`` (the misses with
+stack distance ``> w``, capped at :data:`MAX_MISSES_SAMPLED`) under every
+core size, and shares the work three ways:
+
+* window ends: each core size's window end is searched once on the full
+  trace, with the same ``pos + window`` float operation.  Positions are
+  non-decreasing, so the misses of a stream inside the window of miss ``i``
+  are the selected accesses before that end: a running count of the
+  selection turns it into the stream's ``end[i]``;
+* core sizes: the streams differ only in window and MSHRs, so they share the
+  selection and the dependence ends;
+* allocations: a column whose capped stream equals the previous one
+  (no miss at exactly that distance within the cap) is a copy of it, and
+  every distinct stream is walked in the same lock-step pass.
 """
 
 from __future__ import annotations
@@ -71,32 +84,62 @@ def _dependence_ends(chain_ids: np.ndarray) -> np.ndarray:
     """
     n = len(chain_ids)
     order = np.argsort(chain_ids, kind="stable")
-    same = chain_ids[order[1:]] == chain_ids[order[:-1]]
-    next_same = np.full(n, n, dtype=np.intp)
-    next_same[order[:-1][same]] = order[1:][same]
+    chains = chain_ids[order]
+    next_same = np.empty(n, dtype=np.intp)
+    next_same[order[:-1]] = np.where(chains[1:] == chains[:-1], order[1:], n)
+    next_same[order[-1]] = n
     return np.minimum.accumulate(next_same[::-1])[::-1]
 
 
-def _count_groups(pos: np.ndarray, dep: np.ndarray, window: float, mshrs: int) -> int:
-    """Greedy group count of a non-empty stream with dependence ends ``dep``."""
-    n = len(pos)
-    leaders = np.arange(n)
-    # end[i]: where a group led by i stops -- the first miss outside the
-    # window, past the MSHRs, or dependent on a group member; >= i + 1.
-    end = np.searchsorted(pos, pos + window, side="left")
-    np.minimum(end, leaders + min(mshrs, n), out=end)
+def _group_ends(window_end: np.ndarray, mshrs, dep: np.ndarray) -> np.ndarray:
+    """``end[i]``: where a group led by miss ``i`` stops; ``i < end[i] <= n``.
+
+    The first miss outside the window (``window_end``, one row per core
+    size), past the MSHRs (``mshrs``, broadcast against the rows) or
+    dependent on a group member (``dep``).  ``dep <= n`` keeps every end
+    inside the stream, whatever the other two bounds say.
+    """
+    leaders = np.arange(window_end.shape[-1])
+    end = np.minimum(window_end, leaders + mshrs)
     np.minimum(end, dep, out=end)
     np.maximum(end, leaders + 1, out=end)
-    # Hop 0 -> end[0] -> ... -> n by pointer doubling: after each round
-    # hop[i] is 2**r greedy steps ahead of i and steps[i] counts them, with
-    # n absorbing (it takes no steps).
-    hop = np.append(end, n)
-    steps = np.ones(n + 1, dtype=np.intp)
-    steps[n] = 0
-    while hop[0] < n:
-        steps += steps[hop]
-        hop = hop[hop]
-    return int(steps[0])
+    return end
+
+
+#: Hops taken between two checks of whether every walk has finished.
+_WALK_CHUNK = 64
+
+
+def _walk_counts(ends: list[np.ndarray]) -> np.ndarray:
+    """Greedy group count of every stream, walked in lock-step.
+
+    ``ends[r]`` holds the group ends of stream ``r`` (non-empty).  The
+    streams share one successor array: stream ``r`` occupies slots
+    ``off_r .. off_r + n_r``, and its finish slot ``off_r + n_r`` links to a
+    shared counter chain ``tail, tail + 1, ...``.  Each hop moves every
+    walker one leader ahead with a single gather.  A stream of ``g`` groups
+    finishes after ``g`` hops and enters the chain on the next, so after
+    ``s`` hops its walker sits at ``tail + s - g - 1``.  The chain is long
+    enough that no walker reaches its absorbing end before the last one
+    finishes.
+    """
+    sizes = np.array([len(e) for e in ends])
+    offsets = np.cumsum(sizes + 1) - (sizes + 1)
+    tail = int(offsets[-1] + sizes[-1] + 1)
+    chain = int(sizes.max()) + _WALK_CHUNK + 1
+    succ = np.empty(tail + chain, dtype=np.intp)
+    for off, end in zip(offsets.tolist(), ends):
+        succ[off : off + len(end)] = end + off
+    succ[offsets + sizes] = tail
+    succ[tail:-1] = np.arange(tail + 1, tail + chain)
+    succ[-1] = tail + chain - 1
+    cur = offsets
+    hops = 0
+    while cur.min() < tail:
+        for _ in range(_WALK_CHUNK):
+            cur = succ[cur]
+        hops += _WALK_CHUNK
+    return hops - 1 - (cur - tail)
 
 
 def leading_miss_groups(
@@ -117,7 +160,9 @@ def leading_miss_groups(
     # float64 positions make ``pos + window`` round as Python floats do.
     pos = np.asarray(instr_pos, dtype=np.float64)
     _require_sorted(pos)
-    return _count_groups(pos, _dependence_ends(np.asarray(chain_ids)), window, mshrs)
+    window_end = np.searchsorted(pos, pos + window, side="left")
+    end = _group_ends(window_end, mshrs, _dependence_ends(np.asarray(chain_ids)))
+    return int(_walk_counts([end])[0])
 
 
 def mlp_of_misses(instr_pos: np.ndarray, chain_ids: np.ndarray, window: float, mshrs: int) -> float:
@@ -133,7 +178,9 @@ def mlp_of_misses(instr_pos: np.ndarray, chain_ids: np.ndarray, window: float, m
     return float(n) / float(max(groups, 1))
 
 
-def effective_window(core: CoreSize, baseline: CoreSize, mlp_sensitivity: float) -> tuple[float, int]:
+def effective_window(
+    core: CoreSize, baseline: CoreSize, mlp_sensitivity: float
+) -> tuple[float, int]:
     """(window, mshrs) a phase actually exploits on ``core``.
 
     A parallelism-insensitive phase (sensitivity 0) saturates the baseline
@@ -157,7 +204,8 @@ def mlp_grid(
 
     ``dists`` are the per-access stack distances (:mod:`repro.cache.atd`);
     the miss stream at allocation ``w`` is the subsequence with distance
-    ``> w``, evaluated under each core size's effective window/MSHRs.
+    ``> w``, evaluated under each core size's effective window/MSHRs.  See
+    the module docstring for the work the allocations and core sizes share.
     """
     ways = system.llc.ways
     baseline = system.core_sizes[system.baseline_core_index]
@@ -165,15 +213,34 @@ def mlp_grid(
     pos = np.asarray(instr_pos, dtype=np.float64)
     _require_sorted(pos)
     out = np.ones((system.ncore_sizes, ways), dtype=float)
+    # reach[c, r]: first trace access outside the window of a group led by r.
+    reach = np.stack([np.searchsorted(pos, pos + window, side="left") for window, _ in resources])
+    mshrs = np.array([m for _, m in resources])[:, None]
+    ends: list[np.ndarray] = []  # group ends, one row per (distinct stream, core size)
+    lengths: list[int] = []  # misses in each distinct stream
+    stream_of: list[int] = []  # distinct stream of each allocation
+    sel = None
     for w in range(1, ways + 1):
-        # The miss stream, its sample cap and its dependence ends depend on
-        # the allocation only; the core sizes share them.
-        sel = np.flatnonzero(dists > w)[:MAX_MISSES_SAMPLED]
-        n = len(sel)
+        miss = dists > w
+        sel_w = np.flatnonzero(miss)[:MAX_MISSES_SAMPLED]
+        n = len(sel_w)
         if n == 0:
-            continue
-        pos_w = pos[sel]
-        dep = _dependence_ends(chain_ids[sel])
-        for ci, (window, mshrs) in enumerate(resources):
-            out[ci, w - 1] = float(n) / float(_count_groups(pos_w, dep, window, mshrs))
+            break  # streams only shrink with w: the rest of the grid stays 1.0
+        if sel is None or not np.array_equal(sel_w, sel):
+            sel = sel_w
+            reach_sel = reach.take(sel, axis=1)
+            # before[k]: misses among the first k accesses.  At a window end
+            # it counts the stream's misses inside that window; where the
+            # window reaches past the sample cap, the dependence ends (<= n)
+            # clip it.
+            hi = int(reach_sel[:, -1].max())
+            before = np.zeros(hi + 1, dtype=np.intp)
+            np.cumsum(miss[:hi], out=before[1:])
+            dep = _dependence_ends(chain_ids[sel])
+            ends.extend(_group_ends(before[reach_sel], mshrs, dep))
+            lengths.append(n)
+        stream_of.append(len(lengths) - 1)
+    if lengths:
+        groups = _walk_counts(ends).reshape(len(lengths), -1).T
+        out[:, : len(stream_of)] = (np.array(lengths) / groups)[:, stream_of]
     return out

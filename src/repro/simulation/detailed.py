@@ -5,8 +5,13 @@ each operational phase's representative slice across the *entire* resource
 grid (core size x VF level x way allocation):
 
 1. synthesise the representative slice's LLC access trace;
-2. one ATD pass gives the full miss curve (LRU stack distances);
-3. leading-miss grouping gives the ground-truth MLP grid;
+2. the LRU stack distances give the full miss curve: one dominance count
+   over the accesses, ``distance(i) = #{j < i : prev[j] < prev[i]} -
+   prev[i]`` within each set, with no per-access stack walk and no step
+   that depends on the way count (:mod:`repro.cache.atd`);
+3. leading-miss grouping gives the ground-truth MLP grid, the allocations
+   and core sizes sharing window ends, selections and one lock-step group
+   walk (:func:`repro.mem.mlp.mlp_grid`);
 4. the interval timing model and the power model evaluate all
    ``(c, f, w)`` points vectorised;
 5. the *online* hardware readings (sampled ATD curve, quantised MLP-ATD

@@ -8,7 +8,12 @@
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
   the golden reference of :mod:`repro.simulation.engine`;
 * :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,
-  the golden reference of :func:`repro.mem.mlp.leading_miss_groups`.
+  the golden reference of :func:`repro.mem.mlp.leading_miss_groups`;
+* :mod:`tests.oracles.mlp_grid` -- the per-allocation, per-core-size MLP
+  grid, the golden reference of :func:`repro.mem.mlp.mlp_grid`;
+* :mod:`tests.oracles.lru_stack` -- the per-set MRU-list walk and the
+  access-by-access LRU cache, the golden references of
+  :func:`repro.cache.atd.stack_distances` and its inclusion property.
 
 None of them is on a production path; tests and the ``tools/bench_*``
 speed-up benchmarks import them with the repository root on ``sys.path``.

@@ -1,9 +1,10 @@
-"""Tests for the cache substrate: LRU model, ATD, partitioning, UCP.
+"""Tests for the cache substrate: ATD stack distances and profiles, UCP.
 
-Includes the load-bearing cross-validation: the ATD's stack-distance counts
-must reproduce, for *every* way allocation at once, exactly what the direct
-LRU cache model measures one allocation at a time (Mattson's inclusion
-property).
+Includes the load-bearing cross-validations: the dominance-count stack
+distances are byte-identical to the per-set MRU walk, and their counts
+reproduce, for *every* way allocation at once, exactly what the direct LRU
+cache model measures one allocation at a time (Mattson's inclusion
+property).  Both references live in ``tests/oracles/lru_stack.py``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.atd import COLD, atd_profile, miss_curve_mpki, stack_distances
-from repro.cache.lru import LRUSetCache, simulate_partitioned
-from repro.cache.partitioning import Partition, partition_masks, repartition_delta
 from repro.cache.ucp import ucp_lookahead, ucp_optimal
-from repro.workloads.address_gen import AccessTrace, generate_trace
+from repro.workloads.address_gen import STREAM_BASE, AccessTrace, generate_trace
+from tests.oracles.lru_stack import LRUSetCache
+from tests.oracles.lru_stack import stack_distances as walk_distances
 from tests.test_phases import make_spec
 
 
@@ -101,6 +102,64 @@ class TestStackDistances:
             assert cache.misses == profile.misses[ways - 1], f"ways={ways}"
 
 
+@st.composite
+def multi_set_traces(draw):
+    """Streams over 1..64 sets whose line ids recur across sets and streams."""
+    nsets = draw(st.integers(1, 64))
+    n = draw(st.integers(0, 2000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool = draw(st.integers(1, 400))
+    stream_frac = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    rng = np.random.default_rng(seed)
+    set_ids = rng.integers(0, nsets, n).astype(np.int32)
+    # One pool of line ids shared by every set, as generate_trace draws them.
+    line_ids = rng.integers(0, pool, n).astype(np.int64)
+    stream = rng.random(n) < stream_frac
+    line_ids[stream] = STREAM_BASE + np.arange(int(stream.sum()))
+    trace = AccessTrace(
+        set_ids=set_ids,
+        line_ids=line_ids,
+        instr_pos=np.arange(1.0, n + 1.0),
+        chain_ids=np.arange(n, dtype=np.int64),
+        instructions=float(max(n, 1)),
+    )
+    return trace, nsets
+
+
+class TestWalkEquivalence:
+    """The dominance-count distances equal the per-set MRU walk byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_set_traces(), st.integers(1, 300))
+    def test_matches_walk(self, case, max_ways):
+        trace, nsets = case
+        got = stack_distances(trace, max_ways, nsets)
+        assert got.tobytes() == walk_distances(trace, max_ways, nsets).tobytes()
+
+    @pytest.mark.parametrize("max_ways", [1, 16, 32, 256])
+    @pytest.mark.parametrize("accesses_per_set", [400, 1200])
+    def test_generated_trace(self, max_ways, accesses_per_set):
+        spec = make_spec(working_sets=((40, 0.5), (900, 0.5)), streaming_frac=0.2)
+        trace = generate_trace(spec, 64, accesses_per_set, seed_parts=("walk",))
+        got = stack_distances(trace, max_ways, 64)
+        assert got.tobytes() == walk_distances(trace, max_ways, 64).tobytes()
+
+    def test_empty_trace(self):
+        t = trace_from_lines([])
+        assert stack_distances(t, 4, 1).shape == (0,)
+
+    def test_line_ids_shared_across_sets_are_distinct_lines(self):
+        # Line 7 in set 0 and line 7 in set 1 are different cache lines.
+        t = AccessTrace(
+            set_ids=np.array([0, 1, 0, 1], dtype=np.int32),
+            line_ids=np.array([7, 7, 7, 7], dtype=np.int64),
+            instr_pos=np.arange(1.0, 5.0),
+            chain_ids=np.arange(4, dtype=np.int64),
+            instructions=4.0,
+        )
+        assert list(stack_distances(t, 4, 2)) == [COLD, COLD, 1, 1]
+
+
 class TestATDProfile:
     def _profile(self):
         trace = generate_trace(make_spec(), nsets=4, accesses_per_set=200)
@@ -166,52 +225,6 @@ class TestATDProfile:
         for line in lines:
             cache.access(0, line)
         assert cache.misses == profile.misses[min(ways, 6) - 1]
-
-
-class TestPartitioning:
-    def test_masks_disjoint_and_complete(self):
-        p = Partition(ways=(4, 6, 3, 3), total_ways=16)
-        masks = partition_masks(p)
-        combined = 0
-        for m in masks:
-            assert combined & m == 0
-            combined |= m
-        assert combined == (1 << 16) - 1
-
-    def test_mask_popcount_matches_ways(self):
-        p = Partition(ways=(2, 5, 9), total_ways=16)
-        for m, w in zip(partition_masks(p), p.ways):
-            assert bin(m).count("1") == w
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition(ways=(4, 4), total_ways=16)
-        with pytest.raises(ValueError):
-            Partition(ways=(0, 16), total_ways=16)
-
-    def test_repartition_delta(self):
-        old = Partition((4, 4, 4, 4), 16)
-        new = Partition((6, 2, 4, 4), 16)
-        assert repartition_delta(old, new) == (2, -2, 0, 0)
-
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            repartition_delta(Partition((8, 8), 16), Partition((4, 4, 4, 4), 16))
-
-    def test_strict_partition_isolation(self):
-        """Per-owner behaviour under strict masks == private caches."""
-        rng = np.random.default_rng(7)
-        n = 600
-        set_ids = rng.integers(0, 4, n)
-        line_ids = rng.integers(0, 12, n)
-        owner = rng.integers(0, 2, n)
-        res = simulate_partitioned(set_ids, line_ids, owner, {0: 2, 1: 6}, nsets=4)
-        for o, ways in ((0, 2), (1, 6)):
-            mask = owner == o
-            cache = LRUSetCache(4, ways)
-            for s, l in zip(set_ids[mask].tolist(), line_ids[mask].tolist()):
-                cache.access(s, l)
-            assert res[o] == (cache.hits, cache.misses)
 
 
 class TestUCP:

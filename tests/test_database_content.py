@@ -7,7 +7,9 @@ simulation starts producing different numbers.  This test builds a small
 database from scratch (serially, no cache) and pins a digest of every
 array and phase trace in it.  The three apps cover a low-sensitivity
 (``mcf_like``), a high-sensitivity (``soplex_like``) and a streaming
-(``libquantum_like``) miss stream.
+(``libquantum_like``) miss stream.  The second case builds them for 16
+cores, whose 64-way LLC puts the sample cap and the reuse of unchanged
+MLP-grid columns under this test, not only under the CI bench job.
 
 A change that alters database contents on purpose must bump
 ``DB_FORMAT_VERSION`` and re-record :data:`GOLDEN_DIGEST` in the same step.
@@ -28,6 +30,13 @@ ACCESSES_PER_SET = 150
 #: Recorded from a serial build before the leading-miss grouping was
 #: vectorised; every later grouping implementation must reproduce it.
 GOLDEN_DIGEST = "6f123e14f31ec4e22ec9"
+
+#: 16 cores (64 ways) at a low trace density; recorded from a serial build
+#: before the stack distances and the MLP grid shared work across
+#: allocations.
+WIDE_NCORES = 16
+WIDE_ACCESSES_PER_SET = 100
+WIDE_GOLDEN_DIGEST = "564b24cae0c98bef3295"
 
 RECORD_ARRAYS = ("mpki_full", "mlp_full", "tpi", "latency", "epi", "mpki_sampled", "mlp_sampled")
 
@@ -51,3 +60,10 @@ def test_fresh_database_matches_golden_digest():
     )
     assert sorted(db.records) == sorted(APPS)
     assert content_digest(db) == GOLDEN_DIGEST
+
+
+def test_fresh_wide_llc_database_matches_golden_digest():
+    system = default_system(WIDE_NCORES)
+    assert system.llc.ways == 64
+    db = build_database(system, names=APPS, accesses_per_set=WIDE_ACCESSES_PER_SET, processes=1)
+    assert content_digest(db) == WIDE_GOLDEN_DIGEST

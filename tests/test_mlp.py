@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.atd import stack_distances
-from repro.cache.mlp_atd import QUANT_STEPS, MLPTable, mlp_table_from_trace, quantize
+from repro.cache.atd import COLD, stack_distances
+from repro.cache.mlp_atd import QUANT_STEPS, quantize
 from repro.config import default_system
 from repro.mem.mlp import (
     MAX_MISSES_SAMPLED,
@@ -18,6 +18,7 @@ from repro.mem.mlp import (
 )
 from repro.workloads.address_gen import generate_trace
 from tests.oracles.leading_miss import leading_miss_groups as greedy_groups
+from tests.oracles.mlp_grid import mlp_grid as per_allocation_grid
 from tests.test_phases import make_spec
 
 
@@ -248,6 +249,70 @@ class TestGridEquivalence:
         assert grid.tobytes() == greedy_grid(system, dists, pos, chains, mlp_sensitivity).tobytes()
 
 
+@st.composite
+def distance_streams(draw):
+    """Stack distances, positions and chains for one phase of an LLC with ``ways``.
+
+    Distances come from a few levels only, so most allocations see the same
+    stream as the one before (runs of unchanged columns); ``n`` reaches past
+    the sample cap, and ``COLD`` misses every allocation.
+    """
+    ways = draw(st.sampled_from([16, 32, 256]))
+    n = draw(st.integers(1, MAX_MISSES_SAMPLED + 1500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(np.arange(1, ways + 2), size=draw(st.integers(1, 6)))
+    levels = np.append(levels, COLD)
+    dists = rng.choice(levels, size=n).astype(np.int32)
+    pos = np.cumsum(rng.integers(0, draw(st.integers(1, 60)), n)).astype(float)
+    chains = rng.integers(0, draw(st.integers(1, n + 1)), n)
+    return ways, dists, pos, chains
+
+
+class TestPerAllocationEquivalence:
+    """``mlp_grid`` is byte-identical to the per-(c, w) grid in tests/oracles."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(distance_streams(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_arbitrary_distances(self, case, mlp_sensitivity):
+        ways, dists, pos, chains = case
+        system = default_system(ways // 4)
+        assert system.llc.ways == ways
+        args = (system, dists, pos, chains, mlp_sensitivity)
+        assert mlp_grid(*args).tobytes() == per_allocation_grid(*args).tobytes()
+
+    @pytest.mark.parametrize("ncores", [4, 8, 64])
+    @pytest.mark.parametrize("streaming_frac", [0.1, 0.9])
+    def test_generated_trace(self, ncores, streaming_frac):
+        system = default_system(ncores)
+        spec = make_spec(
+            working_sets=((24, 0.5), (600, 0.5)),
+            streaming_frac=streaming_frac,
+            chain_break_prob=0.7,
+            mlp_sensitivity=0.8,
+        )
+        trace = generate_trace(spec, system.llc.model_sets, 120, seed_parts=("grid", ncores))
+        dists = stack_distances(trace, system.llc.ways, system.llc.model_sets)
+        args = (system, dists, trace.instr_pos, trace.chain_ids, 0.8)
+        assert mlp_grid(*args).tobytes() == per_allocation_grid(*args).tobytes()
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_capped_streams_with_unchanged_columns(self, seed):
+        system = default_system(64)
+        rng = np.random.default_rng(seed)
+        n = MAX_MISSES_SAMPLED + 2000
+        levels = np.array([3, 40, 41, 200, 257, COLD])
+        dists = rng.choice(levels, size=n, p=[0.05, 0.1, 0.05, 0.2, 0.1, 0.5]).astype(np.int32)
+        pos = np.cumsum(rng.integers(0, 30, n)).astype(float)
+        chains = np.cumsum(rng.random(n) < 0.6)
+        streams = [np.flatnonzero(dists > w)[:MAX_MISSES_SAMPLED] for w in range(1, 257)]
+        assert len(streams[0]) == MAX_MISSES_SAMPLED
+        assert sum(np.array_equal(a, b) for a, b in zip(streams, streams[1:])) > 200
+        args = (system, dists, pos, chains, 0.7)
+        assert mlp_grid(*args).tobytes() == per_allocation_grid(*args).tobytes()
+
+
 class TestMLPTable:
     def test_quantize_grid(self):
         vals = np.array([[1.03, 2.31], [1.49, 3.9]])
@@ -257,16 +322,3 @@ class TestMLPTable:
 
     def test_quantize_floors_at_one(self):
         assert quantize(np.array([[0.5]]))[0, 0] == 1.0
-
-    def test_table_from_trace(self):
-        system = default_system(4)
-        spec = make_spec(chain_break_prob=0.8, mlp_sensitivity=0.9)
-        trace = generate_trace(spec, system.llc.model_sets, 200)
-        table = mlp_table_from_trace(system, trace, 0.9)
-        assert table.values.shape == (system.ncore_sizes, system.llc.ways)
-        assert table.storage_bytes == system.ncore_sizes * system.llc.ways
-        assert table.at(1, 4) == float(table.values[1, 3])
-
-    def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            MLPTable(values=np.array([[0.5, 1.0]]))

@@ -26,7 +26,9 @@ Every decision runs one pipeline: curve construction goes through
 :mod:`repro.core.batch_opt`'s stacked ``(N, C, F, W)`` tensors, per-core
 curves are memoized on a digest of (counter snapshot, ATD miss curve, QoS
 slack), and the global reduction is a persistent
-:class:`~repro.core.packed_tree.PackedReduction` that only re-combines the
+:class:`~repro.core.packed_tree.PackedReduction` into which each decision
+re-installs only the leaves that can have changed (the invoking core's and
+those of cores touched by scenario events) and which only re-combines the
 root paths of leaves that actually changed.  The recompute-everything
 pipeline it replaced -- fresh curves and a from-scratch reduction on every
 invocation -- is kept as an executable specification in
@@ -166,6 +168,9 @@ class CoordinatedManager(ResourceManager):
         self._alloc_cache: dict[tuple[int, int, int], Allocation] = {}
         self._alloc_out: tuple | None = None
         self._rec_digests: dict[tuple, tuple[bytes, bytes]] = {}
+        # Leaf slots whose installed curve may be out of date: the invoking
+        # core and every core a scenario event touched (see _install_leaves).
+        self._stale_leaves: set[int] = set()
 
     def attach(self, sim) -> None:
         """Reset all run state and (re)build the persistent reduction."""
@@ -181,6 +186,7 @@ class CoordinatedManager(ResourceManager):
         # records reuse the same (bench, phase) identities.
         self._rec_digests = {}
         self._init_trees(sim.system)
+        self._stale_leaves = set(range(sim.system.ncores))
 
     def _init_trees(self, system: SystemConfig) -> None:
         """Build the persistent reduction: one flat group over every core.
@@ -199,10 +205,12 @@ class CoordinatedManager(ResourceManager):
         The cached curve models the departed tenant; the new one (or the
         idle core) is pinned until fresh statistics arrive.  The reduction's
         leaf is spliced (forced dirty) so the next solve re-combines its
-        root path even if the replacement curve compares equal.
+        root path even if the replacement curve compares equal, and marked
+        for re-installation by the next decision.
         """
         self.curves.pop(core_id, None)
         self._tree.invalidate(core_id)
+        self._stale_leaves.add(core_id)
 
     # -- dimension restrictions ---------------------------------------------
     def _dims(self, system: SystemConfig) -> DimSpec:
@@ -365,29 +373,24 @@ class CoordinatedManager(ResourceManager):
         return leaves
 
     # -- the decision ----------------------------------------------------------
-    def _live_leaves(self, core_ids, oracle_leaves, inactive) -> list[EnergyCurve]:
-        """The reduction leaves for ``core_ids`` this invocation.
+    def _leaf(self, core_id: int, oracle_leaves) -> EnergyCurve:
+        """The reduction leaf for ``core_id`` this invocation.
 
-        One selection rule shared by the flat and clustered managers, so the
-        two can never drift: the oracle curve (or the idle leaf) when running
-        with perfect models, otherwise the idle leaf for a power-gated core,
-        the held analytical curve, or the baseline-pinned leaf for a core
-        without statistics yet.  ``inactive`` is the invocation-wide set of
-        idle core ids, read once per decision.
+        One selection rule for the flat and clustered managers: the oracle
+        curve (or the idle leaf) when running with perfect models,
+        otherwise the idle leaf for a power-gated core, the held analytical
+        curve, or the baseline-pinned leaf for a core without statistics
+        yet.
         """
         if oracle_leaves is not None:
-            return [
-                curve if (curve := oracle_leaves.get(j)) is not None
-                else self._static_leaf(j, idle=True)
-                for j in core_ids
-            ]
-        curves = self.curves
-        return [
-            self._static_leaf(j, idle=True) if j in inactive
-            else (held if (held := curves.get(j)) is not None
-                  else self._static_leaf(j, idle=False))
-            for j in core_ids
-        ]
+            curve = oracle_leaves.get(core_id)
+        elif self.sim.is_active(core_id):
+            curve = self.curves.get(core_id)
+            if curve is None:
+                return self._static_leaf(core_id, idle=False)
+        else:
+            curve = None
+        return curve if curve is not None else self._static_leaf(core_id, idle=True)
 
     def _begin_decision(self, core_id: int) -> dict[int, EnergyCurve] | None:
         """Shared invocation prologue: meter, curve refresh, oracle leaves."""
@@ -459,8 +462,7 @@ class CoordinatedManager(ResourceManager):
         if timer is not None:
             t1 = time.perf_counter()
             timer.add("manager.curves", t1 - t0)
-        self._install_leaves(core_id, oracle_leaves,
-                             frozenset(self.sim.inactive_core_ids()))
+        self._install_leaves(core_id, oracle_leaves)
         tree = self._tree
         assignment = tree.solve(self.meter)
         out = self._to_allocations(assignment, tree.last_touched)
@@ -468,11 +470,28 @@ class CoordinatedManager(ResourceManager):
             timer.add("manager.reduce", time.perf_counter() - t1)
         return out
 
-    def _install_leaves(self, core_id: int, oracle_leaves, inactive) -> None:
-        """Hand the reduction every core's leaf for this decision."""
-        self._tree.set_leaves(
-            self._live_leaves(range(self.sim.system.ncores), oracle_leaves, inactive)
-        )
+    def _install_leaves(self, core_id: int, oracle_leaves) -> None:
+        """Install the leaves that can have changed since the last decision.
+
+        A leaf is a pure function of the held/oracle curve and the core's
+        activity; outside oracle mode both change only at the invoking core
+        (:meth:`_begin_decision`) or through :meth:`on_scenario_event`, so
+        only those slots are re-installed.  Oracle curves move with every
+        phase boundary, so oracle mode installs every leaf.  Installation
+        is identity- and value-checked, so an unchanged curve stays clean.
+        """
+        leaf = self._leaf
+        stale = self._stale_leaves
+        if oracle_leaves is not None:
+            self._tree.set_leaves(
+                [leaf(j, oracle_leaves) for j in range(self.sim.system.ncores)]
+            )
+        else:
+            stale.add(core_id)
+            set_leaf = self._tree.set_leaf
+            for j in stale:
+                set_leaf(j, leaf(j, None))
+        stale.clear()
 
 
 class ClusteredManager(CoordinatedManager):
@@ -493,9 +512,11 @@ class ClusteredManager(CoordinatedManager):
     energy/slack trade-off, redistributing ways between clusters is what
     moves power and slack budgets between them.
 
-    Scenario events splice only the affected leaf's root path: an
+    Leaf installation is the flat manager's: only the invoking core's leaf
+    and those of cores touched by scenario events are re-installed, so a
+    swap or departure splices only the affected leaf's root path and an
     unchanged cluster re-enters the second level as a clean cached
-    aggregate, and clusters outside the stale set skip leaf installation.
+    aggregate.
 
     Equivalence contract: with ``cluster_size >= ncores`` (one cluster) the
     cap equals the full associativity and the second level is a
@@ -530,10 +551,6 @@ class ClusteredManager(CoordinatedManager):
         self.cluster_size = int(cluster_size)
         self.overprovision = float(overprovision)
         self._clusters: tuple[tuple[int, ...], ...] = ()
-        self._cluster_of: dict[int, int] = {}
-        # Clusters whose leaf inputs may have changed since their last
-        # grouped refresh (see _install_leaves).
-        self._stale_clusters: set[int] = set()
 
     def _init_trees(self, system: SystemConfig) -> None:
         """Plan the whole hierarchy into one packed reduction.
@@ -542,50 +559,17 @@ class ClusteredManager(CoordinatedManager):
         share the same packed matrices, so one invocation performs ~log N
         batched sweeps over all dirty clusters at once.  Clusters are
         contiguous blocks in core order, so leaf slot ``j`` is still core
-        ``j`` (the base class's leaf splice needs no translation).
+        ``j`` (the base class's leaf installs need no translation).
         """
         self._clusters = partition_clusters(system.ncores, self.cluster_size)
         caps = cluster_way_caps(
             system.llc.ways, system.ncores, self._clusters,
             system.min_ways_per_core, self.overprovision,
         )
-        self._cluster_of = {
-            j: ci for ci, members in enumerate(self._clusters) for j in members
-        }
-        self._stale_clusters = set(range(len(self._clusters)))
         self._tree = PackedReduction(
             tuple(len(members) for members in self._clusters),
             caps, system.llc.ways, system.min_ways_per_core,
         )
-
-    def on_scenario_event(self, core_id: int, kind: str) -> None:
-        """Splice the affected leaf and mark its cluster stale."""
-        super().on_scenario_event(core_id, kind)
-        self._stale_clusters.add(self._cluster_of[core_id])
-
-    def _install_leaves(self, core_id: int, oracle_leaves, inactive) -> None:
-        """Re-install the leaves of the stale clusters only.
-
-        A cluster's leaves are a pure function of the held/oracle curves
-        and the active set; both change only at the invoking core
-        (:meth:`_begin_decision`) or via :meth:`on_scenario_event`, so
-        clusters outside the stale set skip leaf installation outright.
-        Oracle curves additionally move with every phase boundary, so
-        oracle mode refreshes every cluster's leaves.  A stale cluster
-        re-installs its member leaves (identity-checked, so unchanged
-        curves stay clean); the solve then recombines every dirty root
-        path of every cluster -- cluster levels and the second-level
-        combine alike -- in ~log N batched sweeps.
-        """
-        stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id])
-        if self.oracle:
-            stale = range(len(self._clusters))
-        for ci in stale:
-            self._tree.set_group_leaves(
-                ci, self._live_leaves(self._clusters[ci], oracle_leaves, inactive)
-            )
-        self._stale_clusters = set()
 
 
 def _make_manager(

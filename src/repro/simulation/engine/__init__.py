@@ -5,9 +5,9 @@ is decomposed into four components with one orchestrator:
 
 * :mod:`~repro.simulation.engine.core_state` -- :class:`CoreArrays`, the
   struct-of-arrays hot-path state (one NumPy vector per field) behind the
-  vectorised per-event advance and next-completion argmin, and
-  :class:`CoreRun`, the thin per-core view the slow path works with, plus
-  the scalar advance/charge reference mechanics;
+  engine's one per-event step -- a padded next-completion argmin and an
+  advance of every active lane -- and :class:`CoreRun`, the thin per-core
+  view the slow path works with;
 * :mod:`~repro.simulation.engine.scheduler` --
   :class:`CompletionScheduler`, which owns the per-core completion-time
   computation and caches each core's (record, tpi, epi) triple,
@@ -18,19 +18,20 @@ is decomposed into four components with one orchestrator:
   owns the pending scenario-event queues and applies swap/depart/slack
   requests at interval boundaries;
 * :mod:`~repro.simulation.engine.bridge` -- :class:`ManagerBridge`, the
-  narrow manager-facing API (``slack``, ``current_alloc``,
-  ``completed_snapshot``, ``completed_record``, ``upcoming_record``,
-  ``is_active``) that keeps :mod:`repro.core.managers` unchanged;
+  narrow manager-facing API (``slack``, ``current_alloc``, ``is_active``,
+  ``completed_snapshot``, ``completed_record``, ``active_core_ids``,
+  ``upcoming_records``) that keeps :mod:`repro.core.managers` unchanged;
 * :mod:`~repro.simulation.engine.kernel` -- :class:`SimulationKernel`, the
   event loop tying the components together.
 
 Every accounting decision is bit-identical to the frozen reference
-implementation in ``tests/oracles/legacy_sim.py``; the golden
-equivalence suite enforces this.
+implementation in ``tests/oracles/legacy_sim.py``, and the step's lane
+arithmetic to the scalar reference step in ``tests/oracles/engine_step.py``;
+the golden equivalence and engine identity suites enforce both.
 """
 
 from repro.simulation.engine.bridge import ManagerBridge
-from repro.simulation.engine.core_state import CoreArrays, CoreRun, advance_core
+from repro.simulation.engine.core_state import CoreArrays, CoreRun
 from repro.simulation.engine.kernel import MAX_EVENTS, SimulationKernel
 from repro.simulation.engine.scheduler import CompletionScheduler
 from repro.simulation.engine.tenancy import TenancyModel
@@ -38,7 +39,6 @@ from repro.simulation.engine.tenancy import TenancyModel
 __all__ = [
     "CoreArrays",
     "CoreRun",
-    "advance_core",
     "CompletionScheduler",
     "TenancyModel",
     "ManagerBridge",

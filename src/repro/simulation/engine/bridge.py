@@ -2,7 +2,7 @@
 
 :mod:`repro.core.managers` was written against the monolithic simulator's
 surface; the bridge pins that surface down as an explicit contract --
-``system``, ``stage_timer`` and nine read methods, none of them optional --
+``system``, ``stage_timer`` and seven read methods, none of them optional --
 so the kernel behind it can be restructured freely without touching
 manager code.  ``manager.attach`` receives the
 bridge, and every read a manager performs goes through it.
@@ -57,10 +57,6 @@ class ManagerBridge:
         require(rec is not None, "no completed interval yet")
         return rec
 
-    def upcoming_record(self, core_id: int) -> PhaseRecord:
-        """Record of the slice the core is currently executing (oracle view)."""
-        return self._kernel.scheduler.record(core_id)
-
     # -- batched accessors (the vectorised manager pipeline) -------------------
     def active_core_ids(self) -> list[int]:
         """Cores currently executing a tenant, in core order.
@@ -70,20 +66,9 @@ class ManagerBridge:
         """
         return [int(j) for j in np.nonzero(self._kernel.arrays.active)[0]]
 
-    def inactive_core_ids(self) -> list[int]:
-        """Cores currently idle (power-gated), in core order.
-
-        The complement of :meth:`active_core_ids`, with an all-active fast
-        path -- the common case on fixed workloads, where managers would
-        otherwise materialise the full id list just to learn nothing idles.
-        """
-        mask = self._kernel.arrays.active
-        if mask.all():
-            return []
-        return [int(j) for j in np.nonzero(~mask)[0]]
-
     def upcoming_records(self, core_ids: list[int]) -> list[PhaseRecord]:
-        """Batched :meth:`upcoming_record`: one scheduler read per core.
+        """Records of the slices the cores are currently executing (the
+        oracle view): one scheduler read per core.
 
         The batched manager pipeline stacks these records' grids into
         ``(N, C, F, W)`` tensors.

@@ -6,7 +6,7 @@ One iteration = one global event = the earliest completion of a
 1. the :class:`~repro.simulation.engine.scheduler.CompletionScheduler`
    names the completing core and the span ``dt`` (cached, incrementally
    invalidated -- no database lookups for unchanged cores);
-2. every other core advances by ``dt`` (stall served first, then
+2. every other active core advances by ``dt`` (stall served first, then
    instructions retire and charge energy at the cached rates);
 3. the completing core retires its interval's remaining instructions
    exactly, records its counter snapshot and interval sample, and moves to
@@ -22,21 +22,23 @@ One iteration = one global event = the earliest completion of a
 Accounting is bit-identical to ``tests/oracles/legacy_sim.py``, the
 frozen pre-refactor reference; the golden equivalence suite enforces it.
 
-Many-core notes: the per-event hot path is vectorised over the
-struct-of-arrays core state
-(:class:`~repro.simulation.engine.core_state.CoreArrays`): step 1 is one
-masked argmin and step 2 one stall-then-retire vector update, replacing
-the two O(N) Python walks per event.  Per-event bookkeeping that used to
-scan every core (the all-idle check, the every-core-finished check) reads
-counters maintained incrementally by the tenancy model and the completion
-bookkeeping, and the way-budget audit of :meth:`SimulationKernel._apply`
-runs off a cached total updated by deltas -- the fixed per-event Python
-cost is independent of the core count.  Scenario tenancy changes reach
-managers through per-core
+The per-event hot path is one fused step over the struct-of-arrays core
+state (:class:`~repro.simulation.engine.core_state.CoreArrays`), the same
+at every core count: step 1 is one padded argmin, step 2 one advance of
+every active lane -- the completing core included, whose lane step 3 then
+overwrites -- with the stall arithmetic skipped when no stall is pending.
+Its lane arithmetic is the scalar reference step's
+(``tests/oracles/engine_step.py``) operation for operation.  Per-event
+bookkeeping that used to scan every core (the all-idle check, the
+every-core-finished check) reads counters maintained incrementally by the
+tenancy model and the completion bookkeeping, and the way-budget audit of
+:meth:`SimulationKernel._apply` runs off a cached total updated by deltas
+-- the fixed per-event Python cost is independent of the core count.
+Scenario tenancy changes reach managers through per-core
 :meth:`~repro.core.managers.ResourceManager.on_scenario_event` calls; the
-hierarchical :class:`~repro.core.managers.ClusteredManager` routes each
-notification to the owning cluster's reduction tree, so a swap or
-departure splices only that cluster's ``O(log)`` path.
+coordinated managers re-install only the reduction leaves those calls and
+the invoking core touched, so a swap or departure splices only that
+leaf's ``O(log)`` path.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.core.managers import ResourceManager
 from repro.scenarios.events import Scenario
 from repro.simulation.database import SimulationDatabase
 from repro.simulation.engine.bridge import ManagerBridge
-from repro.simulation.engine.core_state import CoreArrays, CoreRun, advance_core
+from repro.simulation.engine.core_state import CoreArrays, CoreRun
 from repro.simulation.engine.scheduler import CompletionScheduler
 from repro.simulation.engine.tenancy import TenancyModel
 from repro.simulation.metrics import AppResult, IntervalSample, RunResult
@@ -62,14 +64,6 @@ __all__ = ["SimulationKernel", "MAX_EVENTS"]
 
 #: Hard cap on simulated events (runaway-manager guard).
 MAX_EVENTS = 1_000_000
-
-#: Core count at or above which the per-event hot path uses the vectorised
-#: struct-of-arrays step.  Below it the scalar reference step is cheaper
-#: (NumPy's fixed per-call cost outweighs the interpreter loop on a
-#: handful of lanes -- measured crossover ~16 cores); both steps are
-#: bit-identical (tests/test_engine_vector.py), so this is purely a
-#: dispatch choice.
-VECTOR_MIN_CORES = 16
 
 #: Debug mode: recount every core's ways from scratch after each manager
 #: reallocation and assert it matches the delta-maintained total (set the
@@ -94,12 +88,16 @@ class SimulationKernel:
         for app in workload.apps:
             require(app in db.records, f"database has no benchmark {app!r}")
         if scenario is not None:
-            require(scenario.workload == workload,
-                    "scenario workload must match the workload being simulated")
+            require(
+                scenario.workload == workload,
+                "scenario workload must match the workload being simulated",
+            )
             for ev in scenario.events:
                 if ev.kind == "swap":
-                    require(ev.app in db.records,
-                            f"database has no benchmark {ev.app!r} (scenario event)")
+                    require(
+                        ev.app in db.records,
+                        f"database has no benchmark {ev.app!r} (scenario event)",
+                    )
         self.system = system
         self.db = db
         self.workload = workload
@@ -115,10 +113,16 @@ class SimulationKernel:
             if max_slices is not None:
                 seq = seq[:max_slices]
             active = scenario.active[j] if scenario is not None else True
-            self.cores.append(
-                CoreRun(self.arrays, core_id=j, app=app, seq=seq,
-                        slack=workload.slack[j], alloc=base, active=active)
+            core = CoreRun(
+                self.arrays,
+                core_id=j,
+                app=app,
+                seq=seq,
+                slack=workload.slack[j],
+                alloc=base,
+                active=active,
             )
+            self.cores.append(core)
         self.scheduler = CompletionScheduler(system, db, self.cores, self.arrays)
         self.tenancy = TenancyModel(
             system, db, self.cores, self.scheduler, manager, scenario, max_slices
@@ -162,17 +166,9 @@ class SimulationKernel:
         """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.completed_record`."""
         return self.bridge.completed_record(core_id)
 
-    def upcoming_record(self, core_id: int):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.upcoming_record`."""
-        return self.bridge.upcoming_record(core_id)
-
     def active_core_ids(self):
         """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.active_core_ids`."""
         return self.bridge.active_core_ids()
-
-    def inactive_core_ids(self):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.inactive_core_ids`."""
-        return self.bridge.inactive_core_ids()
 
     def upcoming_records(self, core_ids):
         """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.upcoming_records`."""
@@ -266,6 +262,25 @@ class SimulationKernel:
                 f"maintained total {self._ways_total}"
             )
 
+    def _step(self) -> tuple[int, float]:
+        """Advance the system to the next interval completion: ``(j, dt)``.
+
+        Every active core advances by ``dt``; the completing core ``j``
+        instead retires its interval's remaining instructions exactly and
+        charges their energy directly (its epi entry is fresh:
+        ``next_completion`` refreshed every active core).  Its state is
+        read before the advance, which moves every active lane, and its
+        lane is overwritten after it.
+        """
+        j, dt = self.scheduler.next_completion()
+        arrays = self.arrays
+        left = self.system.interval_instructions - arrays.instr_done.item(j)
+        energy = arrays.energy_nj.item(j)
+        arrays.advance_all(dt)
+        arrays.energy_nj[j] = energy + left * arrays.epi.item(j)
+        arrays.pending_stall_ns[j] = 0.0
+        return j, dt
+
     def _finished(self) -> bool:
         """Whether the run reached its horizon (scenario) or first rounds."""
         if self.scenario is not None:
@@ -276,19 +291,9 @@ class SimulationKernel:
         """Drive the event loop to completion and score the run."""
         t0 = time.perf_counter()
         self.manager.attach(self.bridge)
-        scheduler = self.scheduler
         tenancy = self.tenancy
-        arrays = self.arrays
         cores = self.cores
-        interval_instr = self.system.interval_instructions
-        instr_done = arrays.instr_done
-        energy_nj = arrays.energy_nj
-        pending_stall_ns = arrays.pending_stall_ns
-        epi = arrays.epi
-        # Vector step for many-core systems, scalar step below the
-        # crossover -- the two are bit-identical lane by lane, so the
-        # dispatch never changes results.
-        use_vector = self.system.ncores >= VECTOR_MIN_CORES
+        step = self._step
         events = 0
         last_applied = None
         timer = self.stage_timer
@@ -300,28 +305,11 @@ class SimulationKernel:
                 # Every core idles: jump to the next pending request (which
                 # must exist, or the scenario can never reach its horizon).
                 head = tenancy.next_pending_ns()
-                require(head != float("inf"),
-                        "all cores idle with no pending scenario events")
+                require(head != float("inf"), "all cores idle with no pending scenario events")
                 self.time_ns = max(self.time_ns, head)
                 tenancy.apply_due(self.time_ns, completed_core=None)
                 continue
-            if use_vector:
-                j, dt = scheduler.next_completion()
-                # All other active cores: one vectorised stall-then-retire
-                # step.
-                arrays.advance_all(dt, exclude=j)
-            else:
-                j, dt = scheduler.next_completion_scalar()
-                for core in cores:
-                    if core.core_id != j and core.active:
-                        advance_core(core, dt, scheduler.tpi(core.core_id),
-                                     scheduler.epi(core.core_id))
-            # Completing core: retire the interval's remaining instructions
-            # exactly and charge their energy directly (the epi entry is
-            # fresh: either step refreshed every active core).
-            left = interval_instr - instr_done[j]
-            energy_nj[j] += left * epi[j]
-            pending_stall_ns[j] = 0.0
+            j, dt = step()
             self.time_ns += dt
             core = cores[j]
             self._complete_interval(core)

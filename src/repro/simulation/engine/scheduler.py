@@ -10,24 +10,22 @@ times per interval, not per event.
 
 :class:`CompletionScheduler` therefore caches the (record, tpi, epi) triple
 per core and recomputes an entry lazily only after an explicit
-:meth:`invalidate`.  The tpi/epi entries live in the shared
+:meth:`invalidate`, which records the core in a stale set.  The tpi/epi
+entries live in the shared
 :class:`~repro.simulation.engine.core_state.CoreArrays` vectors, so
-:meth:`next_completion` is a single masked argmin over
-``pending_stall_ns + (interval_instructions - instr_done) * tpi`` after the
-stale-and-active entries are refreshed (:meth:`refresh_stale` -- a loop
-over the handful of cores invalidated since the previous event, not over
-the system).  The remaining-time formula and the first-minimum tie-break
-reproduce the reference arithmetic exactly
-(:meth:`next_completion_scalar`, kept as the executable scalar reference),
-so replay results are bit-identical -- the cache and the vectorisation
-remove lookup and interpreter work, never change values.
+:meth:`next_completion` is one argmin over ``(interval_instructions -
+instr_done) * tpi + pending_stall_ns + idle_pad`` after the stale active
+entries are refreshed (:meth:`refresh_stale` -- a loop over the handful of
+cores invalidated since the previous event, not over the system).  The
+remaining-time formula and the first-minimum tie-break reproduce the
+scalar reference arithmetic exactly (``tests/oracles/engine_step.py``), so
+replay results are bit-identical -- the cache and the vectorisation remove
+lookup and interpreter work, never change values.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.simulation.database import PhaseRecord, SimulationDatabase
 from repro.simulation.engine.core_state import CoreArrays, CoreRun
@@ -51,7 +49,8 @@ class CompletionScheduler:
         self.arrays = arrays
         n = len(cores)
         self._rec: list[PhaseRecord | None] = [None] * n
-        self._valid = np.zeros(n, dtype=bool)
+        # Cores whose cached entry is out of date (every core to begin with).
+        self._stale: set[int] = set(range(n))
         # The QoS anchor is immutable per system; constructing it per
         # memo-miss in baseline_interval_ns was pure allocation churn.
         self._baseline_alloc = system.baseline_allocation()
@@ -65,15 +64,15 @@ class CompletionScheduler:
     # ---- cache maintenance --------------------------------------------------
     def invalidate(self, core_id: int) -> None:
         """Drop the cached entry: the core's alloc, tenancy or slice changed."""
-        self._valid[core_id] = False
+        self._stale.add(core_id)
 
     def invalidate_all(self) -> None:
         """Drop every cached entry (system-wide reconfiguration)."""
-        self._valid.fill(False)
+        self._stale.update(range(len(self.cores)))
 
     def is_valid(self, core_id: int) -> bool:
         """Whether the cached entry is current (introspection for tests)."""
-        return bool(self._valid[core_id])
+        return core_id not in self._stale
 
     def _refresh(self, core_id: int) -> None:
         core = self.cores[core_id]
@@ -81,37 +80,32 @@ class CompletionScheduler:
         self._rec[core_id] = rec
         self.arrays.tpi[core_id] = rec.tpi_at(core.alloc)
         self.arrays.epi[core_id] = rec.epi_at(core.alloc)
-        self._valid[core_id] = True
+        self._stale.discard(core_id)
 
     def refresh_stale(self) -> None:
         """Recompute every invalidated-and-active entry (lazy batch point).
 
         Exactly the set of cores the scalar reference would have lazily
         refreshed during its next-completion and advance walks; idle cores
-        are never touched (their lanes are masked out of every vector read).
+        stay stale and untouched (the idle pad sends their lanes to ``inf``
+        and the advance leaves them unchanged).
         """
-        stale = np.nonzero(~self._valid & self.arrays.active)[0]
-        for j in stale:
-            self._refresh(int(j))
+        active = self.arrays.active
+        for j in [j for j in self._stale if active[j]]:
+            self._refresh(j)
 
     # ---- cached views -------------------------------------------------------
     def record(self, core_id: int) -> PhaseRecord:
         """The record of the slice the core is currently executing."""
-        if not self._valid[core_id]:
+        if core_id in self._stale:
             self._refresh(core_id)
         return self._rec[core_id]
 
     def tpi(self, core_id: int) -> float:
         """Cached time-per-instruction of the core's slice at its allocation."""
-        if not self._valid[core_id]:
+        if core_id in self._stale:
             self._refresh(core_id)
         return float(self.arrays.tpi[core_id])
-
-    def epi(self, core_id: int) -> float:
-        """Cached energy-per-instruction of the core's slice at its allocation."""
-        if not self._valid[core_id]:
-            self._refresh(core_id)
-        return float(self.arrays.epi[core_id])
 
     def observe(self, core_id: int):
         """Counter snapshot of the core's current slice at its allocation.
@@ -135,9 +129,7 @@ class CompletionScheduler:
         key = (rec.bench, rec.phase_key)
         val = self._baseline_ns.get(key)
         if val is None:
-            val = self.system.interval_instructions * rec.tpi_at(
-                self._baseline_alloc
-            )
+            val = self.system.interval_instructions * rec.tpi_at(self._baseline_alloc)
             self._baseline_ns[key] = val
         return val
 
@@ -153,27 +145,11 @@ class CompletionScheduler:
     def next_completion(self) -> tuple[int, float]:
         """(core id, remaining ns) of the earliest interval completion.
 
-        One masked argmin over the struct-of-arrays state
+        One argmin over the struct-of-arrays state
         (:meth:`CoreArrays.next_completion`) after refreshing the stale
         active entries.  Ties break to the lowest core id, matching the
         reference loop's ``min(range(n), key=remaining.__getitem__)``.
         """
-        self.refresh_stale()
+        if self._stale:
+            self.refresh_stale()
         return self.arrays.next_completion(self.system.interval_instructions)
-
-    def next_completion_scalar(self) -> tuple[int, float]:
-        """Scalar reference of :meth:`next_completion` (kept for the
-        vector-vs-scalar property suite; identical arithmetic, one lane at
-        a time)."""
-        interval_instr = self.system.interval_instructions
-        best = math.inf
-        best_j = 0
-        for j, core in enumerate(self.cores):
-            if not core.active:
-                continue
-            left = interval_instr - core.instr_done
-            r = core.pending_stall_ns + left * self.tpi(j)
-            if r < best:
-                best = r
-                best_j = j
-        return best_j, best

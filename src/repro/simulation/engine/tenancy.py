@@ -23,9 +23,9 @@ work), which keeps the struct-of-arrays vectors the hot path reads -- the
 active mask, pending stall, retirement progress -- consistent without any
 separate synchronisation step.  At 4 cores that is noise; at 256 cores the
 previous every-core scans were a per-event tax on every manager.
-Hierarchical (clustered) managers receive the same per-core
-``on_scenario_event`` notifications and route them to their cluster tier
-internally.
+Flat and hierarchical (clustered) managers receive the same per-core
+``on_scenario_event`` notifications and mark the core's reduction leaf
+for re-installation at their next decision.
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ class TenancyModel:
         ]
         # Cores whose queues still hold requests, ascending; apply_due walks
         # only these instead of every core on every global event.
-        self._pending_cores: list[int] = sorted(
-            k for k, q in enumerate(self.pending) if q
-        )
+        self._pending_cores: list[int] = sorted(k for k, q in enumerate(self.pending) if q)
         self.n_active: int = int(scheduler.arrays.active.sum())
         # Earliest head-of-queue time over *idle* pending cores.  Idle cores
         # are the only ones whose requests any global event can apply, so
@@ -148,9 +146,7 @@ class TenancyModel:
         for k in self._pending_cores:
             queue = self.pending[k]
             core = self.cores[k]
-            while queue and queue[0].time_ns <= now and (
-                k == completed_core or not core.active
-            ):
+            while queue and queue[0].time_ns <= now and (k == completed_core or not core.active):
                 ev = queue.popleft()
                 self.apply_event(core, ev, now)
                 if k == completed_core and ev.kind in ("swap", "depart"):

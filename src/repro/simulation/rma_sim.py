@@ -65,8 +65,8 @@ class RMASimulator(SimulationKernel):
     that keeps the historical surface stable: construction signature, the
     ``run()`` entry point, the manager-facing API (``slack``,
     ``current_alloc``, ``is_active``, ``completed_snapshot``,
-    ``completed_record``, ``upcoming_record``) and the introspectable
-    ``cores`` / ``time_ns`` / ``interval_samples`` state.
+    ``completed_record``, ``active_core_ids``, ``upcoming_records``) and
+    the introspectable ``cores`` / ``time_ns`` / ``interval_samples`` state.
     """
 
 

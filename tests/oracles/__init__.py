@@ -7,6 +7,10 @@
   coordinated-manager pipeline and the node-graph clustered manager;
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
   the golden reference of :mod:`repro.simulation.engine`;
+* :mod:`tests.oracles.engine_step` -- the scalar per-event engine step
+  (``advance_core``, ``next_completion_scalar``), the golden reference of
+  the kernel's fused step over
+  :class:`~repro.simulation.engine.core_state.CoreArrays`;
 * :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,
   the golden reference of :func:`repro.mem.mlp.leading_miss_groups`;
 * :mod:`tests.oracles.mlp_grid` -- the per-allocation, per-core-size MLP

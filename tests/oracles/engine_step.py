@@ -1,0 +1,84 @@
+"""The scalar engine step: the reference of the kernel's fused step.
+
+The kernel finds the next interval completion and advances every core with
+a handful of vector operations over
+:class:`~repro.simulation.engine.core_state.CoreArrays`.  These two
+functions are the same arithmetic one core at a time, exactly as the frozen
+``tests/oracles/legacy_sim.py`` loop performs it:
+
+* :func:`next_completion_scalar` -- the remaining-time formula
+  ``pending_stall_ns + (interval_instructions - instr_done) * tpi`` over
+  the active cores, ties broken to the lowest core id;
+* :func:`advance_core` -- serve pending stall first, then retire
+  ``dt / tpi`` instructions and charge their energy.
+
+:func:`scalar_step` composes them into one event step over a live
+:class:`~repro.simulation.engine.kernel.SimulationKernel`, and
+``tests/test_engine_vector.py`` replays whole scenarios through it and
+through the production step and compares every number with ``==``.
+"""
+
+from __future__ import annotations
+
+import math
+
+__all__ = ["advance_core", "next_completion_scalar", "scalar_step"]
+
+
+def advance_core(core, dt: float, tpi: float, epi: float) -> None:
+    """Advance one core by ``dt`` ns at the cached ``tpi``/``epi`` rates.
+
+    The scalar reference of :meth:`CoreArrays.advance_all`: pending
+    reconfiguration stall is served before any instructions retire; a core
+    that spends the whole span stalled makes no progress.  ``core`` is
+    anything exposing mutable ``instr_done`` / ``pending_stall_ns`` /
+    ``energy_nj`` / ``active`` fields (a :class:`CoreRun` view or a plain
+    test double).
+    """
+    if dt <= 0.0 or not core.active:
+        return
+    if core.pending_stall_ns > 0.0:
+        served = min(core.pending_stall_ns, dt)
+        core.pending_stall_ns -= served
+        dt -= served
+        if dt <= 0.0:
+            return
+    instr = dt / tpi
+    core.instr_done += instr
+    core.energy_nj += instr * epi
+
+
+def next_completion_scalar(self) -> tuple[int, float]:
+    """Scalar reference of :meth:`CompletionScheduler.next_completion`
+    (``self`` is the scheduler; identical arithmetic, one lane at a time)."""
+    interval_instr = self.system.interval_instructions
+    best = math.inf
+    best_j = 0
+    for j, core in enumerate(self.cores):
+        if not core.active:
+            continue
+        left = interval_instr - core.instr_done
+        r = core.pending_stall_ns + left * self.tpi(j)
+        if r < best:
+            best = r
+            best_j = j
+    return best_j, best
+
+
+def scalar_step(kernel) -> tuple[int, float]:
+    """One event of the scalar kernel step: every active core but the
+    completing one advances by ``dt``, the completing core retires its
+    interval's remaining instructions exactly.  Returns ``(j, dt)``; the
+    kernel's completion bookkeeping follows as in production."""
+    scheduler = kernel.scheduler
+    arrays = kernel.arrays
+    j, dt = next_completion_scalar(scheduler)
+    for core in kernel.cores:
+        k = core.core_id
+        if k != j and core.active:
+            # tpi() refreshes a stale entry, so the epi read after it is fresh.
+            advance_core(core, dt, scheduler.tpi(k), float(arrays.epi[k]))
+    left = kernel.system.interval_instructions - arrays.instr_done[j]
+    arrays.energy_nj[j] += left * arrays.epi[j]
+    arrays.pending_stall_ns[j] = 0.0
+    return j, dt

@@ -13,7 +13,7 @@ New behaviour belongs in :mod:`repro.simulation.engine`; if semantics must
 change, update the engine and regenerate the golden expectations in one
 reviewed step.  The only additions since the freeze are the batched
 read-only accessors of the manager bridge (``active_core_ids``,
-``inactive_core_ids``, ``upcoming_records``) and ``stage_timer = None``,
+``upcoming_records``) and ``stage_timer = None``,
 each a plain composition of the per-core accessors, so the managers drive
 this simulator through the same surface as the engine's bridge.
 """
@@ -148,9 +148,6 @@ class LegacyRMASimulator:
     # ---- batched accessors (compositions of the per-core ones) ---------------
     def active_core_ids(self) -> list[int]:
         return [j for j in range(self.system.ncores) if self.is_active(j)]
-
-    def inactive_core_ids(self) -> list[int]:
-        return [j for j in range(self.system.ncores) if not self.is_active(j)]
 
     def upcoming_records(self, core_ids: list[int]) -> list[PhaseRecord]:
         return [self.upcoming_record(j) for j in core_ids]

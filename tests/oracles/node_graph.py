@@ -288,16 +288,6 @@ class ReductionTree:
         # The previous solve's full assignment, backing the pruned walk.
         self._last_assignment: dict[int, tuple[int, int, int]] | None = None
 
-    @property
-    def replay_cells(self) -> int:
-        """DP cells a refresh of this tree in its current (clean) state
-        replays to the meter: the summed cost of every combine node, i.e.
-        what a from-scratch rebuild over the same leaves would charge.
-        Valid after a refresh; callers batching clean-tree charges (the
-        hierarchical manager's stale-cluster skip) read it instead of
-        walking the tree."""
-        return self._replay_cells
-
     def invalidate(self, core_id: int) -> None:
         """Force the leaf dirty (the tenant behind it was spliced in/out)."""
         self._dirty[0][core_id] = True

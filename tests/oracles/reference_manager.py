@@ -9,8 +9,9 @@
   configuration.
 * :class:`NodeGraphClusteredManager` -- the hierarchical manager reduced
   through per-cluster node-graph :class:`~tests.oracles.node_graph.ReductionTree`s
-  plus a second-level tree over the cluster roots, the golden reference of
-  the packed hierarchy in :class:`~repro.core.managers.ClusteredManager`.
+  plus a second-level tree over the cluster roots, re-installing every
+  leaf on every decision; the golden reference of the packed hierarchy and
+  the per-leaf installs in :class:`~repro.core.managers.ClusteredManager`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class ReferencePipeline:
 
     def _oracle_curve(self, core_id: int) -> EnergyCurve:
         sim, system = self.sim, self.sim.system
-        rec = sim.upcoming_record(core_id)
+        (rec,) = sim.upcoming_records([core_id])
         target = qos_target_tpi(system, rec.tpi, sim.slack(core_id))
         return local_optimize(
             system, core_id, rec.tpi, rec.epi, target, self._dims(system), self.meter
@@ -98,24 +99,22 @@ class NodeGraphClusteredManager(ClusteredManager):
     """The clustered manager reduced through node-graph trees.
 
     Per-cluster capped :class:`ReductionTree`\\ s plus a second-level tree
-    whose leaves are the cluster roots (spliced in via ``set_leaf_node``);
-    same stale-cluster bookkeeping and leaf selection as the production
-    manager, so the two must agree bit for bit.
+    whose leaves are the cluster roots (spliced in via ``set_leaf_node``).
+    Every decision re-installs every cluster's leaves (the trees' identity
+    and value checks keep unchanged leaves clean), with the production
+    manager's leaf selection rule, so the two must agree bit for bit.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._cluster_trees: list[ReductionTree] = []
         self._level2: ReductionTree | None = None
-        # Per-cluster (root node, replay DP cells) of the last real refresh,
-        # so clean clusters skip their tree walk wholesale.
-        self._cluster_roots: list = []
 
     def _init_trees(self, system: SystemConfig) -> None:
         """Per-cluster capped trees plus the second-level combine tree.
 
-        The production planner supplies the clusters, the core-to-cluster
-        map and the stale set; its packed plan is dropped.
+        The production planner supplies the clusters; its packed plan is
+        dropped.
         """
         super()._init_trees(system)
         self._tree = None
@@ -130,58 +129,27 @@ class NodeGraphClusteredManager(ClusteredManager):
         self._level2 = ReductionTree(
             len(self._clusters), system.llc.ways, system.min_ways_per_core
         )
-        self._cluster_roots = [None] * len(self._clusters)
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
         """Splice the affected cluster leaf on a tenancy change."""
         self.curves.pop(core_id, None)
-        ci = self._cluster_of[core_id]
-        self._cluster_trees[ci].invalidate(core_id - self._clusters[ci][0])
-        self._stale_clusters.add(ci)
+        for members, tree in zip(self._clusters, self._cluster_trees):
+            if core_id in members:
+                tree.invalidate(core_id - members[0])
 
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
-        """Two-level decision: refresh cluster trees, combine their roots.
+        """Two-level decision: refresh every cluster tree, combine their roots.
 
-        Leaf refreshes are grouped: each cluster receives its member curves
-        in one ``set_leaves`` call and one ``refresh``, so a system-wide
-        reallocation costs one grouped refresh per cluster (a fully clean
-        cluster short-circuits to a single replay charge) instead of
-        per-core tree walks.
+        A clean cluster tree's refresh is one replay charge; its unchanged
+        root re-enters the second level clean.
         """
         oracle_leaves = self._begin_decision(core_id)
         level2 = self._level2
         meter = self.meter
-        # A cluster's leaves are a pure function of the held/oracle curves
-        # and the active set; both change only at the invoking core
-        # (_begin_decision) or via on_scenario_event, so clusters outside
-        # the stale set can skip leaf installation outright.  Oracle curves
-        # additionally move with every phase boundary, so oracle mode
-        # refreshes every cluster's leaves.
-        stale = self._stale_clusters
-        stale.add(self._cluster_of[core_id])
-        if self.oracle:
-            stale = set(range(len(self._clusters)))
-        inactive = (frozenset(self.sim.inactive_core_ids()) if oracle_leaves is None
-                    else frozenset())
-        roots = self._cluster_roots
-        replay_cells = 0
-        for ci, members in enumerate(self._clusters):
-            cached = roots[ci]
-            if ci not in stale and cached is not None:
-                # Clean cluster: its root already sits in the second-level
-                # tree; batch the replay charge its refresh would make
-                # (exact integer DP-cell counts, so one summed charge is
-                # bit-identical to the per-tree charges it replaces).
-                replay_cells += cached[1]
-                continue
-            tree = self._cluster_trees[ci]
-            tree.set_leaves(self._live_leaves(members, oracle_leaves, inactive))
+        for ci, (members, tree) in enumerate(zip(self._clusters, self._cluster_trees)):
+            tree.set_leaves([self._leaf(j, oracle_leaves) for j in members])
             root, changed = tree.refresh(meter)
             level2.set_leaf_node(ci, root, changed)
-            roots[ci] = (root, tree.replay_cells)
-        if replay_cells:
-            meter.charge_replay(dp_cells=replay_cells)
-        self._stale_clusters = set()
         assignment = level2.solve(meter)
         # Every core counts as touched: the node graph tracks no delta.
         touched = None if assignment is None else list(assignment)

@@ -218,9 +218,6 @@ class _StubSim:
     def is_active(self, core_id):
         return True
 
-    def inactive_core_ids(self):
-        return []
-
     def completed_snapshot(self, core_id):
         return self.snaps[core_id]
 

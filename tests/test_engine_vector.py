@@ -1,13 +1,15 @@
-"""Vector-vs-scalar property suite for the struct-of-arrays hot path.
+"""Identity suite for the engine's fused per-event step.
 
-The engine's per-event advance and next-completion argmin are vectorised
-over :class:`~repro.simulation.engine.core_state.CoreArrays`; the scalar
-reference mechanics (:func:`~repro.simulation.engine.core_state.
-advance_core` and ``CompletionScheduler.next_completion_scalar``) are kept
-as executable specifications.  This suite drives both over randomised core
-states -- inactive cores, stall-only spans, exact-completion ties -- and
-compares with ``==`` on every number: the vector path must remove
-interpreter work, never change values.
+The engine finds the next interval completion and advances every core with
+a fixed handful of vector operations over
+:class:`~repro.simulation.engine.core_state.CoreArrays`; the scalar step
+in ``tests/oracles/engine_step.py`` (``advance_core``,
+``next_completion_scalar``) is the executable specification of the same
+arithmetic.  This suite drives both over randomised core states --
+inactive cores, stall-free and stall-only spans, exact-completion ties --
+and over whole scenario replays at 1..31 cores (one of them starting with
+idle cores), and compares with ``==`` on every number: the fused step
+must remove interpreter work, never change values.
 
 It also covers the kernel's delta-maintained way-budget audit (the O(N)
 re-sum `_apply` used to do per reallocation) including its debug-mode full
@@ -24,12 +26,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import default_system
 from repro.config import Allocation
 from repro.core.managers import StaticBaselineManager, rm2_combined
+from repro.scenarios import burst_load, poisson_arrivals
+from repro.simulation.database import build_database
 from repro.simulation.engine import kernel as kernel_mod
-from repro.simulation.engine.core_state import CoreArrays, advance_core
+from repro.simulation.engine.core_state import CoreArrays
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
+from tests.conftest import CACHE_DIR
+from tests.oracles.engine_step import advance_core, next_completion_scalar, scalar_step
+from tests.test_engine_equivalence import assert_bit_identical
 
 #: Interval length used by the synthetic argmin states (arbitrary but fixed).
 INTERVAL_INSTR = 1000.0
@@ -45,8 +53,12 @@ class ScalarCore:
     active: bool
 
 
-def _state(n, rng_seed):
-    """Build (CoreArrays, [ScalarCore]) with identical randomised state."""
+def _state(n, rng_seed, stalls=True):
+    """Build (CoreArrays, [ScalarCore]) with identical randomised state.
+
+    ``stalls=False`` zeroes every pending stall, the state the advance's
+    stall-free branch serves.
+    """
     rng = np.random.default_rng(rng_seed)
     arrays = CoreArrays(n)
     scalars = []
@@ -56,6 +68,8 @@ def _state(n, rng_seed):
         # pending > 0 and the vector path must mirror the no-stall case
         # bit-exactly (subtracting a served 0.0).
         stall = 0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 50.0))
+        if not stalls:
+            stall = 0.0
         energy = float(rng.uniform(0.0, 1e6))
         active = bool(rng.random() < 0.8)
         tpi = float(rng.uniform(0.05, 2.0))
@@ -63,7 +77,7 @@ def _state(n, rng_seed):
         arrays.instr_done[j] = instr
         arrays.pending_stall_ns[j] = stall
         arrays.energy_nj[j] = energy
-        arrays.active[j] = active
+        arrays.set_active(j, active)
         arrays.tpi[j] = tpi
         arrays.epi[j] = epi
         scalars.append((ScalarCore(instr, stall, energy, active), tpi, epi))
@@ -73,16 +87,15 @@ def _state(n, rng_seed):
 class TestVectorAdvance:
     """CoreArrays.advance_all == per-core advance_core, bit for bit."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 65),
         seed=st.integers(0, 10_000),
         dt_kind=st.sampled_from(["random", "zero", "stall_edge", "tiny"]),
-        exclude_raw=st.integers(0, 64),
+        stalls=st.booleans(),
     )
-    def test_matches_scalar(self, n, seed, dt_kind, exclude_raw):
-        arrays, scalars = _state(n, seed)
-        exclude = exclude_raw % n
+    def test_matches_scalar(self, n, seed, dt_kind, stalls):
+        arrays, scalars = _state(n, seed, stalls)
         if dt_kind == "random":
             dt = float(np.random.default_rng(seed + 1).uniform(0.0, 100.0))
         elif dt_kind == "zero":
@@ -95,10 +108,9 @@ class TestVectorAdvance:
             k = seed % n
             dt = scalars[k][0].pending_stall_ns or 1.0
 
-        arrays.advance_all(dt, exclude=exclude)
+        arrays.advance_all(dt)
         for j, (core, tpi, epi) in enumerate(scalars):
-            if j != exclude:
-                advance_core(core, dt, tpi, epi)
+            advance_core(core, dt, tpi, epi)
             assert arrays.instr_done[j] == core.instr_done
             assert arrays.pending_stall_ns[j] == core.pending_stall_ns
             assert arrays.energy_nj[j] == core.energy_nj
@@ -108,25 +120,35 @@ class TestVectorAdvance:
         arrays.pending_stall_ns[:] = (10.0, 3.0)
         arrays.tpi[:] = 1.0
         arrays.epi[:] = 1.0
-        arrays.advance_all(3.0, exclude=None)
+        arrays.advance_all(3.0)
         # Core 0 spent the whole span stalled; core 1 exactly drained it.
         assert arrays.instr_done[0] == 0.0 and arrays.energy_nj[0] == 0.0
         assert arrays.pending_stall_ns[0] == 7.0
         assert arrays.instr_done[1] == 0.0 and arrays.pending_stall_ns[1] == 0.0
 
-    def test_inactive_and_excluded_lanes_untouched(self):
-        arrays, _ = _state(8, 7)
-        arrays.active[3] = False
-        before = (
-            arrays.instr_done.copy(),
-            arrays.pending_stall_ns.copy(),
-            arrays.energy_nj.copy(),
-        )
-        arrays.advance_all(10.0, exclude=5)
-        for j in (3, 5):
-            assert arrays.instr_done[j] == before[0][j]
-            assert arrays.pending_stall_ns[j] == before[1][j]
-            assert arrays.energy_nj[j] == before[2][j]
+    def test_inactive_lanes_untouched(self):
+        for stalls in (True, False):  # both advance branches
+            arrays, _ = _state(8, 7, stalls)
+            arrays.set_active(3, False)
+            arrays.set_active(5, False)
+            before = (
+                arrays.instr_done.copy(),
+                arrays.pending_stall_ns.copy(),
+                arrays.energy_nj.copy(),
+            )
+            arrays.advance_all(10.0)
+            for j in (3, 5):
+                assert arrays.instr_done[j] == before[0][j]
+                assert arrays.pending_stall_ns[j] == before[1][j]
+                assert arrays.energy_nj[j] == before[2][j]
+
+    def test_set_active_keeps_the_pad_in_step(self):
+        arrays = CoreArrays(3)
+        assert list(arrays.idle_pad) == [0.0, 0.0, 0.0]
+        arrays.set_active(1, False)
+        assert not arrays.active[1] and math.isinf(arrays.idle_pad[1])
+        arrays.set_active(1, True)
+        assert arrays.active[1] and arrays.idle_pad[1] == 0.0
 
 
 def _next_completion_scalar(arrays: CoreArrays, interval_instr: float):
@@ -174,7 +196,8 @@ class TestVectorArgmin:
 
     def test_all_inactive_returns_inf(self):
         arrays = CoreArrays(3)
-        arrays.active[:] = False
+        for k in range(3):
+            arrays.set_active(k, False)
         j, r = arrays.next_completion(INTERVAL_INSTR)
         assert j == 0 and math.isinf(r)
 
@@ -182,13 +205,13 @@ class TestVectorArgmin:
         arrays = CoreArrays(2)
         arrays.tpi[:] = 1.0
         arrays.instr_done[:] = (INTERVAL_INSTR, 0.0)  # lane 0 would win
-        arrays.active[0] = False
+        arrays.set_active(0, False)
         j, _ = arrays.next_completion(INTERVAL_INSTR)
         assert j == 1
 
 
 class TestSchedulerVectorPath:
-    """End-to-end: the scheduler's vector argmin equals its scalar twin."""
+    """The scheduler's argmin equals the scalar reference over live state."""
 
     def test_next_completion_matches_scalar(self, system4, db4):
         wl = Workload(
@@ -197,11 +220,16 @@ class TestSchedulerVectorPath:
         )
         sim = RMASimulator(system4, db4, wl, StaticBaselineManager(), max_slices=4)
         sched = sim.scheduler
-        assert sched.next_completion() == sched.next_completion_scalar()
+        assert sched.next_completion() == next_completion_scalar(sched)
         # Perturb state mid-run and compare again.
         sim.arrays.instr_done[2] = 0.75 * system4.interval_instructions
         sim.arrays.pending_stall_ns[1] = 123.0
-        assert sched.next_completion() == sched.next_completion_scalar()
+        assert sched.next_completion() == next_completion_scalar(sched)
+        # An idle core keeps its stale entry and never wins.
+        sim.cores[0].active = False
+        sched.invalidate(0)
+        assert sched.next_completion() == next_completion_scalar(sched)
+        assert not sched.is_valid(0)
 
     def test_invalidate_all_is_vector_fill(self, system4, db4):
         wl = Workload(
@@ -282,58 +310,57 @@ class TestWayBudgetAudit:
         assert run.rma_invocations == 0  # StaticBaseline meters nothing
 
 
-class TestVectorDispatchBoundary:
-    """Scalar-vs-vector bit identity straddling ``VECTOR_MIN_CORES``.
+#: Apps of the identity replays' databases (one per core count, so kept
+#: small: every Paper II type, 100 accesses per set).
+IDENTITY_APPS = ["mcf_like", "libquantum_like", "povray_like", "namd_like"]
 
-    The dispatch constant decides *performance only*: at N one below, at,
-    and one above the crossover, a full scenario replay forced down the
-    scalar step and one forced down the vector step must agree with ``==``
-    on every number.  Run at the boundary itself this is the strongest form
-    of the suite's lane-level equivalence properties -- whole-run, with the
-    manager, tenancy churn and QoS scoring in the loop.
+
+class ScalarStepSimulator(RMASimulator):
+    """The production kernel driven by the scalar reference step."""
+
+    def _step(self):
+        return scalar_step(self)
+
+
+class TestFusedStepIdentity:
+    """Whole-run bit identity of the fused step and the scalar step.
+
+    At every core count from 1 to 31, a Poisson-arrival replay and a burst
+    replay (every core but one starts idle, then the cores fill and drain)
+    run under RM2 through the production step and through the scalar
+    reference step, and must agree with ``==`` on every number -- with
+    the manager, transition stalls, tenancy churn and QoS scoring in the
+    loop.
     """
 
     @staticmethod
-    def _run(ncores: int, forced_min_cores: int):
-        from conftest import CACHE_DIR, TEST_BENCHMARKS
-        from repro import default_system
-        from repro.scenarios import poisson_arrivals
-        from repro.simulation.database import build_database
-        from repro.simulation.rma_sim import simulate_scenario
-
+    def _replay(ncores, scenario, simulator):
         system = default_system(ncores=ncores)
         db = build_database(
-            system, names=TEST_BENCHMARKS, accesses_per_set=400,
-            cache_dir=CACHE_DIR,
+            system, names=IDENTITY_APPS, accesses_per_set=100,
+            processes=1, cache_dir=CACHE_DIR,
         )
-        scenario = poisson_arrivals(
-            f"vector-boundary-{ncores}", ncores, db.benchmarks(),
-            rate_per_interval=0.3, horizon_intervals=24, seed=0,
-        )
-        saved = kernel_mod.VECTOR_MIN_CORES
-        kernel_mod.VECTOR_MIN_CORES = forced_min_cores
-        try:
-            return simulate_scenario(
-                system, db, scenario, rm2_combined(), max_slices=4
+        return simulator(
+            system, db, scenario.workload, rm2_combined(),
+            max_slices=4, scenario=scenario,
+        ).run()
+
+    @pytest.mark.parametrize("ncores", range(1, 32))
+    def test_fused_and_scalar_steps_bit_identical(self, ncores):
+        scenarios = [
+            poisson_arrivals(
+                f"step-identity-{ncores}", ncores, IDENTITY_APPS,
+                rate_per_interval=0.3, horizon_intervals=24, seed=ncores,
             )
-        finally:
-            kernel_mod.VECTOR_MIN_CORES = saved
-
-    @pytest.mark.parametrize(
-        "ncores",
-        [
-            kernel_mod.VECTOR_MIN_CORES - 1,
-            kernel_mod.VECTOR_MIN_CORES,
-            kernel_mod.VECTOR_MIN_CORES + 1,
-        ],
-    )
-    def test_scalar_and_vector_steps_bit_identical(self, ncores):
-        from tests.test_engine_equivalence import assert_bit_identical
-
-        scalar = self._run(ncores, forced_min_cores=ncores + 1)
-        vector = self._run(ncores, forced_min_cores=1)
-        assert_bit_identical(scalar, vector)
-
-    def test_default_dispatch_picks_the_expected_step(self):
-        """Sanity: the boundary constant is what this suite straddles."""
-        assert kernel_mod.VECTOR_MIN_CORES == 16
+        ]
+        if ncores >= 2:
+            scenarios.append(burst_load(
+                f"step-identity-burst-{ncores}", ncores, IDENTITY_APPS,
+                burst_start_intervals=1.0, burst_length_intervals=2.0,
+                horizon_intervals=6 * ncores, seed=ncores,
+            ))
+            assert not all(scenarios[-1].active)
+        for scenario in scenarios:
+            fused = self._replay(ncores, scenario, RMASimulator)
+            scalar = self._replay(ncores, scenario, ScalarStepSimulator)
+            assert_bit_identical(scalar, fused)

@@ -1,11 +1,8 @@
-"""Tests for experiment result rendering and the terminal plots."""
+"""Tests for experiment result rendering."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.report import ExperimentResult
-from repro.util.ascii_plot import bar_chart, spark_line
 
 
 class TestExperimentResult:
@@ -43,44 +40,3 @@ class TestExperimentResult:
     def test_render_without_paper(self):
         r = ExperimentResult("E0", "t", ["h"], [[1]], summary={"x": 1.0})
         assert "paper:" not in r.render()
-
-
-class TestBarChart:
-    def test_basic_render(self):
-        out = bar_chart(["aa", "b"], [10.0, 5.0], width=10)
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[0].count("▇") == 10
-        assert lines[1].count("▇") == 5
-        assert "10.00%" in lines[0]
-
-    def test_negative_values(self):
-        out = bar_chart(["neg"], [-3.0], width=10)
-        assert "▁" in out and "-3.00%" in out
-
-    def test_labels_aligned(self):
-        out = bar_chart(["long-label", "x"], [1.0, 1.0])
-        a, b = out.splitlines()
-        assert a.index("|") == b.index("|")
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert bar_chart([], []) == "(empty)"
-
-
-class TestSparkLine:
-    def test_monotone_series(self):
-        s = spark_line([0, 1, 2, 3, 4, 5, 6, 7])
-        assert s[0] == "▁" and s[-1] == "█"
-
-    def test_flat_series(self):
-        assert spark_line([2.0, 2.0, 2.0]) == "▁▁▁"
-
-    def test_empty(self):
-        assert spark_line([]) == ""
-
-    def test_length_preserved(self):
-        assert len(spark_line(list(range(13)))) == 13

@@ -1,18 +1,15 @@
-"""Cluster planning and shared helpers for the min-plus reduction.
+"""Cluster planning and the metered DP work of the min-plus reduction.
 
 :func:`partition_clusters` and :func:`cluster_way_caps` plan the clustered
 manager's hierarchy; :func:`_dp_cell_count` (the metered DP work of one
-combine) and :func:`_scratch` (per-thread reusable buffers) serve
-:class:`~repro.core.packed_tree.PackedReduction`, the reduction itself.
-Its node-graph reference lives in ``tests/oracles/node_graph.py``.
+combine) serves :class:`~repro.core.packed_tree.PackedReduction`, the
+reduction itself.  Its node-graph reference lives in
+``tests/oracles/node_graph.py``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-
-import numpy as np
 
 from repro.util.validation import require
 
@@ -39,47 +36,6 @@ def _dp_cell_count(na: int, nb: int, nk: int) -> int:
     return cells
 
 
-#: Reusable per-shape scratch buffers for the combine sweeps' padded inputs
-#: and window sums.  A sweep is non-reentrant (a reduction runs its levels
-#: sequentially) and everything that outlives it -- the winning energies --
-#: is materialised by copying reduction outputs, so recycling the
-#: intermediates is safe *within one thread*.
-#: The buffers live in a thread local because the replay service runs
-#: several simulations concurrently in one process; a shared buffer would
-#: let two combines overwrite each other's DP state mid-reduction.
-_SCRATCH_TLS = threading.local()
-
-
-def _scratch_map() -> dict:
-    bufs = getattr(_SCRATCH_TLS, "bufs", None)
-    if bufs is None:
-        bufs = _SCRATCH_TLS.bufs = {}
-    return bufs
-
-
-#: Scratch-cache capacity (shapes held per thread before eviction).
-_SCRATCH_CAP = 256
-
-
-def _scratch_evict(bufs: dict) -> None:
-    """Evict oldest-inserted entries only (dicts preserve insertion order):
-    wiping the whole table on mixed-size workloads would also drop the
-    still-hot shapes -- including the prefilled-inf pads -- and cause
-    realloc + refill churn every 257th distinct shape."""
-    while len(bufs) >= _SCRATCH_CAP:
-        bufs.pop(next(iter(bufs)))
-
-
-def _scratch(key: tuple, shape) -> np.ndarray:
-    bufs = _scratch_map()
-    buf = bufs.get(key)
-    if buf is None:
-        _scratch_evict(bufs)
-        buf = np.empty(shape)
-        bufs[key] = buf
-    return buf
-
-
 def partition_clusters(ncores: int, cluster_size: int) -> tuple[tuple[int, ...], ...]:
     """Partition ``range(ncores)`` into contiguous clusters of ``cluster_size``.
 
@@ -90,8 +46,7 @@ def partition_clusters(ncores: int, cluster_size: int) -> tuple[tuple[int, ...],
     """
     require(cluster_size >= 1, "cluster size must be at least one core")
     return tuple(
-        tuple(range(lo, min(lo + cluster_size, ncores)))
-        for lo in range(0, ncores, cluster_size)
+        tuple(range(lo, min(lo + cluster_size, ncores))) for lo in range(0, ncores, cluster_size)
     )
 
 
@@ -118,8 +73,7 @@ def cluster_way_caps(
     caps = []
     for members in clusters:
         share = len(members) * total_ways / ncores
-        cap = min(total_ways, max(len(members) * min_ways,
-                                  math.ceil(overprovision * share)))
+        cap = min(total_ways, max(len(members) * min_ways, math.ceil(overprovision * share)))
         caps.append(int(cap))
     return tuple(caps)
 

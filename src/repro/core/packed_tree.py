@@ -12,13 +12,13 @@ struct-of-arrays layout:
 
 * **level-synchronous storage** -- all combine nodes of one tree level
   live in one padded ``(nodes, ways)`` float64 matrix, and a hierarchy
-  stacks every cluster's level-l nodes into the same matrix, so one
-  refresh performs ~log N batched sliding-window min-plus convolutions
-  instead of per-node dispatches.  Refresh stores *values only*: the
-  back-track walk reads exactly one split index per visited row, so
-  splits are recovered lazily (:meth:`PackedReduction._split_at`) from
-  the still-valid children instead of materialising ``O(ways)`` argmins
-  per row per refresh;
+  stacks every cluster's level-l nodes into the same matrix.  A refresh
+  re-sweeps each dirty row once, bottom-up (one root path in the steady
+  state, the sorted union of the dirty paths after a multi-leaf change).
+  Refresh stores *values only*: the back-track walk reads exactly one
+  split index per visited row, so splits are recovered lazily
+  (:meth:`PackedReduction._split_at`) from the still-valid children
+  instead of materialising ``O(ways)`` argmins per row per refresh;
 * **needed-range truncation** -- the root is only ever read at one way
   total ``S`` (the full associativity), so each node stores just the
   column range its computed ancestors can read, propagated top-down:
@@ -41,19 +41,20 @@ reference: ``tests/test_packed_tree.py`` asserts bit-identity --
 assignments, splits, meter charges -- across random widths, odd leaf
 counts, way caps and splice orders.
 
-Batched sweep layout (one tree level, ``m`` dirty rows)::
+Band-blocked sweep layout (one dirty row, narrower child box on the
+candidate axis)::
 
-    L (m, NK+NB-1)  inf-filled; row i holds child-a energies, placed so
-                    window t reads a[t + j - (NB-1) + k0]
-    R (m, NB)       inf-filled; row i holds child-b energies reversed,
-                    right-aligned (leading inf pads absorb width
-                    heterogeneity across the rows of one level)
-    windows         as_strided view of L, shape (m, NK, NB)
-    totals          windows + R[:, None, :]; the min over axis 2 is every
-                    (row, sum) cell's combined energy
+    L1 (NK+NB-1)  inf-filled; holds the wider child's box, placed so
+                  window t, candidate j reads a[t + j - (NB-1) + k0]
+    R1 (NB)       the narrower child's box, reversed
+    win           as_strided view of L1, win[t, j] = L1[t + j]
+    block         candidates [j0, j1) (SWEEP_BLOCK wide) against only the
+                  outputs t they can reach through a placed a entry; each
+                  block's minima fold into the inf-filled row
 
 Out-of-range candidates land on ``inf`` pads and can never win or tie a
-finite minimum, exactly like the reference's padded single-node combine.
+finite minimum, exactly like the reference's padded single-node combine;
+the cells a block skips are exactly such pads.
 """
 
 from __future__ import annotations
@@ -61,111 +62,95 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import _dp_cell_count, _scratch
+from repro.core.global_opt import _dp_cell_count
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
 __all__ = ["PackedReduction"]
 
+#: Candidates per band block of a sweep.  On the level-7 rows of a
+#: 256-core manycore_s7 tree (350-405-wide boxes, 685 outputs; 2-CPU Xeon,
+#: NumPy 2.4), widths 64-96 took 290-330 us per row against 465-620 us
+#: for one block per box; 32 or less, and 192, give part of the gain back
+#: to NumPy call overhead.
+SWEEP_BLOCK = 64
+
 
 class _Rec:
     """One node of the reduction plan while it is being built."""
 
-    __slots__ = ("lev", "row", "lo", "hi", "nlo", "nhi", "src_a", "src_b", "span")
+    __slots__ = ("lev", "row", "lo", "hi", "nlo", "nhi", "src_a", "src_b")
 
-    def __init__(self, lev, row, lo, hi, span, src_a=None, src_b=None):
+    def __init__(self, lev, row, lo, hi, src_a=None, src_b=None):
         self.lev = lev
         self.row = row
-        self.lo = lo          # true combined range (the reference node's)
+        self.lo = lo  # true combined range (the reference node's)
         self.hi = hi
-        self.nlo = -1         # needed (stored) range, assigned top-down
+        self.nlo = -1  # needed (stored) range, assigned top-down
         self.nhi = -1
-        self.src_a = src_a    # child records (None for leaves)
+        self.src_a = src_a  # child records (None for leaves)
         self.src_b = src_b
-        self.span = span      # [i0, i1) leaf slots underneath
 
 
 class _Level:
     """Packed storage plus per-row metadata for one combine level."""
 
-    __slots__ = (
-        "E", "stamp", "src", "alo", "blo", "na", "nb",
-        "nlo", "nk", "k0", "NB", "M", "width", "WL", "place",
-        "flo", "fhi", "_one",
-    )
+    __slots__ = ("E", "stamp", "src", "alo", "blo", "nlo", "nk", "M", "width", "flo", "fhi", "_one")
 
     def __init__(self, recs: list[_Rec]) -> None:
         nrows = len(recs)
-        self.src = [None] * nrows   # ((lev_a, row_a), (lev_b, row_b))
-        self.alo = [0] * nrows      # children's stored (needed) lo
+        self.src = [None] * nrows  # ((lev_a, row_a), (lev_b, row_b))
+        self.alo = [0] * nrows  # children's stored (needed) lo
         self.blo = [0] * nrows
-        self.na = [0] * nrows       # children's stored widths
-        self.nb = [0] * nrows
-        self.nlo = [0] * nrows      # this row's stored lo
-        self.nk = [0] * nrows       # this row's stored width
-        self.k0 = [0] * nrows       # nlo - (alo + blo), the window base
-        self.stamp = [-1] * nrows   # way total of the last back-track visit
+        self.nlo = [0] * nrows  # this row's stored lo
+        self.nk = [0] * nrows  # this row's stored width
+        self.stamp = [-1] * nrows  # way total of the last back-track visit
+        #: Sweeps orient the *narrower* child onto the candidate axis
+        #: (min-plus convolution commutes), so their buffers are sized by
+        #: the widest narrow side of the level.
+        self.M = 0
         for rec in recs:
             r = rec.row
             a, b = rec.src_a, rec.src_b
             self.src[r] = ((a.lev, a.row), (b.lev, b.row))
             self.alo[r] = a.nlo
             self.blo[r] = b.nlo
-            self.na[r] = a.nhi - a.nlo + 1
-            self.nb[r] = b.nhi - b.nlo + 1
             self.nlo[r] = rec.nlo
             self.nk[r] = rec.nhi - rec.nlo + 1
-            self.k0[r] = rec.nlo - (a.nlo + b.nlo)
-        self.NB = max(self.nb)
-        #: Static sweep width: every refresh sweeps the level's full window
-        #: count, so buffer shapes -- and the strided views over them --
-        #: depend only on the level, never on the dirty subset.
+            self.M = max(self.M, min(a.nhi - a.nlo, b.nhi - b.nlo) + 1)
         self.width = max(self.nk)
-        self.WL = self.width + self.NB - 1
-        #: Single-row sweeps orient the *narrower* child onto the candidate
-        #: axis (min-plus convolution commutes), so their buffers are sized
-        #: by the widest narrow side of the level, not by max(nb).
-        self.M = max(min(na, nb) for na, nb in zip(self.na, self.nb))
-        # a-placement (ofs, start, stop) per row: static functions of the
-        # plan, hoisted out of the per-refresh loop.
-        self.place = []
-        for r in range(nrows):
-            start = self.k0[r] - (self.NB - 1)
-            if start < 0:
-                start = 0
-            ofs = (self.NB - 1) - self.k0[r] + start
-            stop = start + min(self.na[r] - start, self.WL - ofs)
-            self.place.append((ofs, start, stop))
         self.E = np.full((nrows, self.width), np.inf)
         # Finite-support bounding box per row (absolute way counts,
         # flo > fhi = all-inf row).  Idle and QoS-pruned curves leave most
         # of a row infinite; sweeps restrict to the box (see _compute_row).
         self.flo = [0] * nrows
         self.fhi = [-1] * nrows
-        self._one = None            # lazy single-row sweep buffers
+        self._one = None  # lazy sweep buffers
 
     def one_buffers(self):
-        """Per-level buffers for the single-dirty-row sweep (the common
-        steady-state shape: one core's curve changed, so every level of its
-        root path has exactly one dirty row).  Built once per level, sized
-        for the worst (unrestricted) box; box-restricted sweeps use a
-        prefix."""
+        """Per-level sweep buffers, built once per level and sized for the
+        worst (unrestricted) box; box-restricted sweeps use a prefix.
+
+        They belong to this level of one :class:`PackedReduction`, and a
+        reduction is driven by one simulation at a time, so the replay
+        service's thread executor can run reductions concurrently without
+        a thread local.
+        """
         one = self._one
         if one is None:
-            # L1 is padded so the full strided window view below stays
-            # in-bounds; sweeps only ever read its [:WLp] prefix.  Building
-            # the (WLmax, M) view once per level lets each sweep take a
-            # plain [:NKp, :NBp] slice instead of paying as_strided's
-            # dispatch.  M (not max(nb)) bounds the candidate axis because
-            # single-row sweeps put the narrower child there.
+            # Building the (width, M) window view once per level lets each
+            # sweep take a plain slice instead of paying as_strided's
+            # dispatch: window cell (t, j) reads L1[t + j].
             M = self.M
-            wlmax = self.width + M - 1
-            L1 = np.full(wlmax + M - 1, np.inf)
+            L1 = np.full(self.width + M - 1, np.inf)
             (s,) = L1.strides
-            win = np.lib.stride_tricks.as_strided(L1, (wlmax, M), (s, s))
+            win = np.lib.stride_tricks.as_strided(L1, (self.width, M), (s, s))
             R1 = np.empty(M)
-            tflat = np.empty(self.width * M)
-            one = self._one = (L1, R1, tflat, win)
+            # One block's sums, and one block's minima; _split_at borrows
+            # the first M cells of tflat.
+            tflat = np.empty(max(min(M, SWEEP_BLOCK) * self.width, M))
+            part = np.empty(self.width)
+            one = self._one = (L1, R1, tflat, win, part)
         return one
 
 
@@ -196,8 +181,7 @@ class PackedReduction:
         min_ways: int = 1,
     ) -> None:
         require(len(group_sizes) >= 1, "need at least one group")
-        require(len(group_sizes) == len(group_caps),
-                "need exactly one way cap per group")
+        require(len(group_sizes) == len(group_caps), "need exactly one way cap per group")
         self.total_ways = total_ways
         self.min_ways = min_ways
         self.nleaves = sum(group_sizes)
@@ -206,8 +190,7 @@ class PackedReduction:
         base = 0
         for size, cap in zip(self._group_sizes, group_caps):
             require(size >= 1, "every group needs at least one leaf")
-            require(cap >= size * min_ways,
-                    "group way cap cannot satisfy the per-leaf minimum")
+            require(cap >= size * min_ways, "group way cap cannot satisfy the per-leaf minimum")
             self._group_base.append(base)
             base += size
         self._leaf_caps: list[int] = []
@@ -232,13 +215,10 @@ class PackedReduction:
                     lo = a.lo + b.lo
                     hi = min(a.hi + b.hi, cap)
                     require(hi >= lo, "combined curve has empty range")
-                    rec = _Rec(lev, len(recs), lo, hi,
-                               (a.span[0], b.span[1]), a, b)
+                    rec = _Rec(lev, len(recs), lo, hi, a, b)
                     recs.append(rec)
                     nxt.append(rec)
-                    total_cells += _dp_cell_count(
-                        a.hi - a.lo + 1, b.hi - b.lo + 1, hi - lo + 1
-                    )
+                    total_cells += _dp_cell_count(a.hi - a.lo + 1, b.hi - b.lo + 1, hi - lo + 1)
                 if len(nodes) % 2:
                     nxt.append(nodes[-1])  # odd trailing node: carried up
                 nodes = nxt
@@ -249,7 +229,7 @@ class PackedReduction:
         for size, cap in zip(self._group_sizes, group_caps):
             members = []
             for _ in range(size):
-                members.append(_Rec(0, slot, min_ways, cap, (slot, slot + 1)))
+                members.append(_Rec(0, slot, min_ways, cap))
                 self._leaf_caps.append(cap)
                 slot += 1
             leaf_recs.extend(members)
@@ -264,9 +244,7 @@ class PackedReduction:
             s = min(total_ways, root_rec.hi)
         else:
             s = total_ways
-        self._root_s: int | None = (
-            s if root_rec.lo <= s <= root_rec.hi else None
-        )
+        self._root_s: int | None = s if root_rec.lo <= s <= root_rec.hi else None
         seed = s if self._root_s is not None else root_rec.lo
         root_rec.nlo = root_rec.nhi = seed
         nlevels = max(by_level, default=0)
@@ -290,16 +268,14 @@ class PackedReduction:
         self._levels: list[_Level | None] = [None] + [
             _Level(by_level[lev]) for lev in range(1, nlevels + 1)
         ]
-        # Parent slot of every materialised node, for dirty propagation.
+        # Parent slot of every materialised node, to build the root paths.
         parent: dict[tuple[int, int], tuple[int, int]] = {}
         for lev in range(1, nlevels + 1):
             for rec in by_level[lev]:
                 parent[(rec.src_a.lev, rec.src_a.row)] = (lev, rec.row)
                 parent[(rec.src_b.lev, rec.src_b.row)] = (lev, rec.row)
-        self._parent = parent
-        # Root path of every leaf slot, bottom-up -- the single-dirty-leaf
-        # refresh (the steady state) walks this list directly instead of
-        # rebuilding the pending-row propagation maps.
+        # Root path of every leaf slot, bottom-up: a refresh re-sweeps the
+        # dirty leaves' paths.
         self._path: list[list[tuple[int, int]]] = []
         for s0 in range(self.nleaves):
             path: list[tuple[int, int]] = []
@@ -335,8 +311,7 @@ class PackedReduction:
         return self._total_cells
 
     def _write_leaf(self, slot: int, curve: EnergyCurve) -> None:
-        require(curve.max_ways >= self._leaf_caps[slot],
-                "leaf curve must span its group's way cap")
+        require(curve.max_ways >= self._leaf_caps[slot], "leaf curve must span its group's way cap")
         nlo, nhi = self._leaf_nlo[slot], self._leaf_nhi[slot]
         if self._held[slot] is None:
             self._nmissing -= 1
@@ -370,8 +345,7 @@ class PackedReduction:
     def set_group_leaves(self, group: int, curves: list[EnergyCurve]) -> None:
         """Install one group's member curves (the hierarchical manager's
         stale-cluster refresh); untouched groups keep their clean rows."""
-        require(len(curves) == self._group_sizes[group],
-                "need exactly one curve per group member")
+        require(len(curves) == self._group_sizes[group], "need exactly one curve per group member")
         self._set_range(self._group_base[group], curves)
 
     def _set_range(self, base: int, curves) -> None:
@@ -390,78 +364,22 @@ class PackedReduction:
         """Force the leaf dirty (the tenant behind it was spliced in/out)."""
         self._dirty_slots.add(slot)
 
-    # ---- the level-synchronous refresh ---------------------------------------
-    def _row(self, lev: int, row: int, width: int) -> np.ndarray:
-        if lev == 0:
-            return self._E0[row, :width]
-        return self._levels[lev].E[row, :width]
-
-    def _box(self, lev: int, row: int) -> tuple[int, int]:
-        """The node's finite-support bounding box (absolute way counts)."""
-        if lev == 0:
-            return self._flo0[row], self._fhi0[row]
-        meta = self._levels[lev]
-        return meta.flo[row], meta.fhi[row]
-
-    def _compute_level(self, lev: int, rows: list[int]) -> None:
-        """One batched sliding-window min-plus sweep over ``rows``."""
-        meta = self._levels[lev]
-        m = len(rows)
-        NB, NK, WL = meta.NB, meta.width, meta.WL
-        L = _scratch(("pk_L", m, WL), (m, WL))
-        L.fill(np.inf)
-        R = _scratch(("pk_R", m, NB), (m, NB))
-        R.fill(np.inf)
-        for i, r in enumerate(rows):
-            (la, ra), (lb, rb) = meta.src[r]
-            a = self._row(la, ra, meta.na[r])
-            b = self._row(lb, rb, meta.nb[r])
-            # Place a so window t candidate j reads a[t + j - (NB-1) + k0];
-            # entries below index k0-(NB-1) are outside every window.
-            ofs, start, stop = meta.place[r]
-            L[i, ofs : ofs + (stop - start)] = a[start:stop]
-            R[i, NB - meta.nb[r] :] = b[::-1]
-            # Finite-support bookkeeping (the batched sweep computes the
-            # full rectangle regardless; inf child entries yield inf).
-            aflo, afhi = self._box(la, ra)
-            bflo, bfhi = self._box(lb, rb)
-            if aflo > afhi or bflo > bfhi:
-                meta.flo[r], meta.fhi[r] = 0, -1
-            else:
-                nlo = meta.nlo[r]
-                meta.flo[r] = max(nlo, aflo + bflo)
-                meta.fhi[r] = min(nlo + meta.nk[r] - 1, afhi + bfhi)
-        s0, s1 = L.strides
-        # Candidate-major orientation: window cell (j, t) reads L[i, j + t],
-        # symmetric in (j, t), so the transposed view has the same strides.
-        # Summing and reducing along axis 1 then streams contiguous
-        # NK-length rows (SIMD across outputs) instead of scanning NB
-        # strided cells per output; min is order-independent, so values
-        # are bit-identical to the output-major sweep.
-        windows = np.lib.stride_tricks.as_strided(L, (m, NB, NK), (s0, s1, s1))
-        totals = _scratch(("pk_T", m, NB, NK), (m, NB, NK))
-        np.add(windows, R[:, :, None], out=totals)
-        vals = np.minimum.reduce(totals, axis=1)
-        E = meta.E
-        for i, r in enumerate(rows):
-            nk = meta.nk[r]
-            E[r, :nk] = vals[i, :nk]
-            meta.stamp[r] = -1
-
+    # ---- the refresh ----------------------------------------------------------
     def _compute_row(self, lev: int, r: int) -> None:
-        """Single-dirty-row sweep restricted to the finite bounding box.
+        """Recombine one row from its children, over their finite boxes.
 
-        The steady-state shape -- one core's curve changed, so every level
-        of its root path has exactly one dirty row -- and the sweep is
-        bandwidth-bound at the top levels, so it runs over the smallest
-        window rectangle that can hold a finite total: columns limited to
-        ``[a_flo + b_flo, a_fhi + b_fhi]``, candidates to child b's box.
+        The sweep is bandwidth-bound at the top levels, so it runs only
+        where a total can be finite: columns limited to
+        ``[a_flo + b_flo, a_fhi + b_fhi]`` (clipped to the stored range),
+        candidates to the narrower child's box, and within that, block by
+        block, to the band of columns each candidate block can reach.
         Every excluded cell is the sum of at least one infinite child
-        entry, so its value is ``inf`` either way; computed values are
-        exactly :meth:`_compute_level`'s.  Width-1 child boxes (pinned or
-        idle subtrees) collapse the rectangle to a single vector add.
-        Splits are not materialised at all -- :meth:`_split_at` recovers
-        the one split per row the back-track walk actually reads.
+        entry, so its value is ``inf`` either way: the row is exactly the
+        full min-plus combine of its children.  Width-1 child boxes
+        (pinned or idle subtrees) collapse the sweep to a single vector
+        add, and a single output cell to one add-and-min.  Splits are
+        not materialised at all -- :meth:`_split_at` recovers the one
+        split per row the back-track walk actually reads.
         """
         meta = self._levels[lev]
         (la, ra), (lb, rb) = meta.src[r]
@@ -527,14 +445,16 @@ class PackedReduction:
         else:
             if afhi - aflo < bfhi - bflo:
                 # Min-plus convolution commutes, so orient the narrower
-                # child onto the candidate axis: the swept rectangle is
-                # NKp x min(box widths) instead of NKp x b's width.
+                # child onto the candidate axis: the swept band spans
+                # min(box widths) candidates instead of b's width.
                 a, b = b, a
                 a0, b0 = b0, a0
                 aflo, afhi, bflo, bfhi = bflo, bfhi, aflo, afhi
-            L1, R1, tflat, win_full = meta.one_buffers()
-            # Box-local sweep geometry: same formulas as the plan's static
-            # placement, over the sliced children a' = a[box], b' = b[box].
+            L1, R1, tflat, win, part = meta.one_buffers()
+            # Box-local sweep geometry over the sliced children a' = a[box],
+            # b' = b[box]: window t, candidate j reads
+            # L1[t + j] = a'[t + j - (NBp-1) + k0p], entries below index
+            # k0p - (NBp-1) are outside every window.
             naa = afhi - aflo + 1
             NBp = bfhi - bflo + 1
             WLp = NKp + NBp - 1
@@ -542,71 +462,67 @@ class PackedReduction:
             if start < 0:
                 start = 0
             ofs = (NBp - 1) - k0p + start
-            stop = start + min(naa - start, WLp - ofs)
+            n = min(naa - start, WLp - ofs)
             L1[:WLp].fill(np.inf)
-            L1[ofs : ofs + (stop - start)] = a[a0 + start : a0 + stop]
+            L1[ofs : ofs + n] = a[a0 + start : a0 + start + n]
             R1[:NBp] = b[b0 : b0 + NBp][::-1]
-            # Candidate-major orientation: the transposed window's rows are
-            # contiguous L1 slices and the reduction runs over the outer
-            # axis, so both the add and the min vectorise over contiguous
-            # memory (~25% faster than output-major on wide rows; min is
-            # order-independent, so the values are bit-identical).
-            tot = tflat[: NKp * NBp].reshape(NBp, NKp)
-            np.add(win_full[:NKp, :NBp].T, R1[:NBp, None], out=tot)
-            np.minimum.reduce(tot, axis=0, out=out)
+            # Band-blocked sweep: candidates j0..j1-1 can only pair with a
+            # placed a' entry for t in [ofs - (j1-1), ofs + n - j0), so each
+            # block adds and reduces just that column range (the band of
+            # pairs where both children can be finite) and folds its
+            # minima into the inf-filled output.  Every cell is the same
+            # fl(a + b) as a full-rectangle sweep and min is exact and
+            # order-free, so the values are bit-identical to it.  The
+            # transposed window puts candidates on the outer axis, so the
+            # add and the min both stream contiguous L1 slices.
+            out.fill(np.inf)
+            for j0 in range(0, NBp, SWEEP_BLOCK):
+                j1 = j0 + SWEEP_BLOCK
+                if j1 > NBp:
+                    j1 = NBp
+                t_lo = ofs - (j1 - 1)
+                if t_lo < 0:
+                    t_lo = 0
+                t_hi = ofs + n - j0
+                if t_hi > NKp:
+                    t_hi = NKp
+                tw = t_hi - t_lo
+                if tw <= 0:
+                    continue
+                tot = tflat[: (j1 - j0) * tw].reshape(j1 - j0, tw)
+                np.add(win[t_lo:t_hi, j0:j1].T, R1[j0:j1, None], out=tot)
+                seg = out[t_lo:t_hi]
+                np.minimum(seg, np.minimum.reduce(tot, axis=0, out=part[:tw]), out=seg)
         meta.flo[r] = plo
         meta.fhi[r] = phi
         meta.stamp[r] = -1
 
     def _refresh(self) -> bool:
-        """Recombine every root path with a dirty leaf; True if the root
-        was rebuilt.  One batched sweep per level covers all dirty rows of
-        all groups at that level simultaneously; a level with a single
-        dirty row takes the dispatch-light :meth:`_compute_row` path."""
+        """Recombine every root path with a dirty leaf, one row at a time
+        through :meth:`_compute_row`; True if the root was rebuilt (every
+        dirty leaf's path ends at the root)."""
         dirty_slots = self._dirty_slots
         if not dirty_slots:
             return False
         require(not self._nmissing, "every leaf needs a curve")
         if len(dirty_slots) == 1:
             # Steady state: one core's curve changed, so the dirty region
-            # is exactly that leaf's precomputed root path (which always
-            # ends at -- and therefore rebuilds -- the root).
+            # is exactly that leaf's precomputed root path.
             (slot,) = dirty_slots
-            for lev, row in self._path[slot]:
-                self._compute_row(lev, row)
-            dirty_slots.clear()
-            return True
-        parent = self._parent
-        pending: dict[int, set[int]] = {}
-        for slot in dirty_slots:
-            up = parent.get((0, slot))
-            if up is not None:
-                pending.setdefault(up[0], set()).add(up[1])
-        root_lev, root_row = self._root_ref
-        root_rebuilt = root_lev == 0 and root_row in dirty_slots
-        for lev in range(1, len(self._levels)):
-            rows = pending.get(lev)
-            if not rows:
-                continue
-            if len(rows) == 1:
-                (row,) = rows
-                self._compute_row(lev, row)
-                ordered = rows
-            else:
-                ordered = sorted(rows)
-                self._compute_level(lev, ordered)
-            if lev == root_lev and root_row in rows:
-                root_rebuilt = True
-            for r in ordered:
-                up = parent.get((lev, r))
-                if up is not None:
-                    pending.setdefault(up[0], set()).add(up[1])
+            rows = self._path[slot]
+        else:
+            # The union of the dirty paths, level by level (rows of one
+            # level are independent; every child level precedes its
+            # parent's).
+            paths = self._path
+            rows = sorted({node for slot in dirty_slots for node in paths[slot]})
+        for lev, row in rows:
+            self._compute_row(lev, row)
         dirty_slots.clear()
-        return root_rebuilt
+        return True
 
     # ---- solve ---------------------------------------------------------------
-    def _split_at(self, meta: _Level, r: int, sh: int,
-                  la: int, ra: int, lb: int, rb: int) -> int:
+    def _split_at(self, meta: _Level, r: int, sh: int, la: int, ra: int, lb: int, rb: int) -> int:
         """Left-child way count of the finite cell ``(r, sh)``, recovered
         lazily from the children.
 

@@ -25,8 +25,6 @@ lookup and interpreter work, never change values.
 
 from __future__ import annotations
 
-import math
-
 from repro.simulation.database import PhaseRecord, SimulationDatabase
 from repro.simulation.engine.core_state import CoreArrays, CoreRun
 
@@ -70,10 +68,6 @@ class CompletionScheduler:
         """Drop every cached entry (system-wide reconfiguration)."""
         self._stale.update(range(len(self.cores)))
 
-    def is_valid(self, core_id: int) -> bool:
-        """Whether the cached entry is current (introspection for tests)."""
-        return core_id not in self._stale
-
     def _refresh(self, core_id: int) -> None:
         core = self.cores[core_id]
         rec = self.db.record(core.app, core.seq[core.slice_idx])
@@ -100,12 +94,6 @@ class CompletionScheduler:
         if core_id in self._stale:
             self._refresh(core_id)
         return self._rec[core_id]
-
-    def tpi(self, core_id: int) -> float:
-        """Cached time-per-instruction of the core's slice at its allocation."""
-        if core_id in self._stale:
-            self._refresh(core_id)
-        return float(self.arrays.tpi[core_id])
 
     def observe(self, core_id: int):
         """Counter snapshot of the core's current slice at its allocation.
@@ -134,14 +122,6 @@ class CompletionScheduler:
         return val
 
     # ---- completion times ---------------------------------------------------
-    def remaining_ns(self, core_id: int) -> float:
-        """Wall-clock span until the core completes its current interval."""
-        core = self.cores[core_id]
-        if not core.active:
-            return math.inf
-        left = self.system.interval_instructions - core.instr_done
-        return core.pending_stall_ns + left * self.tpi(core_id)
-
     def next_completion(self) -> tuple[int, float]:
         """(core id, remaining ns) of the earliest interval completion.
 

@@ -10,7 +10,8 @@
 * :mod:`tests.oracles.engine_step` -- the scalar per-event engine step
   (``advance_core``, ``next_completion_scalar``), the golden reference of
   the kernel's fused step over
-  :class:`~repro.simulation.engine.core_state.CoreArrays`;
+  :class:`~repro.simulation.engine.core_state.CoreArrays`, and the
+  per-core scheduler reads (``tpi``, ``remaining_ns``, ``is_valid``);
 * :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,
   the golden reference of :func:`repro.mem.mlp.leading_miss_groups`;
 * :mod:`tests.oracles.mlp_grid` -- the per-allocation, per-core-size MLP

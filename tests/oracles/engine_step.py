@@ -12,6 +12,10 @@ functions are the same arithmetic one core at a time, exactly as the frozen
 * :func:`advance_core` -- serve pending stall first, then retire
   ``dt / tpi`` instructions and charge their energy.
 
+:func:`tpi`, :func:`remaining_ns` and :func:`is_valid` read one core's
+entry of a :class:`~repro.simulation.engine.scheduler.CompletionScheduler`
+at a time (refreshing a stale entry first, as the scalar loop did).
+
 :func:`scalar_step` composes them into one event step over a live
 :class:`~repro.simulation.engine.kernel.SimulationKernel`, and
 ``tests/test_engine_vector.py`` replays whole scenarios through it and
@@ -22,7 +26,35 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["advance_core", "next_completion_scalar", "scalar_step"]
+__all__ = [
+    "advance_core",
+    "is_valid",
+    "next_completion_scalar",
+    "remaining_ns",
+    "scalar_step",
+    "tpi",
+]
+
+
+def is_valid(scheduler, core_id: int) -> bool:
+    """Whether the scheduler's cached entry for the core is current."""
+    return core_id not in scheduler._stale
+
+
+def tpi(scheduler, core_id: int) -> float:
+    """Cached time-per-instruction of the core's slice at its allocation."""
+    if core_id in scheduler._stale:
+        scheduler._refresh(core_id)
+    return float(scheduler.arrays.tpi[core_id])
+
+
+def remaining_ns(scheduler, core_id: int) -> float:
+    """Wall-clock span until the core completes its current interval."""
+    core = scheduler.cores[core_id]
+    if not core.active:
+        return math.inf
+    left = scheduler.system.interval_instructions - core.instr_done
+    return core.pending_stall_ns + left * tpi(scheduler, core_id)
 
 
 def advance_core(core, dt: float, tpi: float, epi: float) -> None:
@@ -58,7 +90,7 @@ def next_completion_scalar(self) -> tuple[int, float]:
         if not core.active:
             continue
         left = interval_instr - core.instr_done
-        r = core.pending_stall_ns + left * self.tpi(j)
+        r = core.pending_stall_ns + left * tpi(self, j)
         if r < best:
             best = r
             best_j = j
@@ -76,8 +108,8 @@ def scalar_step(kernel) -> tuple[int, float]:
     for core in kernel.cores:
         k = core.core_id
         if k != j and core.active:
-            # tpi() refreshes a stale entry, so the epi read after it is fresh.
-            advance_core(core, dt, scheduler.tpi(k), float(arrays.epi[k]))
+            # tpi refreshes a stale entry, so the epi read after it is fresh.
+            advance_core(core, dt, tpi(scheduler, k), float(arrays.epi[k]))
     left = kernel.system.interval_instructions - arrays.instr_done[j]
     arrays.energy_nj[j] += left * arrays.epi[j]
     arrays.pending_stall_ns[j] = 0.0

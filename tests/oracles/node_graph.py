@@ -42,21 +42,59 @@ formulation is the executable specification it is tested against
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import (
-    _dp_cell_count,
-    _scratch,
-    _scratch_evict,
-    _scratch_map,
-)
+from repro.core.global_opt import _dp_cell_count
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
 __all__ = ["global_optimize", "ReductionTree"]
+
+
+#: Reusable per-shape scratch buffers for the combine sweeps' padded inputs
+#: and window sums.  A sweep is non-reentrant (a reduction runs its levels
+#: sequentially) and everything that outlives it -- the winning energies --
+#: is materialised by copying reduction outputs, so recycling the
+#: intermediates is safe *within one thread*.
+#: The buffers live in a thread local so that simulations running
+#: concurrently in one process (as under the replay service's thread
+#: executor) never share them; a shared buffer would let two combines
+#: overwrite each other's DP state mid-reduction.
+_SCRATCH_TLS = threading.local()
+
+
+def _scratch_map() -> dict:
+    bufs = getattr(_SCRATCH_TLS, "bufs", None)
+    if bufs is None:
+        bufs = _SCRATCH_TLS.bufs = {}
+    return bufs
+
+
+#: Scratch-cache capacity (shapes held per thread before eviction).
+_SCRATCH_CAP = 256
+
+
+def _scratch_evict(bufs: dict) -> None:
+    """Evict oldest-inserted entries only (dicts preserve insertion order):
+    wiping the whole table on mixed-size workloads would also drop the
+    still-hot shapes -- including the prefilled-inf pads -- and cause
+    realloc + refill churn every 257th distinct shape."""
+    while len(bufs) >= _SCRATCH_CAP:
+        bufs.pop(next(iter(bufs)))
+
+
+def _scratch(key: tuple, shape) -> np.ndarray:
+    bufs = _scratch_map()
+    buf = bufs.get(key)
+    if buf is None:
+        _scratch_evict(bufs)
+        buf = np.empty(shape)
+        bufs[key] = buf
+    return buf
 
 
 @dataclass(slots=True)
@@ -66,12 +104,12 @@ class _Node:
     min_ways: int
     max_ways: int
     epi: np.ndarray  # epi[s - min_ways] = best energy with s total ways
-    curve: EnergyCurve | None = None      # leaf payload
+    curve: EnergyCurve | None = None  # leaf payload
     left: "_Node | None" = None
     right: "_Node | None" = None
-    split: np.ndarray | None = None       # ways given to the left child per s
-    dp_cells: int = 0                     # DP work a from-scratch combine does
-    leaf_ids: tuple[int, ...] = ()        # core ids of the leaves underneath
+    split: np.ndarray | None = None  # ways given to the left child per s
+    dp_cells: int = 0  # DP work a from-scratch combine does
+    leaf_ids: tuple[int, ...] = ()  # core ids of the leaves underneath
     # (tree, way total) this node received on the most recent back-track
     # walk.  Combines always build fresh nodes, so a surviving stamp
     # certifies the whole subtree (and therefore its assignment at that
@@ -95,8 +133,13 @@ def _leaf(curve: EnergyCurve, min_ways: int, cap: int) -> _Node:
     ``cap - min_ways`` ways anyway.
     """
     epi = curve.epi[min_ways - 1 : cap].copy()
-    return _Node(min_ways=min_ways, max_ways=min(curve.max_ways, cap), epi=epi,
-                 curve=curve, leaf_ids=(curve.core_id,))
+    return _Node(
+        min_ways=min_ways,
+        max_ways=min(curve.max_ways, cap),
+        epi=epi,
+        curve=curve,
+        leaf_ids=(curve.core_id,),
+    )
 
 
 #: Cached ``np.arange`` vectors (read-only by convention): every combine at
@@ -149,8 +192,7 @@ def _combine(a: _Node, b: _Node, cap: int, meter: OverheadMeter | None) -> _Node
     padded = _padded_scratch(na, nb)
     padded[nb - 1 : nb - 1 + na] = a.epi
     stride = padded.strides[0]
-    windows = np.ndarray((nk, nb), dtype=np.float64, buffer=padded,
-                         strides=(stride, stride))
+    windows = np.ndarray((nk, nb), dtype=np.float64, buffer=padded, strides=(stride, stride))
     totals = _scratch(("sum", nk, nb), (nk, nb))
     np.add(windows, b.epi[::-1], out=totals)
     m = np.argmin(totals, axis=1)
@@ -165,8 +207,16 @@ def _combine(a: _Node, b: _Node, cap: int, meter: OverheadMeter | None) -> _Node
     cells = _dp_cell_count(na, nb, nk)
     if meter is not None:
         meter.charge_dp(cells)
-    return _Node(min_ways=lo, max_ways=hi, epi=epi, left=a, right=b, split=split,
-                 dp_cells=cells, leaf_ids=a.leaf_ids + b.leaf_ids)
+    return _Node(
+        min_ways=lo,
+        max_ways=hi,
+        epi=epi,
+        left=a,
+        right=b,
+        split=split,
+        dp_cells=cells,
+        leaf_ids=a.leaf_ids + b.leaf_ids,
+    )
 
 
 def _assign(node: _Node, s: int, out: dict[int, tuple[int, int, int]]) -> None:
@@ -267,9 +317,7 @@ class ReductionTree:
         self._slots: list[list[tuple[int, int | None]]] = []
         width = ncores
         while width > 1:
-            level: list[tuple[int, int | None]] = [
-                (i, i + 1) for i in range(0, width - 1, 2)
-            ]
+            level: list[tuple[int, int | None]] = [(i, i + 1) for i in range(0, width - 1, 2)]
             if width % 2:
                 level.append((width - 1, None))
             self._slots.append(level)

@@ -48,6 +48,7 @@ from repro.scenarios import (
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.engine_step import is_valid, remaining_ns, tpi
 from tests.oracles.legacy_sim import LegacyRMASimulator
 from tests.oracles.reference_manager import reference
 
@@ -322,14 +323,14 @@ class TestSchedulerInvalidation:
     def test_alloc_change_recomputes_completion_time(self, system4, db4):
         sim = self._sim(system4, db4)
         sched = sim.scheduler
-        before = sched.remaining_ns(0)
-        assert sched.is_valid(0)
+        before = remaining_ns(sched, 0)
+        assert is_valid(sched, 0)
         base = system4.baseline_allocation()
         grown = Allocation(core=base.core, freq=base.freq, ways=base.ways + 1)
         shrunk = Allocation(core=base.core, freq=base.freq, ways=base.ways - 1)
         sim._apply({0: grown, 1: shrunk})
-        assert not sched.is_valid(0) and not sched.is_valid(1)
-        after = sched.remaining_ns(0)
+        assert not is_valid(sched, 0) and not is_valid(sched, 1)
+        after = remaining_ns(sched, 0)
         # recomputed against the new allocation's tpi grid (plus the
         # transition stall the reconfiguration charged)
         rec = db4.record(sim.cores[0].app, sim.cores[0].seq[0])
@@ -338,29 +339,29 @@ class TestSchedulerInvalidation:
         )
         assert after == expect
         assert after != before
-        assert sched.tpi(0) == rec.tpi_at(grown)
+        assert tpi(sched, 0) == rec.tpi_at(grown)
 
     def test_swap_recomputes_completion_time(self, system4, db4):
         sim = self._sim(system4, db4)
         sched = sim.scheduler
-        sched.remaining_ns(2)
-        assert sched.is_valid(2)
+        remaining_ns(sched, 2)
+        assert is_valid(sched, 2)
         ev = ScenarioEvent(time_ns=0.0, core=2, kind="swap", app="namd_like")
         sim.tenancy.apply_event(sim.cores[2], ev, now=0.0)
-        assert not sched.is_valid(2)
+        assert not is_valid(sched, 2)
         rec = db4.record("namd_like", db4.phase_sequence("namd_like")[0])
-        assert sched.tpi(2) == rec.tpi_at(sim.cores[2].alloc)
+        assert tpi(sched, 2) == rec.tpi_at(sim.cores[2].alloc)
         # the warm-up stall the swap charged is part of the completion time
-        assert sched.remaining_ns(2) > system4.interval_instructions * sched.tpi(2)
+        assert remaining_ns(sched, 2) > system4.interval_instructions * tpi(sched, 2)
 
     def test_depart_invalidates_and_idles(self, system4, db4):
         sim = self._sim(system4, db4)
         sched = sim.scheduler
-        assert math.isfinite(sched.remaining_ns(1))
+        assert math.isfinite(remaining_ns(sched, 1))
         ev = ScenarioEvent(time_ns=0.0, core=1, kind="depart")
         sim.tenancy.apply_event(sim.cores[1], ev, now=0.0)
-        assert not sched.is_valid(1)
-        assert sched.remaining_ns(1) == math.inf
+        assert not is_valid(sched, 1)
+        assert remaining_ns(sched, 1) == math.inf
         # next_completion never picks the idle core
         j, _ = sched.next_completion()
         assert j != 1
@@ -368,14 +369,14 @@ class TestSchedulerInvalidation:
     def test_slack_event_invalidates(self, system4, db4):
         sim = self._sim(system4, db4)
         sched = sim.scheduler
-        before = sched.remaining_ns(3)
-        assert sched.is_valid(3)
+        before = remaining_ns(sched, 3)
+        assert is_valid(sched, 3)
         ev = ScenarioEvent(time_ns=0.0, core=3, kind="slack", slack=0.3)
         sim.tenancy.apply_event(sim.cores[3], ev, now=0.0)
-        assert not sched.is_valid(3)
+        assert not is_valid(sched, 3)
         assert sim.bridge.slack(3) == 0.3
         # slack does not change execution speed: the recomputation is a no-op
-        assert sched.remaining_ns(3) == before
+        assert remaining_ns(sched, 3) == before
 
     def test_manager_attached_to_bridge(self, system4, db4):
         """Managers are driven through the bridge, not the kernel itself."""

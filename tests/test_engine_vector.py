@@ -36,7 +36,12 @@ from repro.simulation.engine.core_state import CoreArrays
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import CACHE_DIR
-from tests.oracles.engine_step import advance_core, next_completion_scalar, scalar_step
+from tests.oracles.engine_step import (
+    advance_core,
+    is_valid,
+    next_completion_scalar,
+    scalar_step,
+)
 from tests.test_engine_equivalence import assert_bit_identical
 
 #: Interval length used by the synthetic argmin states (arbitrary but fixed).
@@ -229,7 +234,7 @@ class TestSchedulerVectorPath:
         sim.cores[0].active = False
         sched.invalidate(0)
         assert sched.next_completion() == next_completion_scalar(sched)
-        assert not sched.is_valid(0)
+        assert not is_valid(sched, 0)
 
     def test_invalidate_all_is_vector_fill(self, system4, db4):
         wl = Workload(
@@ -239,9 +244,9 @@ class TestSchedulerVectorPath:
         sim = RMASimulator(system4, db4, wl, StaticBaselineManager(), max_slices=4)
         sched = sim.scheduler
         sched.next_completion()  # refresh every active core
-        assert all(sched.is_valid(j) for j in range(4))
+        assert all(is_valid(sched, j) for j in range(4))
         sched.invalidate_all()
-        assert not any(sched.is_valid(j) for j in range(4))
+        assert not any(is_valid(sched, j) for j in range(4))
 
 
 class TestWayBudgetAudit:

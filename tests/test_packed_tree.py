@@ -2,8 +2,8 @@
 
 :class:`~repro.core.packed_tree.PackedReduction` plans an entire clustered
 hierarchy -- per-cluster capped combine levels plus the second-level
-stage -- into struct-of-arrays level matrices and solves it with batched
-sliding-window min-plus sweeps.  The node-graph
+stage -- into struct-of-arrays level matrices and solves it with
+band-blocked min-plus sweeps, one per dirty row.  The node-graph
 :class:`~tests.oracles.node_graph.ReductionTree` hierarchy is the golden
 reference: on every input the packed tree must reproduce its assignment
 (including tie-breaks), its ``None``-ness on infeasible inputs, and its
@@ -14,7 +14,8 @@ The property tests drive persistent instances through randomized splice /
 update sequences over inf-heavy curves (sporadic infeasible entries plus
 pinned single-way curves, the shapes idle cores and capped clusters
 produce), covering flat trees, odd leaf counts, uneven final clusters and
-over-provisioned way caps, from the one-leaf plan up.  An 8-core
+over-provisioned way caps, from the one-leaf plan up.  Wide-box cases
+push sweeps across three or more candidate blocks.  An 8-core
 cluster-churn replay through the production clustered manager and through
 the node-graph clustered manager oracle pins the manager wiring end to
 end.
@@ -23,13 +24,14 @@ end.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import rm2_combined
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.packed_tree import PackedReduction
+from repro.core.packed_tree import SWEEP_BLOCK, PackedReduction
 from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
@@ -224,3 +226,140 @@ class TestPackedClusteredManager:
         assert oracle._tree is None and oracle._level2 is not None  # node graph ran
 
         assert_same_numbers(packed, node_graph)
+
+
+def _wide_curve(rng, j, ways, cap, pinned=False):
+    """A leaf whose finite box is 60-140 ways wide with ~10% inf holes
+    inside it; ``pinned`` gives a width-1 box."""
+    epi = np.full(ways, np.inf)
+    if pinned:
+        epi[int(rng.integers(0, cap // 4))] = rng.uniform(0.1, 5.0)
+    else:
+        width = int(rng.integers(60, 141))
+        lo = int(rng.integers(0, cap // 4))
+        box = rng.uniform(0.1, 5.0, size=width)
+        box[1:-1][rng.random(width - 2) < 0.1] = np.inf
+        epi[lo : lo + width] = box
+    return EnergyCurve(
+        core_id=j,
+        epi=epi,
+        freq_idx=rng.integers(0, 4, size=ways),
+        core_idx=rng.integers(0, 3, size=ways),
+    )
+
+
+def _band_sweeps(packed):
+    """Geometry of every row the refresh sends through the band-blocked
+    sweep: (narrower child box width, clipped by the needed range, a hole
+    inside a child box), plus whether any child box has width 1."""
+    sweeps, width1 = [], False
+    for lev in range(1, len(packed._levels)):
+        meta = packed._levels[lev]
+        for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
+            boxes, holes = [], False
+            for lc, rc, lo in ((la, ra, meta.alo[r]), (lb, rb, meta.blo[r])):
+                if lc == 0:
+                    flo, fhi, row = packed._flo0[rc], packed._fhi0[rc], packed._E0[rc]
+                else:
+                    m = packed._levels[lc]
+                    flo, fhi, row = m.flo[rc], m.fhi[rc], m.E[rc]
+                boxes.append((flo, fhi))
+                holes |= bool(np.isinf(row[flo - lo : fhi - lo + 1]).any())
+            (aflo, afhi), (bflo, bfhi) = boxes
+            width1 |= aflo == afhi or bflo == bfhi
+            nlo, nhi = meta.nlo[r], meta.nlo[r] + meta.nk[r] - 1
+            plo, phi = max(nlo, aflo + bflo), min(nhi, afhi + bfhi)
+            if aflo < afhi and bflo < bfhi and plo < phi:
+                clipped = (plo, phi) != (aflo + bflo, afhi + bfhi)
+                sweeps.append((min(afhi - aflo, bfhi - bflo) + 1, clipped, holes))
+    return sweeps, width1
+
+
+def _assert_rows_are_exact_combines(packed):
+    """Every stored row equals the min-plus combine of its children's
+    stored rows, cell for cell (assignments alone only see the cells the
+    optimum path reads)."""
+    for lev in range(1, len(packed._levels)):
+        meta = packed._levels[lev]
+        for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
+            kids = []
+            for lc, rc in ((la, ra), (lb, rb)):
+                if lc == 0:
+                    lo, hi = packed._leaf_nlo[rc], packed._leaf_nhi[rc]
+                    kids.append(packed._E0[rc, : hi - lo + 1])
+                else:
+                    m = packed._levels[lc]
+                    kids.append(m.E[rc, : m.nk[rc]])
+            a, b = kids
+            full = np.full(len(a) + len(b) - 1, np.inf)
+            for i, ai in enumerate(a):
+                np.minimum(full[i : i + len(b)], ai + b, out=full[i : i + len(b)])
+            k0 = meta.nlo[r] - meta.alo[r] - meta.blo[r]
+            want = full[k0 : k0 + meta.nk[r]]
+            got = meta.E[r, : meta.nk[r]]
+            assert np.array_equal(got, want), f"level {lev} row {r} differs"
+
+
+class TestWideBoxes:
+    """Boxes spanning several sweep blocks, against the node-graph oracle.
+
+    The hypothesis cases above stay below ~100 ways, so every sweep there
+    is one block.  Here leaves hold 60-140-way boxes with inf holes (some
+    pinned to one way), so the top combines sweep candidate axes of three
+    or more blocks with a ragged last block, and clustered caps clip the
+    outputs by the needed range.  Every step (the all-dirty attach, 3-leaf
+    splices, single-leaf moves) must match the oracle's assignment and
+    meter charges exactly, and every stored row must equal the exact
+    min-plus combine of its children.
+    """
+
+    @pytest.mark.parametrize(
+        "group_size, ncores, ways, overprovision",
+        [(16, 16, 1200, 1.0), (4, 16, 1200, 1.5), (5, 13, 1000, 1.3)],
+    )
+    def test_multi_block_sweeps_match_reference(self, group_size, ncores, ways, overprovision):
+        rng = np.random.default_rng(group_size * 1000 + ncores)
+        clusters = partition_clusters(ncores, group_size)
+        if len(clusters) == 1:
+            caps = (ways,)
+        else:
+            caps = cluster_way_caps(ways, ncores, clusters, 1, overprovision=overprovision)
+        cap_of = {j: cap for members, cap in zip(clusters, caps) for j in members}
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        reference = _Reference(clusters, caps, ways)
+        m_ref, m_pk = OverheadMeter(), OverheadMeter()
+
+        def leaf(j, pinned=False):
+            return _wide_curve(rng, j, ways, cap_of[j], pinned)
+
+        # Leaves 0 and 1 pinned: a width-1 box at level 1 as well.
+        curves = [leaf(j, pinned=j in (0, 1)) for j in range(ncores)]
+        widest, ragged, clipped, holes, width1 = 0, False, False, False, False
+        for step in range(8):
+            ref = reference.solve(curves, m_ref)
+            packed.set_leaves(curves)
+            got = packed.solve(m_pk)
+            _check_step(f"{clusters} step={step}", ref, got, m_ref, m_pk)
+            _assert_rows_are_exact_combines(packed)
+            sweeps, has_width1 = _band_sweeps(packed)
+            width1 |= has_width1
+            for nb, clip, hole in sweeps:
+                if nb > SWEEP_BLOCK:
+                    widest = max(widest, nb)
+                    ragged |= nb % SWEEP_BLOCK != 0
+                    clipped |= clip
+                    holes |= hole
+            if step % 2 == 0:  # a 3-leaf splice: forced re-ingest plus new curves
+                for j in rng.choice(ncores, size=3, replace=False):
+                    j = int(j)
+                    packed.invalidate(j)
+                    reference.invalidate(j)
+                    curves[j] = leaf(j, pinned=rng.random() < 0.2)
+            else:  # the steady state: one leaf moves
+                j = int(rng.integers(0, ncores))
+                curves[j] = leaf(j)
+        assert widest > 2 * SWEEP_BLOCK, "no sweep spans three blocks"
+        assert ragged, "no ragged last block"
+        assert clipped, "no multi-block sweep clipped by the needed range"
+        assert holes, "no inf hole inside a multi-block child box"
+        assert width1, "no width-1 child box"

@@ -69,18 +69,15 @@ def main() -> None:
     lookup = records[0]
     print("\nwhat the RMA would see and decide for the lookup phase:")
     snap = lookup.observe(system, base)
-    from repro.core.local_opt import DimSpec, local_optimize
+    from repro.core.batch_opt import analytical_curves_batch
+    from repro.core.local_opt import DimSpec
     from repro.core.models import Model2
-    from repro.core.perf_model import predict_tpi_grid
-    from repro.core.energy_model import predict_epi_grid
-    from repro.core.qos import qos_target_tpi
 
-    mlp_hat = Model2.mlp_hat(system, snap, lookup.mlp_sampled)
-    tpi = predict_tpi_grid(system, snap, lookup.mpki_sampled, mlp_hat)
-    epi = predict_epi_grid(system, snap, lookup.mpki_sampled, tpi)
-    target = qos_target_tpi(system, tpi, slack=0.0)
-    curve = local_optimize(
-        system, 0, tpi, epi, target,
+    # One core's decision is a batch of one: model chain, QoS target at
+    # strict baseline QoS (slack 0), then the per-way local optimisation.
+    (curve,) = analytical_curves_batch(
+        system, Model2, [0], [snap], [lookup.mpki_sampled],
+        [lookup.mlp_sampled], [0.0],
         DimSpec(core_indices=(system.baseline_core_index,)),
     )
     print(f"  {'ways':>4s} {'f* (GHz)':>9s} {'EPI (nJ/instr)':>15s}")

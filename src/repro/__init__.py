@@ -36,7 +36,6 @@ from repro.core import (
     ResourceManager,
     StaticBaselineManager,
     dvfs_only,
-    local_optimize,
     rm1_partitioning_only,
     rm2_combined,
     rm3_core_adaptive,
@@ -82,7 +81,6 @@ __all__ = [
     "ResourceManager",
     "StaticBaselineManager",
     "dvfs_only",
-    "local_optimize",
     "rm1_partitioning_only",
     "rm2_combined",
     "rm3_core_adaptive",

@@ -1,17 +1,17 @@
-"""Batched curve construction: the coordinated manager's hot path.
+"""Curve construction: the managers' one model chain.
 
-The per-invocation cost of :class:`~repro.core.managers.CoordinatedManager`
-is dominated by Python-level fan-out: one ``predict_tpi_grid`` /
-``predict_epi_grid`` / ``local_optimize`` chain per managed core.  This
-module stacks all cores' counter snapshots and ATD miss curves into
-``(N, C, F, W)`` tensors and produces every per-core
-:class:`~repro.core.curves.EnergyCurve` in one vectorised pass.
+Every manager builds its per-core energy curves
+(:class:`~repro.core.curves.EnergyCurve`) here: counter snapshots and ATD
+miss curves are stacked into ``(N, C, F, W)`` tensors, then the performance
+and energy models, the QoS targets and the local optimisation each run once
+over the whole batch.  The realistic coordinated managers pass a batch of
+one (the invoking core); oracle mode and the UCP+DVFS strawman pass every
+core they decide.
 
-Bit-identity contract: every batched function mirrors its per-core
-counterpart's elementwise expressions and argmin ordering exactly (the
-batch axis is purely a leading dimension), so each produced curve -- and
-every metered grid-point charge -- equals the ``N``-invocation loop with
-``==`` on every number.  ``tests/test_batch_opt.py`` enforces this.
+Bit-identity contract: the batch axis is purely a leading dimension, so
+each produced curve -- and every metered grid-point charge -- equals the
+per-core chain kept in ``tests/oracles/model_chain.py`` with ``==`` on
+every number.  ``tests/test_batch_opt.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -24,15 +24,10 @@ from repro.core.energy_model import predict_epi_grid_batch
 from repro.core.local_opt import DimSpec, local_optimize_batch
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.perf_model import predict_tpi_grid_batch
-from repro.core.qos import QOS_TOLERANCE
+from repro.core.qos import qos_targets_from_grids
 from repro.util.validation import require
 
-__all__ = [
-    "stack_mlp_hats",
-    "qos_targets_from_grids",
-    "analytical_curves_batch",
-    "oracle_curves_batch",
-]
+__all__ = ["stack_mlp_hats", "analytical_curves_batch", "oracle_curves_batch"]
 
 
 def stack_mlp_hats(
@@ -46,33 +41,7 @@ def stack_mlp_hats(
     Model evaluation itself is cheap (a fill or a cast); stacking keeps the
     exact per-core arrays so downstream slices stay bit-identical.
     """
-    return np.stack(
-        [model.mlp_hat(system, s, m) for s, m in zip(snapshots, mlp_sampled)]
-    )
-
-
-def qos_targets_from_grids(
-    system: SystemConfig,
-    tpi_batch: np.ndarray,
-    slacks: list[float],
-) -> np.ndarray:
-    """Per-core QoS target TPIs from stacked prediction grids.
-
-    One vectorised read of every core's baseline grid point, then the exact
-    elementwise expression of the scalar :func:`qos_target_tpi` -- the same
-    IEEE-754 multiply chain per core, so targets are bit-identical to the
-    per-core loop this replaces (which mattered once the oracle pipeline
-    started stacking 64-256 cores per invocation).
-    """
-    slack_arr = np.asarray(slacks, dtype=float)
-    require(bool(np.all(slack_arr >= 0.0)), "slack must be non-negative")
-    base = tpi_batch[
-        :,
-        system.baseline_core_index,
-        system.baseline_freq_index,
-        system.baseline_ways - 1,
-    ]
-    return base * (1.0 + slack_arr) * (1.0 + QOS_TOLERANCE)
+    return np.stack([model.mlp_hat(system, s, m) for s, m in zip(snapshots, mlp_sampled)])
 
 
 def analytical_curves_batch(
@@ -89,10 +58,10 @@ def analytical_curves_batch(
 ) -> list[EnergyCurve]:
     """Analytical-model curves for ``N`` cores in one vectorised pass.
 
-    The batched equivalent of ``CoordinatedManager._analytical_curve``
-    applied to every core: counter snapshots and sampled ATD miss curves in,
-    QoS-pruned energy curves out.  ``pin_ways_per_core`` restricts each core
-    to a fixed partition (the uncoordinated UCP+DVFS manager's protocol).
+    Counter snapshots and sampled ATD miss curves in, QoS-pruned energy
+    curves out (``CoordinatedManager._analytical_curve`` is a batch of
+    one).  ``pin_ways_per_core`` restricts each core to a fixed partition
+    (the uncoordinated UCP+DVFS manager's protocol).
     """
     require(
         len(core_ids) == len(snapshots) == len(mpki_sampled) == len(mlp_sampled) == len(slacks),
@@ -104,7 +73,13 @@ def analytical_curves_batch(
     epi_batch = predict_epi_grid_batch(system, snapshots, mpki_batch, tpi_batch)
     targets = qos_targets_from_grids(system, tpi_batch, slacks)
     return local_optimize_batch(
-        system, core_ids, tpi_batch, epi_batch, targets, dims, meter,
+        system,
+        core_ids,
+        tpi_batch,
+        epi_batch,
+        targets,
+        dims,
+        meter,
         pin_ways_per_core=pin_ways_per_core,
     )
 
@@ -129,6 +104,4 @@ def oracle_curves_batch(
     tpi_batch = np.stack([np.asarray(r.tpi, dtype=float) for r in records])
     epi_batch = np.stack([np.asarray(r.epi, dtype=float) for r in records])
     targets = qos_targets_from_grids(system, tpi_batch, slacks)
-    return local_optimize_batch(
-        system, core_ids, tpi_batch, epi_batch, targets, dims, meter
-    )
+    return local_optimize_batch(system, core_ids, tpi_batch, epi_batch, targets, dims, meter)

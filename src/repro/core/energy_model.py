@@ -16,7 +16,7 @@ from repro.cpu.counters import CounterSnapshot
 from repro.cpu.dvfs import voltage_ratio, voltage_ratio_sq
 from repro.util.identity_memo import identity_memo
 
-__all__ = ["predict_epi_grid", "predict_epi_grid_batch"]
+__all__ = ["predict_epi_grid_batch"]
 
 #: Per-system model constants (voltage ratios, core-size factors), memoised
 #: by object identity: they are pure functions of the immutable
@@ -37,46 +37,22 @@ def _system_constants(system: SystemConfig) -> tuple:
     return identity_memo(_CONSTS, system, _build_constants)
 
 
-def predict_epi_grid(
-    system: SystemConfig,
-    snapshot: CounterSnapshot,
-    mpki_hat: np.ndarray,
-    tpi_hat: np.ndarray,
-) -> np.ndarray:
-    """Predicted ``EPI[c, f, w]`` (nJ/instr) for the next interval."""
-    vr, vr2, epi_factors, leak_factors = _system_constants(system)
-    ways = np.arange(1, len(mpki_hat) + 1, dtype=float)
-    mpi = np.asarray(mpki_hat, dtype=float) / 1000.0
-    api = snapshot.llc_accesses / snapshot.instructions
-
-    core_dyn = snapshot.epi_dyn_est_nj * epi_factors[:, None, None] * vr2[None, :, None]
-    leak_w = system.core_leak_w * leak_factors[:, None, None] * vr[None, :, None]
-    core_static = leak_w * tpi_hat
-    llc = (
-        system.llc_access_energy_nj * api
-        + system.llc_way_static_w * ways[None, None, :] * tpi_hat
-    )
-    dram = (
-        system.mem.energy_per_access_nj * mpi[None, None, :]
-        + (system.mem.background_power_w / system.ncores) * tpi_hat
-    )
-    return core_dyn + core_static + llc + dram
-
-
 def predict_epi_grid_batch(
     system: SystemConfig,
     snapshots: list[CounterSnapshot],
     mpki_batch: np.ndarray,
     tpi_batch: np.ndarray,
 ) -> np.ndarray:
-    """Batched :func:`predict_epi_grid`: ``EPI[n, c, f, w]`` for ``N`` cores.
+    """Predicted ``EPI[n, c, f, w]`` (nJ/instr) of ``N`` cores' next interval.
 
-    Mirrors the per-core expressions term by term with a leading batch axis,
-    so every ``[n]`` slice is bit-identical to the scalar call.
+    Core dynamic and static energy, LLC access and way-leakage energy, and
+    DRAM access and background energy, with the batch axis a leading
+    dimension only, so a core's slice does not depend on the rest of the
+    batch.
     """
     vr, vr2, epi_factors, leak_factors = _system_constants(system)
     ways = np.arange(1, mpki_batch.shape[1] + 1, dtype=float)
-    mpi = np.asarray(mpki_batch, dtype=float) / 1000.0               # (N, W)
+    mpi = np.asarray(mpki_batch, dtype=float) / 1000.0  # (N, W)
     epi_dyn = np.array([s.epi_dyn_est_nj for s in snapshots])
     api = np.array([s.llc_accesses for s in snapshots]) / np.array(
         [s.instructions for s in snapshots]
@@ -87,11 +63,7 @@ def predict_epi_grid_batch(
         * epi_factors[None, :, None, None]
         * vr2[None, None, :, None]
     )
-    leak_w = (
-        system.core_leak_w
-        * leak_factors[None, :, None, None]
-        * vr[None, None, :, None]
-    )
+    leak_w = system.core_leak_w * leak_factors[None, :, None, None] * vr[None, None, :, None]
     core_static = leak_w * tpi_batch
     llc = (
         (system.llc_access_energy_nj * api)[:, None, None, None]

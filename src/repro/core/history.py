@@ -26,12 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.batch_opt import analytical_curves_batch
 from repro.core.curves import EnergyCurve
-from repro.core.energy_model import predict_epi_grid
-from repro.core.local_opt import local_optimize
 from repro.core.managers import CoordinatedManager
-from repro.core.perf_model import predict_tpi_grid
-from repro.core.qos import qos_target_tpi
 
 __all__ = ["HistoryAwareManager", "PhaseEntry", "rm2_history", "rm3_history"]
 
@@ -66,9 +63,7 @@ class PhaseEntry:
         a = SMOOTHING
         self.snapshot = snapshot  # counters are exact; keep the freshest
         self.mpki_sampled = (1 - a) * self.mpki_sampled + a * np.asarray(mpki_sampled)
-        self.mlp_sampled = np.maximum(
-            (1 - a) * self.mlp_sampled + a * np.asarray(mlp_sampled), 1.0
-        )
+        self.mlp_sampled = np.maximum((1 - a) * self.mlp_sampled + a * np.asarray(mlp_sampled), 1.0)
         self.visits += 1
 
 
@@ -139,13 +134,17 @@ class HistoryAwareManager(CoordinatedManager):
         if entry is None:
             entry = hist.table[sig]
 
-        mlp_hat = self.model.mlp_hat(system, entry.snapshot, entry.mlp_sampled)
-        tpi = predict_tpi_grid(system, entry.snapshot, entry.mpki_sampled, mlp_hat)
-        epi = predict_epi_grid(system, entry.snapshot, entry.mpki_sampled, tpi)
-        tgt = qos_target_tpi(system, tpi, sim.slack(core_id))
-        return local_optimize(
-            system, core_id, tpi, epi, tgt, self._dims(system), self.meter
-        )
+        return analytical_curves_batch(
+            system,
+            self.model,
+            [core_id],
+            [entry.snapshot],
+            [entry.mpki_sampled],
+            [entry.mlp_sampled],
+            [sim.slack(core_id)],
+            self._dims(system),
+            self.meter,
+        )[0]
 
 
 def rm2_history(mlp_model: str = "model2") -> HistoryAwareManager:
@@ -155,6 +154,4 @@ def rm2_history(mlp_model: str = "model2") -> HistoryAwareManager:
 
 def rm3_history(mlp_model: str = "model3") -> HistoryAwareManager:
     """Paper II's RM3 plus phase history/prediction."""
-    return HistoryAwareManager(
-        name="rm3-history", control_core_size=True, mlp_model=mlp_model,
-    )
+    return HistoryAwareManager(name="rm3-history", control_core_size=True, mlp_model=mlp_model)

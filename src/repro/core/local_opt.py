@@ -25,7 +25,7 @@ from repro.core.curves import EnergyCurve
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
-__all__ = ["DimSpec", "local_optimize", "local_optimize_batch"]
+__all__ = ["DimSpec", "local_optimize_batch"]
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,19 @@ class DimSpec:
 
     def cores(self, system: SystemConfig) -> tuple[int, ...]:
         """The core-size indices the manager may choose from."""
-        return self.core_indices if self.core_indices is not None else tuple(range(system.ncore_sizes))
+        return (
+            self.core_indices
+            if self.core_indices is not None
+            else tuple(range(system.ncore_sizes))
+        )
 
     def freqs(self, system: SystemConfig) -> tuple[int, ...]:
         """The VF operating-point indices the manager may choose from."""
-        return self.freq_indices if self.freq_indices is not None else tuple(range(system.vf.nlevels))
+        return (
+            self.freq_indices
+            if self.freq_indices is not None
+            else tuple(range(system.vf.nlevels))
+        )
 
 
 def local_optimize_batch(
@@ -62,11 +70,11 @@ def local_optimize_batch(
 ) -> list[EnergyCurve]:
     """Collapse stacked ``(N, C, F, W)`` grids into one curve per core.
 
-    The batched form of :func:`local_optimize`: one vectorised pass over all
-    ``N`` cores' grids instead of ``N`` Python-level invocations.  Every
-    slice is computed with the same elementwise expressions and the same
-    argmin ordering as the single-core path, so results (ties included) are
-    bit-identical; the meter is charged the same grid-point count per core.
+    One vectorised pass over all ``N`` cores' grids; a single core is a
+    batch of one.  Each slice's argmin runs over the flattened ``(c, f)``
+    axis in index order, so ties resolve to the lowest index exactly as a
+    per-core loop would (``tests/oracles/model_chain.py``), and the meter is
+    charged the same grid-point count per core.
 
     ``pin_ways_per_core`` restricts each core to its own single way count
     (the uncoordinated UCP+DVFS manager hands every core a fixed partition);
@@ -97,8 +105,8 @@ def local_optimize_batch(
         keep[dims.pin_ways - 1] = True
         masked = np.where(keep[None, None, None, :], masked, np.inf)
 
-    flat = masked.reshape(n, -1, n_w)            # (N, C'*F', W)
-    best = np.argmin(flat, axis=1)               # (N, W)
+    flat = masked.reshape(n, -1, n_w)  # (N, C'*F', W)
+    best = np.argmin(flat, axis=1)  # (N, W)
     epi = np.take_along_axis(flat, best[:, None, :], axis=1)[:, 0, :]
     c_sel = cores[best // len(freqs)]
     f_sel = freqs[best % len(freqs)]
@@ -116,29 +124,3 @@ def local_optimize_batch(
         )
         for i, core_id in enumerate(core_ids)
     ]
-
-
-def local_optimize(
-    system: SystemConfig,
-    core_id: int,
-    tpi_grid: np.ndarray,
-    epi_grid: np.ndarray,
-    target_tpi: float,
-    dims: DimSpec,
-    meter: OverheadMeter | None = None,
-) -> EnergyCurve:
-    """Collapse ``(C, F, W)`` grids into an :class:`EnergyCurve` over ``w``.
-
-    Thin wrapper over :func:`local_optimize_batch` with a batch of one, so
-    the single-core and batched paths can never drift apart.
-    """
-    require(tpi_grid.ndim == 3, "grids must be (C, F, W)")
-    return local_optimize_batch(
-        system,
-        [core_id],
-        tpi_grid[None, ...],
-        epi_grid[None, ...],
-        np.asarray([target_tpi], dtype=float),
-        dims,
-        meter,
-    )[0]

@@ -53,7 +53,6 @@ system size.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -61,14 +60,11 @@ import numpy as np
 from repro.config import Allocation, AllocationMap, SystemConfig
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
 from repro.core.curves import EnergyCurve
-from repro.core.energy_model import predict_epi_grid
 from repro.core.global_opt import cluster_way_caps, partition_clusters
-from repro.core.local_opt import DimSpec, local_optimize
+from repro.core.local_opt import DimSpec
 from repro.core.models import MLP_MODELS
 from repro.core.packed_tree import PackedReduction
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.perf_model import predict_tpi_grid
-from repro.core.qos import qos_target_tpi
 
 __all__ = [
     "ResourceManager",
@@ -96,14 +92,11 @@ class ResourceManager(ABC):
     def __init__(self) -> None:
         self.meter = OverheadMeter()
         self.sim = None
-        self._stage_timer = None
 
     def attach(self, sim) -> None:
         """Bind the manager to a simulator run and reset its run state."""
         self.sim = sim
         self.meter = OverheadMeter()
-        # Kernel-owned per-stage profiling (REPRO_PROFILE); None when off.
-        self._stage_timer = sim.stage_timer
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
         """The co-location set changed on ``core_id`` (scenario swap/depart).
@@ -221,16 +214,14 @@ class CoordinatedManager(ResourceManager):
 
     # -- curve construction ---------------------------------------------------
     def _analytical_curve(self, core_id: int) -> EnergyCurve:
+        """The invoking core's curve: the batched model chain, batch of one."""
         sim, system = self.sim, self.sim.system
         snap = sim.completed_snapshot(core_id)
         rec = sim.completed_record(core_id)
-        mlp_hat = self.model.mlp_hat(system, snap, rec.mlp_sampled)
-        tpi = predict_tpi_grid(system, snap, rec.mpki_sampled, mlp_hat)
-        epi = predict_epi_grid(system, snap, rec.mpki_sampled, tpi)
-        target = qos_target_tpi(system, tpi, sim.slack(core_id))
-        return local_optimize(
-            system, core_id, tpi, epi, target, self._dims(system), self.meter
-        )
+        return analytical_curves_batch(
+            system, self.model, [core_id], [snap], [rec.mpki_sampled],
+            [rec.mlp_sampled], [sim.slack(core_id)], self._dims(system), self.meter,
+        )[0]
 
     def _pinned_curve(self, core_id: int) -> EnergyCurve:
         """Baseline-pinned curve for a core without statistics yet."""
@@ -340,7 +331,7 @@ class CoordinatedManager(ResourceManager):
 
     def _oracle_leaves(self) -> dict[int, EnergyCurve]:
         """Oracle curves for every active core: memo hits plus one batched
-        pass over the misses (stacked grids, single ``local_optimize``)."""
+        pass over the misses (stacked grids, one ``oracle_curves_batch``)."""
         sim, system = self.sim, self.sim.system
         ids = sim.active_core_ids()
         recs = sim.upcoming_records(ids)
@@ -455,20 +446,10 @@ class CoordinatedManager(ResourceManager):
 
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
         """Decide new allocations after ``core_id`` finished an interval."""
-        timer = self._stage_timer
-        if timer is not None:
-            t0 = time.perf_counter()
         oracle_leaves = self._begin_decision(core_id)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("manager.curves", t1 - t0)
         self._install_leaves(core_id, oracle_leaves)
         tree = self._tree
-        assignment = tree.solve(self.meter)
-        out = self._to_allocations(assignment, tree.last_touched)
-        if timer is not None:
-            timer.add("manager.reduce", time.perf_counter() - t1)
-        return out
+        return self._to_allocations(tree.solve(self.meter), tree.last_touched)
 
     def _install_leaves(self, core_id: int, oracle_leaves) -> None:
         """Install the leaves that can have changed since the last decision.
@@ -731,8 +712,7 @@ class IndependentManager(ResourceManager):
         self.meter.charge_dp(system.llc.ways * system.ncores)
 
         # One batched pass over all profiled cores: the DVFS controller's
-        # per-core model evaluations, stacked (bit-identical to the loop of
-        # per-core predict/local_optimize invocations it replaces).
+        # model chain, each core pinned to its UCP partition.
         dims = DimSpec(core_indices=(system.baseline_core_index,))
         snaps = [self.snapshots[j][0] for j in order]
         recs = [self.snapshots[j][1] for j in order]

@@ -186,13 +186,9 @@ class PackedReduction:
         self.min_ways = min_ways
         self.nleaves = sum(group_sizes)
         self._group_sizes = tuple(int(n) for n in group_sizes)
-        self._group_base: list[int] = []
-        base = 0
         for size, cap in zip(self._group_sizes, group_caps):
             require(size >= 1, "every group needs at least one leaf")
             require(cap >= size * min_ways, "group way cap cannot satisfy the per-leaf minimum")
-            self._group_base.append(base)
-            base += size
         self._leaf_caps: list[int] = []
 
         # ---- plan: build the node records stage by stage ------------------
@@ -338,27 +334,11 @@ class PackedReduction:
         self._write_leaf(slot, curve)
 
     def set_leaves(self, curves: list[EnergyCurve]) -> None:
-        """Install one curve per leaf slot, in slot order (grouped refresh)."""
+        """Install one curve per leaf slot, in slot order (oracle refresh)."""
         require(len(curves) == self.nleaves, "need exactly one curve per leaf")
-        self._set_range(0, curves)
-
-    def set_group_leaves(self, group: int, curves: list[EnergyCurve]) -> None:
-        """Install one group's member curves (the hierarchical manager's
-        stale-cluster refresh); untouched groups keep their clean rows."""
-        require(len(curves) == self._group_sizes[group], "need exactly one curve per group member")
-        self._set_range(self._group_base[group], curves)
-
-    def _set_range(self, base: int, curves) -> None:
-        held = self._held
-        dirty = self._dirty_slots
-        for i, curve in enumerate(curves):
-            slot = base + i
-            prev = held[slot]
-            if prev is not None and slot not in dirty:
-                if prev is curve or prev.same_curve(curve):
-                    held[slot] = curve
-                    continue
-            self._write_leaf(slot, curve)
+        set_leaf = self.set_leaf
+        for slot, curve in enumerate(curves):
+            set_leaf(slot, curve)
 
     def invalidate(self, slot: int) -> None:
         """Force the leaf dirty (the tenant behind it was spliced in/out)."""

@@ -27,54 +27,29 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.cpu.counters import CounterSnapshot
-from repro.cpu.microarch import ilp_cpi_factor
 from repro.util.identity_memo import identity_memo
 from repro.util.validation import require
 
-__all__ = [
-    "predict_tpi_grid",
-    "predict_tpi_grid_batch",
-    "exec_cpi_estimate",
-    "exec_cpi_estimate_batch",
-]
-
-
-def exec_cpi_estimate(
-    system: SystemConfig,
-    snapshot: CounterSnapshot,
-) -> np.ndarray:
-    """Estimated execution CPI per core size, ``shape (C,)``.
-
-    Uses the measured stall-cycle counter for the compute/memory split (all
-    models share it) and rescales across core sizes via the calibrated ILP
-    factor at the counter-estimated ILP index.
-    """
-    cur_core = system.core_sizes[snapshot.core_index]
-    cur_factor = ilp_cpi_factor(cur_core, snapshot.ilp_index_est)
-    out = np.empty(system.ncore_sizes, dtype=float)
-    for ci, core in enumerate(system.core_sizes):
-        factor = ilp_cpi_factor(core, snapshot.ilp_index_est)
-        exec_cpi = snapshot.exec_cpi * factor / cur_factor
-        out[ci] = max(exec_cpi, 1.0 / core.width)
-    return out
+__all__ = ["predict_tpi_grid_batch", "exec_cpi_estimate_batch"]
 
 
 def exec_cpi_estimate_batch(
     system: SystemConfig,
     snapshots: list[CounterSnapshot],
 ) -> np.ndarray:
-    """Batched :func:`exec_cpi_estimate`: ``shape (N, C)``, bit-identical rows.
+    """Estimated execution CPI per snapshot and core size, ``shape (N, C)``.
 
-    Evaluates the same elementwise expressions as the scalar path (same
-    operation order, IEEE double throughout), so each row equals the
-    per-snapshot call exactly.
+    Uses the measured stall-cycle counter for the compute/memory split (all
+    models share it) and rescales across core sizes via the calibrated ILP
+    factor (:func:`~repro.cpu.microarch.ilp_cpi_factor`) at the
+    counter-estimated ILP index, floored at ``1 / width``.
     """
     floors = np.array([c.ilp_floor for c in system.core_sizes])
     speedups = np.array([c.ilp_speedup for c in system.core_sizes])
     inv_width = 1.0 / np.array([c.width for c in system.core_sizes])
     ilp = np.array([s.ilp_index_est for s in snapshots])
-    # Same guard ilp_cpi_factor applies per scalar call: the batched and
-    # scalar pipelines must reject invalid snapshots identically.
+    # The guard ilp_cpi_factor applies: an ILP index outside [0, 1] is a
+    # corrupt snapshot, not a value to extrapolate from.
     require(
         bool(np.all((ilp >= 0.0) & (ilp <= 1.0))),
         "ilp_sensitivity must be in [0, 1]",
@@ -97,41 +72,21 @@ def _freqs_of(system: SystemConfig) -> np.ndarray:
     return identity_memo(_FREQS, system, lambda s: s.vf.freqs_array())
 
 
-def predict_tpi_grid(
-    system: SystemConfig,
-    snapshot: CounterSnapshot,
-    mpki_hat: np.ndarray,
-    mlp_hat: np.ndarray,
-) -> np.ndarray:
-    """Predicted ``TPI[c, f, w]`` (ns/instr) for the next interval."""
-    freqs = _freqs_of(system)
-    exec_cpi = exec_cpi_estimate(system, snapshot)               # (C,)
-    mpi = np.asarray(mpki_hat, dtype=float) / 1000.0             # (W,)
-    mem_tpi = (mpi[None, :] / mlp_hat) * snapshot.avg_mem_latency_ns  # (C, W)
-    return (
-        exec_cpi[:, None, None] / freqs[None, :, None]
-        + mem_tpi[:, None, :]
-    )
-
-
 def predict_tpi_grid_batch(
     system: SystemConfig,
     snapshots: list[CounterSnapshot],
     mpki_batch: np.ndarray,
     mlp_batch: np.ndarray,
 ) -> np.ndarray:
-    """Batched :func:`predict_tpi_grid`: ``TPI[n, c, f, w]`` for ``N`` cores.
+    """Predicted ``TPI[n, c, f, w]`` (ns/instr) of ``N`` cores' next interval.
 
     One vectorised pass over the stacked ``(N, W)`` miss curves and
-    ``(N, C, W)`` MLP estimates; every ``[n]`` slice is bit-identical to the
-    per-core call (same expressions, same order, a leading batch axis only).
+    ``(N, C, W)`` MLP estimates; the batch axis is a leading dimension
+    only, so a core's slice does not depend on the rest of the batch.
     """
     freqs = _freqs_of(system)
-    exec_cpi = exec_cpi_estimate_batch(system, snapshots)            # (N, C)
-    mpi = np.asarray(mpki_batch, dtype=float) / 1000.0               # (N, W)
+    exec_cpi = exec_cpi_estimate_batch(system, snapshots)  # (N, C)
+    mpi = np.asarray(mpki_batch, dtype=float) / 1000.0  # (N, W)
     latency = np.array([s.avg_mem_latency_ns for s in snapshots])
     mem_tpi = (mpi[:, None, :] / mlp_batch) * latency[:, None, None]  # (N, C, W)
-    return (
-        exec_cpi[:, :, None, None] / freqs[None, None, :, None]
-        + mem_tpi[:, :, None, :]
-    )
+    return exec_cpi[:, :, None, None] / freqs[None, None, :, None] + mem_tpi[:, :, None, :]

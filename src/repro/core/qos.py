@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.util.validation import require
 
-__all__ = ["qos_target_tpi", "QOS_TOLERANCE"]
+__all__ = ["qos_targets_from_grids", "QOS_TOLERANCE"]
 
 #: Predicted slowdowns below this are treated as meeting the constraint.
 #: The paper treats end-to-end slowdowns below 1% as negligible; the manager
@@ -28,21 +28,25 @@ __all__ = ["qos_target_tpi", "QOS_TOLERANCE"]
 QOS_TOLERANCE = 0.005
 
 
-def qos_target_tpi(
+def qos_targets_from_grids(
     system: SystemConfig,
-    tpi_grid: np.ndarray,
-    slack: float,
-    tolerance: float = QOS_TOLERANCE,
-) -> float:
-    """Maximum admissible predicted TPI: baseline prediction times (1+slack).
+    tpi_batch: np.ndarray,
+    slacks: list[float],
+) -> np.ndarray:
+    """Maximum admissible predicted TPI per core, from stacked grids.
 
-    ``tpi_grid`` is the predictor's ``(C, F, W)`` output; the baseline point
-    is the paper's anchor (medium core, nominal VF, equal LLC share).
+    ``tpi_batch`` is the predictor's ``(N, C, F, W)`` output.  Each core's
+    target is its baseline prediction -- the paper's anchor: medium core,
+    nominal VF, equal LLC share -- times ``(1 + slack)`` and the
+    ``QOS_TOLERANCE`` headroom, one vectorised read and one elementwise
+    multiply chain for all ``N`` cores.
     """
-    require(slack >= 0.0, "slack must be non-negative")
-    base = tpi_grid[
+    slack_arr = np.asarray(slacks, dtype=float)
+    require(bool(np.all(slack_arr >= 0.0)), "slack must be non-negative")
+    base = tpi_batch[
+        :,
         system.baseline_core_index,
         system.baseline_freq_index,
         system.baseline_ways - 1,
     ]
-    return float(base) * (1.0 + slack) * (1.0 + tolerance)
+    return base * (1.0 + slack_arr) * (1.0 + QOS_TOLERANCE)

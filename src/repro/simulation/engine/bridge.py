@@ -2,10 +2,11 @@
 
 :mod:`repro.core.managers` was written against the monolithic simulator's
 surface; the bridge pins that surface down as an explicit contract --
-``system``, ``stage_timer`` and seven read methods, none of them optional --
-so the kernel behind it can be restructured freely without touching
-manager code.  ``manager.attach`` receives the
-bridge, and every read a manager performs goes through it.
+``system`` and seven read methods, none of them optional -- so the kernel
+behind it can be restructured freely without touching manager code.
+``manager.attach`` receives the bridge, and every read a manager performs
+goes through it.  It carries no timing hooks: layer timings come from
+wrappers installed around the entry points from outside the program.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ class ManagerBridge:
         #: The platform under management (managers read dimension spaces,
         #: baseline allocation and QoS anchor from it).
         self.system = kernel.system
-
-    @property
-    def stage_timer(self):
-        """The kernel's :class:`~repro.util.profiling.StageTimer` under the
-        ``REPRO_PROFILE`` hook, else ``None`` (managers add sub-stage
-        timings to it)."""
-        return self._kernel.stage_timer
 
     def slack(self, core_id: int) -> float:
         """The core's current QoS slack (0.0 = strict baseline QoS)."""

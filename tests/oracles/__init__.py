@@ -5,6 +5,10 @@
   :class:`~repro.core.packed_tree.PackedReduction`;
 * :mod:`tests.oracles.reference_manager` -- the recompute-everything
   coordinated-manager pipeline and the node-graph clustered manager;
+* :mod:`tests.oracles.model_chain` -- the per-core model chain
+  (``exec_cpi_estimate``, ``predict_tpi_grid``, ``predict_epi_grid``,
+  ``qos_target_tpi``, ``local_optimize``), the golden reference of
+  :mod:`repro.core.batch_opt` and the batched model kernels;
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
   the golden reference of :mod:`repro.simulation.engine`;
 * :mod:`tests.oracles.engine_step` -- the scalar per-event engine step

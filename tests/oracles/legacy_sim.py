@@ -13,9 +13,9 @@ New behaviour belongs in :mod:`repro.simulation.engine`; if semantics must
 change, update the engine and regenerate the golden expectations in one
 reviewed step.  The only additions since the freeze are the batched
 read-only accessors of the manager bridge (``active_core_ids``,
-``upcoming_records``) and ``stage_timer = None``,
-each a plain composition of the per-core accessors, so the managers drive
-this simulator through the same surface as the engine's bridge.
+``upcoming_records``), each a plain composition of the per-core
+accessors, so the managers drive this simulator through the same surface
+as the engine's bridge.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class _CoreRun:
 
 class LegacyRMASimulator:
     """The pre-refactor monolithic simulator (reference semantics)."""
-
-    #: No per-stage profiling: managers read this like the bridge's hook.
-    stage_timer = None
 
     def __init__(
         self,

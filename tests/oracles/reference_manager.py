@@ -1,11 +1,12 @@
 """Reference manager pipelines: what the production managers must equal.
 
 * :class:`ReferencePipeline` -- the recompute-everything decision path of
-  the coordinated manager: fresh per-core curves (no memo, no batching) and
-  a from-scratch :func:`~tests.oracles.node_graph.global_optimize` on every
-  invocation.  :func:`reference` turns any flat manager built by the
-  production factories (``rm2_combined()``, ``rm2_history()``, ...) into
-  its reference twin, so the reference runs with exactly the factory's
+  the coordinated manager: fresh per-core curves (no memo, no batching:
+  :mod:`tests.oracles.model_chain`) and a from-scratch
+  :func:`~tests.oracles.node_graph.global_optimize` on every invocation.
+  :func:`reference` turns any flat manager built by the production
+  factories (``rm2_combined()``, ``rm2_history()``, ...) into its
+  reference twin, so the reference runs with exactly the factory's
   configuration.
 * :class:`NodeGraphClusteredManager` -- the hierarchical manager reduced
   through per-cluster node-graph :class:`~tests.oracles.node_graph.ReductionTree`s
@@ -21,9 +22,8 @@ from functools import cache
 from repro.config import Allocation, SystemConfig
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps
-from repro.core.local_opt import local_optimize
 from repro.core.managers import ClusteredManager, CoordinatedManager
-from repro.core.qos import qos_target_tpi
+from tests.oracles.model_chain import analytical_curve, local_optimize, qos_target_tpi
 from tests.oracles.node_graph import ReductionTree, global_optimize
 
 __all__ = ["ReferencePipeline", "reference", "NodeGraphClusteredManager"]
@@ -75,9 +75,25 @@ class ReferencePipeline:
         }
 
 
+def _per_core_analytical_curve(self, core_id: int) -> EnergyCurve:
+    """The coordinated manager's curve through the per-core model chain."""
+    sim, system = self.sim, self.sim.system
+    snap = sim.completed_snapshot(core_id)
+    rec = sim.completed_record(core_id)
+    return analytical_curve(
+        system, self.model, core_id, snap, rec.mpki_sampled, rec.mlp_sampled,
+        sim.slack(core_id), self._dims(system), self.meter,
+    )
+
+
 @cache
 def _reference_class(cls: type) -> type:
-    return type(f"Reference{cls.__name__}", (ReferencePipeline, cls), {})
+    # A subclass's own curve builder (the history-aware manager's) is kept;
+    # the base manager's batch of one is replaced by the per-core chain.
+    body = {}
+    if cls._analytical_curve is CoordinatedManager._analytical_curve:
+        body["_analytical_curve"] = _per_core_analytical_curve
+    return type(f"Reference{cls.__name__}", (ReferencePipeline, cls), body)
 
 
 def reference(manager: CoordinatedManager) -> CoordinatedManager:

@@ -17,20 +17,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import Allocation
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
-from repro.core.energy_model import predict_epi_grid, predict_epi_grid_batch
-from repro.core.local_opt import DimSpec, local_optimize
+from repro.core.energy_model import predict_epi_grid_batch
+from repro.core.local_opt import DimSpec
 from repro.core.managers import rm2_combined
 from repro.core.models import MLP_MODELS
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.perf_model import (
-    exec_cpi_estimate,
-    exec_cpi_estimate_batch,
-    predict_tpi_grid,
-    predict_tpi_grid_batch,
-)
-from repro.core.qos import qos_target_tpi
+from repro.core.perf_model import exec_cpi_estimate_batch, predict_tpi_grid_batch
 from repro.cpu.counters import observe_counters
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.model_chain import (
+    exec_cpi_estimate,
+    local_optimize,
+    predict_epi_grid,
+    predict_tpi_grid,
+    qos_target_tpi,
+)
 from tests.oracles.reference_manager import reference
 
 
@@ -203,8 +204,6 @@ class TestBatchedCurves:
 
 class _StubSim:
     """Minimal manager-facing simulator surface for direct manager tests."""
-
-    stage_timer = None
 
     def __init__(self, system, recs, snaps, slacks):
         self.system = system

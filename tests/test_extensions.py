@@ -119,7 +119,7 @@ class TestHistoryAwareManager:
         mgr = rm2_history()
         simulate_workload(system4, db4, self.WL, mgr, max_slices=5)
         assert mgr.history
-        stub = __import__("types").SimpleNamespace(system=system4, stage_timer=None)
+        stub = __import__("types").SimpleNamespace(system=system4)
         mgr.attach(stub)
         assert mgr.history == {}
 

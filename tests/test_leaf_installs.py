@@ -25,8 +25,6 @@ from tests.test_batch_opt import _stats
 class _TenancySim:
     """Manager-facing simulator surface with mutable tenancy."""
 
-    stage_timer = None
-
     def __init__(self, system, recs, snaps, slacks):
         self.system = system
         self.recs = list(recs)

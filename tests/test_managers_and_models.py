@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.energy_model import predict_epi_grid
 from repro.core.managers import (
     CoordinatedManager,
     StaticBaselineManager,
@@ -15,9 +14,9 @@ from repro.core.managers import (
     rm3_core_adaptive,
 )
 from repro.core.models import MLP_MODELS, Model1, Model2, Model3
-from repro.core.perf_model import exec_cpi_estimate, predict_tpi_grid
 from repro.simulation.rma_sim import RMASimulator, simulate_workload
 from repro.workloads.mixes import Workload
+from tests.oracles.model_chain import exec_cpi_estimate, predict_epi_grid, predict_tpi_grid
 
 
 @pytest.fixture(scope="module")

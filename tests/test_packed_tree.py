@@ -125,8 +125,8 @@ class TestPackedBitIdentity:
         for step in range(int(rng.integers(3, 8))):
             tag = f"seed={seed} step={step} clusters={clusters} caps={caps}"
             ref = reference.solve(curves, m_ref)
-            for ci, members in enumerate(clusters):
-                packed.set_group_leaves(ci, [curves[j] for j in members])
+            for j in range(ncores):
+                packed.set_leaf(j, curves[j])
             got = packed.solve(m_pk)
             _check_step(tag, ref, got, m_ref, m_pk)
             if ref is not None:
@@ -161,7 +161,8 @@ class TestPackedBitIdentity:
         for j, c in enumerate(curves):
             flat.set_leaf(j, c)
         packed = PackedReduction((ncores,), (ways,), ways, 1)
-        packed.set_group_leaves(0, curves)
+        for j, c in enumerate(curves):
+            packed.set_leaf(j, c)
         m_ref, m_pk = OverheadMeter(), OverheadMeter()
         want = flat.solve(m_ref)
         got = packed.solve(m_pk)
@@ -185,8 +186,8 @@ class TestPackedBitIdentity:
                                       freq_idx=np.zeros(ways, dtype=int),
                                       core_idx=np.ones(ways, dtype=int)))
         m_ref, m_pk = OverheadMeter(), OverheadMeter()
-        for ci, members in enumerate(clusters):
-            packed.set_group_leaves(ci, [pinned[j] for j in members])
+        for j in range(ncores):
+            packed.set_leaf(j, pinned[j])
         assert reference.solve(pinned, m_ref) is None
         assert packed.solve(m_pk) is None
         assert m_pk.instructions == m_ref.instructions
@@ -198,8 +199,8 @@ class TestPackedBitIdentity:
                         core_idx=rng.integers(0, 3, size=ways))
             for j in range(ncores)
         ]
-        for ci, members in enumerate(clusters):
-            packed.set_group_leaves(ci, [healed[j] for j in members])
+        for j in range(ncores):
+            packed.set_leaf(j, healed[j])
         ref = reference.solve(healed, m_ref)
         got = packed.solve(m_pk)
         assert got == ref

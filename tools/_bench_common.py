@@ -107,6 +107,33 @@ def runs_bit_identical(a, b) -> bool:
     )
 
 
+def traced_layer_split(sim):
+    """Exclusive seconds per layer of one traced replay, and its result.
+
+    Installs ``perfbench/tracer.py``'s replay-layer wrappers, runs
+    ``sim.run()`` once and uninstalls them again, so the program itself is
+    never modified.  The split holds one ``<layer>_self`` entry per traced
+    layer (``engine``, ``managers``, ``curves``, ``packed_tree``): its
+    spans' time minus the time of the spans nested inside them.  Every
+    span of the replay nests in the ``engine`` span, so the ``*_self``
+    values add up to ``run_total``, the engine span's own length.  No key
+    ends in ``_s``: the regression gate treats these as report-only.
+    """
+    add_repo_root_to_path()
+    from perfbench.tracer import Tracer, install_replay_layers, layer_totals
+
+    tracer = Tracer()
+    install_replay_layers(tracer)
+    try:
+        run = sim.run()
+    finally:
+        tracer.uninstall()
+    totals = layer_totals(tracer.spans)
+    split = {f"{k}_self": v["self_s"] for k, v in sorted(totals.items()) if "." not in k}
+    split["run_total"] = totals["engine"]["incl_s"]
+    return split, run
+
+
 def run_result_hash(run) -> str:
     """Digest of one ``RunResult``'s simulation numbers at full precision.
 

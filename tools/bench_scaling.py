@@ -12,11 +12,12 @@ the static baseline, and verifies the single-cluster equivalence contract
 (``cluster_size >= ncores`` is bit-identical to the flat manager) on a
 16-core replay.  128- and 256-core S7 datapoints (the scaling
 experiment's cluster-churn shape with idle gaps) track the next two
-doublings, each annotated with a report-only per-stage timing split
-(manager decide / curves / reduce, kernel apply / advance) from one extra
-``REPRO_PROFILE``-instrumented replay, and every replay records its event
-throughput (``events_per_sec`` -- global simulation events retired per
-wall-clock second, the struct-of-arrays engine's headline number).
+doublings, each annotated with a report-only per-layer timing split
+(exclusive engine / managers / curves / packed_tree seconds, which add up
+to the replay's ``run_total``) from one extra replay traced by
+``perfbench/tracer.py``, and every replay records its event throughput
+(``events_per_sec`` -- global simulation events retired per wall-clock
+second, the struct-of-arrays engine's headline number).
 Results land in
 ``benchmarks/_artifacts/BENCH_scaling.json``: wall-clocks and the
 ``result_hash`` / ``bit_identical`` fields are enforced by the CI
@@ -28,6 +29,9 @@ Usage::
     PYTHONPATH=src python tools/bench_scaling.py \
         [--ncores 64] [--cluster-size 8] [--horizon 512] \
         [--max-slices 12] [--repeats 3] [--s7-ncores 128] [--s7-xl-ncores 256]
+
+For an ad-hoc layer split of any benchmark workload, run
+``python3 perfbench/run.py --workload NAME --trace 1``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from _bench_common import (  # noqa: E402
     run_result_hash,
     runs_bit_identical,
     time_best_of,
+    traced_layer_split,
     write_bench_artifact,
 )
 
@@ -84,33 +89,23 @@ def _events_per_sec(sim, best_s: float) -> float:
 
 
 def _stage_split(ctx, scenario, manager_factory, max_slices) -> dict:
-    """Per-stage seconds of one extra instrumented replay (report-only).
+    """Per-layer seconds of one extra traced replay (report-only).
 
-    Runs the replay once more under ``REPRO_PROFILE`` and returns the
-    :class:`~repro.util.profiling.StageTimer` breakdown.  Key names carry
-    no ``_s`` suffix on purpose: instrumented sub-stage times are noisier
-    than the gated end-to-end wall-clocks, so the regression gate ignores
-    them -- they are the *where did it go* annotation next to the gated
-    *how fast* numbers.
+    See :func:`_bench_common.traced_layer_split`.  Key names carry no
+    ``_s`` suffix on purpose: traced layer times are noisier than the gated
+    end-to-end wall-clocks, so the regression gate ignores them -- they are
+    the *where did it go* annotation next to the gated *how fast* numbers.
     """
-    os.environ["REPRO_PROFILE"] = "1"
-    try:
-        sim = RMASimulator(
-            ctx.system,
-            ctx.db,
-            scenario.workload,
-            manager_factory(),
-            max_slices=max_slices,
-            scenario=scenario,
-        )
-        sim.run()
-        breakdown = sim.stage_timer.breakdown()
-    finally:
-        del os.environ["REPRO_PROFILE"]
-    return {
-        stage.replace(".", "_"): round(seconds, 4)
-        for stage, seconds in sorted(breakdown.items())
-    }
+    sim = RMASimulator(
+        ctx.system,
+        ctx.db,
+        scenario.workload,
+        manager_factory(),
+        max_slices=max_slices,
+        scenario=scenario,
+    )
+    split, _ = traced_layer_split(sim)
+    return {key: round(seconds, 4) for key, seconds in split.items()}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,10 +4,13 @@ Endpoints (all JSON unless noted):
 
 * ``POST /jobs`` -- submit a replay request (the :mod:`repro.service.jobs`
   wire format, plus an optional ``"lane"`` of ``interactive`` or ``bulk``);
-  returns ``{job_id, status, deduped, lane}``.  Identical requests return
-  the same ``job_id``.  When the admission queue is full the submission is
-  rejected with ``429`` and a ``Retry-After`` header estimating when
-  capacity frees up.
+  returns ``{job_id, status, deduped, lane, submissions}``: ``202`` for a
+  new queued job, ``200`` for a coalesced one.  Identical requests return
+  the same ``job_id``.  A request whose run is already in the results
+  store settles on the POST itself: ``200`` with ``"status": "done"``,
+  ``cache_hit`` and ``result_hash``, no poll needed.  When the admission
+  queue is full a submission that needs a worker is rejected with ``429``
+  and a ``Retry-After`` header estimating when capacity frees up.
 * ``GET /jobs/<id>`` -- poll one job's status.
 * ``GET /jobs/<id>/result`` -- the finished run's scored numbers and
   canonical ``result_hash`` (409 while queued/running, 410 when failed).
@@ -159,7 +162,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ---- POST ---------------------------------------------------------------
     def do_POST(self) -> None:
-        """``POST /jobs``: parse, validate, submit, report the job id."""
+        """``POST /jobs``: parse, validate, submit, report the job id.
+
+        A job that is already ``done`` also reports ``cache_hit`` and
+        ``result_hash``; one settled from the results store answers ``200``.
+        """
         if urlparse(self.path).path != "/jobs":
             self._send_error_json(404, f"no such endpoint: POST {self.path}")
             return
@@ -187,16 +194,18 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send_error_json(400, str(exc))
             return
-        self._send_json(
-            202 if not deduped else 200,
-            {
-                "job_id": job.job_id,
-                "status": job.status,
-                "deduped": deduped,
-                "lane": job.lane,
-                "submissions": job.submissions,
-            },
-        )
+        status = job.status  # one read: a worker may settle the job meanwhile
+        body = {
+            "job_id": job.job_id,
+            "status": status,
+            "deduped": deduped,
+            "lane": job.lane,
+            "submissions": job.submissions,
+        }
+        if status == "done":
+            body["cache_hit"] = job.cache_hit
+            body["result_hash"] = job.result_hash
+        self._send_json(200 if deduped or job.settled_at_submit else 202, body)
 
     # ---- GET ----------------------------------------------------------------
     def do_GET(self) -> None:

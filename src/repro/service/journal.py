@@ -3,7 +3,7 @@
 The at-rest results store already makes *finished* runs survive a restart;
 this module does the same for **queued and in-flight** jobs.  Every state
 transition of a journalled job appends one JSON line to
-``<journal_dir>/journal.jsonl``:
+``<journal_dir>/journal.jsonl`` (created empty when the journal is built):
 
 * ``submitted`` -- carries the full wire-form :class:`~repro.service.jobs.
   JobSpec` and the admission lane, so the job can be rebuilt from the
@@ -143,6 +143,11 @@ class JobJournal:
         self.compact_min_settled = compact_min_settled
         self._lock = threading.Lock()
         self._fh = None
+        # Create the (empty) log now: a service whose every submission
+        # settles from the results store never appends, yet the log exists.
+        os.makedirs(root, exist_ok=True)
+        with open(self.path, "a", encoding="utf-8"):
+            pass
         #: Records appended by this process (monotonic, for metrics).
         self.appends = 0
         #: Malformed lines dropped by the last :meth:`records` call.
@@ -160,7 +165,6 @@ class JobJournal:
     # ---- writing ------------------------------------------------------------
     def _ensure_open(self):
         if self._fh is None:
-            os.makedirs(self.root, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
         return self._fh
 
@@ -298,7 +302,6 @@ class JobJournal:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-            os.makedirs(self.root, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="journal.", suffix=".tmp", dir=self.root)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:

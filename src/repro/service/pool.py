@@ -22,21 +22,25 @@ Dedup happens at three tiers, all keyed by the same content hash
    window between store miss and store put, so even independently created
    executors sharing one store run a key at most once;
 3. **at rest** -- the persistent results store serves finished runs across
-   service restarts.
+   service restarts.  The lookup runs at admission: a request whose run
+   is stored is created already ``done``, with no queue slot, worker,
+   in-flight claim or journal record.  A miss becomes a queued job whose
+   first attempt skips the worker's own lookup.
 
 Production hardening on top of the PR-6 pool:
 
 * **Admission control** -- the queue is bounded (``max_queue``); an
   overflowing submission raises :class:`QueueFullError`, which the HTTP
-  layer maps to ``429`` + ``Retry-After``.  Dedup coalescing is always
-  admitted (it adds no work).
+  layer maps to ``429`` + ``Retry-After``.  Dedup coalescing and stored
+  results are always admitted (they add no work).
 * **Priority lanes** -- ``interactive`` jobs dequeue strictly before
   ``bulk`` ones, except that after ``bulk_escape_every`` consecutive
   skips of a waiting bulk job one bulk job is dequeued (starvation
   escape), bounding bulk wait without letting sweeps delay QoS traffic.
 * **Durability** -- with a :class:`~repro.service.journal.JobJournal`
   attached, every submitted/claimed/retrying/published/failed transition
-  is fsync'd to the write-ahead log before it is acknowledged, and
+  of a job that needs a worker is fsync'd to the write-ahead log before
+  it is acknowledged, and
   :meth:`ReplayService.recover` re-submits unsettled journalled jobs on
   boot (resuming their journalled retry budgets), so a SIGKILL'd service
   resumes its queue.  Settled records are auto-compacted away once they
@@ -137,7 +141,8 @@ DEFAULT_BULK_ESCAPE_EVERY = 8
 #: Default retry budget: a job gets ``1 + max_retries`` attempts total.
 DEFAULT_MAX_RETRIES = 2
 
-#: Settled-job latencies kept per lane for the ``/metrics`` percentiles; a
+#: Worker-settled job latencies kept per lane for the ``/metrics``
+#: percentiles (results served at admission are counted apart); a
 #: long-lived service reports over this sliding window, not all history.
 LATENCY_WINDOW = 1024
 
@@ -277,6 +282,11 @@ class Job:
     #: Completed (failed) attempts so far; recovery seeds this from the
     #: journal so the retry budget survives a restart.
     attempts: int = 0
+    #: True when admission served the result from the store (no worker ran).
+    settled_at_submit: bool = False
+    #: True while the admission lookup's store miss still stands: the
+    #: first attempt then skips its own lookup; retries look again.
+    store_missed: bool = False
     finished: threading.Event = field(default_factory=threading.Event, repr=False)
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -380,6 +390,7 @@ class ReplayService:
         # Counters (all under self._lock; read via metrics()).
         self.simulations = 0
         self.jobs_done = 0
+        self.jobs_settled_at_submit = 0
         self.jobs_failed = 0
         self.dedup_hits = 0
         self.jobs_rejected = 0
@@ -466,10 +477,12 @@ class ReplayService:
         form; an optional ``"lane"`` key routes it to the ``interactive``
         or ``bulk`` lane).  Returns the job -- possibly an existing one: a
         request whose content hash matches a queued, running or finished
-        job coalesces onto it (``submissions`` increments).  A previously
-        *failed* job is retried with a fresh job record under the same id.
-        Raises :class:`QueueFullError` when the admission queue is at
-        capacity.
+        job coalesces onto it (``submissions`` increments).  A request
+        whose run is already in the results store returns a job that is
+        already ``done``.  A previously *failed* job is retried with a
+        fresh job record under the same id.  Raises
+        :class:`QueueFullError` when the admission queue is at capacity
+        and the request needs a worker.
         """
         return self.submit_info(request, lane=lane)[0]
 
@@ -498,27 +511,54 @@ class ReplayService:
         ctx = self.ctx_for(spec.ncores)
         item = build_item(spec, ctx.db.benchmarks())
         key = job_key(spec, ctx)
+        # A stored run settles at admission.  The lookup unpickles and
+        # digest-checks the entry, so it runs outside the lock; recovered
+        # jobs skip it, because their journal must record the settlement.
+        store = ctx.results_store
+        looked, stored, result_hash = False, None, None
+        if store is not None and not _recovered:
+            with self._lock:
+                known = self._jobs.get(key)
+            if known is None or known.status == "failed":
+                looked, stored = True, store.get(key)
+                if stored is not None:
+                    result_hash = run_result_digest(stored)
         with self._lock:
             job = self._jobs.get(key)
             if job is not None and job.status != "failed":
                 job.submissions += 1
                 self.dedup_hits += 1
                 return job, True
-            if not _admitted:
+            if stored is None and not _admitted:
                 depth = self._queue.depth()
                 if depth >= self.max_queue:
                     self.jobs_rejected += 1
                     raise QueueFullError(depth, self.max_queue, self._retry_after_s(depth))
+            now = time.monotonic()
             job = Job(
                 job_id=key,
                 spec=spec,
                 item=item,
                 lane=lane,
-                submitted_s=time.monotonic(),
+                submitted_s=now,
                 recovered=_recovered,
                 attempts=_attempts,
+                store_missed=looked,
             )
+            if stored is not None:
+                # Already durable in the store: no queue slot, worker,
+                # in-flight claim or journal record, and no lane latency.
+                job.status = "done"
+                job.settled_at_submit = job.cache_hit = True
+                job.result = stored
+                job.result_hash = result_hash
+                job.started_s = job.finished_s = now
+                job.finished.set()
+                self.jobs_done += 1
+                self.jobs_settled_at_submit += 1
             self._jobs[key] = job
+        if stored is not None:
+            return job, False
         # Journal before enqueue: once a client is told "accepted", the job
         # must survive a crash -- the reverse order could lose it.
         if self.journal is not None:
@@ -624,6 +664,7 @@ class ReplayService:
         return box["result"]
 
     def _run_job(self, job: Job) -> None:
+        store_missed, job.store_missed = job.store_missed, False
         job.status = "running"
         if job.started_s is None:
             job.started_s = time.monotonic()
@@ -646,7 +687,9 @@ class ReplayService:
                 job.cache_hit = True
             else:
                 store = ctx.results_store
-                result = store.get(job.job_id) if store is not None else None
+                result = None
+                if store is not None and not store_missed:
+                    result = store.get(job.job_id)
                 if result is not None:
                     job.cache_hit = True
                 else:
@@ -808,6 +851,7 @@ class ReplayService:
             puts = sum(s.puts for s in stores)
             quarantined = sum(s.quarantined for s in stores)
             done, failed = self.jobs_done, self.jobs_failed
+            settled_at_submit = self.jobs_settled_at_submit
             dedup = self.dedup_hits
             sims = self.simulations
             rejected = self.jobs_rejected
@@ -829,6 +873,7 @@ class ReplayService:
             "queue_depth": sum(depths.values()),
             "queue_capacity": self.max_queue,
             "jobs_done": done,
+            "jobs_settled_at_submit": settled_at_submit,
             "jobs_failed": failed,
             "jobs_rejected": rejected,
             "jobs_recovered": recovered,

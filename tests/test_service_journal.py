@@ -134,6 +134,14 @@ class TestJournalRecords:
         assert journal.pending() == {}
         assert journal.compact() == 0
 
+    def test_new_journal_creates_an_empty_file(self, tmp_path):
+        """The log exists from construction, before any append."""
+        journal = JobJournal(str(tmp_path / "fresh"))
+        with open(journal.path, encoding="utf-8") as fh:
+            assert fh.read() == ""
+        assert journal.pending() == {}
+        assert journal.appends == 0
+
     def test_retrying_round_trip_and_pending_fold(self, tmp_path):
         """``retrying`` records carry the attempt count into the pending
         fold, so recovery resumes the retry budget instead of resetting it."""

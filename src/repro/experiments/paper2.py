@@ -18,7 +18,7 @@ from repro.experiments.runner import (
     get_context,
     rm3_with_model,
 )
-from repro.simulation.metrics import interval_violation_stats
+from repro.simulation.metrics import IntervalSamples, interval_violation_stats
 from repro.util.stats import weighted_mean
 from repro.workloads.mixes import paper2_workloads, scenario_of_mix
 
@@ -154,9 +154,8 @@ def e14_model_accuracy(ctx: ExperimentContext | None = None) -> ExperimentResult
     rows = []
     stats_by_model = {}
     for spec in specs:
-        samples = []
-        for run in ctx.run_many(workloads, spec):
-            samples.extend(run.interval_samples)
+        runs = ctx.run_many(workloads, spec)
+        samples = IntervalSamples.concat(run.interval_samples for run in runs)
         stats = interval_violation_stats(samples)
         stats_by_model[spec.mlp_model] = stats
         rows.append(

@@ -28,7 +28,7 @@ from repro.core.managers import (
 from repro.scenarios.events import Scenario
 from repro.simulation.database import SimulationDatabase, build_database
 from repro.simulation.metrics import RunResult, WorkloadComparison, compare_runs
-from repro.simulation.results_store import ResultsStore, run_key
+from repro.simulation.results_store import ResultsStore, run_key_from_prefix, run_key_prefix
 from repro.simulation.rma_sim import simulate_scenario, simulate_workload
 from repro.util.parallel import parallel_map
 from repro.workloads.mixes import Workload
@@ -225,12 +225,27 @@ class ExperimentContext:
     max_slices: int | None = MAX_SLICES
     results_store: ResultsStore | None = None
     _baselines: dict[str, RunResult] = field(default_factory=dict)
+    #: ``((system, db, max_slices), run_key_prefix)`` of the last key.
+    _key_prefix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # ---- results-store plumbing ---------------------------------------------
+    def run_key(self, item: Workload | Scenario, spec: ManagerSpec) -> str:
+        """The results-store key of replaying ``item`` under ``spec`` here.
+
+        Equal to :func:`~repro.simulation.results_store.run_key`.  The part
+        this context fixes (database digest, ``repr(system)``, fidelity) is
+        derived once and reused while those stay the same objects.
+        """
+        basis = (self.system, self.db, self.max_slices)
+        cached = self._key_prefix
+        if cached is None or any(a is not b for a, b in zip(cached[0], basis)):
+            cached = self._key_prefix = (basis, run_key_prefix(*basis))
+        return run_key_from_prefix(cached[1], item, spec)
+
     def _key(self, item: Workload | Scenario, spec: ManagerSpec) -> str | None:
         if self.results_store is None:
             return None
-        return run_key(self.system, self.db, item, spec, self.max_slices)
+        return self.run_key(item, spec)
 
     def _lookup(self, key: str | None) -> RunResult | None:
         if key is None:

@@ -41,13 +41,15 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.service import faults
 from repro.service.pool import Job, QueueFullError, ReplayService
+from repro.simulation.metrics import SAMPLE_DTYPE, IntervalSamples
 
-__all__ = ["make_server", "ReplayHTTPServer"]
+__all__ = ["make_server", "ReplayHTTPServer", "sample_batches"]
 
 #: Exceptions that mean "the client went away", never "the service broke".
 _DISCONNECTS = (BrokenPipeError, ConnectionResetError)
@@ -113,6 +115,17 @@ def _result_payload(job: Job) -> dict:
             for a in run.apps
         ],
     }
+
+
+def sample_batches(samples: IntervalSamples, batch: int) -> Iterator[dict]:
+    """The ``/stream`` batch payloads of a run's samples, ``batch`` rows
+    each: every batch is sliced from the columns and turned into plain
+    Python numbers with ``tolist``."""
+    names = SAMPLE_DTYPE.names
+    columns = samples.columns()
+    for start in range(0, len(samples), batch):
+        rows = zip(*(col[start : start + batch].tolist() for col in columns))
+        yield {"offset": start, "samples": [dict(zip(names, row)) for row in rows]}
 
 
 def _metrics_text(metrics: dict) -> str:
@@ -278,24 +291,8 @@ class _Handler(BaseHTTPRequestHandler):
         # keeps HTTP/1.1 keep-alive from waiting on a length we never send).
         self.send_header("Connection", "close")
         self.end_headers()
-        for start in range(0, len(samples), batch):
-            chunk = samples[start : start + batch]
-            self._sse_event(
-                "batch",
-                {
-                    "offset": start,
-                    "samples": [
-                        {
-                            "core": s.core,
-                            "phase_key": s.phase_key,
-                            "duration_ns": s.duration_ns,
-                            "baseline_ns": s.baseline_ns,
-                            "slack": s.slack,
-                        }
-                        for s in chunk
-                    ],
-                },
-            )
+        for payload in sample_batches(samples, batch):
+            self._sse_event("batch", payload)
         self._sse_event(
             "done",
             {

@@ -207,13 +207,13 @@ class ProcessPoolExecutor:
         if kind == "inline":
             return payload
         store = ctx.results_store
-        result = store.get(job_id) if store is not None else None
-        if result is None:
+        hit = store.get(job_id, with_digest=True) if store is not None else None
+        if hit is None:
             raise RuntimeError(
                 f"process worker reported job {job_id} stored, but the parent "
                 "could not load it back from the results store"
             )
-        digest = run_result_digest(result)
+        result, digest = hit
         if digest != payload:
             raise RuntimeError(
                 f"job {job_id}: stored digest {digest} != worker digest {payload} "

@@ -38,7 +38,6 @@ from repro.scenarios import (
     skewed_load,
 )
 from repro.scenarios.events import Scenario
-from repro.simulation.results_store import run_key
 from repro.util.validation import require
 from repro.workloads.mixes import Workload
 
@@ -273,5 +272,4 @@ def build_item(spec: JobSpec, apps: list[str]) -> Scenario | Workload:
 
 def job_key(spec: JobSpec, ctx: ExperimentContext) -> str:
     """The job id: the results-store content hash of the materialised run."""
-    item = build_item(spec, ctx.db.benchmarks())
-    return run_key(ctx.system, ctx.db, item, spec.manager, ctx.max_slices)
+    return ctx.run_key(build_item(spec, ctx.db.benchmarks()), spec.manager)

@@ -97,7 +97,6 @@ from repro.service.executor import make_executor
 from repro.service.jobs import (
     JobSpec,
     build_item,
-    job_key,
     job_spec_from_json,
     split_submission,
 )
@@ -510,7 +509,7 @@ class ReplayService:
             raise ValueError(f"unknown lane {lane!r}; known: {', '.join(LANES)}")
         ctx = self.ctx_for(spec.ncores)
         item = build_item(spec, ctx.db.benchmarks())
-        key = job_key(spec, ctx)
+        key = ctx.run_key(item, spec.manager)
         # A stored run settles at admission.  The lookup unpickles and
         # digest-checks the entry, so it runs outside the lock; recovered
         # jobs skip it, because their journal must record the settlement.
@@ -520,9 +519,9 @@ class ReplayService:
             with self._lock:
                 known = self._jobs.get(key)
             if known is None or known.status == "failed":
-                looked, stored = True, store.get(key)
-                if stored is not None:
-                    result_hash = run_result_digest(stored)
+                looked, hit = True, store.get(key, with_digest=True)
+                if hit is not None:
+                    stored, result_hash = hit
         with self._lock:
             job = self._jobs.get(key)
             if job is not None and job.status != "failed":

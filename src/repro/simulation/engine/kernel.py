@@ -54,7 +54,7 @@ from repro.simulation.engine.bridge import ManagerBridge
 from repro.simulation.engine.core_state import CoreArrays, CoreRun
 from repro.simulation.engine.scheduler import CompletionScheduler
 from repro.simulation.engine.tenancy import TenancyModel
-from repro.simulation.metrics import AppResult, IntervalSample, RunResult
+from repro.simulation.metrics import AppResult, IntervalSamples, RunResult
 from repro.simulation.overheads import transition_cost
 from repro.util.validation import require
 from repro.workloads.mixes import Workload
@@ -129,7 +129,9 @@ class SimulationKernel:
         self.bridge = ManagerBridge(self)
         self.time_ns = 0.0
         self.total_intervals = 0
-        self.interval_samples: list[IntervalSample] = []
+        # (core, phase_key, duration_ns, baseline_ns, slack) rows; run()
+        # packs them into columns once and keeps only the columns.
+        self.interval_samples: list[tuple] | IntervalSamples = []
         # Cores that have completed their first trace round, maintained in
         # _complete_interval so _finished() is O(1) at any core count.
         self._first_rounds_done = 0
@@ -185,13 +187,7 @@ class SimulationKernel:
             # baseline-VF sensitivity experiment); memoised per phase record.
             baseline_ns = self.scheduler.baseline_interval_ns(core.core_id)
             self.interval_samples.append(
-                IntervalSample(
-                    core=core.core_id,
-                    phase_key=core.seq[core.slice_idx],
-                    duration_ns=duration,
-                    baseline_ns=baseline_ns,
-                    slack=core.slack,
-                )
+                (core.core_id, core.seq[core.slice_idx], duration, baseline_ns, core.slack)
             )
         core.interval_start_ns = self.time_ns
         core.energy_interval_start_nj = core.energy_nj
@@ -361,6 +357,7 @@ class SimulationKernel:
                 for c in cores
             ]
             run_name = self.workload.name
+        self.interval_samples = IntervalSamples(self.interval_samples)
         return RunResult(
             workload=run_name,
             manager=self.manager.name,

@@ -41,13 +41,15 @@ import threading
 
 from repro.scenarios.events import Scenario, ScenarioEvent
 from repro.simulation.database import SimulationDatabase, _config_digest
-from repro.simulation.metrics import RunResult, run_result_digest
+from repro.simulation.metrics import IntervalSamples, RunResult, run_result_digest
 from repro.workloads.mixes import Workload
 
 __all__ = [
     "ResultsStore",
     "InflightRegistry",
     "run_key",
+    "run_key_prefix",
+    "run_key_from_prefix",
     "database_digest",
     "RESULTS_FORMAT_VERSION",
 ]
@@ -55,7 +57,9 @@ __all__ = [
 #: Bump to invalidate stored run results when replay accounting changes.
 #: v2: entries are ``{"v", "digest", "result"}`` dicts, digest-verified on
 #: every load (bare-``RunResult`` v1 pickles are never looked up again).
-RESULTS_FORMAT_VERSION = 2
+#: v3: interval samples are stored as columns and the digest hashes every
+#: number a run holds, samples included.
+RESULTS_FORMAT_VERSION = 3
 
 #: Fault-injection seam (see :mod:`repro.service.faults`, which installs
 #: its plan's ``fire`` here).  The simulation layer never imports the
@@ -96,6 +100,24 @@ def _scenario_token(sc: Scenario) -> str:
     )
 
 
+def run_key_prefix(system, db: SimulationDatabase, max_slices: int | None) -> str:
+    """The part of :func:`run_key` that one replay context fixes.
+
+    Deriving it hashes the database configuration and renders the whole
+    system, so a context that keys many runs computes it once
+    (:meth:`~repro.experiments.runner.ExperimentContext.run_key`) and
+    finishes each key with :func:`run_key_from_prefix`.
+    """
+    return f"rv{RESULTS_FORMAT_VERSION}|{database_digest(db)}|{system!r}|ms{max_slices}"
+
+
+def run_key_from_prefix(prefix: str, item: Workload | Scenario, spec) -> str:
+    """:func:`run_key` of ``item`` under ``spec``, given its context's
+    :func:`run_key_prefix`."""
+    token = _scenario_token(item) if isinstance(item, Scenario) else _workload_token(item)
+    return hashlib.sha256(f"{prefix}|{token}|{spec!r}".encode()).hexdigest()[:24]
+
+
 def run_key(
     system,
     db: SimulationDatabase,
@@ -113,16 +135,7 @@ def run_key(
     against one database), so the database digest alone is not enough.
     ``spec`` is any object with a stable, complete ``repr`` -- in practice
     a frozen ``ManagerSpec`` dataclass."""
-    token = _scenario_token(item) if isinstance(item, Scenario) else _workload_token(item)
-    parts = [
-        f"rv{RESULTS_FORMAT_VERSION}",
-        database_digest(db),
-        repr(system),
-        token,
-        repr(spec),
-        f"ms{max_slices}",
-    ]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:24]
+    return run_key_from_prefix(run_key_prefix(system, db, max_slices), item, spec)
 
 
 class ResultsStore:
@@ -175,7 +188,12 @@ class ResultsStore:
             return
         self.quarantined += 1
 
-    def get(self, key: str) -> RunResult | None:
+    def get(self, key: str, *, with_digest: bool = False):
+        """The verified result stored under ``key``, or ``None`` on a miss.
+
+        With ``with_digest`` a hit returns ``(result, digest)``: the digest
+        the load just verified, so the caller need not recompute it.
+        """
         try:
             with open(self.path(key), "rb") as fh:
                 payload = pickle.load(fh)
@@ -198,6 +216,7 @@ class ResultsStore:
             stored_digest = f"rotten:{stored_digest}"
         if (
             not isinstance(result, RunResult)
+            or not isinstance(result.interval_samples, IntervalSamples)
             or not isinstance(stored_digest, str)
             or run_result_digest(result) != stored_digest
         ):
@@ -205,7 +224,7 @@ class ResultsStore:
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return (result, stored_digest) if with_digest else result
 
     def put(self, key: str, result: RunResult) -> None:
         """Persist one result atomically.

@@ -94,16 +94,15 @@ def runs_bit_identical(a, b) -> bool:
 
     The one comparator every bench script's ``bit_identical`` artifact
     field goes through, so the scripts cannot drift on what "identical"
-    means (timings, energies, interval samples, and the metered RMA
-    accounting all count).
+    means (timings, energies, the metered RMA accounting, and the interval
+    samples, compared as column bytes, all count).
     """
     return (
         a.total_energy_nj == b.total_energy_nj
         and a.max_time_ns == b.max_time_ns
         and a.rma_invocations == b.rma_invocations
         and a.rma_instructions == b.rma_instructions
-        and len(a.interval_samples) == len(b.interval_samples)
-        and all(x == y for x, y in zip(a.interval_samples, b.interval_samples))
+        and a.interval_samples == b.interval_samples
     )
 
 

@@ -13,12 +13,13 @@ over HTTP:
 * :mod:`repro.service.pool` -- :class:`ReplayService`: worker threads
   draining a bounded two-lane (``interactive``/``bulk``) admission queue
   over the runner's spawn-safe ``parallel_map`` machinery, sharing one
-  simulation database and one ``.sim_cache`` results store, with in-flight
-  dedup (concurrent identical submissions coalesce onto one run) and
-  service metrics.
+  simulation database and one ``.sim_cache`` results store, with
+  submit-time dedup (concurrent identical submissions coalesce onto one
+  job), one store lookup at admission, one store put by the worker thread
+  that ran the job, and service metrics.
 * :mod:`repro.service.executor` -- where a job's replay actually runs: in
-  the worker thread, or on a persistent per-system-size process pool with
-  results flowing back through the content-addressed store.
+  the worker thread, or on a persistent per-system-size process pool that
+  returns the result to that thread.
 * :mod:`repro.service.journal` -- an fsync'd append-only JSONL write-ahead
   log of job transitions, replayed on boot so queued and in-flight jobs
   survive a crash or restart.

@@ -218,7 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
         if status == "done":
             body["cache_hit"] = job.cache_hit
             body["result_hash"] = job.result_hash
-        self._send_json(200 if deduped or job.settled_at_submit else 202, body)
+        self._send_json(200 if deduped or job.cache_hit else 202, body)
 
     # ---- GET ----------------------------------------------------------------
     def do_GET(self) -> None:

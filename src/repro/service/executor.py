@@ -11,12 +11,12 @@ admission queue; an executor decides what those threads block on:
   spawn-safe ``_init_worker`` protocol every batch driver uses), so
   concurrent jobs get real CPU parallelism.  The worker process runs
   exactly ``_run_one`` / ``_run_one_scenario`` -- the library's own replay
-  entry points -- and publishes the result **through the content-addressed
-  results store**: it writes the atomic ``run_<key>.pkl`` and hands back
-  only the canonical digest, the parent then loads the very bytes the
-  worker persisted.  Bit-identity with the thread path is therefore
-  structural, and a digest cross-check turns any disagreement into a loud
-  failure instead of a silent drift.
+  entry points -- and returns the :class:`RunResult`, as
+  ``ExperimentContext._resolve`` does for a batch fan-out.  Bit-identity
+  with the thread path is therefore structural.
+
+No executor touches the results store: the service worker thread that
+called :meth:`run` is the one writer, whichever executor served the job.
 
 A third wrapper, :class:`FailoverExecutor`, adds the self-healing tier:
 a :class:`CircuitBreaker` counts consecutive primary-executor failures
@@ -27,8 +27,7 @@ dying pool.  After ``cooldown_jobs`` fallback runs the breaker goes
 *half-open* and probes the primary with one job: success closes the
 circuit, failure re-opens it.  The breaker is deterministic in job counts
 (no wall clock), so chaos storms reproduce its transitions exactly.
-``make_executor("process")`` wraps the process pool in a failover by
-default.
+``make_executor("process")`` always wraps the process pool in a failover.
 
 Both base executors are selected per service instance
 (``ReplayService(executor=...)``, ``tools/serve.py --executor``) and
@@ -56,7 +55,7 @@ from repro.experiments.runner import (
 )
 from repro.scenarios.events import Scenario
 from repro.service import faults
-from repro.simulation.metrics import RunResult, run_result_digest
+from repro.simulation.metrics import RunResult
 from repro.workloads.mixes import Workload
 
 __all__ = [
@@ -98,8 +97,6 @@ class ThreadExecutor:
     """Run replays inline on the service worker thread (the PR-6 behaviour)."""
 
     name = "thread"
-    #: The pool persists results itself after this executor returns.
-    stores_results = False
 
     def run(
         self,
@@ -126,47 +123,23 @@ class ThreadExecutor:
         """Nothing to release: the executor owns no processes."""
 
 
-def _execute_and_store(args: tuple) -> tuple:
-    """Pool-worker entry point: replay one job, publish through the store.
-
-    Runs inside a worker process whose context was installed by
-    ``_init_worker`` (the spawn-safe protocol).  With a results store
-    configured the result is persisted atomically and only the canonical
-    digest crosses the process boundary; without one the result itself is
-    pickled back.
-    """
-    task, job_id = args
-    item = task[0]
-    worker = _run_one_scenario if isinstance(item, Scenario) else _run_one
-    result = worker(task)
-    from repro.experiments.runner import _worker_ctx
-
-    store = _worker_ctx().results_store
-    if store is not None:
-        store.put(job_id, result)
-        return ("stored", run_result_digest(result))
-    return ("inline", result)
-
-
 class ProcessPoolExecutor:
     """Persistent per-system-size process pools for CPU-parallel replays.
 
     ``processes`` bounds each pool's worker count (defaults to the service
-    worker-thread count, so every thread can be running a job at once);
-    ``start_method`` follows :func:`repro.util.parallel.parallel_map`'s
-    convention (``fork`` where available, else ``spawn``) -- the context is
-    shipped to workers via pickled ``initargs`` either way, which is what
-    makes the protocol spawn-safe.
+    worker-thread count, so every thread can be running a job at once).
+    Pools start with :func:`repro.util.parallel.parallel_map`'s method
+    (``fork`` where available, else ``spawn``); the context is shipped to
+    workers via pickled ``initargs`` either way, which is what makes the
+    protocol spawn-safe.
     """
 
     name = "process"
-    stores_results = True
 
-    def __init__(self, processes: int = 2, start_method: str | None = None) -> None:
+    def __init__(self, processes: int = 2) -> None:
         if processes < 1:
             raise ValueError("process executor needs at least one process")
         self.processes = processes
-        self.start_method = start_method or ("fork" if hasattr(os, "fork") else "spawn")
         self._pools: dict[int, mp.pool.Pool] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -178,7 +151,8 @@ class ProcessPoolExecutor:
                 raise RuntimeError("process executor is closed")
             pool = self._pools.get(key)
             if pool is None:
-                pool = mp.get_context(self.start_method).Pool(
+                method = "fork" if hasattr(os, "fork") else "spawn"
+                pool = mp.get_context(method).Pool(
                     processes=self.processes,
                     initializer=_init_worker,
                     initargs=(ctx,),
@@ -202,24 +176,8 @@ class ProcessPoolExecutor:
         and retry machinery must absorb.
         """
         _inject_dispatch_faults()
-        task = (item, manager, ctx.max_slices)
-        kind, payload = self._pool_for(ctx).apply(_execute_and_store, ((task, job_id),))
-        if kind == "inline":
-            return payload
-        store = ctx.results_store
-        hit = store.get(job_id, with_digest=True) if store is not None else None
-        if hit is None:
-            raise RuntimeError(
-                f"process worker reported job {job_id} stored, but the parent "
-                "could not load it back from the results store"
-            )
-        result, digest = hit
-        if digest != payload:
-            raise RuntimeError(
-                f"job {job_id}: stored digest {digest} != worker digest {payload} "
-                "(results store raced or corrupted between processes)"
-            )
-        return result
+        worker = _run_one_scenario if isinstance(item, Scenario) else _run_one
+        return self._pool_for(ctx).apply(worker, ((item, manager, ctx.max_slices),))
 
     def recycle(self, ctx: ExperimentContext) -> None:
         """Tear down the pool serving ``ctx`` (hung worker recovery).
@@ -338,15 +296,9 @@ class FailoverExecutor:
     it and jobs degrade to the fallback until a half-open probe succeeds.
     Results are byte-identical on either path (the cross-executor storm
     test pins this), so failover changes capacity, never answers.
-
-    ``stores_results`` is declared True: when the executor that actually
-    ran does not persist results itself (the thread fallback), this
-    wrapper performs the store put, keeping the pool's persistence
-    contract independent of which side of the breaker served the job.
     """
 
     name = "failover"
-    stores_results = True
 
     def __init__(
         self,
@@ -361,8 +313,6 @@ class FailoverExecutor:
         self.breaker = CircuitBreaker(trip_after=trip_after, cooldown_jobs=cooldown_jobs)
         #: Jobs served by the fallback while the circuit was not closed.
         self.fallback_runs = 0
-        #: Store puts absorbed as failures (result still served).
-        self.store_put_errors = 0
 
     @property
     def processes(self) -> int:
@@ -376,7 +326,7 @@ class FailoverExecutor:
         item: Scenario | Workload,
         manager: ManagerSpec,
     ) -> RunResult:
-        """Route one replay through the breaker and persist its result."""
+        """Route one replay through the breaker."""
         use_primary = self.breaker.allow_primary()
         executor = self.primary if use_primary else self.fallback
         try:
@@ -389,13 +339,6 @@ class FailoverExecutor:
             self.breaker.record_success()
         else:
             self.fallback_runs += 1
-        if not executor.stores_results and ctx.results_store is not None:
-            try:
-                ctx.results_store.put(job_id, result)
-            except OSError:
-                # The replay itself succeeded; a failed persist degrades
-                # the cache, not the answer.
-                self.store_put_errors += 1
         return result
 
     def recycle(self, ctx: ExperimentContext) -> None:
@@ -410,29 +353,15 @@ class FailoverExecutor:
         self.fallback.close()
 
 
-def make_executor(
-    kind: str,
-    *,
-    processes: int = 2,
-    start_method: str | None = None,
-    failover: bool = True,
-    trip_after: int = 3,
-    cooldown_jobs: int = 8,
-):
+def make_executor(kind: str, *, processes: int = 2):
     """Build the executor named by ``kind`` (``thread`` or ``process``).
 
-    ``process`` executors are wrapped in a :class:`FailoverExecutor` by
-    default (``failover=False`` opts out): ``trip_after`` consecutive
-    worker deaths trip the breaker and jobs degrade to the in-process
-    thread path until a half-open probe succeeds.
+    ``process`` executors are wrapped in a :class:`FailoverExecutor`: three
+    consecutive worker deaths trip the breaker and jobs degrade to the
+    in-process thread path until a half-open probe succeeds.
     """
     if kind == "thread":
         return ThreadExecutor()
     if kind == "process":
-        primary = ProcessPoolExecutor(processes=processes, start_method=start_method)
-        if not failover:
-            return primary
-        return FailoverExecutor(
-            primary, ThreadExecutor(), trip_after=trip_after, cooldown_jobs=cooldown_jobs
-        )
+        return FailoverExecutor(ProcessPoolExecutor(processes=processes), ThreadExecutor())
     raise ValueError(f"unknown executor kind {kind!r}; known: {', '.join(EXECUTOR_KINDS)}")

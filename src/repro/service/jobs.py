@@ -7,8 +7,8 @@ parameters, the system size and a
 values are the same job -- the job id handed back to clients is the
 results-store content hash (:func:`~repro.simulation.results_store.run_key`)
 of the materialised (system, database, scenario/workload, manager,
-fidelity) tuple, so service-level dedup, the in-flight registry and the
-persistent store all agree on what "identical" means.
+fidelity) tuple, so service-level dedup and the persistent store agree
+on what "identical" means.
 
 The wire format is plain JSON::
 

@@ -14,10 +14,14 @@ transition of a journalled job appends one JSON line to
 * ``retrying`` -- an attempt failed and the job was requeued with backoff;
   carries the failed attempt count, so recovery resumes the retry budget
   where it left off instead of resetting it;
-* ``stored`` -- the content-addressed results store persisted the run's
-  bytes (appended through the store's ``on_put`` hook);
 * ``published`` / ``failed`` -- the job settled; settled jobs are not
-  recovered.
+  recovered.  A ``published`` job's result is in the results store unless
+  its put failed, so the store, not the journal, is the record of
+  finished runs.
+
+A line naming any other event (a ``stored`` line written by an older
+build, say) is dropped on replay like a torn one; it never changes which
+jobs are pending.
 
 Appends are **fsync'd** before the submit path acknowledges a job, so a
 SIGKILL at any instant loses at most work the client was never told was
@@ -64,7 +68,7 @@ __all__ = ["JobJournal", "JournalRecord", "JOURNAL_EVENTS", "JOURNAL_FORMAT_VERS
 JOURNAL_FORMAT_VERSION = 1
 
 #: The journalled job-state transitions, in lifecycle order.
-JOURNAL_EVENTS = ("submitted", "claimed", "retrying", "stored", "published", "failed")
+JOURNAL_EVENTS = ("submitted", "claimed", "retrying", "published", "failed")
 
 #: Events that settle a job (it will not be recovered afterwards).
 _SETTLED = frozenset({"published", "failed"})

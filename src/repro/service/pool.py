@@ -10,22 +10,22 @@ executor replays in the worker thread via the runner's spawn-safe
 persistent process pool built on the *same* protocol -- which is why the
 service path is bit-identical to the library path under either.
 
-Dedup happens at three tiers, all keyed by the same content hash
+Dedup happens at two tiers, both keyed by the same content hash
 (:func:`~repro.service.jobs.job_key` == the results-store
 :func:`~repro.simulation.results_store.run_key`):
 
 1. **submit time** -- an identical request while a job is queued/running/
    done returns the *same* job (``submissions`` counts the coalesced
-   clients);
-2. **in flight** -- the results store's
-   :class:`~repro.simulation.results_store.InflightRegistry` guards the
-   window between store miss and store put, so even independently created
-   executors sharing one store run a key at most once;
-3. **at rest** -- the persistent results store serves finished runs across
-   service restarts.  The lookup runs at admission: a request whose run
-   is stored is created already ``done``, with no queue slot, worker,
-   in-flight claim or journal record.  A miss becomes a queued job whose
-   first attempt skips the worker's own lookup.
+   clients).  ``_jobs`` holds at most one live job per key, so no two
+   workers ever run the same key at once;
+2. **at rest** -- the persistent results store serves finished runs across
+   service restarts.  :meth:`ReplayService.submit_info` is the one place
+   that looks the store up: a request whose run is stored is created
+   already ``done``, with no queue slot, worker or journal record (a
+   recovered job gets one ``published`` record, which settles it in the
+   journal).  A miss becomes a queued job, and the worker thread that
+   runs it is the one place that puts its result, whichever executor
+   replayed it.
 
 Production hardening on top of the PR-6 pool:
 
@@ -71,8 +71,8 @@ Self-healing (PR 9) on top of that:
   :meth:`metrics` exposes the same signals as numeric gauges.
 
 A job that exhausts its retry budget is marked ``failed`` (with the
-error) and releases any coalesced waiters -- it never hangs clients, and
-a later identical submission retries cleanly.
+error) and releases its coalesced clients -- it never hangs them, and a
+later identical submission retries cleanly.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal
 from repro.simulation.metrics import RunResult, run_result_digest
-from repro.simulation.results_store import InflightRegistry
 from repro.util.backoff import backoff_delay
 from repro.util.parallel import parallel_map
 from repro.workloads.mixes import Workload
@@ -274,18 +273,13 @@ class Job:
     result_hash: str | None = None
     #: Total client submissions coalesced onto this job (>= 1).
     submissions: int = 1
-    #: True when the result was served from the persistent store.
+    #: True when admission served the result from the store (no worker ran).
     cache_hit: bool = False
     #: True when the job was re-submitted from the journal on boot.
     recovered: bool = False
     #: Completed (failed) attempts so far; recovery seeds this from the
     #: journal so the retry budget survives a restart.
     attempts: int = 0
-    #: True when admission served the result from the store (no worker ran).
-    settled_at_submit: bool = False
-    #: True while the admission lookup's store miss still stands: the
-    #: first attempt then skips its own lookup; retries look again.
-    store_missed: bool = False
     finished: threading.Event = field(default_factory=threading.Event, repr=False)
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -351,7 +345,6 @@ class ReplayService:
         max_queue: int = DEFAULT_MAX_QUEUE,
         bulk_escape_every: int = DEFAULT_BULK_ESCAPE_EVERY,
         journal: JobJournal | str | None = None,
-        start_method: str | None = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         job_timeout_s: float | None = None,
         backoff_base_s: float = 0.05,
@@ -378,18 +371,15 @@ class ReplayService:
         self.backoff_cap_s = backoff_cap_s
         if isinstance(executor, str):
             executor = make_executor(
-                executor,
-                processes=processes if processes is not None else workers,
-                start_method=start_method,
+                executor, processes=processes if processes is not None else workers
             )
         self.executor = executor
         self.journal = JobJournal(journal) if isinstance(journal, str) else journal
-        self.inflight = InflightRegistry()
         self.started_s = time.monotonic()
         # Counters (all under self._lock; read via metrics()).
         self.simulations = 0
         self.jobs_done = 0
-        self.jobs_settled_at_submit = 0
+        self.jobs_cache_hits = 0
         self.jobs_failed = 0
         self.dedup_hits = 0
         self.jobs_rejected = 0
@@ -455,18 +445,7 @@ class ReplayService:
         # and must not stall submits for other (already-built) sizes.
         ctx = self._context_factory(ncores)
         with self._lock:
-            ctx = self._contexts.setdefault(ncores, ctx)
-        if self.journal is not None and ctx.results_store is not None:
-            # Journal hook: record at-rest persistence of each run, so the
-            # log carries the full durability trail (results written by
-            # process-pool workers land via their own store clone and are
-            # journalled by the owning service thread on publish instead).
-            ctx.results_store.on_put = self._journal_stored
-        return ctx
-
-    def _journal_stored(self, key: str) -> None:
-        if self.journal is not None:
-            self.journal.append("stored", key)
+            return self._contexts.setdefault(ncores, ctx)
 
     # ---- submission ---------------------------------------------------------
     def submit(self, request: JobSpec | dict, lane: str | None = None) -> Job:
@@ -490,12 +469,16 @@ class ReplayService:
         request: JobSpec | dict,
         lane: str | None = None,
         *,
-        _admitted: bool = False,
         _recovered: bool = False,
         _attempts: int = 0,
     ) -> tuple[Job, bool]:
         """Like :meth:`submit`, also reporting whether the request coalesced
-        onto an existing job (the HTTP layer surfaces this as ``deduped``)."""
+        onto an existing job (the HTTP layer surfaces this as ``deduped``).
+
+        This is the service's one results-store lookup.  ``_recovered``
+        marks a journalled job re-submitted by :meth:`recover`: it bypasses
+        admission control, and if its run is stored its journal gets the
+        ``published`` record that settles it."""
         if isinstance(request, JobSpec):
             spec = request
         else:
@@ -511,15 +494,14 @@ class ReplayService:
         item = build_item(spec, ctx.db.benchmarks())
         key = ctx.run_key(item, spec.manager)
         # A stored run settles at admission.  The lookup unpickles and
-        # digest-checks the entry, so it runs outside the lock; recovered
-        # jobs skip it, because their journal must record the settlement.
+        # digest-checks the entry, so it runs outside the lock.
         store = ctx.results_store
-        looked, stored, result_hash = False, None, None
-        if store is not None and not _recovered:
+        stored, result_hash = None, None
+        if store is not None:
             with self._lock:
                 known = self._jobs.get(key)
             if known is None or known.status == "failed":
-                looked, hit = True, store.get(key, with_digest=True)
+                hit = store.get(key, with_digest=True)
                 if hit is not None:
                     stored, result_hash = hit
         with self._lock:
@@ -528,7 +510,7 @@ class ReplayService:
                 job.submissions += 1
                 self.dedup_hits += 1
                 return job, True
-            if stored is None and not _admitted:
+            if stored is None and not _recovered:
                 depth = self._queue.depth()
                 if depth >= self.max_queue:
                     self.jobs_rejected += 1
@@ -542,21 +524,22 @@ class ReplayService:
                 submitted_s=now,
                 recovered=_recovered,
                 attempts=_attempts,
-                store_missed=looked,
             )
             if stored is not None:
-                # Already durable in the store: no queue slot, worker,
-                # in-flight claim or journal record, and no lane latency.
+                # Already durable in the store: no queue slot, worker or
+                # lane latency.
                 job.status = "done"
-                job.settled_at_submit = job.cache_hit = True
+                job.cache_hit = True
                 job.result = stored
                 job.result_hash = result_hash
                 job.started_s = job.finished_s = now
                 job.finished.set()
                 self.jobs_done += 1
-                self.jobs_settled_at_submit += 1
+                self.jobs_cache_hits += 1
             self._jobs[key] = job
         if stored is not None:
+            if _recovered and self.journal is not None:
+                self.journal.append("published", key, result_hash=result_hash)
             return job, False
         # Journal before enqueue: once a client is told "accepted", the job
         # must survive a crash -- the reverse order could lose it.
@@ -584,11 +567,12 @@ class ReplayService:
         Replays the write-ahead log, compacts it down to the pending
         records (atomic rewrite), then re-submits each pending spec
         through the normal path -- bypassing admission control, since
-        journalled jobs were already admitted once.  A pending record
-        whose spec no longer validates, or whose content hash no longer
-        matches (the database or replay semantics changed across the
-        restart), is settled as ``failed`` in the journal so it cannot be
-        re-recovered forever.  Returns the recovered jobs.
+        journalled jobs were already admitted once.  A recovered job whose
+        run is stored settles at once and is journalled ``published``.  A
+        pending record whose spec no longer validates, or whose content
+        hash no longer matches (the database or replay semantics changed
+        across the restart), is settled as ``failed`` in the journal so it
+        cannot be re-recovered forever.  Returns the recovered jobs.
         """
         if self.journal is None:
             return []
@@ -601,7 +585,6 @@ class ReplayService:
                 job, _ = self.submit_info(
                     body,
                     lane=record.lane,
-                    _admitted=True,
                     _recovered=True,
                     _attempts=record.attempt or 0,
                 )
@@ -630,9 +613,10 @@ class ReplayService:
 
         With ``job_timeout_s`` set the dispatch runs on a disposable
         daemon thread; if it misses the deadline the thread is abandoned
-        (it holds no service state -- claim/publish stay in the worker
-        thread), the executor recycles the wedged worker/pool, and
-        :class:`WatchdogTimeout` feeds the normal retry path.
+        (it holds no service state -- the journal, the store put and the
+        settlement stay in the worker thread), the executor recycles the
+        wedged worker/pool, and :class:`WatchdogTimeout` feeds the normal
+        retry path.
         """
         if self.job_timeout_s is None:
             return self.executor.run(ctx, job.job_id, job.item, job.spec.manager)
@@ -663,7 +647,7 @@ class ReplayService:
         return box["result"]
 
     def _run_job(self, job: Job) -> None:
-        store_missed, job.store_missed = job.store_missed, False
+        """Run one attempt of ``job``; the service's one results-store writer."""
         job.status = "running"
         if job.started_s is None:
             job.started_s = time.monotonic()
@@ -671,42 +655,21 @@ class ReplayService:
         if self.journal is not None:
             self.journal.append("claimed", job.job_id, attempt=attempt)
         ctx = self.ctx_for(job.spec.ncores)
-        owner, ticket = self.inflight.claim(job.job_id)
         with self._lock:
             self.attempts_total += 1
         try:
-            if not owner:
-                # Another executor sharing this store is already running the
-                # key (submit-time dedup makes this rare in-process): wait
-                # for its outcome instead of simulating again.
-                ticket.done.wait()
-                if ticket.error is not None:
-                    raise ticket.error
-                result = ticket.result
-                job.cache_hit = True
-            else:
-                store = ctx.results_store
-                result = None
-                if store is not None and not store_missed:
-                    result = store.get(job.job_id)
-                if result is not None:
-                    job.cache_hit = True
-                else:
-                    result = self._execute_attempt(ctx, job)
+            result = self._execute_attempt(ctx, job)
+            with self._lock:
+                self.simulations += 1
+            if ctx.results_store is not None:
+                try:
+                    ctx.results_store.put(job.job_id, result)
+                except OSError:
+                    # The run succeeded; a failed persist degrades the
+                    # cache, never the answer.
                     with self._lock:
-                        self.simulations += 1
-                    if store is not None and not self.executor.stores_results:
-                        try:
-                            store.put(job.job_id, result)
-                        except OSError:
-                            # The run succeeded; a failed persist degrades
-                            # the cache, never the answer.
-                            with self._lock:
-                                self.store_put_errors += 1
-                self.inflight.publish(ticket, result)
+                        self.store_put_errors += 1
         except Exception as exc:
-            if owner:
-                self.inflight.fail(ticket, exc)
             job.attempts = attempt
             job.error = f"{type(exc).__name__}: {exc}"
             if attempt <= self.max_retries and not self._draining:
@@ -850,7 +813,7 @@ class ReplayService:
             puts = sum(s.puts for s in stores)
             quarantined = sum(s.quarantined for s in stores)
             done, failed = self.jobs_done, self.jobs_failed
-            settled_at_submit = self.jobs_settled_at_submit
+            cache_hits = self.jobs_cache_hits
             dedup = self.dedup_hits
             sims = self.simulations
             rejected = self.jobs_rejected
@@ -872,7 +835,7 @@ class ReplayService:
             "queue_depth": sum(depths.values()),
             "queue_capacity": self.max_queue,
             "jobs_done": done,
-            "jobs_settled_at_submit": settled_at_submit,
+            "jobs_cache_hits": cache_hits,
             "jobs_failed": failed,
             "jobs_rejected": rejected,
             "jobs_recovered": recovered,
@@ -880,7 +843,6 @@ class ReplayService:
             "jobs_retried": retried,
             "attempts_total": attempts,
             "watchdog_timeouts": watchdog,
-            "jobs_inflight_coalesced": self.inflight.coalesced,
             "journal_appends": self.journal.appends if self.journal is not None else 0,
             "journal_write_errors": health["journal_write_errors"],
             "journal_append_failures": health["journal_append_failures"],
@@ -889,8 +851,7 @@ class ReplayService:
             "breaker_state": self._BREAKER_CODES[health["breaker_state"]],
             "breaker_trips": breaker.trips if breaker is not None else 0,
             "executor_fallback_runs": getattr(self.executor, "fallback_runs", 0),
-            "store_put_errors": put_errors
-            + getattr(self.executor, "store_put_errors", 0),
+            "store_put_errors": put_errors,
             "store_quarantined": quarantined,
             "client_disconnects": disconnects,
             "simulations": sims,

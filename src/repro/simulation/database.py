@@ -31,7 +31,13 @@ from repro.util.parallel import parallel_map
 from repro.util.validation import require
 from repro.workloads.benchmarks import BENCHMARKS, get_benchmark
 
-__all__ = ["PhaseRecord", "SimulationDatabase", "build_database", "DB_FORMAT_VERSION"]
+__all__ = [
+    "PhaseRecord",
+    "SimulationDatabase",
+    "build_database",
+    "database_cache_path",
+    "DB_FORMAT_VERSION",
+]
 
 #: Bump to invalidate on-disk caches when record layout or models change.
 DB_FORMAT_VERSION = 4
@@ -121,6 +127,14 @@ def _config_digest(system: SystemConfig, names: tuple[str, ...], accesses_per_se
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
+def database_cache_path(
+    system: SystemConfig, names: list[str] | tuple[str, ...], accesses_per_set: int, cache_dir: str
+) -> str:
+    """Where :func:`build_database` caches the database for these inputs."""
+    digest = _config_digest(system, tuple(sorted(names)), accesses_per_set)
+    return os.path.join(cache_dir, f"simdb_{digest}.pkl")
+
+
 def build_database(
     system: SystemConfig,
     names: list[str] | None = None,
@@ -143,8 +157,7 @@ def build_database(
 
     cache_path = None
     if cache_dir:
-        digest = _config_digest(system, all_names, accesses_per_set)
-        cache_path = os.path.join(cache_dir, f"simdb_{digest}.pkl")
+        cache_path = database_cache_path(system, all_names, accesses_per_set, cache_dir)
         if os.path.exists(cache_path):
             with open(cache_path, "rb") as fh:
                 db = pickle.load(fh)

@@ -37,7 +37,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import threading
 
 from repro.scenarios.events import Scenario, ScenarioEvent
 from repro.simulation.database import SimulationDatabase, _config_digest
@@ -46,7 +45,6 @@ from repro.workloads.mixes import Workload
 
 __all__ = [
     "ResultsStore",
-    "InflightRegistry",
     "run_key",
     "run_key_prefix",
     "run_key_from_prefix",
@@ -161,16 +159,6 @@ class ResultsStore:
         self.puts = 0
         #: Entries moved to quarantine after failing digest/shape checks.
         self.quarantined = 0
-        #: Optional ``callback(key)`` fired after each successful put; the
-        #: replay service's job journal hooks this to record at-rest
-        #: persistence.  Not pickled (see ``__getstate__``): a store shipped
-        #: to a worker process carries its path, never the parent's hook.
-        self.on_put = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["on_put"] = None
-        return state
 
     def path(self, key: str) -> str:
         return os.path.join(self.root, f"run_{key}.pkl")
@@ -262,73 +250,3 @@ class ResultsStore:
                 pass
             raise
         self.puts += 1
-        if self.on_put is not None:
-            self.on_put(key)
-
-
-class InflightRegistry:
-    """In-flight run dedup: concurrent identical requests coalesce onto one.
-
-    The persistent store dedups *finished* runs; this registry closes the
-    window while a run is still executing.  The first claimant of a key
-    becomes its owner and must eventually :meth:`publish` or :meth:`fail`;
-    every later claimant of the same key gets the owner's ticket and waits
-    on it instead of simulating.  The service worker pool
-    (:mod:`repro.service.pool`) keys this registry with the same
-    :func:`run_key` content hashes as the store, so "identical request"
-    means identical (database, scenario, manager, fidelity) -- not merely an
-    identical HTTP body.
-    """
-
-    class Ticket:
-        """One in-flight run: waiters block on ``done`` and read the outcome."""
-
-        __slots__ = ("key", "done", "result", "error", "waiters")
-
-        def __init__(self, key: str) -> None:
-            self.key = key
-            self.done = threading.Event()
-            self.result: RunResult | None = None
-            self.error: BaseException | None = None
-            self.waiters = 0
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._inflight: dict[str, InflightRegistry.Ticket] = {}
-        #: Requests coalesced onto an already-in-flight run (monotonic).
-        self.coalesced = 0
-
-    def claim(self, key: str) -> tuple[bool, "InflightRegistry.Ticket"]:
-        """Return ``(owner, ticket)``: the first claimant owns the run."""
-        with self._lock:
-            ticket = self._inflight.get(key)
-            if ticket is not None:
-                ticket.waiters += 1
-                self.coalesced += 1
-                return False, ticket
-            ticket = InflightRegistry.Ticket(key)
-            self._inflight[key] = ticket
-            return True, ticket
-
-    def _settle(self, ticket: "InflightRegistry.Ticket") -> None:
-        with self._lock:
-            self._inflight.pop(ticket.key, None)
-        ticket.done.set()
-
-    def publish(self, ticket: "InflightRegistry.Ticket", result: RunResult) -> None:
-        """Owner: the run finished; release every waiter with the result."""
-        ticket.result = result
-        self._settle(ticket)
-
-    def fail(self, ticket: "InflightRegistry.Ticket", error: BaseException) -> None:
-        """Owner: the run crashed; release every waiter with the error.
-
-        The key is removed from the registry first, so a later identical
-        request retries the run instead of inheriting the failure forever.
-        """
-        ticket.error = error
-        self._settle(ticket)
-
-    def inflight_count(self) -> int:
-        with self._lock:
-            return len(self._inflight)

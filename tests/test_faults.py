@@ -188,8 +188,6 @@ class TestCircuitBreaker:
 class _StubExecutor:
     """Scripted executor: raises while ``failures`` remain, then returns."""
 
-    stores_results = False
-
     def __init__(self, name, failures=0, result="ok"):
         self.name = name
         self.failures = failures
@@ -212,58 +210,29 @@ class _StubExecutor:
         self.closed = True
 
 
-class _StubStore:
-    def __init__(self):
-        self.putted = []
-
-    def put(self, key, result):
-        self.putted.append((key, result))
-
-
-class _StubCtx:
-    def __init__(self, store):
-        self.results_store = store
-
-
 class TestFailoverExecutor:
     def test_degrades_to_fallback_after_trip_and_recovers(self):
         primary = _StubExecutor("primary", failures=2)
         fallback = _StubExecutor("fallback")
         failover = FailoverExecutor(primary, fallback, trip_after=2, cooldown_jobs=3)
-        ctx = _StubCtx(_StubStore())
         for _ in range(2):  # two consecutive primary deaths trip the breaker
             with pytest.raises(RuntimeError, match="primary down"):
-                failover.run(ctx, "k", None, None)
+                failover.run(None, "k", None, None)
         assert failover.breaker.state == CircuitBreaker.OPEN
-        # Open: jobs degrade to the fallback (results still served+stored).
-        assert failover.run(ctx, "k1", None, None) == "ok"
-        assert failover.run(ctx, "k2", None, None) == "ok"
+        # Open: jobs degrade to the fallback (results still served).
+        assert failover.run(None, "k1", None, None) == "ok"
+        assert failover.run(None, "k2", None, None) == "ok"
         assert fallback.runs == 2 and failover.fallback_runs == 2
         # Cooldown spent: the third routed job probes the (healthy) primary.
-        assert failover.run(ctx, "k3", None, None) == "ok"
+        assert failover.run(None, "k3", None, None) == "ok"
         assert primary.runs == 3
         assert failover.breaker.state == CircuitBreaker.CLOSED
-
-    def test_stores_result_when_running_executor_does_not(self):
-        primary = _StubExecutor("primary")
-        store = _StubStore()
-        failover = FailoverExecutor(primary, _StubExecutor("fallback"))
-        failover.run(_StubCtx(store), "key-1", None, None)
-        assert store.putted == [("key-1", "ok")]
-
-        class _StoringStub(_StubExecutor):
-            stores_results = True
-
-        storing = FailoverExecutor(_StoringStub("primary"), _StubExecutor("fallback"))
-        other = _StubStore()
-        storing.run(_StubCtx(other), "key-2", None, None)
-        assert other.putted == []  # the primary already persisted it
 
     def test_recycle_and_close_delegate(self):
         primary = _StubExecutor("primary")
         fallback = _StubExecutor("fallback")
         failover = FailoverExecutor(primary, fallback)
-        failover.recycle(_StubCtx(None))
+        failover.recycle(None)
         assert primary.recycled == 1 and fallback.recycled == 0
         failover.close()
         assert primary.closed and fallback.closed
@@ -273,12 +242,6 @@ class TestFailoverExecutor:
         try:
             assert isinstance(wrapped, FailoverExecutor)
             assert isinstance(wrapped.primary, executor_mod.ProcessPoolExecutor)
-            assert wrapped.stores_results
             assert wrapped.processes == 1
         finally:
             wrapped.close()
-        bare = make_executor("process", processes=1, failover=False)
-        try:
-            assert isinstance(bare, executor_mod.ProcessPoolExecutor)
-        finally:
-            bare.close()

@@ -3,8 +3,7 @@
 Covers the request/job model (validation, canonicalisation, the hypothesis
 round-trip of the job-hash canonicalisation), single-job happy paths
 bit-identical to the library path, results-store serving across service
-instances, failed-job retry, the in-flight registry hook, the bounded
-latency window, every HTTP endpoint including the server-sent
+instances, failed-job retry, the bounded latency window, every HTTP endpoint including the server-sent
 interval-sample stream, and the keep-alive transport (one write per
 response, TCP_NODELAY).
 
@@ -31,7 +30,7 @@ from repro.experiments.runner import RM2, ExperimentContext, ManagerSpec
 from repro.service import JobSpec, ReplayService, build_item, job_spec_from_json, make_server
 from repro.service.jobs import SCENARIO_SHAPES, WORKLOAD_SHAPE
 from repro.simulation.metrics import RunResult, run_result_digest
-from repro.simulation.results_store import InflightRegistry, ResultsStore
+from repro.simulation.results_store import ResultsStore
 from repro.simulation.rma_sim import simulate_scenario, simulate_workload
 from tests.test_engine_equivalence import assert_bit_identical
 
@@ -242,8 +241,6 @@ class TestServiceSingleJob:
         import repro.service.pool as pool_mod
 
         class InstantExecutor:
-            stores_results = False
-
             def run(self, ctx, job_id, item, manager):
                 return RunResult("stub", "stub", [])
 
@@ -274,37 +271,6 @@ class TestServiceSingleJob:
         retained = sorted(v for history in settled.values() for v in history[-window:])
         assert m["job_latency_p50_s"] == svc._percentile(retained, 0.50)
         assert m["job_latency_p95_s"] == svc._percentile(retained, 0.95)
-
-
-class TestInflightRegistry:
-    def test_first_claim_owns(self):
-        reg = InflightRegistry()
-        owner, ticket = reg.claim("k")
-        assert owner and reg.inflight_count() == 1
-        again_owner, again = reg.claim("k")
-        assert not again_owner and again is ticket
-        assert reg.coalesced == 1
-
-    def test_publish_releases_waiters(self):
-        reg = InflightRegistry()
-        _, ticket = reg.claim("k")
-        seen = []
-        t = threading.Thread(
-            target=lambda: (ticket.done.wait(30), seen.append(ticket.result))
-        )
-        t.start()
-        reg.publish(ticket, "result-sentinel")
-        t.join(30)
-        assert seen == ["result-sentinel"]
-        assert reg.inflight_count() == 0
-
-    def test_fail_clears_key_for_retry(self):
-        reg = InflightRegistry()
-        _, ticket = reg.claim("k")
-        reg.fail(ticket, RuntimeError("boom"))
-        assert ticket.done.is_set() and isinstance(ticket.error, RuntimeError)
-        owner, fresh = reg.claim("k")  # a retry claims a fresh ticket
-        assert owner and fresh is not ticket
 
 
 @pytest.fixture

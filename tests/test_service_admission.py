@@ -2,11 +2,13 @@
 
 A request whose run is already in the results store is created ``done``
 by :meth:`~repro.service.pool.ReplayService.submit_info`: it takes no
-queue slot, no worker, no in-flight claim and no journal record, and
-``POST /jobs`` answers ``200`` with the ``result_hash``.  Covers the HTTP
-surface, admission at a full queue, a poisoned entry falling through to
-re-simulation, racing identical submissions, the one-lookup-per-job store
-counters, and recovered jobs keeping the journalled worker path.
+queue slot, no worker and no journal record, and ``POST /jobs`` answers
+``200`` with the ``result_hash``.  Covers the HTTP surface, admission at a
+full queue, a poisoned entry falling through to re-simulation, racing
+identical submissions, the one-lookup-per-job store counters, the worker
+thread as the one store writer under both executors (a fresh job is put
+once; a failed put costs no second replay), and recovered stored jobs
+settling at admission with a journalled ``published`` record.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 import threading
 import urllib.error
 import urllib.request
+
+import pytest
 
 from repro.experiments.runner import ExperimentContext
 from repro.service import JobJournal, ReplayService, faults, make_server
@@ -117,7 +121,7 @@ class TestStoredRequestOverHTTP:
                 done = json.loads(last_event.splitlines()[1].removeprefix("data: "))
                 assert done["result_hash"] == stored_hash
             m = svc.metrics()
-            assert m["jobs_settled_at_submit"] == 1 and m["jobs_done"] == 1
+            assert m["jobs_cache_hits"] == 1 and m["jobs_done"] == 1
             assert m["simulations"] == 0 and m["journal_appends"] == 0
             # Settlement at admission is not worker latency.
             assert m["job_latency_p50_s"] == 0.0
@@ -166,15 +170,15 @@ class TestPoisonedEntry:
             svc = ReplayService(context_factory=factory, workers=1)
             try:
                 job = svc.submit(_s1_body(name="admission-rot"))
-                assert job.job_id == job_id and not job.settled_at_submit
+                assert job.job_id == job_id
                 assert job.wait(WAIT_S) and job.status == "done", job.error
                 assert job.result_hash == reference
                 assert not job.cache_hit  # the poisoned entry was not served
                 m = svc.metrics()
                 assert m["simulations"] == 1 and m["store_quarantined"] == 1
-                # The admission miss stands for the first attempt: one lookup.
+                # The admission lookup is the only one: one miss.
                 assert (m["store_hits"], m["store_misses"], m["store_puts"]) == (0, 1, 1)
-                assert m["jobs_settled_at_submit"] == 0
+                assert m["jobs_cache_hits"] == 0
             finally:
                 svc.close()
 
@@ -206,7 +210,7 @@ class TestRacingSubmissions:
             assert job.status == "done" and job.submissions == 8
             assert sorted(deduped for _, deduped in answers) == [False] + [True] * 7
             m = svc.metrics()
-            assert m["jobs_settled_at_submit"] == 1 and m["simulations"] == 0
+            assert m["jobs_cache_hits"] == 1 and m["simulations"] == 0
         finally:
             svc.close()
 
@@ -217,24 +221,70 @@ class TestOneLookupPerJob:
         with ReplayService(context_factory=factory, workers=1) as fresh:
             job = fresh.submit(_s1_body())
             assert job.wait(WAIT_S) and job.status == "done"
-            assert not job.settled_at_submit and not job.cache_hit
+            assert not job.cache_hit
             fresh.submit(_s1_body())  # coalesces: no lookup at all
             m = fresh.metrics()
             assert (m["store_hits"], m["store_misses"], m["store_puts"]) == (0, 1, 1)
             assert m["simulations"] == 1 and m["cache_hit_rate"] == 0.0
         with ReplayService(context_factory=factory, workers=1) as warm:
             again = warm.submit(_s1_body())
-            assert again.settled_at_submit and again.result_hash == job.result_hash
+            assert again.cache_hit and again.result_hash == job.result_hash
             m = warm.metrics()
             assert (m["store_hits"], m["store_misses"], m["store_puts"]) == (1, 0, 0)
             assert m["simulations"] == 0 and m["cache_hit_rate"] == 1.0
 
 
-class TestRecoveredJobsKeepTheWorkerPath:
-    def test_recovered_jobs_are_journalled_published(self, system4, db4, tmp_path, monkeypatch):
+@pytest.mark.parametrize("executor", ["thread", "process"])
+class TestOneStoreWriter:
+    """The service worker thread puts every result, whichever executor ran it."""
+
+    def test_fresh_job_is_put_once(self, system4, db4, tmp_path, executor):
+        factory = _factory(system4, db4, tmp_path)
+        with ReplayService(
+            context_factory=factory, workers=1, executor=executor, processes=1
+        ) as svc:
+            job = svc.submit(_s1_body(name="writer-fresh"))
+            assert job.wait(WAIT_S) and job.status == "done", job.error
+            m = svc.metrics()
+            assert (m["store_hits"], m["store_misses"], m["store_puts"]) == (0, 1, 1)
+            assert m["simulations"] == 1 and m["attempts_total"] == 1
+        with ReplayService(context_factory=factory, workers=1) as warm:
+            again = warm.submit(_s1_body(name="writer-fresh"))
+            assert again.cache_hit and again.result_hash == job.result_hash
+
+    def test_failed_put_costs_no_second_attempt(
+        self, system4, db4, tmp_path, executor
+    ):
+        plan = FaultPlan(5, [FaultRule(faults.STORE_PUT_FAIL, rate=1.0, max_fires=1)])
+        with faults.installed(plan):
+            svc = ReplayService(
+                context_factory=_factory(system4, db4, tmp_path),
+                workers=1,
+                executor=executor,
+                processes=1,
+            )
+            try:
+                job = svc.submit(_s1_body(name="writer-put-fail"))
+                assert job.wait(WAIT_S) and job.status == "done", job.error
+                assert job.attempts == 1
+                m = svc.metrics()
+                assert m["store_put_errors"] == 1 and m["store_puts"] == 0
+                assert m["attempts_total"] == 1 and m["jobs_retried"] == 0
+                assert m["simulations"] == 1
+                breaker = getattr(svc.executor, "breaker", None)
+                if breaker is not None:  # the put failure is not a worker death
+                    assert breaker.state == breaker.CLOSED
+                    assert breaker._consecutive_failures == 0
+            finally:
+                svc.close()
+        assert plan.report()[faults.STORE_PUT_FAIL]["fires"] == 1
+
+
+class TestRecoveredStoredJobs:
+    def test_settle_at_admission_as_published(self, system4, db4, tmp_path, monkeypatch):
         """After a SIGKILL-style restart, a recovered job whose run is
-        already stored still goes through a worker, so its journal records
-        the settlement."""
+        already stored settles on its re-submission, and its journal gets
+        the ``published`` record that settles it there too."""
         factory = _factory(system4, db4, tmp_path)
         bodies = [_s1_body(seed=s) for s in (0, 1, 2)]
         stored = _seed_store(factory, *bodies[:2])
@@ -258,23 +308,28 @@ class TestRecoveredJobsKeepTheWorkerPath:
             # No close(): the service is abandoned mid-queue, like a SIGKILL.
         assert set(JobJournal(jdir).pending()) == {j.job_id for j in jobs}
 
-        svc = ReplayService(context_factory=factory, workers=1, journal=jdir)
+        svc = ReplayService(context_factory=factory, workers=1, journal=jdir, autostart=False)
         try:
             recovered = svc.recover()
             assert {j.job_id for j in recovered} == {j.job_id for j in jobs}
+            # Settled by recover() itself: the workers have not started yet.
+            settled = {j.job_id: j.result_hash for j in recovered if j.status == "done"}
+            assert settled == stored
+            assert all(j.cache_hit and j.recovered for j in recovered if j.job_id in stored)
+            svc.start()
             for job in recovered:
                 assert job.wait(WAIT_S) and job.status == "done", job.error
-                assert job.recovered and not job.settled_at_submit
-                assert job.cache_hit == (job.job_id in stored)
-                if job.job_id in stored:
-                    assert job.result_hash == stored[job.job_id]
+                assert job.recovered and job.cache_hit == (job.job_id in stored)
             m = svc.metrics()
-            assert m["simulations"] == 1 and m["jobs_settled_at_submit"] == 0
+            assert m["simulations"] == 1 and m["jobs_cache_hits"] == 2
+            assert m["jobs_recovered"] == 3
             journal = JobJournal(jdir)
             published = {
                 r.job_id: r.result_hash for r in journal.records() if r.event == "published"
             }
             assert published == {j.job_id: j.result_hash for j in recovered}
+            claimed = {r.job_id for r in journal.records() if r.event == "claimed"}
+            assert claimed == {j.job_id for j in recovered} - set(stored)
             assert journal.pending() == {}
         finally:
             svc.close()
@@ -282,4 +337,3 @@ class TestRecoveredJobsKeepTheWorkerPath:
             # outlives this test (a later fault plan would see its dispatches).
             release.set()
             crashed.close()
-

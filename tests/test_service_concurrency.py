@@ -9,10 +9,7 @@ The acceptance contract of the service layer:
   pool matches serial ``ExperimentContext``-style runs number-for-number;
 * **crash** -- a worker crash mid-job surfaces a failed status (never a
   hang), leaves the pool serving, and a later identical submission
-  retries cleanly;
-* **in-flight hook** -- an executor that loses the
-  :class:`InflightRegistry` claim race waits for the owner's result
-  instead of simulating again.
+  retries cleanly.
 
 Every wait is bounded, so a deadlock fails the suite instead of hanging
 it.  The storms are deterministic: all randomness lives in the scenario
@@ -30,7 +27,7 @@ import urllib.request
 import pytest
 
 import repro.service.pool as pool_mod
-from repro.experiments.runner import RM2, ExperimentContext
+from repro.experiments.runner import ExperimentContext
 from repro.scenarios.events import Scenario
 from repro.service import ReplayService, build_item, job_spec_from_json, make_server
 from repro.simulation.results_store import ResultsStore
@@ -310,7 +307,6 @@ class TestWorkerCrash:
             # The pool survived the crash and still serves other jobs.
             assert healthy.wait(WAIT_S) and healthy.status == "done"
             assert service.jobs_failed == 1 and service.jobs_done == 1
-            assert service.inflight.inflight_count() == 0
 
             # A later identical submission retries instead of inheriting
             # the failure forever.
@@ -351,38 +347,6 @@ class TestWorkerCrash:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
-
-
-class TestInflightHook:
-    """A non-owner executor waits for the owner instead of re-simulating."""
-
-    def test_losing_claimant_reuses_owner_result(
-        self, factory, system4, db4
-    ):
-        service = ReplayService(context_factory=factory, workers=1)
-        try:
-            spec = job_spec_from_json(_s1_body(name="inflight-s1"))
-            ctx = service.ctx_for(4)
-            from repro.service.jobs import job_key
-
-            key = job_key(spec, ctx)
-            # Pose as another executor sharing the store: claim the key
-            # before the service's worker can.
-            owner, ticket = service.inflight.claim(key)
-            assert owner
-            job = service.submit(_s1_body(name="inflight-s1"))
-            assert not job.wait(2.0), "job must wait for the in-flight owner"
-            scenario = build_item(spec, db4.benchmarks())
-            reference = simulate_scenario(
-                system4, db4, scenario, RM2.build(), max_slices=MAX_SLICES
-            )
-            service.inflight.publish(ticket, reference)
-            assert job.wait(WAIT_S) and job.status == "done"
-            assert job.cache_hit is True
-            assert service.simulations == 0  # served by the "other" executor
-            assert_bit_identical(job.result, reference)
-        finally:
             service.close()
 
 

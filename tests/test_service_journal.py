@@ -85,6 +85,32 @@ class TestJournalRecords:
         assert set(pending) == {"job-a"}
         assert pending["job-a"].spec == {"shape": "S1"}
 
+    def test_legacy_stored_line_keeps_pending(self, tmp_path):
+        """Older builds journalled a ``stored`` event after each store put."""
+        a, b = "a" * 24, "b" * 24
+        lines = [
+            json.dumps(r.to_json(), sort_keys=True)
+            for r in (
+                JournalRecord("submitted", a, lane="interactive", spec={"shape": "S1"}),
+                JournalRecord("submitted", b, lane="bulk", spec={"shape": "S2"}),
+                JournalRecord("published", b, result_hash="h"),
+            )
+        ]
+        stored = [
+            json.dumps({"v": JOURNAL_FORMAT_VERSION, "event": "stored", "job_id": key})
+            for key in (b, a)
+        ]
+        # b was stored then published; a was stored when the service died.
+        legacy_lines = lines[:2] + stored[:1] + lines[2:] + stored[1:]
+        pendings = []
+        for name, body in (("plain", lines), ("legacy", legacy_lines)):
+            root = tmp_path / name
+            root.mkdir()
+            (root / JobJournal.FILENAME).write_text("\n".join(body) + "\n")
+            pendings.append(JobJournal(str(root)).pending())
+        assert set(pendings[0]) == {a}
+        assert pendings[1] == pendings[0]
+
     def test_torn_final_line_tolerated(self, tmp_path):
         journal = JobJournal(str(tmp_path / "j"))
         journal.append("submitted", "job-a", lane="interactive", spec={"shape": "S1"})
@@ -440,7 +466,10 @@ class TestCrashRecovery:
             assert JobJournal(jdir).pending() == {}
         finally:
             svc.close()
-            release.set()  # let the abandoned daemon worker exit
+            # Release and drain the abandoned service, so none of its work
+            # outlives this test (a later fault plan would see its dispatches).
+            release.set()
+            crashed.close()
 
     def test_recover_without_journal_is_noop(self, system4, db4, tmp_path):
         svc = ReplayService(context_factory=_factory(system4, db4, tmp_path), workers=1)

@@ -17,8 +17,10 @@ The CI ``service-smoke`` job's driver, in three stages (``--stage``):
   reboot the server on the same journal, and require every journalled job
   to complete with hashes byte-identical to the baseline's
   ``restart_jobs`` section (``--require-pending`` additionally demands
-  jobs really were pending at the kill, which CI's cold results store
-  guarantees).
+  jobs really were pending at the kill).  Both boots share a temporary
+  cache directory holding a copy of the 4-core database and an empty
+  ``results/``: a stored run settles at admission, so only an empty store
+  keeps the burst queued at the kill, however warm ``--cache-dir`` is.
 * ``backpressure`` -- boot with ``--max-queue 1 --workers 1``, wedge the
   worker with a never-before-seen job, and require the overflow
   submissions to draw ``429`` + an integral ``Retry-After`` header plus a
@@ -58,6 +60,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from _bench_common import (  # noqa: E402
     ARTIFACT_DIR,
     BENCHMARK_SUBSET,
+    add_src_to_path,
     write_bench_artifact,
 )
 
@@ -158,6 +161,14 @@ def _scrape_metrics(base: str) -> dict:
     }
 
 
+def _server_env() -> dict:
+    """The server's environment: ours, with bench-smoke fidelity by default."""
+    env = dict(os.environ)
+    env.setdefault("REPRO_MAX_SLICES", "12")
+    env.setdefault("REPRO_ACCESSES_PER_SET", "400")
+    return env
+
+
 def _start_server(
     cache_dir: str | None, extra_args: list[str] | None = None, workers: int = 2
 ) -> tuple[subprocess.Popen, str]:
@@ -177,11 +188,8 @@ def _start_server(
     if cache_dir:
         cmd += ["--cache-dir", cache_dir]
     cmd += extra_args or []
-    env = dict(os.environ)
-    env.setdefault("REPRO_MAX_SLICES", "12")
-    env.setdefault("REPRO_ACCESSES_PER_SET", "400")
     proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_server_env()
     )
     deadline = time.monotonic() + STARTUP_TIMEOUT_S
     base = None
@@ -311,10 +319,35 @@ def _journal_pending_ids(journal_dir: str) -> set[str]:
     return pending
 
 
+def _fresh_results_cache(cache_dir: str | None) -> str:
+    """A temporary cache dir: a copy of the 4-core database, empty ``results/``.
+
+    Without a database in ``cache_dir`` the server builds one in the
+    temporary directory instead, which is slower but replays the same.
+    """
+    add_src_to_path()
+    from repro.config import default_system
+    from repro.experiments.runner import DEFAULT_CACHE_DIR
+    from repro.simulation.database import database_cache_path
+
+    database = database_cache_path(
+        default_system(4),
+        BENCHMARK_SUBSET,
+        int(_server_env()["REPRO_ACCESSES_PER_SET"]),
+        cache_dir or DEFAULT_CACHE_DIR,
+    )
+    fresh = tempfile.mkdtemp(prefix="smoke-cache-")
+    os.makedirs(os.path.join(fresh, "results"))
+    if os.path.exists(database):
+        shutil.copy2(database, fresh)
+    return fresh
+
+
 def _stage_restart(
     cache_dir: str | None, report: dict, failures: list[str], require_pending: bool
 ) -> None:
     """Durability: journalled burst -> SIGKILL mid-queue -> reboot -> drain."""
+    cache_dir = _fresh_results_cache(cache_dir)
     journal_dir = tempfile.mkdtemp(prefix="smoke-journal-")
     journal_args = ["--journal-dir", journal_dir]
     proc, base = _start_server(cache_dir, journal_args, workers=1)
@@ -335,7 +368,7 @@ def _stage_restart(
     if require_pending and not pending:
         failures.append(
             "restart stage found no pending jobs at SIGKILL; the burst "
-            "finished too fast to exercise recovery (is the results store warm?)"
+            "finished too fast to exercise recovery"
         )
 
     proc, base = _start_server(cache_dir, journal_args, workers=1)
@@ -375,6 +408,7 @@ def _stage_restart(
         client.close()
         _stop_server(proc)
         shutil.rmtree(journal_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 def _stage_backpressure(cache_dir: str | None, report: dict, failures: list[str]) -> None:
@@ -470,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         "--require-pending",
         action="store_true",
         help="fail the restart stage unless jobs were genuinely pending at "
-        "the SIGKILL (CI passes this; a warm local store may not)",
+        "the SIGKILL (CI passes this)",
     )
     parser.add_argument(
         "--update",

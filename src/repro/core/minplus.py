@@ -1,0 +1,129 @@
+"""Build and load the compiled min-plus kernel of the packed reduction.
+
+``_minplus.c`` holds the two inner loops of
+:class:`~repro.core.packed_tree.PackedReduction`: the box-local band
+combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the first-minimum
+split.  :func:`load` compiles it with the interpreter's C compiler
+(``sysconfig``'s ``CC``, else ``cc``) and loads it with :mod:`ctypes`, so
+NumPy stays the package's only dependency.
+
+The library is cached in the package's ``__pycache__`` under a name hashed
+from the source bytes, the compiler command, :data:`CFLAGS` and the
+platform: an edited source, another compiler or other flags give a new
+name, so a stale library can never load.  It is compiled to a temporary
+name and installed with :func:`os.replace`, so processes that build at
+the same time each install a complete library.  When ``__pycache__`` is
+not writable, the library goes to a temporary directory of the process.
+
+When no library can be built or loaded, :func:`load` warns with the
+failure and returns ``None``, and the packed reduction keeps its NumPy
+sweep; the choice is made once, when :mod:`repro.core.packed_tree` is
+imported.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import sysconfig
+import tempfile
+import warnings
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_minplus.c")
+CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+
+#: Exact IEEE arithmetic: no contraction of ``a + b`` into a fused
+#: operation, no ``-ffast-math`` reassociation, and no host-only
+#: instruction set, so the library computes what the NumPy sweep computes
+#: on any machine that shares the cache.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def compiler() -> list[str]:
+    """The interpreter's C compiler command: ``sysconfig``'s ``CC``, else ``cc``."""
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def library_name(source: bytes, cc: list[str]) -> str:
+    """Cache file name of the library built from ``source`` by ``cc``."""
+    key = repr((hashlib.sha256(source).hexdigest(), cc, CFLAGS, sysconfig.get_platform()))
+    return f"_minplus-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+
+def _build(source: bytes, cc: list[str], tmp: str, path: str) -> None:
+    """Compile ``source`` to ``tmp``, then install it as ``path``."""
+    import subprocess  # only a build needs it (~4 ms of every import otherwise)
+
+    try:
+        # The compiler reads the hashed bytes from stdin, so the library
+        # matches its name even if the file changes meanwhile.
+        proc = subprocess.run(
+            [*cc, *CFLAGS, "-o", tmp, "-x", "c", "-"],
+            input=source,
+            capture_output=True,
+        )
+        if proc.returncode:
+            err = proc.stderr.decode(errors="replace").strip()
+            raise OSError(f"{shlex.join(cc)} exited with status {proc.returncode}: {err}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _private_dir() -> str:
+    path = tempfile.mkdtemp(prefix="repro-minplus-")
+    atexit.register(shutil.rmtree, path, True)
+    return path
+
+
+def _library(cache_dir: str) -> ctypes.CDLL:
+    with open(SOURCE, "rb") as fh:
+        source = fh.read()
+    cc = compiler()
+    name = library_name(source, cc)
+    path = os.path.join(cache_dir, name)
+    if not os.path.exists(path):
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=cache_dir)
+        except OSError:  # not writable: build for this process only
+            path = os.path.join(_private_dir(), name)
+            fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=os.path.dirname(path))
+        os.close(fd)
+        _build(source, cc, tmp, path)
+    lib = ctypes.CDLL(path)
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    lib.minplus_band.argtypes = [ptr, size, ptr, size, ptr, size, size]
+    lib.minplus_band.restype = None
+    lib.minplus_split.argtypes = [ptr, ptr, size]
+    lib.minplus_split.restype = size
+    return lib
+
+
+def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
+    """The compiled kernel, built into ``cache_dir`` (default
+    :data:`CACHE_DIR`) if it is not there yet; ``None``, with a
+    :class:`RuntimeWarning` naming the failure, if it cannot be built or
+    loaded.
+
+    ``minplus_band(a, na, b, nb, out, nout, k0)`` writes
+    ``out[t] = min a[t + k0 - j] + b[j]`` over ``j in [0, nb)`` with
+    ``t + k0 - j in [0, na)`` (``inf`` where no such pair exists) for
+    ``t in [0, nout)``; ``minplus_split(a, b, n)`` returns the first ``i``
+    minimising ``a[i] + b[n - 1 - i]``.  Arrays are passed as the
+    addresses of contiguous float64 buffers.
+    """
+    try:
+        return _library(CACHE_DIR if cache_dir is None else cache_dir)
+    except (OSError, AttributeError) as exc:
+        warnings.warn(
+            f"compiled min-plus kernel unavailable, using the NumPy sweep: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None

@@ -13,7 +13,7 @@ struct-of-arrays layout:
 * **level-synchronous storage** -- all combine nodes of one tree level
   live in one padded ``(nodes, ways)`` float64 matrix, and a hierarchy
   stacks every cluster's level-l nodes into the same matrix.  A refresh
-  re-sweeps each dirty row once, bottom-up (one root path in the steady
+  recombines each dirty row once, bottom-up (one root path in the steady
   state, the sorted union of the dirty paths after a multi-leaf change).
   Refresh stores *values only*: the back-track walk reads exactly one
   split index per visited row, so splits are recovered lazily
@@ -41,26 +41,32 @@ reference: ``tests/test_packed_tree.py`` asserts bit-identity --
 assignments, splits, meter charges -- across random widths, odd leaf
 counts, way caps and splice orders.
 
-Band-blocked sweep layout (one dirty row, narrower child box on the
-candidate axis)::
+The min-plus kernel (``_minplus.c``, built and loaded by
+:mod:`repro.core.minplus`) does every combine and every split.  Its
+contract, over a row's box-local children ``a`` (``na`` entries), ``b``
+(``nb``) and output span ``out`` (``nout``)::
 
-    L1 (NK+NB-1)  inf-filled; holds the wider child's box, placed so
-                  window t, candidate j reads a[t + j - (NB-1) + k0]
-    R1 (NB)       the narrower child's box, reversed
-    win           as_strided view of L1, win[t, j] = L1[t + j]
-    block         candidates [j0, j1) (SWEEP_BLOCK wide) against only the
-                  outputs t they can reach through a placed a entry; each
-                  block's minima fold into the inf-filled row
+    out[t] = min  a[t + k0 - j] + b[j]    j in [0, nb), t + k0 - j in [0, na)
+    split  = first i minimising a[i] + b[n - 1 - i]
 
-Out-of-range candidates land on ``inf`` pads and can never win or tie a
-finite minimum, exactly like the reference's padded single-node combine;
-the cells a block skips are exactly such pads.
+with ``inf`` where no pair exists (``k0`` may put outputs before the
+first pair or past the last).  Its values are exact: every cell is one
+IEEE add of the same two entries the node-graph reference adds,
+``min`` is exact in any order, and curves hold only finite values or
+``+inf`` (never NaN), on which the kernel's ``v < o ? v : o`` is
+``np.minimum``; the split scans ascending with a strict ``<``, which is
+``np.argmin``'s first minimum.  Pairs outside the finite boxes are
+infinite and can never win or tie a finite minimum, so restricting the
+combine to the boxes changes no value.  Where no C compiler works, the
+band-blocked NumPy sweep (``_numpy_row``) computes the same values; the
+choice is made once, at import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import minplus
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import _dp_cell_count
 from repro.core.overhead_meter import OverheadMeter
@@ -68,12 +74,16 @@ from repro.util.validation import require
 
 __all__ = ["PackedReduction"]
 
-#: Candidates per band block of a sweep.  On the level-7 rows of a
-#: 256-core manycore_s7 tree (350-405-wide boxes, 685 outputs; 2-CPU Xeon,
-#: NumPy 2.4), widths 64-96 took 290-330 us per row against 465-620 us
-#: for one block per box; 32 or less, and 192, give part of the gain back
-#: to NumPy call overhead.
+#: Candidates per band block of the NumPy fallback sweep.  On the level-7
+#: rows of a 256-core manycore_s7 tree (350-405-wide boxes, 685 outputs;
+#: 2-CPU Xeon, NumPy 2.4), widths 64-96 took 290-330 us per row against
+#: 465-620 us for one block per box; 32 or less, and 192, give part of the
+#: gain back to NumPy call overhead.
 SWEEP_BLOCK = 64
+
+#: The compiled kernel, or None where it could not be built: then every
+#: combine and split runs the NumPy sweep.  Chosen once, at import.
+_kernel = minplus.load()
 
 
 class _Rec:
@@ -92,20 +102,40 @@ class _Rec:
         self.src_b = src_b
 
 
-class _Level:
+class _Rows:
+    """Packed rows of one tree level (level 0 holds the leaves)."""
+
+    __slots__ = ("E", "pos", "nlo", "flo", "fhi", "stamp")
+
+    def __init__(self, nlo: list[int], width: int) -> None:
+        nrows = len(nlo)
+        self.nlo = nlo  # way count stored in each row's column 0
+        self.E = np.full((nrows, width), np.inf)
+        # Address of each row's (virtual) way-0 cell, so way w of row r
+        # sits at pos[r] + 8 * w; E is never reallocated.
+        base, step = self.E.ctypes.data, self.E.strides[0]
+        self.pos = [base + r * step - 8 * lo for r, lo in enumerate(nlo)]
+        # Finite-support bounding box per row (absolute way counts,
+        # flo > fhi = all-inf row).  Idle and QoS-pruned curves leave most
+        # of a row infinite; combines restrict to the box (see _compute_row).
+        self.flo = [0] * nrows
+        self.fhi = [-1] * nrows
+        self.stamp = [-1] * nrows  # way total of the last back-track visit
+
+
+class _Level(_Rows):
     """Packed storage plus per-row metadata for one combine level."""
 
-    __slots__ = ("E", "stamp", "src", "alo", "blo", "nlo", "nk", "M", "width", "flo", "fhi", "_one")
+    __slots__ = ("src", "alo", "blo", "nk", "M", "width", "_one")
 
     def __init__(self, recs: list[_Rec]) -> None:
         nrows = len(recs)
         self.src = [None] * nrows  # ((lev_a, row_a), (lev_b, row_b))
         self.alo = [0] * nrows  # children's stored (needed) lo
         self.blo = [0] * nrows
-        self.nlo = [0] * nrows  # this row's stored lo
+        nlo = [0] * nrows  # this row's stored lo
         self.nk = [0] * nrows  # this row's stored width
-        self.stamp = [-1] * nrows  # way total of the last back-track visit
-        #: Sweeps orient the *narrower* child onto the candidate axis
+        #: NumPy sweeps orient the *narrower* child onto the candidate axis
         #: (min-plus convolution commutes), so their buffers are sized by
         #: the widest narrow side of the level.
         self.M = 0
@@ -115,21 +145,16 @@ class _Level:
             self.src[r] = ((a.lev, a.row), (b.lev, b.row))
             self.alo[r] = a.nlo
             self.blo[r] = b.nlo
-            self.nlo[r] = rec.nlo
+            nlo[r] = rec.nlo
             self.nk[r] = rec.nhi - rec.nlo + 1
             self.M = max(self.M, min(a.nhi - a.nlo, b.nhi - b.nlo) + 1)
         self.width = max(self.nk)
-        self.E = np.full((nrows, self.width), np.inf)
-        # Finite-support bounding box per row (absolute way counts,
-        # flo > fhi = all-inf row).  Idle and QoS-pruned curves leave most
-        # of a row infinite; sweeps restrict to the box (see _compute_row).
-        self.flo = [0] * nrows
-        self.fhi = [-1] * nrows
-        self._one = None  # lazy sweep buffers
+        super().__init__(nlo, self.width)
+        self._one = None  # lazy NumPy sweep buffers
 
     def one_buffers(self):
-        """Per-level sweep buffers, built once per level and sized for the
-        worst (unrestricted) box; box-restricted sweeps use a prefix.
+        """Per-level NumPy sweep buffers, built once per level and sized for
+        the worst (unrestricted) box; box-restricted sweeps use a prefix.
 
         They belong to this level of one :class:`PackedReduction`, and a
         reduction is driven by one simulation at a time, so the replay
@@ -257,13 +282,12 @@ class PackedReduction:
         self._root_ref = (root_rec.lev, root_rec.row)
 
         # ---- pack the levels ---------------------------------------------
-        self._leaf_nlo = [rec.nlo for rec in leaf_recs]
+        # Leaf boxes: idle/pinned curves are finite at a single way count,
+        # so boxes collapse the combines above them to a few columns.
         self._leaf_nhi = [rec.nhi for rec in leaf_recs]
         w0 = max(rec.nhi - rec.nlo + 1 for rec in leaf_recs)
-        self._E0 = np.full((self.nleaves, w0), np.inf)
-        self._levels: list[_Level | None] = [None] + [
-            _Level(by_level[lev]) for lev in range(1, nlevels + 1)
-        ]
+        self._levels: list[_Rows] = [_Rows([rec.nlo for rec in leaf_recs], w0)]
+        self._levels += [_Level(by_level[lev]) for lev in range(1, nlevels + 1)]
         # Parent slot of every materialised node, to build the root paths.
         parent: dict[tuple[int, int], tuple[int, int]] = {}
         for lev in range(1, nlevels + 1):
@@ -284,12 +308,6 @@ class PackedReduction:
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
         self._nmissing = self.nleaves  # leaves still awaiting a first curve
         self._dirty_slots: set[int] = set(range(self.nleaves))
-        self._stamp0 = [-1] * self.nleaves
-        # Leaf finite-support boxes (absolute way counts, flo > fhi = all
-        # inf): idle/pinned curves are finite at a single way count, so
-        # boxes collapse the sweeps above them to a few columns.
-        self._flo0 = [0] * self.nleaves
-        self._fhi0 = [-1] * self.nleaves
         self._last_assignment: dict[int, tuple[int, int, int]] | None = None
         #: Core ids whose assignment entry the last solve's walk rewrote
         #: (None until a walk has run).  Every other entry of the returned
@@ -308,21 +326,22 @@ class PackedReduction:
 
     def _write_leaf(self, slot: int, curve: EnergyCurve) -> None:
         require(curve.max_ways >= self._leaf_caps[slot], "leaf curve must span its group's way cap")
-        nlo, nhi = self._leaf_nlo[slot], self._leaf_nhi[slot]
+        leaves = self._levels[0]
+        nlo, nhi = leaves.nlo[slot], self._leaf_nhi[slot]
         if self._held[slot] is None:
             self._nmissing -= 1
-        seg = self._E0[slot, : nhi - nlo + 1]
+        seg = leaves.E[slot, : nhi - nlo + 1]
         seg[:] = curve.epi[nlo - 1 : nhi]
         fin = np.flatnonzero(np.isfinite(seg))
         if fin.size:
-            self._flo0[slot] = nlo + int(fin[0])
-            self._fhi0[slot] = nlo + int(fin[-1])
+            leaves.flo[slot] = nlo + int(fin[0])
+            leaves.fhi[slot] = nlo + int(fin[-1])
         else:
-            self._flo0[slot] = 0
-            self._fhi0[slot] = -1
+            leaves.flo[slot] = 0
+            leaves.fhi[slot] = -1
         self._held[slot] = curve
         self._dirty_slots.add(slot)
-        self._stamp0[slot] = -1
+        leaves.stamp[slot] = -1
 
     def set_leaf(self, slot: int, curve: EnergyCurve) -> None:
         """Install a leaf curve, marking it dirty only if it changed."""
@@ -348,33 +367,24 @@ class PackedReduction:
     def _compute_row(self, lev: int, r: int) -> None:
         """Recombine one row from its children, over their finite boxes.
 
-        The sweep is bandwidth-bound at the top levels, so it runs only
-        where a total can be finite: columns limited to
-        ``[a_flo + b_flo, a_fhi + b_fhi]`` (clipped to the stored range),
-        candidates to the narrower child's box, and within that, block by
-        block, to the band of columns each candidate block can reach.
-        Every excluded cell is the sum of at least one infinite child
-        entry, so its value is ``inf`` either way: the row is exactly the
-        full min-plus combine of its children.  Width-1 child boxes
-        (pinned or idle subtrees) collapse the sweep to a single vector
-        add, and a single output cell to one add-and-min.  Splits are
-        not materialised at all -- :meth:`_split_at` recovers the one
-        split per row the back-track walk actually reads.
+        The combine runs only where a total can be finite: outputs limited
+        to ``[a_flo + b_flo, a_fhi + b_fhi]`` (clipped to the stored
+        range), candidates to the children's boxes.  Every excluded cell is
+        the sum of at least one infinite child entry, so its value is
+        ``inf`` either way: the row is exactly the full min-plus combine of
+        its children.  One kernel call writes the new box and, where the
+        row's previous box reached past it, the ``inf`` cells that clear
+        the rest (no pair reaches them).  Splits are not materialised at
+        all -- :meth:`_split_at` recovers the one split per row the
+        back-track walk actually reads.
         """
-        meta = self._levels[lev]
+        levels = self._levels
+        meta = levels[lev]
         (la, ra), (lb, rb) = meta.src[r]
-        if la == 0:
-            aflo, afhi, a = self._flo0[ra], self._fhi0[ra], self._E0[ra]
-        else:
-            ma = self._levels[la]
-            aflo, afhi, a = ma.flo[ra], ma.fhi[ra], ma.E[ra]
-        if lb == 0:
-            bflo, bfhi, b = self._flo0[rb], self._fhi0[rb], self._E0[rb]
-        else:
-            mb = self._levels[lb]
-            bflo, bfhi, b = mb.flo[rb], mb.fhi[rb], mb.E[rb]
+        ma, mb = levels[la], levels[lb]
+        aflo, afhi = ma.flo[ra], ma.fhi[ra]
+        bflo, bfhi = mb.flo[rb], mb.fhi[rb]
         nlo = meta.nlo[r]
-        E_row = meta.E[r]
         plo = aflo + bflo
         if plo < nlo:
             plo = nlo
@@ -386,13 +396,49 @@ class PackedReduction:
         # write path maintains that invariant), so clearing the old box's
         # span re-establishes an all-inf row without touching full width.
         oflo, ofhi = meta.flo[r], meta.fhi[r]
+        meta.stamp[r] = -1
         if aflo > afhi or bflo > bfhi or plo > phi:
             if oflo <= ofhi:
-                E_row[oflo - nlo : ofhi - nlo + 1].fill(np.inf)
+                meta.E[r, oflo - nlo : ofhi - nlo + 1].fill(np.inf)
             meta.flo[r] = 0
             meta.fhi[r] = -1
-            meta.stamp[r] = -1
             return
+        meta.flo[r] = plo
+        meta.fhi[r] = phi
+        if _kernel is None:
+            self._numpy_row(meta, r, ma, ra, mb, rb, plo, phi, oflo, ofhi)
+            return
+        if oflo <= ofhi:
+            if oflo < plo:
+                plo = oflo
+            if ofhi > phi:
+                phi = ofhi
+        # Every box and span lies inside its row's stored range (each
+        # write path clips to it), so the kernel touches only level cells.
+        _kernel.minplus_band(
+            ma.pos[ra] + 8 * aflo,
+            afhi - aflo + 1,
+            mb.pos[rb] + 8 * bflo,
+            bfhi - bflo + 1,
+            meta.pos[r] + 8 * plo,
+            phi - plo + 1,
+            plo - aflo - bflo,
+        )
+
+    def _numpy_row(self, meta, r, ma, ra, mb, rb, plo, phi, oflo, ofhi) -> None:
+        """:meth:`_compute_row`'s combine where no compiled kernel loaded:
+        the band-blocked NumPy sweep over the output box ``[plo, phi]``.
+
+        Width-1 child boxes (pinned or idle subtrees) collapse the sweep to
+        a single vector add, and a single output cell to one add-and-min.
+        The general case orients the narrower child box onto the candidate
+        axis and sweeps it ``SWEEP_BLOCK`` candidates at a time, each block
+        only over the band of outputs it can reach.
+        """
+        aflo, afhi, a = ma.flo[ra], ma.fhi[ra], ma.E[ra]
+        bflo, bfhi, b = mb.flo[rb], mb.fhi[rb], mb.E[rb]
+        nlo = meta.nlo[r]
+        E_row = meta.E[r]
         NKp = phi - plo + 1
         k0p = plo - (aflo + bflo)
         t0 = plo - nlo
@@ -473,9 +519,6 @@ class PackedReduction:
                 np.add(win[t_lo:t_hi, j0:j1].T, R1[j0:j1, None], out=tot)
                 seg = out[t_lo:t_hi]
                 np.minimum(seg, np.minimum.reduce(tot, axis=0, out=part[:tw]), out=seg)
-        meta.flo[r] = plo
-        meta.fhi[r] = phi
-        meta.stamp[r] = -1
 
     def _refresh(self) -> bool:
         """Recombine every root path with a dirty leaf, one row at a time
@@ -502,7 +545,7 @@ class PackedReduction:
         return True
 
     # ---- solve ---------------------------------------------------------------
-    def _split_at(self, meta: _Level, r: int, sh: int, la: int, ra: int, lb: int, rb: int) -> int:
+    def _split_at(self, meta: _Level, r: int, sh: int) -> int:
         """Left-child way count of the finite cell ``(r, sh)``, recovered
         lazily from the children.
 
@@ -516,16 +559,10 @@ class PackedReduction:
         infinite and cannot win or tie the (finite) minimum the cell
         holds, so clipping preserves the first-minimum choice exactly.
         """
-        if la == 0:
-            aflo, afhi, a = self._flo0[ra], self._fhi0[ra], self._E0[ra]
-        else:
-            ma = self._levels[la]
-            aflo, afhi, a = ma.flo[ra], ma.fhi[ra], ma.E[ra]
-        if lb == 0:
-            bflo, bfhi, b = self._flo0[rb], self._fhi0[rb], self._E0[rb]
-        else:
-            mb = self._levels[lb]
-            bflo, bfhi, b = mb.flo[rb], mb.fhi[rb], mb.E[rb]
+        (la, ra), (lb, rb) = meta.src[r]
+        ma, mb = self._levels[la], self._levels[lb]
+        aflo, afhi = ma.flo[ra], ma.fhi[ra]
+        bflo, bfhi = mb.flo[rb], mb.fhi[rb]
         lo = sh - bfhi
         if lo < aflo:
             lo = aflo
@@ -534,17 +571,17 @@ class PackedReduction:
             hi = afhi
         if lo == hi:
             return lo
+        if _kernel is not None:
+            return lo + _kernel.minplus_split(
+                ma.pos[ra] + 8 * lo, mb.pos[rb] + 8 * (sh - hi), hi - lo + 1
+            )
         alo = meta.alo[r]
         blo = meta.blo[r]
-        va = a[lo - alo : hi - alo + 1]
-        vb = b[sh - hi - blo : sh - lo - blo + 1]
+        va = ma.E[ra, lo - alo : hi - alo + 1]
+        vb = mb.E[rb, sh - hi - blo : sh - lo - blo + 1]
         tmp = meta.one_buffers()[2][: hi - lo + 1]
         np.add(va, vb[::-1], out=tmp)
         return lo + int(tmp.argmin())
-
-    def _root_stamp(self) -> int:
-        lev, row = self._root_ref
-        return self._stamp0[row] if lev == 0 else self._levels[lev].stamp[row]
 
     def refresh(self, meter: OverheadMeter | None = None) -> bool:
         """Charge the invocation's static DP total and recombine dirty paths."""
@@ -565,16 +602,13 @@ class PackedReduction:
         s = self._root_s
         if s is None:
             return None
+        levels = self._levels
         lev, row = self._root_ref
-        if lev == 0:
-            nlo, E = self._leaf_nlo[row], self._E0
-        else:
-            meta = self._levels[lev]
-            nlo, E = meta.nlo[row], meta.E
-        if E[row, s - nlo] == np.inf:  # never NaN: curves are finite or inf
+        root = levels[lev]
+        if root.E[row, s - root.nlo[row]] == np.inf:  # never NaN: curves are finite or inf
             return None
         prev = self._last_assignment
-        if prev is not None and self._root_stamp() == s:
+        if prev is not None and root.stamp[row] == s:
             self.last_touched = []
             return prev
         # Start from the previous assignment (one C-speed dict copy: the
@@ -584,24 +618,20 @@ class PackedReduction:
         out: dict[int, tuple[int, int, int]] = {} if prev is None else dict(prev)
         touched: list[int] = []
         held = self._held
-        stamp0 = self._stamp0
         stack = [(lev, row, s)]
         while stack:
             lv, r, sh = stack.pop()
+            meta = levels[lv]
+            if meta.stamp[r] == sh and prev is not None:
+                continue
+            meta.stamp[r] = sh
             if lv == 0:
-                if stamp0[r] == sh and prev is not None:
-                    continue
-                stamp0[r] = sh
                 curve = held[r]
                 out[curve.core_id] = curve.setting_at(sh)
                 touched.append(curve.core_id)
                 continue
-            meta = self._levels[lv]
-            if meta.stamp[r] == sh and prev is not None:
-                continue
-            meta.stamp[r] = sh
+            sl = self._split_at(meta, r, sh)
             (la, ra), (lb, rb) = meta.src[r]
-            sl = self._split_at(meta, r, sh, la, ra, lb, rb)
             stack.append((lb, rb, sh - sl))
             stack.append((la, ra, sl))
         self._last_assignment = out

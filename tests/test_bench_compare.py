@@ -17,6 +17,7 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+from _bench_common import CHAOS_REPORT  # noqa: E402
 from bench_compare import compare_reports, main  # noqa: E402
 
 BASE = {
@@ -176,6 +177,26 @@ class TestGateCli:
         self._write(basedir, BASE)
         self._write(art, fresh(result_hash="drifted"))
         assert main(["--artifact-dir", art, "--baseline-dir", basedir]) == 1
+
+    def test_chaos_report_is_not_a_bench_artifact(self, tmp_path, capsys):
+        """The chaos smoke's report, written beside the bench artifacts,
+        has no baseline and must not fail the gate."""
+        art, basedir = str(tmp_path / "art"), str(tmp_path / "base")
+        self._write(basedir, BASE)
+        self._write(art, BASE)
+        with open(os.path.join(art, CHAOS_REPORT), "w", encoding="utf-8") as fh:
+            json.dump({"benchmark": "chaos_smoke", "seed": 1337}, fh)
+        assert main(["--artifact-dir", art, "--baseline-dir", basedir]) == 0
+        assert CHAOS_REPORT not in capsys.readouterr().out
+
+    def test_bench_artifact_without_baseline_still_fails(self, tmp_path, capsys):
+        art, basedir = str(tmp_path / "art"), str(tmp_path / "base")
+        self._write(basedir, BASE)
+        self._write(art, BASE)
+        with open(os.path.join(art, "BENCH_new_probe.json"), "w", encoding="utf-8") as fh:
+            json.dump(BASE, fh)
+        assert main(["--artifact-dir", art, "--baseline-dir", basedir]) == 1
+        assert "FAIL BENCH_new_probe.json: no committed baseline" in capsys.readouterr().out
 
     def test_no_artifacts_is_an_error(self, tmp_path):
         art = str(tmp_path / "empty")

@@ -2,8 +2,8 @@
 
 :class:`~repro.core.packed_tree.PackedReduction` plans an entire clustered
 hierarchy -- per-cluster capped combine levels plus the second-level
-stage -- into struct-of-arrays level matrices and solves it with
-band-blocked min-plus sweeps, one per dirty row.  The node-graph
+stage -- into struct-of-arrays level matrices and solves it with one
+min-plus combine per dirty row.  The node-graph
 :class:`~tests.oracles.node_graph.ReductionTree` hierarchy is the golden
 reference: on every input the packed tree must reproduce its assignment
 (including tie-breaks), its ``None``-ness on infeasible inputs, and its
@@ -15,10 +15,14 @@ update sequences over inf-heavy curves (sporadic infeasible entries plus
 pinned single-way curves, the shapes idle cores and capped clusters
 produce), covering flat trees, odd leaf counts, uneven final clusters and
 over-provisioned way caps, from the one-leaf plan up.  Wide-box cases
-push sweeps across three or more candidate blocks.  An 8-core
+push the NumPy sweep across three or more candidate blocks.  An 8-core
 cluster-churn replay through the production clustered manager and through
 the node-graph clustered manager oracle pins the manager wiring end to
 end.
+
+The hypothesis cases and the wide-box cases run twice: over the compiled
+min-plus kernel the module loaded, and (the ``...NumpySweep`` classes)
+over the NumPy fallback sweep, forced by monkeypatching the kernel away.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import rm2_combined
 from repro.core.overhead_meter import OverheadMeter
+from repro.core import packed_tree
 from repro.core.packed_tree import SWEEP_BLOCK, PackedReduction
 from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
@@ -40,8 +45,18 @@ from tests.oracles.reference_manager import NodeGraphClusteredManager
 from tests.test_clustered import assert_same_numbers
 
 
-def _random_curves(rng, ncores, ways, inf_p=0.25):
-    """Inf-heavy random curves; ~15% are pinned to a single way count."""
+@pytest.fixture(scope="class")
+def numpy_sweep():
+    """Run the class's cases over the NumPy fallback sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed_tree, "_kernel", None)
+        yield
+
+
+def _random_curves(rng, ncores, ways, inf_p=0.25, ties=False):
+    """Inf-heavy random curves; ~15% are pinned to a single way count.
+    ``ties`` rounds the energies to whole numbers, so that many splits
+    tie and the first-minimum tie-break decides them."""
     curves = []
     for j in range(ncores):
         epi = np.where(rng.random(ways) < inf_p, np.inf,
@@ -49,6 +64,8 @@ def _random_curves(rng, ncores, ways, inf_p=0.25):
         if rng.random() < 0.15:
             epi = np.full(ways, np.inf)
             epi[rng.integers(0, ways)] = rng.uniform(0.1, 5.0)
+        if ties:
+            epi = np.round(epi)
         curves.append(EnergyCurve(
             core_id=j, epi=epi,
             freq_idx=rng.integers(0, 4, size=ways),
@@ -105,107 +122,149 @@ def _check_step(tag, ref, got, m_ref, m_pk):
     assert m_pk.dp_cells == m_ref.dp_cells, f"{tag}: DP-cell drift"
 
 
+def _splice_sequences_match_reference(seed, ties=False):
+    rng = np.random.default_rng(seed)
+    ncores = int(rng.integers(2, 20))
+    ways = int(rng.integers(ncores, 3 * ncores + 4))
+    clusters, caps = _random_hierarchy(rng, ncores, ways)
+    packed = PackedReduction(
+        tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+    reference = _Reference(clusters, caps, ways)
+    m_ref, m_pk = OverheadMeter(), OverheadMeter()
+
+    curves = _random_curves(rng, ncores, ways,
+                            inf_p=float(rng.uniform(0.05, 0.6)), ties=ties)
+    for step in range(int(rng.integers(3, 8))):
+        tag = f"seed={seed} step={step} clusters={clusters} caps={caps}"
+        ref = reference.solve(curves, m_ref)
+        for j in range(ncores):
+            packed.set_leaf(j, curves[j])
+        got = packed.solve(m_pk)
+        _check_step(tag, ref, got, m_ref, m_pk)
+        if ref is not None:
+            # Identity contract: nothing changed, so the manager's
+            # delta diffing must see the very same dict object again.
+            again = packed.solve(m_pk)
+            assert again is got, f"{tag}: cached-dict identity broken"
+            _check_step(f"{tag} (cached)", reference.solve(curves, m_ref),
+                        again, m_ref, m_pk)
+        mode = rng.random()
+        if mode < 0.55:  # steady state: one core's curve moves
+            j = int(rng.integers(0, ncores))
+            curves[j] = _random_curves(rng, j + 1, ways, 0.3, ties)[j]
+        elif mode < 0.8:  # a few cores move at once
+            for j in rng.choice(ncores, size=min(ncores, 3), replace=False):
+                curves[int(j)] = _random_curves(rng, int(j) + 1, ways, 0.4, ties)[int(j)]
+        else:  # tenancy splice: forced re-ingest of an unchanged slot
+            j = int(rng.integers(0, ncores))
+            packed.invalidate(j)
+            reference.invalidate(j)
+
+
+def _flat_tree_matches(seed, ncores):
+    """A one-cluster packed plan is the flat ReductionTree, bit for bit."""
+    rng = np.random.default_rng(seed)
+    ways = 3 * ncores + int(rng.integers(0, 4))
+    curves = _random_curves(rng, ncores, ways)
+    flat = ReductionTree(ncores, ways, 1)
+    for j, c in enumerate(curves):
+        flat.set_leaf(j, c)
+    packed = PackedReduction((ncores,), (ways,), ways, 1)
+    for j, c in enumerate(curves):
+        packed.set_leaf(j, c)
+    m_ref, m_pk = OverheadMeter(), OverheadMeter()
+    want = flat.solve(m_ref)
+    got = packed.solve(m_pk)
+    assert got == want
+    assert m_pk.instructions == m_ref.instructions
+    assert m_pk.dp_cells == m_ref.dp_cells
+
+
+def _all_idle_is_infeasible_then_recovers():
+    """Every leaf pinned over-budget -> None; a feasible splice heals."""
+    ncores, ways = 8, 16
+    clusters = partition_clusters(ncores, 4)
+    caps = cluster_way_caps(ways, ncores, clusters, 1)
+    packed = PackedReduction(
+        tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+    reference = _Reference(clusters, caps, ways)
+    pinned = []
+    for j in range(ncores):
+        epi = np.full(ways, np.inf)
+        epi[ways - 1] = 1.0  # all demand the full cache: infeasible
+        pinned.append(EnergyCurve(core_id=j, epi=epi,
+                                  freq_idx=np.zeros(ways, dtype=int),
+                                  core_idx=np.ones(ways, dtype=int)))
+    m_ref, m_pk = OverheadMeter(), OverheadMeter()
+    for j in range(ncores):
+        packed.set_leaf(j, pinned[j])
+    assert reference.solve(pinned, m_ref) is None
+    assert packed.solve(m_pk) is None
+    assert m_pk.instructions == m_ref.instructions
+
+    rng = np.random.default_rng(7)
+    healed = [
+        EnergyCurve(core_id=j, epi=rng.uniform(0.1, 5.0, size=ways),
+                    freq_idx=rng.integers(0, 4, size=ways),
+                    core_idx=rng.integers(0, 3, size=ways))
+        for j in range(ncores)
+    ]
+    for j in range(ncores):
+        packed.set_leaf(j, healed[j])
+    ref = reference.solve(healed, m_ref)
+    got = packed.solve(m_pk)
+    assert got == ref
+    assert ref is not None
+    assert m_pk.instructions == m_ref.instructions
+
+
 class TestPackedBitIdentity:
     """Packed vs node-graph reference over randomized splice sequences."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_splice_sequences_match_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        ncores = int(rng.integers(2, 20))
-        ways = int(rng.integers(ncores, 3 * ncores + 4))
-        clusters, caps = _random_hierarchy(rng, ncores, ways)
-        packed = PackedReduction(
-            tuple(len(m) for m in clusters), tuple(caps), ways, 1)
-        reference = _Reference(clusters, caps, ways)
-        m_ref, m_pk = OverheadMeter(), OverheadMeter()
+        _splice_sequences_match_reference(seed)
 
-        curves = _random_curves(rng, ncores, ways,
-                                inf_p=float(rng.uniform(0.05, 0.6)))
-        for step in range(int(rng.integers(3, 8))):
-            tag = f"seed={seed} step={step} clusters={clusters} caps={caps}"
-            ref = reference.solve(curves, m_ref)
-            for j in range(ncores):
-                packed.set_leaf(j, curves[j])
-            got = packed.solve(m_pk)
-            _check_step(tag, ref, got, m_ref, m_pk)
-            if ref is not None:
-                # Identity contract: nothing changed, so the manager's
-                # delta diffing must see the very same dict object again.
-                again = packed.solve(m_pk)
-                assert again is got, f"{tag}: cached-dict identity broken"
-                _check_step(f"{tag} (cached)", reference.solve(curves, m_ref),
-                            again, m_ref, m_pk)
-            mode = rng.random()
-            if mode < 0.55:  # steady state: one core's curve moves
-                j = int(rng.integers(0, ncores))
-                curves[j] = _random_curves(rng, j + 1, ways, 0.3)[j]
-            elif mode < 0.8:  # a few cores move at once
-                for j in rng.choice(ncores, size=min(ncores, 3), replace=False):
-                    curves[int(j)] = _random_curves(rng, int(j) + 1, ways, 0.4)[int(j)]
-            else:  # tenancy splice: forced re-ingest of an unchanged slot
-                j = int(rng.integers(0, ncores))
-                packed.invalidate(j)
-                reference.invalidate(j)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_tied_splice_sequences_match_reference(self, seed):
+        _splice_sequences_match_reference(seed, ties=True)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000), ncores=st.integers(1, 31))
     @example(seed=0, ncores=1)  # the one-leaf plan
     @example(seed=0, ncores=31)
     def test_flat_tree_matches(self, seed, ncores):
-        """A one-cluster packed plan is the flat ReductionTree, bit for bit."""
-        rng = np.random.default_rng(seed)
-        ways = 3 * ncores + int(rng.integers(0, 4))
-        curves = _random_curves(rng, ncores, ways)
-        flat = ReductionTree(ncores, ways, 1)
-        for j, c in enumerate(curves):
-            flat.set_leaf(j, c)
-        packed = PackedReduction((ncores,), (ways,), ways, 1)
-        for j, c in enumerate(curves):
-            packed.set_leaf(j, c)
-        m_ref, m_pk = OverheadMeter(), OverheadMeter()
-        want = flat.solve(m_ref)
-        got = packed.solve(m_pk)
-        assert got == want
-        assert m_pk.instructions == m_ref.instructions
-        assert m_pk.dp_cells == m_ref.dp_cells
+        _flat_tree_matches(seed, ncores)
 
     def test_all_idle_is_infeasible_then_recovers(self):
-        """Every leaf pinned over-budget -> None; a feasible splice heals."""
-        ncores, ways = 8, 16
-        clusters = partition_clusters(ncores, 4)
-        caps = cluster_way_caps(ways, ncores, clusters, 1)
-        packed = PackedReduction(
-            tuple(len(m) for m in clusters), tuple(caps), ways, 1)
-        reference = _Reference(clusters, caps, ways)
-        pinned = []
-        for j in range(ncores):
-            epi = np.full(ways, np.inf)
-            epi[ways - 1] = 1.0  # all demand the full cache: infeasible
-            pinned.append(EnergyCurve(core_id=j, epi=epi,
-                                      freq_idx=np.zeros(ways, dtype=int),
-                                      core_idx=np.ones(ways, dtype=int)))
-        m_ref, m_pk = OverheadMeter(), OverheadMeter()
-        for j in range(ncores):
-            packed.set_leaf(j, pinned[j])
-        assert reference.solve(pinned, m_ref) is None
-        assert packed.solve(m_pk) is None
-        assert m_pk.instructions == m_ref.instructions
+        _all_idle_is_infeasible_then_recovers()
 
-        rng = np.random.default_rng(7)
-        healed = [
-            EnergyCurve(core_id=j, epi=rng.uniform(0.1, 5.0, size=ways),
-                        freq_idx=rng.integers(0, 4, size=ways),
-                        core_idx=rng.integers(0, 3, size=ways))
-            for j in range(ncores)
-        ]
-        for j in range(ncores):
-            packed.set_leaf(j, healed[j])
-        ref = reference.solve(healed, m_ref)
-        got = packed.solve(m_pk)
-        assert got == ref
-        assert ref is not None
-        assert m_pk.instructions == m_ref.instructions
+
+@pytest.mark.usefixtures("numpy_sweep")
+class TestPackedBitIdentityNumpySweep:
+    """The same cases over the NumPy fallback sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_splice_sequences_match_reference(self, seed):
+        _splice_sequences_match_reference(seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_tied_splice_sequences_match_reference(self, seed):
+        _splice_sequences_match_reference(seed, ties=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 100_000), ncores=st.integers(1, 31))
+    @example(seed=0, ncores=1)  # the one-leaf plan
+    @example(seed=0, ncores=31)
+    def test_flat_tree_matches(self, seed, ncores):
+        _flat_tree_matches(seed, ncores)
+
+    def test_all_idle_is_infeasible_then_recovers(self):
+        _all_idle_is_infeasible_then_recovers()
 
 
 class TestPackedClusteredManager:
@@ -259,11 +318,8 @@ def _band_sweeps(packed):
         for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
             boxes, holes = [], False
             for lc, rc, lo in ((la, ra, meta.alo[r]), (lb, rb, meta.blo[r])):
-                if lc == 0:
-                    flo, fhi, row = packed._flo0[rc], packed._fhi0[rc], packed._E0[rc]
-                else:
-                    m = packed._levels[lc]
-                    flo, fhi, row = m.flo[rc], m.fhi[rc], m.E[rc]
+                m = packed._levels[lc]
+                flo, fhi, row = m.flo[rc], m.fhi[rc], m.E[rc]
                 boxes.append((flo, fhi))
                 holes |= bool(np.isinf(row[flo - lo : fhi - lo + 1]).any())
             (aflo, afhi), (bflo, bfhi) = boxes
@@ -285,12 +341,9 @@ def _assert_rows_are_exact_combines(packed):
         for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
             kids = []
             for lc, rc in ((la, ra), (lb, rb)):
-                if lc == 0:
-                    lo, hi = packed._leaf_nlo[rc], packed._leaf_nhi[rc]
-                    kids.append(packed._E0[rc, : hi - lo + 1])
-                else:
-                    m = packed._levels[lc]
-                    kids.append(m.E[rc, : m.nk[rc]])
+                m = packed._levels[lc]
+                width = packed._leaf_nhi[rc] - m.nlo[rc] + 1 if lc == 0 else m.nk[rc]
+                kids.append(m.E[rc, :width])
             a, b = kids
             full = np.full(len(a) + len(b) - 1, np.inf)
             for i, ai in enumerate(a):
@@ -364,3 +417,9 @@ class TestWideBoxes:
         assert clipped, "no multi-block sweep clipped by the needed range"
         assert holes, "no inf hole inside a multi-block child box"
         assert width1, "no width-1 child box"
+
+
+@pytest.mark.usefixtures("numpy_sweep")
+class TestWideBoxesNumpySweep(TestWideBoxes):
+    """The same wide boxes over the NumPy fallback sweep, whose candidate
+    blocks the coverage asserts are about."""

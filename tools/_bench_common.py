@@ -146,10 +146,21 @@ def run_result_hash(run) -> str:
     return run_result_digest(run)
 
 
+#: The chaos smoke's report.  It lies outside the ``BENCH_*`` glob of
+#: ``tools/bench_compare.py``: it records fault storms, not timings, and
+#: has no baseline for the regression gate to diff.
+CHAOS_REPORT = "chaos_smoke.json"
+
+
 def write_bench_artifact(name: str, report: dict) -> str:
     """Write ``report`` to ``benchmarks/_artifacts/BENCH_<name>.json``."""
+    return write_artifact(f"BENCH_{name}.json", report)
+
+
+def write_artifact(filename: str, report: dict) -> str:
+    """Write ``report`` to ``benchmarks/_artifacts/<filename>``."""
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    path = os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json")
+    path = os.path.join(ARTIFACT_DIR, filename)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -44,6 +44,8 @@ ARTIFACT_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), "..", "benchmarks", "_artifacts")
 )
 BASELINE_DIR = os.path.join(ARTIFACT_DIR, "baselines")
+#: The artifacts the gate compares; every match needs a committed baseline.
+ARTIFACT_GLOB = "BENCH_*.json"
 
 #: Keys that must match exactly between baseline and fresh artifacts.
 EXACT_KEYS = {
@@ -209,9 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    fresh_paths = sorted(glob.glob(os.path.join(args.artifact_dir, "BENCH_*.json")))
+    fresh_paths = sorted(glob.glob(os.path.join(args.artifact_dir, ARTIFACT_GLOB)))
     if not fresh_paths:
-        print(f"no fresh BENCH_*.json under {args.artifact_dir}", file=sys.stderr)
+        print(f"no fresh {ARTIFACT_GLOB} under {args.artifact_dir}", file=sys.stderr)
         return 2
 
     if args.update:

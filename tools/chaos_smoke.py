@@ -60,7 +60,7 @@ os.environ.setdefault("REPRO_ACCESSES_PER_SET", "400")
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _bench_common import BENCHMARK_SUBSET, write_bench_artifact  # noqa: E402
+from _bench_common import BENCHMARK_SUBSET, CHAOS_REPORT, write_artifact  # noqa: E402
 from service_smoke import BASELINE_PATH, RESTART_JOBS, SMOKE_JOBS  # noqa: E402
 
 from repro.experiments.runner import (  # noqa: E402
@@ -414,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         "journal_events": len(storms[0]["journal_sequence"]),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    write_bench_artifact("chaos_smoke", report)
+    write_artifact(CHAOS_REPORT, report)
 
     if failures:
         for failure in failures:

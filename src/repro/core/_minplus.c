@@ -1,5 +1,7 @@
-/* Box-local min-plus kernels of repro.core.packed_tree (loaded by
- * repro.core.minplus through ctypes).
+/* The min-plus kernels of repro.core.packed_tree (loaded by
+ * repro.core.minplus through ctypes): the box-local band combine, the
+ * first-minimum split, and minplus_solve, which refreshes the dirty root
+ * paths and walks the back-track of one solve in one call.
  *
  * Exactness: curves hold only finite values or +inf, never NaN.  On such
  * inputs "v < o ? v : o" is np.minimum, every cell is one IEEE add and a
@@ -9,6 +11,7 @@
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 /* Candidates folded per pass over the outputs: each pass loads and
  * stores out[] once for U candidates instead of once per candidate. */
@@ -77,4 +80,137 @@ ptrdiff_t minplus_split(const double *a, const double *b, ptrdiff_t n)
         }
     }
     return best;
+}
+
+/* Header slots of the plan buffer (repro.core.packed_tree._HEADER). */
+enum { NLEAVES, NROWS, ROOT, ROOT_S, HAS_PREV, ROWS_COMBINED, SPLITS, HEADER };
+
+/* The per-row columns that follow the header, nrows entries each, in
+ * packed_tree._COLUMNS order.  Row ids put the leaves first (id = slot),
+ * then the combine rows level by level, so every parent sorts after its
+ * children.  Row r stores ways nlo .. nlo + nk - 1 at E[off] onwards, and its
+ * finite box is [flo, fhi] (flo > fhi: all inf); every cell outside the
+ * box is inf. */
+typedef struct {
+    int64_t *src_a, *src_b, *parent, *nlo, *nk, *off, *flo, *fhi, *stamp, *mark;
+} Rows;
+
+/* Recombine row r from its children over their finite boxes (the
+ * Python fallback's _numpy_combine does the same arithmetic). */
+static void combine(const Rows *p, double *E, int64_t r)
+{
+    const int64_t a = p->src_a[r], b = p->src_b[r];
+    const int64_t aflo = p->flo[a], afhi = p->fhi[a], bflo = p->flo[b], bfhi = p->fhi[b];
+    const int64_t lo = p->nlo[r], hi = lo + p->nk[r] - 1;
+    const int64_t oflo = p->flo[r], ofhi = p->fhi[r];
+    double *row = E + p->off[r];
+    int64_t plo = aflo + bflo > lo ? aflo + bflo : lo;
+    int64_t phi = afhi + bfhi < hi ? afhi + bfhi : hi;
+    p->stamp[r] = -1;
+    if (aflo > afhi || bflo > bfhi || plo > phi) { /* no finite pair */
+        for (int64_t w = oflo; w <= ofhi; w++)
+            row[w - lo] = INFINITY;
+        p->flo[r] = 0;
+        p->fhi[r] = -1;
+        return;
+    }
+    p->flo[r] = plo;
+    p->fhi[r] = phi;
+    if (oflo <= ofhi) { /* also clear what the old box reached past the new */
+        if (oflo < plo)
+            plo = oflo;
+        if (ofhi > phi)
+            phi = ofhi;
+    }
+    minplus_band(E + p->off[a] + (aflo - p->nlo[a]), afhi - aflo + 1,
+                 E + p->off[b] + (bflo - p->nlo[b]), bfhi - bflo + 1,
+                 row + (plo - lo), phi - plo + 1, plo - aflo - bflo);
+}
+
+/* Left-child way count of row r's finite cell sh: the first minimum over
+ * the box-clipped candidates, in ascending order. */
+static int64_t split_at(const Rows *p, const double *E, int64_t r, int64_t sh)
+{
+    const int64_t a = p->src_a[r], b = p->src_b[r];
+    int64_t lo = sh - p->fhi[b], hi = sh - p->flo[b];
+    if (lo < p->flo[a])
+        lo = p->flo[a];
+    if (hi > p->fhi[a])
+        hi = p->fhi[a];
+    if (lo == hi)
+        return lo;
+    return lo + minplus_split(E + p->off[a] + (lo - p->nlo[a]),
+                              E + p->off[b] + (sh - hi - p->nlo[b]), hi - lo + 1);
+}
+
+/* One solve of the packed reduction over the plan buffer and the value
+ * buffer E.  Refreshes the union of the root paths of the leaves whose
+ * mark is set (in row-id order, clearing every mark), then, unless the
+ * root way total is -1 or its root cell is inf (returns -1) or the root
+ * kept its last walk's way total while has_prev is set (returns -2),
+ * walks the back-track depth first, left child first, skipping rows
+ * whose stamp already holds their incoming way total when has_prev is
+ * set.  Each visited leaf's (slot, ways) pair goes to the output section
+ * after the columns (2 * nleaves entries, then the walk's stack of
+ * 2 * (nrows + 1)); returns the number of pairs written.  Counts every
+ * recombined row in ROWS_COMBINED and every split in SPLITS. */
+ptrdiff_t minplus_solve(int64_t *plan, double *E)
+{
+    const int64_t nleaves = plan[NLEAVES], n = plan[NROWS];
+    int64_t *col = plan + HEADER;
+    const Rows p = {col, col + n, col + 2 * n, col + 3 * n, col + 4 * n,
+                    col + 5 * n, col + 6 * n, col + 7 * n, col + 8 * n, col + 9 * n};
+    int64_t *out = col + 10 * n, *stack = out + 2 * nleaves;
+
+    /* Mark each dirty leaf's root path up to the first row already marked
+     * (whose ancestors are marked too), then recombine the marked rows
+     * bottom-up: children always have the smaller ids. */
+    int64_t first = n;
+    for (int64_t i = 0; i < nleaves; i++) {
+        if (!p.mark[i])
+            continue;
+        p.mark[i] = 0;
+        for (int64_t up = p.parent[i]; up >= 0 && !p.mark[up]; up = p.parent[up]) {
+            p.mark[up] = 1;
+            if (up < first)
+                first = up;
+        }
+    }
+    for (int64_t r = first; r < n; r++) {
+        if (p.mark[r]) {
+            p.mark[r] = 0;
+            combine(&p, E, r);
+            plan[ROWS_COMBINED]++;
+        }
+    }
+
+    const int64_t root = plan[ROOT], s = plan[ROOT_S], has_prev = plan[HAS_PREV];
+    if (s < 0 || E[p.off[root] + (s - p.nlo[root])] == INFINITY)
+        return -1;
+    if (has_prev && p.stamp[root] == s)
+        return -2;
+    ptrdiff_t top = 1, touched = 0;
+    stack[0] = root;
+    stack[1] = s;
+    while (top) {
+        top--;
+        const int64_t r = stack[2 * top], sh = stack[2 * top + 1];
+        if (has_prev && p.stamp[r] == sh)
+            continue; /* the subtree kept its assignment */
+        p.stamp[r] = sh;
+        if (r < nleaves) {
+            out[2 * touched] = r;
+            out[2 * touched + 1] = sh;
+            touched++;
+            continue;
+        }
+        const int64_t sl = split_at(&p, E, r, sh);
+        plan[SPLITS]++;
+        stack[2 * top] = p.src_b[r];
+        stack[2 * top + 1] = sh - sl;
+        stack[2 * top + 2] = p.src_a[r];
+        stack[2 * top + 3] = sl;
+        top += 2;
+    }
+    return touched;
 }

@@ -537,8 +537,8 @@ class ClusteredManager(CoordinatedManager):
         """Plan the whole hierarchy into one packed reduction.
 
         Every cluster's capped combine levels and the second-level stage
-        share the same packed matrices, so one invocation re-sweeps just
-        the dirty rows of every cluster's root path.  Clusters are
+        share the same plan arrays, so one invocation re-sweeps just the
+        dirty rows of every cluster's root path.  Clusters are
         contiguous blocks in core order, so leaf slot ``j`` is still core
         ``j`` (the base class's leaf installs need no translation).
         """

@@ -1,11 +1,15 @@
 """Build and load the compiled min-plus kernel of the packed reduction.
 
-``_minplus.c`` holds the two inner loops of
-:class:`~repro.core.packed_tree.PackedReduction`: the box-local band
-combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the first-minimum
-split.  :func:`load` compiles it with the interpreter's C compiler
-(``sysconfig``'s ``CC``, else ``cc``) and loads it with :mod:`ctypes`, so
-NumPy stays the package's only dependency.
+``_minplus.c`` holds :class:`~repro.core.packed_tree.PackedReduction`'s
+whole solve, ``minplus_solve(plan, E)``: over the reduction's int64 plan
+buffer (header, per-row columns, walk output and stack; see
+:mod:`repro.core.packed_tree`) and its float64 value buffer, it
+recombines the dirty root paths, checks the root, and walks the
+back-track in one call.  Its two inner loops are exported too: the
+box-local band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
+first-minimum split.  :func:`load` compiles it with the interpreter's C
+compiler (``sysconfig``'s ``CC``, else ``cc``) and loads it with
+:mod:`ctypes`, so NumPy stays the package's only dependency.
 
 The library is cached in the package's ``__pycache__`` under a name hashed
 from the source bytes, the compiler command, :data:`CFLAGS` and the
@@ -16,9 +20,9 @@ the same time each install a complete library.  When ``__pycache__`` is
 not writable, the library goes to a temporary directory of the process.
 
 When no library can be built or loaded, :func:`load` warns with the
-failure and returns ``None``, and the packed reduction keeps its NumPy
-sweep; the choice is made once, when :mod:`repro.core.packed_tree` is
-imported.
+failure and returns ``None``, and the packed reduction runs the same
+solve as a Python loop with a NumPy sweep; the choice is made once, when
+:mod:`repro.core.packed_tree` is imported.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     lib.minplus_band.restype = None
     lib.minplus_split.argtypes = [ptr, ptr, size]
     lib.minplus_split.restype = size
+    lib.minplus_solve.argtypes = [ptr, ptr]
+    lib.minplus_solve.restype = size
     return lib
 
 
@@ -111,12 +117,15 @@ def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
     :class:`RuntimeWarning` naming the failure, if it cannot be built or
     loaded.
 
-    ``minplus_band(a, na, b, nb, out, nout, k0)`` writes
-    ``out[t] = min a[t + k0 - j] + b[j]`` over ``j in [0, nb)`` with
-    ``t + k0 - j in [0, na)`` (``inf`` where no such pair exists) for
-    ``t in [0, nout)``; ``minplus_split(a, b, n)`` returns the first ``i``
-    minimising ``a[i] + b[n - 1 - i]``.  Arrays are passed as the
-    addresses of contiguous float64 buffers.
+    ``minplus_solve(plan, E)`` runs one solve of a packed reduction and
+    returns the number of ``(leaf slot, ways)`` pairs its walk wrote, -1
+    for an infeasible root or -2 for an unchanged one (the contract is in
+    :mod:`repro.core.packed_tree`).  ``minplus_band(a, na, b, nb, out,
+    nout, k0)`` writes ``out[t] = min a[t + k0 - j] + b[j]`` over
+    ``j in [0, nb)`` with ``t + k0 - j in [0, na)`` (``inf`` where no such
+    pair exists) for ``t in [0, nout)``; ``minplus_split(a, b, n)``
+    returns the first ``i`` minimising ``a[i] + b[n - 1 - i]``.  Arrays
+    are passed as the addresses of contiguous buffers.
     """
     try:
         return _library(CACHE_DIR if cache_dir is None else cache_dir)

@@ -1,4 +1,4 @@
-"""Packed level-synchronous min-plus reduction: the managers' global optimiser.
+"""Packed min-plus reduction over flat plan arrays: the managers' global optimiser.
 
 The paper's optimiser recursively reduces pairs of per-core energy curves,
 ``E_ab(s) = min over s_a + s_b = s of E_a(s_a) + E_b(s_b)``, keeping the
@@ -7,24 +7,35 @@ exact optimum in ``O(ncores * ways^2)``.  :class:`PackedReduction` is the
 one implementation of that reduction on the production path, for the flat
 manager (one group of all cores) and the clustered hierarchy alike.  It
 is persistent across manager invocations -- only the root paths of leaves
-whose curves changed are re-combined -- and stores the tree in a packed
-struct-of-arrays layout:
+whose curves changed are re-combined -- and stores the tree in flat
+arrays:
 
-* **level-synchronous storage** -- all combine nodes of one tree level
-  live in one padded ``(nodes, ways)`` float64 matrix, and a hierarchy
-  stacks every cluster's level-l nodes into the same matrix.  A refresh
-  recombines each dirty row once, bottom-up (one root path in the steady
-  state, the sorted union of the dirty paths after a multi-leaf change).
-  Refresh stores *values only*: the back-track walk reads exactly one
-  split index per visited row, so splits are recovered lazily
-  (:meth:`PackedReduction._split_at`) from the still-valid children
-  instead of materialising ``O(ways)`` argmins per row per refresh;
+* **one row id per node** -- the leaves first (row id = leaf slot), then
+  the combine nodes level by level, so every parent sorts after its
+  children and a bottom-up refresh is one ascending pass over the marked
+  row ids (one root path in the steady state, the union of the dirty
+  paths after a multi-leaf change).  Every node's stored values sit in
+  one float64 buffer ``E``, row after row;
+* **one plan buffer** -- an int64 array allocated once per reduction:
+  a header (``_HEADER``: leaf and row counts, root row, root way total,
+  whether a previous assignment exists, and the cumulative
+  ``rows_combined`` / ``splits`` work counters), then one column per
+  row attribute (``_COLUMNS``): children ``src_a`` / ``src_b`` (-1 for a
+  leaf), ``parent`` (-1 for the root), stored range ``nlo`` / ``nk``,
+  offset ``off`` into ``E``, finite box ``flo`` / ``fhi`` (``flo > fhi``
+  is an all-``inf`` row; every cell outside the box is ``inf``), the
+  last back-track visit's way total ``stamp``, and the dirty ``mark`` a
+  changed leaf sets; then the walk's output, ``(leaf slot, ways)``
+  pairs, and its stack.  Refresh stores *values only*: the back-track
+  walk reads exactly one split per visited row, recovered from the
+  still-valid children instead of materialising ``O(ways)`` argmins per
+  row per refresh;
 * **needed-range truncation** -- the root is only ever read at one way
   total ``S`` (the full associativity), so each node stores just the
   column range its computed ancestors can read, propagated top-down:
   ``child_needed = [max(child_lo, parent_lo - sibling_hi),
-  min(child_hi, parent_hi - sibling_lo)]``.  The root's "matrix" is a
-  single column; at 256 cores this removes over half the DP cells without
+  min(child_hi, parent_hi - sibling_lo)]``.  The root's row is a single
+  column; at 256 cores this removes over half the DP cells without
   changing any computed value (every in-range ``(sl, s - sl)`` pair a
   computed parent column reads lies inside both children's needed
   ranges, so the finite candidate set -- and the ascending-``sl``
@@ -41,10 +52,17 @@ reference: ``tests/test_packed_tree.py`` asserts bit-identity --
 assignments, splits, meter charges -- across random widths, odd leaf
 counts, way caps and splice orders.
 
-The min-plus kernel (``_minplus.c``, built and loaded by
-:mod:`repro.core.minplus`) does every combine and every split.  Its
-contract, over a row's box-local children ``a`` (``na`` entries), ``b``
-(``nb``) and output span ``out`` (``nout``)::
+One call into the compiled kernel (``_minplus.c``, built and loaded by
+:mod:`repro.core.minplus`) does a whole solve: ``minplus_solve(plan, E)``
+marks the dirty leaves' root paths, recombines the marked rows in row-id
+order, returns -1 if the root way total is unset or its cell is ``inf``
+(infeasible) and -2 if the root kept its last walk's way total (nothing
+changed), and otherwise walks the back-track -- left child first,
+skipping a row whose stamp already holds its incoming way total -- and
+returns the number of ``(leaf slot, ways)`` pairs it wrote.  Each row is
+recombined over its children's finite boxes ``a`` (``na`` entries),
+``b`` (``nb``) into the output span ``out`` (``nout``), and each split
+is the first minimum of its box-clipped candidates::
 
     out[t] = min  a[t + k0 - j] + b[j]    j in [0, nb), t + k0 - j in [0, na)
     split  = first i minimising a[i] + b[n - 1 - i]
@@ -57,9 +75,10 @@ IEEE add of the same two entries the node-graph reference adds,
 ``np.minimum``; the split scans ascending with a strict ``<``, which is
 ``np.argmin``'s first minimum.  Pairs outside the finite boxes are
 infinite and can never win or tie a finite minimum, so restricting the
-combine to the boxes changes no value.  Where no C compiler works, the
-band-blocked NumPy sweep (``_numpy_row``) computes the same values; the
-choice is made once, at import.
+combine to the boxes changes no value.  Where no C compiler works,
+:meth:`PackedReduction._numpy_solve` runs the same refresh, checks and
+walk as one Python loop over the same arrays, combining each row with
+the band-blocked NumPy sweep; the choice is made once, at import.
 """
 
 from __future__ import annotations
@@ -82,18 +101,25 @@ __all__ = ["PackedReduction"]
 SWEEP_BLOCK = 64
 
 #: The compiled kernel, or None where it could not be built: then every
-#: combine and split runs the NumPy sweep.  Chosen once, at import.
+#: solve runs the NumPy fallback.  Chosen once, at import.
 _kernel = minplus.load()
+
+#: The plan buffer's header slots and then its per-row columns, in the
+#: order ``_minplus.c``'s ``minplus_solve`` reads them.
+_HEADER = ("nleaves", "nrows", "root", "root_s", "has_prev", "rows_combined", "splits")
+_COLUMNS = ("src_a", "src_b", "parent", "nlo", "nk", "off", "flo", "fhi", "stamp", "mark")
+_ROOT, _ROOT_S, _HAS_PREV, _ROWS_COMBINED, _SPLITS = 2, 3, 4, 5, 6
+
+#: ``minplus_solve``'s results other than a count of walked leaves.
+_INFEASIBLE, _UNCHANGED = -1, -2
 
 
 class _Rec:
     """One node of the reduction plan while it is being built."""
 
-    __slots__ = ("lev", "row", "lo", "hi", "nlo", "nhi", "src_a", "src_b")
+    __slots__ = ("lo", "hi", "nlo", "nhi", "src_a", "src_b")
 
-    def __init__(self, lev, row, lo, hi, src_a=None, src_b=None):
-        self.lev = lev
-        self.row = row
+    def __init__(self, lo, hi, src_a=None, src_b=None):
         self.lo = lo  # true combined range (the reference node's)
         self.hi = hi
         self.nlo = -1  # needed (stored) range, assigned top-down
@@ -102,85 +128,19 @@ class _Rec:
         self.src_b = src_b
 
 
-class _Rows:
-    """Packed rows of one tree level (level 0 holds the leaves)."""
+class _Columns:
+    """The plan buffer's per-row columns, as int64 memoryviews (fast
+    scalar reads and writes from Python)."""
 
-    __slots__ = ("E", "pos", "nlo", "flo", "fhi", "stamp")
+    __slots__ = _COLUMNS
 
-    def __init__(self, nlo: list[int], width: int) -> None:
-        nrows = len(nlo)
-        self.nlo = nlo  # way count stored in each row's column 0
-        self.E = np.full((nrows, width), np.inf)
-        # Address of each row's (virtual) way-0 cell, so way w of row r
-        # sits at pos[r] + 8 * w; E is never reallocated.
-        base, step = self.E.ctypes.data, self.E.strides[0]
-        self.pos = [base + r * step - 8 * lo for r, lo in enumerate(nlo)]
-        # Finite-support bounding box per row (absolute way counts,
-        # flo > fhi = all-inf row).  Idle and QoS-pruned curves leave most
-        # of a row infinite; combines restrict to the box (see _compute_row).
-        self.flo = [0] * nrows
-        self.fhi = [-1] * nrows
-        self.stamp = [-1] * nrows  # way total of the last back-track visit
-
-
-class _Level(_Rows):
-    """Packed storage plus per-row metadata for one combine level."""
-
-    __slots__ = ("src", "alo", "blo", "nk", "M", "width", "_one")
-
-    def __init__(self, recs: list[_Rec]) -> None:
-        nrows = len(recs)
-        self.src = [None] * nrows  # ((lev_a, row_a), (lev_b, row_b))
-        self.alo = [0] * nrows  # children's stored (needed) lo
-        self.blo = [0] * nrows
-        nlo = [0] * nrows  # this row's stored lo
-        self.nk = [0] * nrows  # this row's stored width
-        #: NumPy sweeps orient the *narrower* child onto the candidate axis
-        #: (min-plus convolution commutes), so their buffers are sized by
-        #: the widest narrow side of the level.
-        self.M = 0
-        for rec in recs:
-            r = rec.row
-            a, b = rec.src_a, rec.src_b
-            self.src[r] = ((a.lev, a.row), (b.lev, b.row))
-            self.alo[r] = a.nlo
-            self.blo[r] = b.nlo
-            nlo[r] = rec.nlo
-            self.nk[r] = rec.nhi - rec.nlo + 1
-            self.M = max(self.M, min(a.nhi - a.nlo, b.nhi - b.nlo) + 1)
-        self.width = max(self.nk)
-        super().__init__(nlo, self.width)
-        self._one = None  # lazy NumPy sweep buffers
-
-    def one_buffers(self):
-        """Per-level NumPy sweep buffers, built once per level and sized for
-        the worst (unrestricted) box; box-restricted sweeps use a prefix.
-
-        They belong to this level of one :class:`PackedReduction`, and a
-        reduction is driven by one simulation at a time, so the replay
-        service's thread executor can run reductions concurrently without
-        a thread local.
-        """
-        one = self._one
-        if one is None:
-            # Building the (width, M) window view once per level lets each
-            # sweep take a plain slice instead of paying as_strided's
-            # dispatch: window cell (t, j) reads L1[t + j].
-            M = self.M
-            L1 = np.full(self.width + M - 1, np.inf)
-            (s,) = L1.strides
-            win = np.lib.stride_tricks.as_strided(L1, (self.width, M), (s, s))
-            R1 = np.empty(M)
-            # One block's sums, and one block's minima; _split_at borrows
-            # the first M cells of tflat.
-            tflat = np.empty(max(min(M, SWEEP_BLOCK) * self.width, M))
-            part = np.empty(self.width)
-            one = self._one = (L1, R1, tflat, win, part)
-        return one
+    def __init__(self, cols: np.ndarray) -> None:
+        for name, col in zip(_COLUMNS, cols):
+            setattr(self, name, memoryview(col))
 
 
 class PackedReduction:
-    """Min-plus reduction over grouped leaves in packed level matrices.
+    """Min-plus reduction over grouped leaves in flat plan arrays.
 
     ``group_sizes``/``group_caps`` describe the hierarchy: each group's
     leaves reduce under its own way cap (the intra-cluster stage), then
@@ -228,15 +188,14 @@ class PackedReduction:
             depth = 0
             while len(nodes) > 1:
                 depth += 1
-                lev = lev0 + depth
-                recs = by_level.setdefault(lev, [])
+                recs = by_level.setdefault(lev0 + depth, [])
                 nxt: list[_Rec] = []
                 for i in range(0, len(nodes) - 1, 2):
                     a, b = nodes[i], nodes[i + 1]
                     lo = a.lo + b.lo
                     hi = min(a.hi + b.hi, cap)
                     require(hi >= lo, "combined curve has empty range")
-                    rec = _Rec(lev, len(recs), lo, hi, a, b)
+                    rec = _Rec(lo, hi, a, b)
                     recs.append(rec)
                     nxt.append(rec)
                     total_cells += _dp_cell_count(a.hi - a.lo + 1, b.hi - b.lo + 1, hi - lo + 1)
@@ -245,14 +204,10 @@ class PackedReduction:
                 nodes = nxt
             return nodes[0], depth
 
-        slot = 0
         max_depth = 0
         for size, cap in zip(self._group_sizes, group_caps):
-            members = []
-            for _ in range(size):
-                members.append(_Rec(0, slot, min_ways, cap))
-                self._leaf_caps.append(cap)
-                slot += 1
+            members = [_Rec(min_ways, cap) for _ in range(size)]
+            self._leaf_caps += [cap] * size
             leaf_recs.extend(members)
             root, depth = reduce_stage(members, cap, 0)
             max_depth = max(max_depth, depth)
@@ -265,8 +220,8 @@ class PackedReduction:
             s = min(total_ways, root_rec.hi)
         else:
             s = total_ways
-        self._root_s: int | None = s if root_rec.lo <= s <= root_rec.hi else None
-        seed = s if self._root_s is not None else root_rec.lo
+        root_s = s if root_rec.lo <= s <= root_rec.hi else None
+        seed = s if root_s is not None else root_rec.lo
         root_rec.nlo = root_rec.nhi = seed
         nlevels = max(by_level, default=0)
         for lev in range(nlevels, 0, -1):
@@ -279,35 +234,48 @@ class PackedReduction:
         for rec in leaf_recs:
             if rec.nlo < 0:  # an unpaired leaf can only be the root
                 rec.nlo, rec.nhi = rec.lo, rec.hi
-        self._root_ref = (root_rec.lev, root_rec.row)
 
-        # ---- pack the levels ---------------------------------------------
-        # Leaf boxes: idle/pinned curves are finite at a single way count,
-        # so boxes collapse the combines above them to a few columns.
-        self._leaf_nhi = [rec.nhi for rec in leaf_recs]
-        w0 = max(rec.nhi - rec.nlo + 1 for rec in leaf_recs)
-        self._levels: list[_Rows] = [_Rows([rec.nlo for rec in leaf_recs], w0)]
-        self._levels += [_Level(by_level[lev]) for lev in range(1, nlevels + 1)]
-        # Parent slot of every materialised node, to build the root paths.
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-        for lev in range(1, nlevels + 1):
-            for rec in by_level[lev]:
-                parent[(rec.src_a.lev, rec.src_a.row)] = (lev, rec.row)
-                parent[(rec.src_b.lev, rec.src_b.row)] = (lev, rec.row)
-        # Root path of every leaf slot, bottom-up: a refresh re-sweeps the
-        # dirty leaves' paths.
-        self._path: list[list[tuple[int, int]]] = []
-        for s0 in range(self.nleaves):
-            path: list[tuple[int, int]] = []
-            up = parent.get((0, s0))
-            while up is not None:
-                path.append(up)
-                up = parent.get(up)
-            self._path.append(path)
+        # ---- pack the plan: leaves first, then level by level -------------
+        recs = leaf_recs + [rec for lev in range(1, nlevels + 1) for rec in by_level[lev]]
+        nrows = len(recs)
+        row_id = {rec: r for r, rec in enumerate(recs)}
+        header = len(_HEADER)
+        ncols = len(_COLUMNS)
+        self._nrows = nrows
+        # Header, columns, the walk's (slot, ways) output, the walk's stack
+        # (at most one entry per row on a root path, plus the root's).
+        plan = np.zeros(header + ncols * nrows + 2 * self.nleaves + 2 * (nrows + 1), np.int64)
+        root_way = -1 if root_s is None else root_s
+        plan[:header] = (self.nleaves, nrows, row_id[root_rec], root_way, 0, 0, 0)
+        cols = plan[header : header + ncols * nrows].reshape(ncols, nrows)
+        src_a, src_b, parent, nlo, nk, off, flo, fhi, stamp, mark = cols
+        src_a[:] = src_b[:] = parent[:] = -1
+        for r, rec in enumerate(recs):
+            nlo[r] = rec.nlo
+            nk[r] = rec.nhi - rec.nlo + 1
+            if rec.src_a is not None:
+                src_a[r] = a = row_id[rec.src_a]
+                src_b[r] = b = row_id[rec.src_b]
+                parent[a] = parent[b] = r
+        off[1:] = np.cumsum(nk[:-1])
+        fhi[:] = stamp[:] = -1
+        mark[: self.nleaves] = 1  # every leaf starts dirty
+        self._plan = plan
+        self._hdr = memoryview(plan[:header])
+        self._cols = _Columns(cols)
+        self._out = plan[header + ncols * nrows : header + ncols * nrows + 2 * self.nleaves]
+        self._E = np.full(int(nk.sum()), np.inf)
+        self._plan_addr = plan.ctypes.data
+        self._E_addr = self._E.ctypes.data
+        # The NumPy fallback sweeps put the narrower child on the candidate
+        # axis, so its buffers are sized by the widest narrow side.
+        combines = src_a >= 0
+        self._sweep_width = int(nk[combines].max(initial=0))
+        self._sweep_m = int(np.minimum(nk[src_a[combines]], nk[src_b[combines]]).max(initial=0))
+        self._sweep = None  # lazy NumPy sweep buffers
 
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
         self._nmissing = self.nleaves  # leaves still awaiting a first curve
-        self._dirty_slots: set[int] = set(range(self.nleaves))
         self._last_assignment: dict[int, tuple[int, int, int]] | None = None
         #: Core ids whose assignment entry the last solve's walk rewrote
         #: (None until a walk has run).  Every other entry of the returned
@@ -324,29 +292,40 @@ class PackedReduction:
         node-graph path's per-node combine and replay charges."""
         return self._total_cells
 
+    @property
+    def rows_combined(self) -> int:
+        """Rows recombined by every solve so far (a deterministic work
+        counter: the same under the compiled kernel and the fallback)."""
+        return self._hdr[_ROWS_COMBINED]
+
+    @property
+    def splits(self) -> int:
+        """Back-track splits recovered by every solve so far."""
+        return self._hdr[_SPLITS]
+
     def _write_leaf(self, slot: int, curve: EnergyCurve) -> None:
         require(curve.max_ways >= self._leaf_caps[slot], "leaf curve must span its group's way cap")
-        leaves = self._levels[0]
-        nlo, nhi = leaves.nlo[slot], self._leaf_nhi[slot]
+        cols = self._cols
+        nlo, nk, o = cols.nlo[slot], cols.nk[slot], cols.off[slot]
         if self._held[slot] is None:
             self._nmissing -= 1
-        seg = leaves.E[slot, : nhi - nlo + 1]
-        seg[:] = curve.epi[nlo - 1 : nhi]
+        seg = self._E[o : o + nk]
+        seg[:] = curve.epi[nlo - 1 : nlo - 1 + nk]
         fin = np.flatnonzero(np.isfinite(seg))
         if fin.size:
-            leaves.flo[slot] = nlo + int(fin[0])
-            leaves.fhi[slot] = nlo + int(fin[-1])
+            cols.flo[slot] = nlo + int(fin[0])
+            cols.fhi[slot] = nlo + int(fin[-1])
         else:
-            leaves.flo[slot] = 0
-            leaves.fhi[slot] = -1
+            cols.flo[slot] = 0
+            cols.fhi[slot] = -1
         self._held[slot] = curve
-        self._dirty_slots.add(slot)
-        leaves.stamp[slot] = -1
+        cols.mark[slot] = 1
+        cols.stamp[slot] = -1
 
     def set_leaf(self, slot: int, curve: EnergyCurve) -> None:
         """Install a leaf curve, marking it dirty only if it changed."""
         prev = self._held[slot]
-        if prev is not None and slot not in self._dirty_slots:
+        if prev is not None and not self._cols.mark[slot]:
             if prev is curve or prev.same_curve(curve):
                 self._held[slot] = curve
                 return
@@ -361,91 +340,172 @@ class PackedReduction:
 
     def invalidate(self, slot: int) -> None:
         """Force the leaf dirty (the tenant behind it was spliced in/out)."""
-        self._dirty_slots.add(slot)
+        self._cols.mark[slot] = 1
 
-    # ---- the refresh ----------------------------------------------------------
-    def _compute_row(self, lev: int, r: int) -> None:
-        """Recombine one row from its children, over their finite boxes.
+    # ---- solve ---------------------------------------------------------------
+    def solve(self, meter: OverheadMeter | None = None) -> dict[int, tuple[int, int, int]] | None:
+        """Optimal assignment over the current leaves (or None if infeasible).
+
+        Charges the invocation's static DP total, then makes one
+        ``minplus_solve`` call (the module docstring has its contract):
+        it recombines the dirty root paths and walks the back-track, and
+        this method turns the walked ``(leaf slot, ways)`` pairs into
+        settings of a copy of the previous assignment.  Bit-identical --
+        assignment, tie-breaks, meter charges -- to the node-graph
+        hierarchy (or flat tree) over the same curves.  Like the
+        reference, an unchanged root returns the previous assignment *dict
+        object*, preserving the downstream identity short-circuits
+        (allocation-map cache, kernel apply skip).
+        """
+        if meter is not None and self._total_cells:
+            meter.charge_replay(dp_cells=self._total_cells)
+        # Every leaf starts dirty, so a missing one is always refreshed.
+        require(not self._nmissing, "every leaf needs a curve")
+        if _kernel is None:
+            n = self._numpy_solve()
+        else:
+            n = _kernel.minplus_solve(self._plan_addr, self._E_addr)
+        if n < 0:
+            if n == _UNCHANGED:
+                self.last_touched = []
+                return self._last_assignment
+            return None
+        # Start from the previous assignment (one C-speed dict copy: the
+        # leaf set is fixed, so its keys are exactly the output keys) and
+        # overwrite only the walked leaves; a subtree whose stamp matched
+        # its incoming way total kept its previous assignment verbatim.
+        prev = self._last_assignment
+        out: dict[int, tuple[int, int, int]] = {} if prev is None else dict(prev)
+        touched: list[int] = []
+        held = self._held
+        pairs = iter(self._out[: 2 * n].tolist())
+        for slot, ways in zip(pairs, pairs):
+            curve = held[slot]
+            out[curve.core_id] = curve.setting_at(ways)
+            touched.append(curve.core_id)
+        if prev is None:
+            self._hdr[_HAS_PREV] = 1
+        self._last_assignment = out
+        self.last_touched = touched
+        return out
+
+    # ---- the NumPy fallback ----------------------------------------------------
+    def _numpy_solve(self) -> int:
+        """``minplus_solve`` where no compiled kernel loaded: the same
+        refresh, checks, walk and counters, as one Python loop over the
+        same plan arrays."""
+        cols, hdr, E = self._cols, self._hdr, self._E
+        nleaves, n = self.nleaves, self._nrows
+        mark, parent, stamp = cols.mark, cols.parent, cols.stamp
+        # Mark each dirty leaf's root path up to the first row already
+        # marked, then recombine the marked rows bottom-up (ascending ids).
+        first = n
+        for i in range(nleaves):
+            if mark[i]:
+                mark[i] = 0
+                up = parent[i]
+                while up >= 0 and not mark[up]:
+                    mark[up] = 1
+                    first = min(first, up)
+                    up = parent[up]
+        for r in range(first, n):
+            if mark[r]:
+                mark[r] = 0
+                self._numpy_combine(r)
+                hdr[_ROWS_COMBINED] += 1
+
+        root, s, has_prev = hdr[_ROOT], hdr[_ROOT_S], hdr[_HAS_PREV]
+        if s < 0 or E[cols.off[root] + s - cols.nlo[root]] == np.inf:
+            return _INFEASIBLE  # never NaN: curves are finite or inf
+        if has_prev and stamp[root] == s:
+            return _UNCHANGED
+        out, touched = self._out, 0
+        stack = [(root, s)]
+        while stack:
+            r, sh = stack.pop()
+            if has_prev and stamp[r] == sh:
+                continue  # the subtree kept its assignment
+            stamp[r] = sh
+            if r < nleaves:
+                out[2 * touched] = r
+                out[2 * touched + 1] = sh
+                touched += 1
+                continue
+            sl = self._numpy_split(r, sh)
+            hdr[_SPLITS] += 1
+            stack.append((cols.src_b[r], sh - sl))
+            stack.append((cols.src_a[r], sl))
+        return touched
+
+    def _sweep_buffers(self):
+        """The NumPy sweep's buffers, built once per reduction and sized
+        for the worst (unrestricted) box; box-restricted sweeps use a
+        prefix.
+
+        They belong to one :class:`PackedReduction`, and a reduction is
+        driven by one simulation at a time, so the replay service's thread
+        executor can run reductions concurrently without a thread local.
+        """
+        buf = self._sweep
+        if buf is None:
+            # Building the (width, M) window view once lets each sweep take
+            # a plain slice instead of paying as_strided's dispatch: window
+            # cell (t, j) reads L1[t + j].
+            width, M = self._sweep_width, self._sweep_m
+            L1 = np.full(width + M - 1, np.inf)
+            (s,) = L1.strides
+            win = np.lib.stride_tricks.as_strided(L1, (width, M), (s, s))
+            R1 = np.empty(M)
+            # One block's sums, and one block's minima; _numpy_split
+            # borrows the first M cells of tflat.
+            tflat = np.empty(max(min(M, SWEEP_BLOCK) * width, M))
+            part = np.empty(width)
+            buf = self._sweep = (L1, R1, tflat, win, part)
+        return buf
+
+    def _numpy_combine(self, r: int) -> None:
+        """Recombine row ``r`` from its children over their finite boxes,
+        with the band-blocked NumPy sweep.
 
         The combine runs only where a total can be finite: outputs limited
         to ``[a_flo + b_flo, a_fhi + b_fhi]`` (clipped to the stored
         range), candidates to the children's boxes.  Every excluded cell is
         the sum of at least one infinite child entry, so its value is
-        ``inf`` either way: the row is exactly the full min-plus combine of
-        its children.  One kernel call writes the new box and, where the
-        row's previous box reached past it, the ``inf`` cells that clear
-        the rest (no pair reaches them).  Splits are not materialised at
-        all -- :meth:`_split_at` recovers the one split per row the
-        back-track walk actually reads.
-        """
-        levels = self._levels
-        meta = levels[lev]
-        (la, ra), (lb, rb) = meta.src[r]
-        ma, mb = levels[la], levels[lb]
-        aflo, afhi = ma.flo[ra], ma.fhi[ra]
-        bflo, bfhi = mb.flo[rb], mb.fhi[rb]
-        nlo = meta.nlo[r]
-        plo = aflo + bflo
-        if plo < nlo:
-            plo = nlo
-        phi = afhi + bfhi
-        nhi = nlo + meta.nk[r] - 1
-        if phi > nhi:
-            phi = nhi
-        # Cells outside the previously recorded box are inf already (every
-        # write path maintains that invariant), so clearing the old box's
-        # span re-establishes an all-inf row without touching full width.
-        oflo, ofhi = meta.flo[r], meta.fhi[r]
-        meta.stamp[r] = -1
-        if aflo > afhi or bflo > bfhi or plo > phi:
-            if oflo <= ofhi:
-                meta.E[r, oflo - nlo : ofhi - nlo + 1].fill(np.inf)
-            meta.flo[r] = 0
-            meta.fhi[r] = -1
-            return
-        meta.flo[r] = plo
-        meta.fhi[r] = phi
-        if _kernel is None:
-            self._numpy_row(meta, r, ma, ra, mb, rb, plo, phi, oflo, ofhi)
-            return
-        if oflo <= ofhi:
-            if oflo < plo:
-                plo = oflo
-            if ofhi > phi:
-                phi = ofhi
-        # Every box and span lies inside its row's stored range (each
-        # write path clips to it), so the kernel touches only level cells.
-        _kernel.minplus_band(
-            ma.pos[ra] + 8 * aflo,
-            afhi - aflo + 1,
-            mb.pos[rb] + 8 * bflo,
-            bfhi - bflo + 1,
-            meta.pos[r] + 8 * plo,
-            phi - plo + 1,
-            plo - aflo - bflo,
-        )
-
-    def _numpy_row(self, meta, r, ma, ra, mb, rb, plo, phi, oflo, ofhi) -> None:
-        """:meth:`_compute_row`'s combine where no compiled kernel loaded:
-        the band-blocked NumPy sweep over the output box ``[plo, phi]``.
-
-        Width-1 child boxes (pinned or idle subtrees) collapse the sweep to
-        a single vector add, and a single output cell to one add-and-min.
-        The general case orients the narrower child box onto the candidate
+        ``inf`` either way.  Cells outside the previously recorded box are
+        ``inf`` already, so clearing the old box's span where it reaches
+        past the new one re-establishes that invariant.  Width-1 child
+        boxes (pinned or idle subtrees) collapse the sweep to a single
+        vector add, and a single output cell to one add-and-min.  The
+        general case orients the narrower child box onto the candidate
         axis and sweeps it ``SWEEP_BLOCK`` candidates at a time, each block
         only over the band of outputs it can reach.
         """
-        aflo, afhi, a = ma.flo[ra], ma.fhi[ra], ma.E[ra]
-        bflo, bfhi, b = mb.flo[rb], mb.fhi[rb], mb.E[rb]
-        nlo = meta.nlo[r]
-        E_row = meta.E[r]
+        cols, E = self._cols, self._E
+        ia, ib = cols.src_a[r], cols.src_b[r]
+        aflo, afhi, bflo, bfhi = cols.flo[ia], cols.fhi[ia], cols.flo[ib], cols.fhi[ib]
+        nlo, nk = cols.nlo[r], cols.nk[r]
+        plo = max(aflo + bflo, nlo)
+        phi = min(afhi + bfhi, nlo + nk - 1)
+        oflo, ofhi = cols.flo[r], cols.fhi[r]
+        o = cols.off[r]
+        E_row = E[o : o + nk]
+        cols.stamp[r] = -1
+        empty = aflo > afhi or bflo > bfhi or plo > phi
+        if oflo <= ofhi and (empty or oflo < plo or ofhi > phi):
+            E_row[oflo - nlo : ofhi - nlo + 1].fill(np.inf)
+        if empty:
+            cols.flo[r] = 0
+            cols.fhi[r] = -1
+            return
+        cols.flo[r] = plo
+        cols.fhi[r] = phi
+        a = E[cols.off[ia] : cols.off[ia] + cols.nk[ia]]
+        b = E[cols.off[ib] : cols.off[ib] + cols.nk[ib]]
+        a0 = aflo - cols.nlo[ia]
+        b0 = bflo - cols.nlo[ib]
         NKp = phi - plo + 1
         k0p = plo - (aflo + bflo)
         t0 = plo - nlo
-        a0 = aflo - meta.alo[r]
-        b0 = bflo - meta.blo[r]
-        if oflo <= ofhi and (oflo < plo or ofhi > phi):
-            E_row[oflo - nlo : ofhi - nlo + 1].fill(np.inf)
         out = E_row[t0 : t0 + NKp]
         if bflo == bfhi:
             # Width-1 b box: output n = wa + bflo is the only candidate
@@ -459,12 +519,8 @@ class PackedReduction:
         elif NKp == 1:
             # Single output cell (the needed-range-truncated root): the
             # exact candidate overlap is one vector add, no rectangle.
-            lo = plo - bfhi
-            if lo < aflo:
-                lo = aflo
-            hi = plo - bflo
-            if hi > afhi:
-                hi = afhi
+            lo = max(plo - bfhi, aflo)
+            hi = min(plo - bflo, afhi)
             va = a[a0 + lo - aflo : a0 + hi - aflo + 1]
             vb = b[b0 + plo - hi - bflo : b0 + plo - lo - bflo + 1]
             E_row[t0] = np.add(va, vb[::-1]).min() if lo < hi else va[0] + vb[0]
@@ -476,7 +532,7 @@ class PackedReduction:
                 a, b = b, a
                 a0, b0 = b0, a0
                 aflo, afhi, bflo, bfhi = bflo, bfhi, aflo, afhi
-            L1, R1, tflat, win, part = meta.one_buffers()
+            L1, R1, tflat, win, part = self._sweep_buffers()
             # Box-local sweep geometry over the sliced children a' = a[box],
             # b' = b[box]: window t, candidate j reads
             # L1[t + j] = a'[t + j - (NBp-1) + k0p], entries below index
@@ -484,9 +540,7 @@ class PackedReduction:
             naa = afhi - aflo + 1
             NBp = bfhi - bflo + 1
             WLp = NKp + NBp - 1
-            start = k0p - (NBp - 1)
-            if start < 0:
-                start = 0
+            start = max(k0p - (NBp - 1), 0)
             ofs = (NBp - 1) - k0p + start
             n = min(naa - start, WLp - ofs)
             L1[:WLp].fill(np.inf)
@@ -503,15 +557,9 @@ class PackedReduction:
             # add and the min both stream contiguous L1 slices.
             out.fill(np.inf)
             for j0 in range(0, NBp, SWEEP_BLOCK):
-                j1 = j0 + SWEEP_BLOCK
-                if j1 > NBp:
-                    j1 = NBp
-                t_lo = ofs - (j1 - 1)
-                if t_lo < 0:
-                    t_lo = 0
-                t_hi = ofs + n - j0
-                if t_hi > NKp:
-                    t_hi = NKp
+                j1 = min(j0 + SWEEP_BLOCK, NBp)
+                t_lo = max(ofs - (j1 - 1), 0)
+                t_hi = min(ofs + n - j0, NKp)
                 tw = t_hi - t_lo
                 if tw <= 0:
                     continue
@@ -520,120 +568,27 @@ class PackedReduction:
                 seg = out[t_lo:t_hi]
                 np.minimum(seg, np.minimum.reduce(tot, axis=0, out=part[:tw]), out=seg)
 
-    def _refresh(self) -> bool:
-        """Recombine every root path with a dirty leaf, one row at a time
-        through :meth:`_compute_row`; True if the root was rebuilt (every
-        dirty leaf's path ends at the root)."""
-        dirty_slots = self._dirty_slots
-        if not dirty_slots:
-            return False
-        require(not self._nmissing, "every leaf needs a curve")
-        if len(dirty_slots) == 1:
-            # Steady state: one core's curve changed, so the dirty region
-            # is exactly that leaf's precomputed root path.
-            (slot,) = dirty_slots
-            rows = self._path[slot]
-        else:
-            # The union of the dirty paths, level by level (rows of one
-            # level are independent; every child level precedes its
-            # parent's).
-            paths = self._path
-            rows = sorted({node for slot in dirty_slots for node in paths[slot]})
-        for lev, row in rows:
-            self._compute_row(lev, row)
-        dirty_slots.clear()
-        return True
-
-    # ---- solve ---------------------------------------------------------------
-    def _split_at(self, meta: _Level, r: int, sh: int) -> int:
-        """Left-child way count of the finite cell ``(r, sh)``, recovered
-        lazily from the children.
-
-        Refresh stores only min values; the back-track walk reads exactly
-        one split per visited row, so that split is recomputed here as the
+    def _numpy_split(self, r: int, sh: int) -> int:
+        """Left-child way count of row ``r``'s finite cell ``sh``: the
         first minimum over the cell's box-clipped candidates in ascending
-        ``sl`` order -- the reference's tie-break.  Valid because dirty
-        propagation rebuilds every ancestor of a changed node before any
-        solve, so the child rows read here are the ones the cell's value
-        was combined from; candidates outside the finite boxes are
-        infinite and cannot win or tie the (finite) minimum the cell
-        holds, so clipping preserves the first-minimum choice exactly.
+        order -- the reference's tie-break.
+
+        Valid because the refresh rebuilds every ancestor of a changed
+        row before the walk, so the child rows read here are the ones the
+        cell's value was combined from; candidates outside the finite
+        boxes are infinite and cannot win or tie the (finite) minimum the
+        cell holds, so clipping preserves the first-minimum choice exactly.
         """
-        (la, ra), (lb, rb) = meta.src[r]
-        ma, mb = self._levels[la], self._levels[lb]
-        aflo, afhi = ma.flo[ra], ma.fhi[ra]
-        bflo, bfhi = mb.flo[rb], mb.fhi[rb]
-        lo = sh - bfhi
-        if lo < aflo:
-            lo = aflo
-        hi = sh - bflo
-        if hi > afhi:
-            hi = afhi
+        cols, E = self._cols, self._E
+        ia, ib = cols.src_a[r], cols.src_b[r]
+        lo = max(sh - cols.fhi[ib], cols.flo[ia])
+        hi = min(sh - cols.flo[ib], cols.fhi[ia])
         if lo == hi:
             return lo
-        if _kernel is not None:
-            return lo + _kernel.minplus_split(
-                ma.pos[ra] + 8 * lo, mb.pos[rb] + 8 * (sh - hi), hi - lo + 1
-            )
-        alo = meta.alo[r]
-        blo = meta.blo[r]
-        va = ma.E[ra, lo - alo : hi - alo + 1]
-        vb = mb.E[rb, sh - hi - blo : sh - lo - blo + 1]
-        tmp = meta.one_buffers()[2][: hi - lo + 1]
+        pa = cols.off[ia] - cols.nlo[ia]
+        pb = cols.off[ib] - cols.nlo[ib]
+        va = E[pa + lo : pa + hi + 1]
+        vb = E[pb + sh - hi : pb + sh - lo + 1]
+        tmp = self._sweep_buffers()[2][: hi - lo + 1]
         np.add(va, vb[::-1], out=tmp)
         return lo + int(tmp.argmin())
-
-    def refresh(self, meter: OverheadMeter | None = None) -> bool:
-        """Charge the invocation's static DP total and recombine dirty paths."""
-        if meter is not None and self._total_cells:
-            meter.charge_replay(dp_cells=self._total_cells)
-        return self._refresh()
-
-    def solve(self, meter: OverheadMeter | None = None) -> dict[int, tuple[int, int, int]] | None:
-        """Optimal assignment over the current leaves (or None if infeasible).
-
-        Bit-identical -- assignment, tie-breaks, meter charges -- to the
-        node-graph hierarchy (or flat tree) over the same curves.  Like the
-        reference, an unchanged root returns the previous assignment *dict
-        object*, preserving the downstream identity short-circuits
-        (allocation-map cache, kernel apply skip).
-        """
-        self.refresh(meter)
-        s = self._root_s
-        if s is None:
-            return None
-        levels = self._levels
-        lev, row = self._root_ref
-        root = levels[lev]
-        if root.E[row, s - root.nlo[row]] == np.inf:  # never NaN: curves are finite or inf
-            return None
-        prev = self._last_assignment
-        if prev is not None and root.stamp[row] == s:
-            self.last_touched = []
-            return prev
-        # Start from the previous assignment (one C-speed dict copy: the
-        # leaf set is fixed, so its keys are exactly the output keys) and
-        # overwrite only the re-walked paths; a subtree whose stamp matches
-        # the incoming way total kept its previous assignment verbatim.
-        out: dict[int, tuple[int, int, int]] = {} if prev is None else dict(prev)
-        touched: list[int] = []
-        held = self._held
-        stack = [(lev, row, s)]
-        while stack:
-            lv, r, sh = stack.pop()
-            meta = levels[lv]
-            if meta.stamp[r] == sh and prev is not None:
-                continue
-            meta.stamp[r] = sh
-            if lv == 0:
-                curve = held[r]
-                out[curve.core_id] = curve.setting_at(sh)
-                touched.append(curve.core_id)
-                continue
-            sl = self._split_at(meta, r, sh)
-            (la, ra), (lb, rb) = meta.src[r]
-            stack.append((lb, rb, sh - sl))
-            stack.append((la, ra, sl))
-        self._last_assignment = out
-        self.last_touched = touched
-        return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ import numpy as np
 from repro.config import Allocation, SystemConfig
 from repro.cpu.counters import CounterSnapshot, observe_counters
 from repro.util.parallel import parallel_map
-from repro.util.validation import require
 from repro.workloads.benchmarks import BENCHMARKS, get_benchmark
 
 __all__ = [
@@ -135,6 +135,46 @@ def database_cache_path(
     return os.path.join(cache_dir, f"simdb_{digest}.pkl")
 
 
+#: Directory beside the cached databases that unloadable cache files are
+#: moved to (the results store's convention).
+QUARANTINE_DIR = ".quarantine"
+
+
+def _load_cached(cache_path: str) -> SimulationDatabase | None:
+    """The database cached at ``cache_path``, or None when there is none.
+
+    A file that does not unpickle to a :class:`SimulationDatabase` -- a
+    truncated write, bit rot, a pickle of classes since renamed -- is moved
+    to :data:`QUARANTINE_DIR` beside it, so the caller rebuilds and the bad
+    file stays available for inspection without being loaded again.
+    """
+    try:
+        with open(cache_path, "rb") as fh:
+            db = pickle.load(fh)
+    except FileNotFoundError:
+        return None
+    # Unpickling a corrupt file can raise far more than UnpicklingError
+    # (EOFError, ValueError, ImportError/AttributeError on renamed classes).
+    except Exception as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    else:
+        if isinstance(db, SimulationDatabase):
+            return db
+        failure = f"it holds a {type(db).__name__}"
+    qdir = os.path.join(os.path.dirname(cache_path), QUARANTINE_DIR)
+    try:
+        os.makedirs(qdir, exist_ok=True)
+        os.replace(cache_path, os.path.join(qdir, os.path.basename(cache_path)))
+    except OSError:
+        pass  # a racing builder moved it, or the cache is read-only: rebuild anyway
+    warnings.warn(
+        f"unusable database cache {cache_path} ({failure}): quarantined, rebuilding",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return None
+
+
 def build_database(
     system: SystemConfig,
     names: list[str] | None = None,
@@ -147,7 +187,8 @@ def build_database(
     Per-benchmark work (SimPoint + per-phase characterisation) is independent
     and fanned out over worker processes, mirroring the paper's observation
     that this step parallelises trivially.  With ``cache_dir`` set, the
-    finished database is pickled to disk and reused across runs.
+    finished database is pickled to disk and reused across runs; a cache
+    file that cannot be loaded is quarantined and rebuilt.
     """
     from repro.simulation.detailed import analyze_benchmark  # local: avoid cycle
 
@@ -158,10 +199,8 @@ def build_database(
     cache_path = None
     if cache_dir:
         cache_path = database_cache_path(system, all_names, accesses_per_set, cache_dir)
-        if os.path.exists(cache_path):
-            with open(cache_path, "rb") as fh:
-                db = pickle.load(fh)
-            require(isinstance(db, SimulationDatabase), "corrupt database cache")
+        db = _load_cached(cache_path)
+        if db is not None:
             return db
 
     work = [(name, system, accesses_per_set) for name in all_names]

@@ -24,30 +24,37 @@ class ManagerBridge:
     """Read-only view of kernel state exposed to resource managers."""
 
     def __init__(self, kernel) -> None:
-        self._kernel = kernel
+        # The kernel's parts, not the kernel: the kernel holds the bridge
+        # and the manager (which holds the bridge), so a reference back
+        # would put a finished replay's whole object graph -- the
+        # manager's curve memo included -- in a cycle that only the cyclic
+        # garbage collector frees, whenever it next runs.
+        self._cores = kernel.cores
+        self._arrays = kernel.arrays
+        self._record = kernel.scheduler.record
         #: The platform under management (managers read dimension spaces,
         #: baseline allocation and QoS anchor from it).
         self.system = kernel.system
 
     def slack(self, core_id: int) -> float:
         """The core's current QoS slack (0.0 = strict baseline QoS)."""
-        return self._kernel.cores[core_id].slack
+        return self._cores[core_id].slack
 
     def current_alloc(self, core_id: int) -> Allocation:
         """The core's currently applied (core size, VF, ways) setting."""
-        return self._kernel.cores[core_id].alloc
+        return self._cores[core_id].alloc
 
     def is_active(self, core_id: int) -> bool:
         """False while the core idles between scenario tenants."""
-        return self._kernel.cores[core_id].active
+        return self._cores[core_id].active
 
     def completed_snapshot(self, core_id: int):
         """Hardware-counter snapshot of the last completed interval."""
-        return self._kernel.cores[core_id].last_snapshot
+        return self._cores[core_id].last_snapshot
 
     def completed_record(self, core_id: int) -> PhaseRecord:
         """Database record (sampled ATD curves) of the last completed interval."""
-        rec = self._kernel.cores[core_id].last_record
+        rec = self._cores[core_id].last_record
         require(rec is not None, "no completed interval yet")
         return rec
 
@@ -58,7 +65,7 @@ class ManagerBridge:
         One vector read of the struct-of-arrays active mask (plain ``int``
         ids, so they key manager dicts exactly like the per-core path's).
         """
-        return [int(j) for j in np.nonzero(self._kernel.arrays.active)[0]]
+        return [int(j) for j in np.nonzero(self._arrays.active)[0]]
 
     def upcoming_records(self, core_ids: list[int]) -> list[PhaseRecord]:
         """Records of the slices the cores are currently executing (the
@@ -67,5 +74,5 @@ class ManagerBridge:
         The batched manager pipeline stacks these records' grids into
         ``(N, C, F, W)`` tensors.
         """
-        record = self._kernel.scheduler.record
+        record = self._record
         return [record(j) for j in core_ids]

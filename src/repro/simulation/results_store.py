@@ -48,7 +48,7 @@ __all__ = [
     "run_key",
     "run_key_prefix",
     "run_key_from_prefix",
-    "database_digest",
+    "database_config_digest",
     "RESULTS_FORMAT_VERSION",
 ]
 
@@ -67,10 +67,11 @@ RESULTS_FORMAT_VERSION = 3
 FAULT_HOOK = None
 
 
-def database_digest(db: SimulationDatabase) -> str:
-    """Content digest of the database a run replays against.
+def database_config_digest(db: SimulationDatabase) -> str:
+    """Configuration digest of the database a run replays against.
 
-    Reuses the database's own cache key (system geometry, benchmark set,
+    It hashes the inputs the database was built from, not its contents:
+    it reuses the database's own cache key (system geometry, benchmark set,
     trace density, ``DB_FORMAT_VERSION``), so anything that would rebuild
     the database also invalidates every run keyed against it.
     """
@@ -106,7 +107,7 @@ def run_key_prefix(system, db: SimulationDatabase, max_slices: int | None) -> st
     (:meth:`~repro.experiments.runner.ExperimentContext.run_key`) and
     finishes each key with :func:`run_key_from_prefix`.
     """
-    return f"rv{RESULTS_FORMAT_VERSION}|{database_digest(db)}|{system!r}|ms{max_slices}"
+    return f"rv{RESULTS_FORMAT_VERSION}|{database_config_digest(db)}|{system!r}|ms{max_slices}"
 
 
 def run_key_from_prefix(prefix: str, item: Workload | Scenario, spec) -> str:

@@ -76,6 +76,16 @@ class TestCompareRules:
         problems = compare_reports(BASE, fresh(result_hash="zzz999"))
         assert any("result_hash" in p and "exact-match" in p for p in problems)
 
+    @pytest.mark.parametrize("key", ["reduction_rows", "reduction_splits"])
+    def test_reduction_work_counter_drift_fails(self, key):
+        base = copy.deepcopy(BASE)
+        base["managers"]["rm2-combined"][key] = 3208
+        assert compare_reports(base, copy.deepcopy(base)) == []
+        got = copy.deepcopy(base)
+        got["managers"]["rm2-combined"][key] = 3209
+        problems = compare_reports(base, got)
+        assert any(key in p and "exact-match" in p for p in problems)
+
     def test_bit_identical_false_fails(self):
         problems = compare_reports(BASE, fresh(bit_identical=False))
         assert any("not bit-identical" in p for p in problems)

@@ -1,7 +1,7 @@
 """Golden content of a freshly built simulation database.
 
 The session fixtures replay databases from the repo-local ``.sim_cache``,
-which older code may have built, and ``results_store.database_digest``
+which older code may have built, and ``results_store.database_config_digest``
 hashes only the configuration -- so neither notices when the detailed
 simulation starts producing different numbers.  This test builds a small
 database from scratch (serially, no cache) and pins a digest of every

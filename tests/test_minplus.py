@@ -230,6 +230,7 @@ class TestBuildCache:
                         curve = EnergyCurve(core_id=j, epi=epi, freq_idx=idx, core_idx=idx)
                         tree.set_leaf(j, curve)
                     print(sorted(tree.solve().items()))
+                print("work:", tree.rows_combined, tree.splits)
             print("kernel:", "numpy" if packed_tree._kernel is None else "compiled")
             for w in caught:
                 print(w.category.__name__, str(w.message).replace(chr(10), " "))
@@ -241,8 +242,8 @@ class TestBuildCache:
             assert proc.returncode == 0, err
             runs[mode] = out.splitlines()
         missing, present = runs["missing"], runs["present"]
-        assert missing[4] == "kernel: numpy" and present[4] == "kernel: compiled"
-        assert len(missing) == 6 and missing[5].startswith("RuntimeWarning"), missing[5:]
-        assert "/nonexistent/cc" in missing[5]
-        assert len(present) == 5, present[5:]
-        assert missing[:4] == present[:4]  # the same four solves
+        assert missing[5] == "kernel: numpy" and present[5] == "kernel: compiled"
+        assert len(missing) == 7 and missing[6].startswith("RuntimeWarning"), missing[6:]
+        assert "/nonexistent/cc" in missing[6]
+        assert len(present) == 6, present[6:]
+        assert missing[:5] == present[:5]  # the same four solves and work counters

@@ -1,9 +1,9 @@
-"""Bit-identity of the packed level-synchronous reduction.
+"""Bit-identity of the packed reduction.
 
 :class:`~repro.core.packed_tree.PackedReduction` plans an entire clustered
 hierarchy -- per-cluster capped combine levels plus the second-level
-stage -- into struct-of-arrays level matrices and solves it with one
-min-plus combine per dirty row.  The node-graph
+stage -- into flat plan arrays and solves it in one kernel call that
+recombines every dirty row and walks the back-track.  The node-graph
 :class:`~tests.oracles.node_graph.ReductionTree` hierarchy is the golden
 reference: on every input the packed tree must reproduce its assignment
 (including tie-breaks), its ``None``-ness on infeasible inputs, and its
@@ -20,9 +20,16 @@ cluster-churn replay through the production clustered manager and through
 the node-graph clustered manager oracle pins the manager wiring end to
 end.
 
-The hypothesis cases and the wide-box cases run twice: over the compiled
-min-plus kernel the module loaded, and (the ``...NumpySweep`` classes)
-over the NumPy fallback sweep, forced by monkeypatching the kernel away.
+The one-call traces drive multi-cluster dirty unions, all-``inf`` leaves
+(infeasible roots), repeated clean solves and tied energies, and pin the
+work counters: each refresh recombines exactly the union of the dirty
+root paths.  The compiled path must make one kernel call per solve, and
+the fallback loop must reproduce its traces, counters included.
+
+The hypothesis cases, the wide-box cases and the traces run twice: over
+the compiled min-plus kernel the module loaded, and (the
+``...NumpySweep`` classes) over the NumPy fallback, forced by
+monkeypatching the kernel away.
 """
 
 from __future__ import annotations
@@ -308,27 +315,35 @@ def _wide_curve(rng, j, ways, cap, pinned=False):
     )
 
 
+def _columns(packed):
+    """The plan's per-row columns as int64 arrays, by name."""
+    return {name: np.asarray(getattr(packed._cols, name)) for name in packed_tree._COLUMNS}
+
+
+def _row(packed, cols, r):
+    """Row ``r``'s stored cells (ways ``nlo .. nlo + nk - 1``)."""
+    return packed._E[cols["off"][r] : cols["off"][r] + cols["nk"][r]]
+
+
 def _band_sweeps(packed):
     """Geometry of every row the refresh sends through the band-blocked
     sweep: (narrower child box width, clipped by the needed range, a hole
     inside a child box), plus whether any child box has width 1."""
+    cols = _columns(packed)
+    flo, fhi, nlo, nk = cols["flo"], cols["fhi"], cols["nlo"], cols["nk"]
     sweeps, width1 = [], False
-    for lev in range(1, len(packed._levels)):
-        meta = packed._levels[lev]
-        for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
-            boxes, holes = [], False
-            for lc, rc, lo in ((la, ra, meta.alo[r]), (lb, rb, meta.blo[r])):
-                m = packed._levels[lc]
-                flo, fhi, row = m.flo[rc], m.fhi[rc], m.E[rc]
-                boxes.append((flo, fhi))
-                holes |= bool(np.isinf(row[flo - lo : fhi - lo + 1]).any())
-            (aflo, afhi), (bflo, bfhi) = boxes
-            width1 |= aflo == afhi or bflo == bfhi
-            nlo, nhi = meta.nlo[r], meta.nlo[r] + meta.nk[r] - 1
-            plo, phi = max(nlo, aflo + bflo), min(nhi, afhi + bfhi)
-            if aflo < afhi and bflo < bfhi and plo < phi:
-                clipped = (plo, phi) != (aflo + bflo, afhi + bfhi)
-                sweeps.append((min(afhi - aflo, bfhi - bflo) + 1, clipped, holes))
+    for r in np.flatnonzero(cols["src_a"] >= 0):
+        boxes, holes = [], False
+        for c in (cols["src_a"][r], cols["src_b"][r]):
+            row = _row(packed, cols, c)
+            boxes.append((flo[c], fhi[c]))
+            holes |= bool(np.isinf(row[flo[c] - nlo[c] : fhi[c] - nlo[c] + 1]).any())
+        (aflo, afhi), (bflo, bfhi) = boxes
+        width1 |= aflo == afhi or bflo == bfhi
+        plo, phi = max(nlo[r], aflo + bflo), min(nlo[r] + nk[r] - 1, afhi + bfhi)
+        if aflo < afhi and bflo < bfhi and plo < phi:
+            clipped = (plo, phi) != (aflo + bflo, afhi + bfhi)
+            sweeps.append((min(afhi - aflo, bfhi - bflo) + 1, clipped, holes))
     return sweeps, width1
 
 
@@ -336,22 +351,17 @@ def _assert_rows_are_exact_combines(packed):
     """Every stored row equals the min-plus combine of its children's
     stored rows, cell for cell (assignments alone only see the cells the
     optimum path reads)."""
-    for lev in range(1, len(packed._levels)):
-        meta = packed._levels[lev]
-        for r, ((la, ra), (lb, rb)) in enumerate(meta.src):
-            kids = []
-            for lc, rc in ((la, ra), (lb, rb)):
-                m = packed._levels[lc]
-                width = packed._leaf_nhi[rc] - m.nlo[rc] + 1 if lc == 0 else m.nk[rc]
-                kids.append(m.E[rc, :width])
-            a, b = kids
-            full = np.full(len(a) + len(b) - 1, np.inf)
-            for i, ai in enumerate(a):
-                np.minimum(full[i : i + len(b)], ai + b, out=full[i : i + len(b)])
-            k0 = meta.nlo[r] - meta.alo[r] - meta.blo[r]
-            want = full[k0 : k0 + meta.nk[r]]
-            got = meta.E[r, : meta.nk[r]]
-            assert np.array_equal(got, want), f"level {lev} row {r} differs"
+    cols = _columns(packed)
+    nlo = cols["nlo"]
+    for r in np.flatnonzero(cols["src_a"] >= 0):
+        ia, ib = cols["src_a"][r], cols["src_b"][r]
+        a, b = _row(packed, cols, ia), _row(packed, cols, ib)
+        full = np.full(len(a) + len(b) - 1, np.inf)
+        for i, ai in enumerate(a):
+            np.minimum(full[i : i + len(b)], ai + b, out=full[i : i + len(b)])
+        k0 = nlo[r] - nlo[ia] - nlo[ib]
+        want = full[k0 : k0 + cols["nk"][r]]
+        assert np.array_equal(_row(packed, cols, r), want), f"row {r} differs"
 
 
 class TestWideBoxes:
@@ -423,3 +433,205 @@ class TestWideBoxes:
 class TestWideBoxesNumpySweep(TestWideBoxes):
     """The same wide boxes over the NumPy fallback sweep, whose candidate
     blocks the coverage asserts are about."""
+
+
+# ---- the one-call solve --------------------------------------------------------
+
+
+def _root_path(cols, slot):
+    """Row ids above leaf ``slot`` on its root path."""
+    path, up = [], int(cols["parent"][slot])
+    while up >= 0:
+        path.append(up)
+        up = int(cols["parent"][up])
+    return path
+
+
+def _one_leaf(rng, j, ways, inf_p, ties):
+    """A leaf with ``inf`` holes, ~15% of them pinned to the minimum way;
+    every leaf is finite there, so most roots stay feasible."""
+    epi = np.where(rng.random(ways) < inf_p, np.inf, rng.uniform(0.1, 5.0, size=ways))
+    if rng.random() < 0.15:
+        epi[1:] = np.inf
+    epi[0] = rng.uniform(0.1, 5.0)
+    if ties:
+        epi = np.round(epi)
+    return EnergyCurve(core_id=j, epi=epi,
+                       freq_idx=rng.integers(0, 4, size=ways),
+                       core_idx=rng.integers(0, 3, size=ways))
+
+
+def _finite_leaf(rng, j, ways):
+    return EnergyCurve(core_id=j, epi=rng.uniform(0.1, 5.0, size=ways),
+                       freq_idx=rng.integers(0, 4, size=ways),
+                       core_idx=rng.integers(0, 3, size=ways))
+
+
+def _all_inf_leaf(j, ways):
+    return EnergyCurve(core_id=j, epi=np.full(ways, np.inf),
+                       freq_idx=np.zeros(ways, dtype=int),
+                       core_idx=np.zeros(ways, dtype=int))
+
+
+def _one_call_trace(seed, ties=False):
+    """Drive one reduction through a random splice sequence against the
+    node-graph oracle and return its per-solve trace: (assignment, touched
+    cores, rows_combined, splits).
+
+    Every solve is checked against the oracle, and every stored row against
+    the exact combine of its children; the refresh must recombine
+    exactly the union of the dirty leaves' root paths, the first walk
+    must split every combine row once and touch every leaf, a walk-free
+    solve (infeasible, or nothing changed) must split nothing, and a
+    repeated solve with nothing dirty must hand back the same dict object
+    with no touched cores.  Steps move leaves in several clusters at once,
+    empty a leaf (an all-``inf`` curve makes the root infeasible) and heal
+    it, and re-ingest unchanged leaves.
+    """
+    rng = np.random.default_rng(seed)
+    ncores = int(rng.integers(4, 24))
+    ways = int(rng.integers(ncores, 3 * ncores + 4))
+    clusters, caps = _random_hierarchy(rng, ncores, ways)
+    packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+    reference = _Reference(clusters, caps, ways)
+    m_ref, m_pk = OverheadMeter(), OverheadMeter()
+    cols = _columns(packed)
+    combines = len(cols["nlo"]) - ncores
+    inf_p = float(rng.uniform(0.05, 0.5))
+    curves = [_one_leaf(rng, j, ways, inf_p, ties) for j in range(ncores)]
+    moved, invalidated, held = set(range(ncores)), set(range(ncores)), list(curves)
+    walked = False
+    trace = []
+    for step in range(8):
+        tag = f"seed={seed} step={step} clusters={clusters} caps={caps}"
+        for j in moved:
+            packed.set_leaf(j, curves[j])
+        # A leaf is dirty if it was re-ingested or its curve changed value.
+        dirty = {j for j in moved if j in invalidated or not held[j].same_curve(curves[j])}
+        held = list(curves)
+        rows0, splits0 = packed.rows_combined, packed.splits
+        ref = reference.solve(curves, m_ref)
+        got = packed.solve(m_pk)
+        _check_step(tag, ref, got, m_ref, m_pk)
+        _assert_rows_are_exact_combines(packed)
+        union = {r for j in dirty for r in _root_path(cols, j)}
+        assert packed.rows_combined - rows0 == len(union), f"{tag}: refresh rows"
+        if got is None:
+            assert packed.splits == splits0, f"{tag}: an infeasible solve walked"
+        elif not walked:
+            assert packed.splits - splits0 == combines, f"{tag}: first walk splits"
+            assert sorted(packed.last_touched) == list(range(ncores)), tag
+            walked = True
+        touched = None if packed.last_touched is None else list(packed.last_touched)
+        trace.append((got if got is None else sorted(got.items()), touched,
+                      packed.rows_combined, packed.splits))
+        if got is not None:
+            again = packed.solve(m_pk)
+            _check_step(f"{tag} (again)", reference.solve(curves, m_ref), again, m_ref, m_pk)
+            assert again is got and packed.last_touched == [], f"{tag}: unchanged root"
+            assert (packed.rows_combined, packed.splits) == trace[-1][2:], tag
+        moved, invalidated = set(), set()
+        mode = rng.random()
+        if mode < 0.4 and len(clusters) > 1:  # leaves of several clusters move
+            for members in rng.choice(len(clusters), size=min(3, len(clusters)), replace=False):
+                j = int(rng.choice(clusters[int(members)]))
+                curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+                moved.add(j)
+        elif mode < 0.55:  # one leaf loses every feasible way (root: None)
+            j = int(rng.integers(0, ncores))
+            curves[j] = _all_inf_leaf(j, ways)
+            moved.add(j)
+        elif mode < 0.75:  # re-ingest unchanged leaves, and heal empty ones
+            for j in rng.choice(ncores, size=min(ncores, 2), replace=False):
+                packed.invalidate(int(j))
+                reference.invalidate(int(j))
+                invalidated.add(int(j))
+                moved.add(int(j))
+            for j, c in enumerate(curves):
+                if not np.isfinite(c.epi).any():
+                    curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+                    moved.add(j)
+        else:  # the steady state: one leaf moves
+            j = int(rng.integers(0, ncores))
+            curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+            moved.add(j)
+    return trace
+
+
+class _CountingKernel:
+    """Proxy for the compiled kernel that records every entry point called."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+
+        return call
+
+
+class TestOneCallSolve:
+    """One solve: the refresh, the root checks and the walk in one pass."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_splice_trace_matches_reference(self, seed):
+        _one_call_trace(seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_tied_splice_trace_matches_reference(self, seed):
+        _one_call_trace(seed, ties=True)
+
+
+@pytest.mark.usefixtures("numpy_sweep")
+class TestOneCallSolveNumpySweep:
+    """The same traces over the NumPy fallback loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_splice_trace_matches_reference(self, seed):
+        _one_call_trace(seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_tied_splice_trace_matches_reference(self, seed):
+        _one_call_trace(seed, ties=True)
+
+
+@pytest.mark.skipif(packed_tree._kernel is None, reason="no C compiler: no compiled kernel")
+class TestCompiledSolve:
+    """The compiled path against the fallback loop, and its call count."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fallback_loop_does_the_same_work(self, seed, ties, monkeypatch):
+        compiled = _one_call_trace(seed, ties)
+        monkeypatch.setattr(packed_tree, "_kernel", None)
+        assert _one_call_trace(seed, ties) == compiled
+
+    def test_one_kernel_call_per_solve(self, monkeypatch):
+        proxy = _CountingKernel(packed_tree._kernel)
+        monkeypatch.setattr(packed_tree, "_kernel", proxy)
+        rng = np.random.default_rng(3)
+        ncores, ways = 24, 64
+        clusters = partition_clusters(ncores, 8)
+        caps = cluster_way_caps(ways, ncores, clusters, 1)
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        packed.set_leaves([_finite_leaf(rng, j, ways) for j in range(ncores)])
+        states = [packed.solve()]  # the first solve
+        states.append(packed.solve())  # nothing dirty
+        packed.set_leaf(5, _finite_leaf(rng, 5, ways))
+        states.append(packed.solve())  # one dirty path
+        for j in (1, 9, 17):  # a union across three clusters
+            packed.set_leaf(j, _finite_leaf(rng, j, ways))
+        states.append(packed.solve())
+        packed.set_leaf(2, _all_inf_leaf(2, ways))
+        states.append(packed.solve())  # infeasible
+        assert states[0] is not None and states[1] is states[0] and states[-1] is None
+        assert proxy.calls == ["minplus_solve"] * len(states)

@@ -26,7 +26,7 @@ from repro.experiments.runner import (
     get_context,
 )
 from repro.scenarios import poisson_arrivals
-from repro.simulation.results_store import ResultsStore, database_digest, run_key
+from repro.simulation.results_store import ResultsStore, database_config_digest, run_key
 from repro.util.parallel import parallel_map
 from repro.workloads.mixes import Workload
 from tests.conftest import TEST_BENCHMARKS
@@ -83,7 +83,7 @@ class TestRunKey:
         assert run_key(system4, db4, a, RM2, 5) == run_key(system4, db4, a, RM2, 5)
 
     def test_database_digest_depends_on_contents(self, db4, db8):
-        assert database_digest(db4) != database_digest(db8)
+        assert database_config_digest(db4) != database_config_digest(db8)
 
 
 class TestResultsStore:

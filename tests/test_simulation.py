@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,12 @@ from repro.core.managers import (
     rm2_combined,
     rm3_core_adaptive,
 )
-from repro.simulation.database import build_database
+from repro.simulation.database import (
+    QUARANTINE_DIR,
+    SimulationDatabase,
+    build_database,
+    database_cache_path,
+)
 from repro.simulation.metrics import (
     AppResult,
     IntervalSample,
@@ -85,6 +93,33 @@ class TestDatabase:
         rec1 = next(iter(db1.records["povray_like"].values()))
         rec2 = next(iter(db2.records["povray_like"].values()))
         np.testing.assert_array_equal(rec1.tpi, rec2.tpi)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_a_database"])
+    def test_corrupt_disk_cache_is_quarantined_and_rebuilt(self, system4, tmp_path, damage):
+        names = ["povray_like"]
+        db1 = build_database(system4, names, accesses_per_set=150, cache_dir=str(tmp_path))
+        path = database_cache_path(system4, names, 150, str(tmp_path))
+        if damage == "truncated":
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+        else:
+            with open(path, "wb") as fh:
+                pickle.dump({"not": "a database"}, fh)
+        with open(path, "rb") as fh:
+            bad = fh.read()
+        with pytest.warns(RuntimeWarning, match="quarantined, rebuilding"):
+            db2 = build_database(system4, names, accesses_per_set=150, cache_dir=str(tmp_path))
+        assert sorted(db2.records) == sorted(db1.records)
+        for key, rec1 in db1.records["povray_like"].items():
+            rec2 = db2.records["povray_like"][key]
+            for name in ("tpi", "latency", "epi", "mpki_sampled", "mlp_sampled"):
+                np.testing.assert_array_equal(getattr(rec1, name), getattr(rec2, name))
+        assert db2.traces == db1.traces
+        quarantined = tmp_path / QUARANTINE_DIR / os.path.basename(path)
+        assert quarantined.read_bytes() == bad
+        # The rebuilt cache file is whole again and loads without a rebuild.
+        with open(path, "rb") as fh:
+            assert isinstance(pickle.load(fh), SimulationDatabase)
 
     def test_parallel_build_matches_serial(self, system4):
         names = ["namd_like", "povray_like"]

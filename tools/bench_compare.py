@@ -55,6 +55,8 @@ EXACT_KEYS = {
     "warm_store_hits",
     "rma_invocations",
     "result_store",
+    "reduction_rows",
+    "reduction_splits",
 }
 
 #: Fidelity context: a mismatch means the artifacts measure different

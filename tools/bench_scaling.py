@@ -83,6 +83,14 @@ def _replay(ctx, scenario, manager_factory, max_slices, repeats):
     return best_s, run, last[0]
 
 
+def _reduction_work(sim) -> dict:
+    """The replay's deterministic reduction work: rows the packed reduction
+    recombined and back-track splits it recovered (exact-match keys of the
+    regression gate, equal under the compiled kernel and the fallback)."""
+    tree = sim.manager._tree
+    return {"reduction_rows": tree.rows_combined, "reduction_splits": tree.splits}
+
+
 def _events_per_sec(sim, best_s: float) -> float:
     """Replay throughput: simulated global events per wall-clock second."""
     return round(sim.events_simulated / best_s, 1) if best_s > 0 else 0.0
@@ -194,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "baseline_events_per_sec": _events_per_sec(base_sim, base_s),
         "result_hash": run_result_hash(clus_run),
         "rma_invocations": int(clus_run.rma_invocations),
+        **_reduction_work(clus_sim),
         # Nested so the gate's exact-match walk sees a leaf literally named
         # "result_hash": flat-manager drift at 64 cores must fail CI too.
         "flat": {"result_hash": run_result_hash(flat_run)},
@@ -237,6 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "result_hash": run_result_hash(s7_run),
             "rma_invocations": int(s7_run.rma_invocations),
+            **_reduction_work(s7_sim),
             "stage_split": _stage_split(s7_ctx, s7_scenario, s7_factory, args.max_slices),
         }
         print(

@@ -155,7 +155,9 @@ hashes).  See "Running as a service" in `README.md`.
   `ClusteredManager` (cluster size 8) vs flat RM2 and the
   static baseline, recording wall-clocks, the clustered-vs-flat energy
   gap, the modelled RMA instructions per invocation (~11× lower
-  clustered), and a 16-core **single-cluster equivalence check** whose
+  clustered), the packed reduction's deterministic work per clustered
+  replay (`reduction_rows`, `reduction_splits`; exact-match keys), and a
+  16-core **single-cluster equivalence check** whose
   `bit_identical` field the gate enforces exactly — the hierarchy must
   never drift from the flat manager it degenerates to;
 * `BENCH_database_build.json` (`tools/bench_database_build.py`) — the

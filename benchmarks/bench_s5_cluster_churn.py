@@ -2,7 +2,8 @@
 
 Whole clusters drain (power-gated) and refill with fresh tenants, the
 group-scheduling pattern of a many-core part.  Compares flat RM2 against
-the hierarchical ClusteredManager on the same event streams.
+the hierarchical cluster tier (RM2 with ``cluster_size``) on the same
+event streams.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.core.managers import (
     ResourceManager,
     StaticBaselineManager,
     CoordinatedManager,
-    ClusteredManager,
     IndependentManager,
     rm1_partitioning_only,
     rm2_combined,
@@ -47,7 +46,6 @@ __all__ = [
     "ResourceManager",
     "StaticBaselineManager",
     "CoordinatedManager",
-    "ClusteredManager",
     "IndependentManager",
     "HistoryAwareManager",
     "rm2_history",

@@ -40,13 +40,13 @@ speedup against it.
 For many-core systems (64-256 cores) the flat global reduction itself is
 the scaling wall: the top combines of the min-plus tree widen with the full
 LLC associativity, so every invocation pays a superlinear cost in the core
-count.  :class:`ClusteredManager` adds a hierarchical tier to the same
-reduction: cores are partitioned into clusters (``cluster_size``), each
+count.  The same manager's ``cluster_size`` adds a hierarchical tier to the
+same reduction: cores are partitioned into contiguous clusters, each
 cluster's combines are capped at its way budget, and a second-level stage
 combines the per-cluster aggregate curves to redistribute LLC ways -- and
 with them the power/slack headroom the QoS-pruned curves encode -- across
-clusters.  With one cluster it is bit-identical to the flat manager; with
-many, it trades a bounded energy gap (the cluster way caps) for
+clusters.  The flat manager is the one-cluster plan; with many clusters
+the manager trades a bounded energy gap (the cluster way caps) for
 per-invocation work that scales with the cluster size instead of the
 system size.
 """
@@ -70,7 +70,6 @@ __all__ = [
     "ResourceManager",
     "StaticBaselineManager",
     "CoordinatedManager",
-    "ClusteredManager",
     "IndependentManager",
     "rm1_partitioning_only",
     "rm2_combined",
@@ -134,7 +133,17 @@ MEMO_CAP = 8192
 
 
 class CoordinatedManager(ResourceManager):
-    """The paper's coordinated RMA engine (configurable dimensions)."""
+    """The paper's coordinated RMA engine (configurable dimensions).
+
+    ``cluster_size`` partitions the cores into contiguous clusters whose
+    reduction stages are capped at ``overprovision`` times their
+    proportional LLC share (:func:`~repro.core.global_opt.cluster_way_caps`);
+    a second-level stage over the cluster roots decides each cluster's
+    ways, and one back-track walk yields every core's setting.  ``None``
+    plans one cluster of every core capped at the full associativity --
+    the flat reduction -- and so does any ``cluster_size >= ncores``, bit
+    for bit (``tests/test_clustered.py``).
+    """
 
     def __init__(
         self,
@@ -144,6 +153,8 @@ class CoordinatedManager(ResourceManager):
         control_partitioning: bool = True,
         mlp_model: str = "model2",
         oracle: bool = False,
+        cluster_size: int | None = None,
+        overprovision: float = 2.0,
     ) -> None:
         super().__init__()
         self.name = name
@@ -152,6 +163,9 @@ class CoordinatedManager(ResourceManager):
         self.control_partitioning = control_partitioning
         self.model = MLP_MODELS[mlp_model]
         self.oracle = oracle
+        self.cluster_size = None if cluster_size is None else int(cluster_size)
+        self.overprovision = float(overprovision)
+        self._clusters: tuple[tuple[int, ...], ...] = ()
         self.curves: dict[int, EnergyCurve] = {}
         self._tree: PackedReduction | None = None
         self._memo: dict = {}
@@ -182,14 +196,18 @@ class CoordinatedManager(ResourceManager):
         self._stale_leaves = set(range(sim.system.ncores))
 
     def _init_trees(self, system: SystemConfig) -> None:
-        """Build the persistent reduction: one flat group over every core.
+        """Plan the persistent reduction: one capped stage per cluster plus
+        the second level, in one :class:`PackedReduction`.
 
-        :class:`ClusteredManager` overrides this with the hierarchical plan.
-        Either way leaf slot ``j`` holds core ``j``'s curve.
+        Clusters are contiguous blocks in core order, so leaf slot ``j``
+        holds core ``j``'s curve.
         """
+        ways, min_ways = system.llc.ways, system.min_ways_per_core
+        size = system.ncores if self.cluster_size is None else self.cluster_size
+        self._clusters = partition_clusters(system.ncores, size)
+        caps = cluster_way_caps(ways, system.ncores, self._clusters, min_ways, self.overprovision)
         self._tree = PackedReduction(
-            (system.ncores,), (system.llc.ways,),
-            system.llc.ways, system.min_ways_per_core,
+            tuple(len(members) for members in self._clusters), caps, ways, min_ways,
         )
 
     def on_scenario_event(self, core_id: int, kind: str) -> None:
@@ -403,12 +421,13 @@ class CoordinatedManager(ResourceManager):
         maps are treated as immutable by that contract.
 
         ``touched`` (the reduction's rewritten core ids,
-        ``PackedReduction.last_touched``) makes every translation after the
-        first a delta: every untouched entry of ``assignment`` is
-        object-identical to the previous one, so the new map copies the
-        previous map wholesale and re-translates only the touched cores,
-        annotating the result (:class:`AllocationMap`) so the kernel's
-        apply loop can skip the untouched entries as well.
+        ``PackedReduction.last_touched``) makes every translation a delta:
+        every untouched entry of ``assignment`` is object-identical to the
+        previous one, so the new map copies the previous map wholesale and
+        re-translates only the touched cores, annotating the result
+        (:class:`AllocationMap`) so the kernel's apply loop can skip the
+        untouched entries as well.  The first solve walks every leaf, so
+        its delta from the empty map lists every core in walk order.
         """
         if assignment is None:
             return None
@@ -416,31 +435,20 @@ class CoordinatedManager(ResourceManager):
         if cached is not None and cached[0] is assignment:
             return cached[1]
         cache = self._alloc_cache
-        if cached is not None and len(cached[1]) == len(assignment):
-            prev_out = cached[1]
-            out = AllocationMap(prev_out)
-            delta: list[tuple[int, Allocation]] = []
-            for j in touched:
-                setting = assignment[j]
-                alloc = cache.get(setting)
-                if alloc is None:
-                    c, f, w = setting
-                    alloc = Allocation(core=c, freq=f, ways=w)
-                    cache[setting] = alloc
-                if prev_out[j] is not alloc:
-                    out[j] = alloc
-                    delta.append((j, alloc))
-            out.delta = delta
-            self._alloc_out = (assignment, out)
-            return out
-        out = AllocationMap()
-        for j, setting in assignment.items():
+        prev_out = {} if cached is None else cached[1]
+        out = AllocationMap(prev_out)
+        delta: list[tuple[int, Allocation]] = []
+        for j in touched:
+            setting = assignment[j]
             alloc = cache.get(setting)
             if alloc is None:
                 c, f, w = setting
                 alloc = Allocation(core=c, freq=f, ways=w)
                 cache[setting] = alloc
-            out[j] = alloc
+            if prev_out.get(j) is not alloc:
+                out[j] = alloc
+                delta.append((j, alloc))
+        out.delta = delta
         self._alloc_out = (assignment, out)
         return out
 
@@ -475,114 +483,9 @@ class CoordinatedManager(ResourceManager):
         stale.clear()
 
 
-class ClusteredManager(CoordinatedManager):
-    """Hierarchical coordinated RMA for many-core systems (64-256 cores).
-
-    Cores are partitioned into contiguous clusters of ``cluster_size``.
-    Every cluster runs the flat manager's batched local pipeline -- the same
-    memoized per-core energy curves -- into its own stage of one
-    :class:`~repro.core.packed_tree.PackedReduction`, whose combines are
-    capped at the cluster's way budget (``overprovision`` times its
-    proportional LLC share, see
-    :func:`~repro.core.global_opt.cluster_way_caps`).  A second-level stage
-    then min-plus combines the per-cluster *aggregate* curves (the cluster
-    roots) to decide how many LLC ways each cluster receives;
-    back-tracking the second-level solution recurses through the cluster
-    roots down to per-core settings, so one walk yields the full system
-    assignment.  Because the QoS-pruned curves already encode each core's
-    energy/slack trade-off, redistributing ways between clusters is what
-    moves power and slack budgets between them.
-
-    Leaf installation is the flat manager's: only the invoking core's leaf
-    and those of cores touched by scenario events are re-installed, so a
-    swap or departure splices only the affected leaf's root path and an
-    unchanged cluster re-enters the second level as a clean cached
-    aggregate.
-
-    Equivalence contract: with ``cluster_size >= ncores`` (one cluster) the
-    cap equals the full associativity and the second level is a
-    pass-through, so decisions, energies and metered overheads are
-    bit-identical to the flat :class:`CoordinatedManager` --
-    ``tests/test_clustered.py`` enforces this.  With several clusters the
-    way caps bound each cluster's reach, giving results within a bounded
-    energy gap of the flat manager in exchange for per-invocation work that
-    scales with the cluster size, not the system size.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        cluster_size: int = 8,
-        overprovision: float = 2.0,
-        control_dvfs: bool = True,
-        control_core_size: bool = False,
-        control_partitioning: bool = True,
-        mlp_model: str = "model2",
-        oracle: bool = False,
-    ) -> None:
-        """Configure the hierarchy; dimension flags mirror the flat manager."""
-        super().__init__(
-            name=name,
-            control_dvfs=control_dvfs,
-            control_core_size=control_core_size,
-            control_partitioning=control_partitioning,
-            mlp_model=mlp_model,
-            oracle=oracle,
-        )
-        self.cluster_size = int(cluster_size)
-        self.overprovision = float(overprovision)
-        self._clusters: tuple[tuple[int, ...], ...] = ()
-
-    def _init_trees(self, system: SystemConfig) -> None:
-        """Plan the whole hierarchy into one packed reduction.
-
-        Every cluster's capped combine levels and the second-level stage
-        share the same plan arrays, so one invocation re-sweeps just the
-        dirty rows of every cluster's root path.  Clusters are
-        contiguous blocks in core order, so leaf slot ``j`` is still core
-        ``j`` (the base class's leaf installs need no translation).
-        """
-        self._clusters = partition_clusters(system.ncores, self.cluster_size)
-        caps = cluster_way_caps(
-            system.llc.ways, system.ncores, self._clusters,
-            system.min_ways_per_core, self.overprovision,
-        )
-        self._tree = PackedReduction(
-            tuple(len(members) for members in self._clusters),
-            caps, system.llc.ways, system.min_ways_per_core,
-        )
-
-
-def _make_manager(
-    name: str,
-    control_dvfs: bool,
-    control_core_size: bool,
-    control_partitioning: bool,
-    mlp_model: str,
-    oracle: bool,
-    cluster_size: int | None,
-    overprovision: float,
-) -> CoordinatedManager:
-    """Build the flat or (when ``cluster_size`` is set) clustered variant."""
-    if cluster_size is not None:
-        return ClusteredManager(
-            name=f"{name}-c{cluster_size}",
-            cluster_size=cluster_size,
-            overprovision=overprovision,
-            control_dvfs=control_dvfs,
-            control_core_size=control_core_size,
-            control_partitioning=control_partitioning,
-            mlp_model=mlp_model,
-            oracle=oracle,
-        )
-    return CoordinatedManager(
-        name=name,
-        control_dvfs=control_dvfs,
-        control_core_size=control_core_size,
-        control_partitioning=control_partitioning,
-        mlp_model=mlp_model,
-        oracle=oracle,
-    )
+def _variant_name(name: str, cluster_size: int | None) -> str:
+    """A factory's manager name: ``<name>``, or ``<name>-c<size>`` when clustered."""
+    return name if cluster_size is None else f"{name}-c{cluster_size}"
 
 
 def rm1_partitioning_only(
@@ -591,13 +494,11 @@ def rm1_partitioning_only(
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
-    """RM1: LLC partitioning only, at baseline VF and core size.
-
-    ``cluster_size`` selects the hierarchical :class:`ClusteredManager`
-    variant (many-core tier) instead of the flat manager.
-    """
-    return _make_manager(
-        "rm1-partitioning", False, False, True, mlp_model, oracle, cluster_size, overprovision,
+    """RM1: LLC partitioning only, at baseline VF and core size."""
+    return CoordinatedManager(
+        _variant_name("rm1-partitioning", cluster_size), control_dvfs=False,
+        mlp_model=mlp_model, oracle=oracle,
+        cluster_size=cluster_size, overprovision=overprovision,
     )
 
 
@@ -607,13 +508,11 @@ def rm2_combined(
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
-    """RM2: coordinated per-core DVFS + LLC partitioning (Paper I).
-
-    ``cluster_size`` selects the hierarchical :class:`ClusteredManager`
-    variant (many-core tier) instead of the flat manager.
-    """
-    return _make_manager(
-        "rm2-combined", True, False, True, mlp_model, oracle, cluster_size, overprovision,
+    """RM2: coordinated per-core DVFS + LLC partitioning (Paper I)."""
+    return CoordinatedManager(
+        _variant_name("rm2-combined", cluster_size),
+        mlp_model=mlp_model, oracle=oracle,
+        cluster_size=cluster_size, overprovision=overprovision,
     )
 
 
@@ -623,13 +522,11 @@ def rm3_core_adaptive(
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
-    """RM3: core size + DVFS + LLC partitioning (Paper II).
-
-    ``cluster_size`` selects the hierarchical :class:`ClusteredManager`
-    variant (many-core tier) instead of the flat manager.
-    """
-    return _make_manager(
-        "rm3-core-adaptive", True, True, True, mlp_model, oracle, cluster_size, overprovision,
+    """RM3: core size + DVFS + LLC partitioning (Paper II)."""
+    return CoordinatedManager(
+        _variant_name("rm3-core-adaptive", cluster_size), control_core_size=True,
+        mlp_model=mlp_model, oracle=oracle,
+        cluster_size=cluster_size, overprovision=overprovision,
     )
 
 
@@ -639,14 +536,13 @@ def dvfs_only(
     cluster_size: int | None = None,
     overprovision: float = 2.0,
 ) -> CoordinatedManager:
-    """Per-core DVFS at the fixed equal LLC split (ablation).
-
-    ``cluster_size`` selects the hierarchical :class:`ClusteredManager`
-    variant (many-core tier) instead of the flat manager.
-    """
-    return _make_manager(
-        "dvfs-only", True, False, False, mlp_model, oracle, cluster_size, overprovision,
+    """Per-core DVFS at the fixed equal LLC split (ablation)."""
+    return CoordinatedManager(
+        _variant_name("dvfs-only", cluster_size), control_partitioning=False,
+        mlp_model=mlp_model, oracle=oracle,
+        cluster_size=cluster_size, overprovision=overprovision,
     )
+
 
 class IndependentManager(ResourceManager):
     """Uncoordinated controllers: UCP cache partitioning + per-core DVFS.

@@ -83,9 +83,9 @@ class ManagerSpec:
     control_partitioning: bool = True
     mlp_model: str = "model2"
     oracle: bool = False
-    # A non-None cluster size selects the hierarchical ClusteredManager
-    # (per-cluster reduction trees + second-level combine) instead of the
-    # flat coordinated manager; overprovision scales the per-cluster way cap.
+    # A non-None cluster size adds the coordinated manager's cluster tier
+    # (per-cluster capped reduction stages + second-level combine);
+    # overprovision scales the per-cluster way cap.
     cluster_size: int | None = None
     overprovision: float = 2.0
 
@@ -105,19 +105,6 @@ class ManagerSpec:
                 control_core_size=self.control_core_size,
                 mlp_model=self.mlp_model,
             )
-        if self.cluster_size is not None:
-            from repro.core.managers import ClusteredManager
-
-            return ClusteredManager(
-                name=self.name,
-                cluster_size=self.cluster_size,
-                overprovision=self.overprovision,
-                control_dvfs=self.control_dvfs,
-                control_core_size=self.control_core_size,
-                control_partitioning=self.control_partitioning,
-                mlp_model=self.mlp_model,
-                oracle=self.oracle,
-            )
         return CoordinatedManager(
             name=self.name,
             control_dvfs=self.control_dvfs,
@@ -125,6 +112,8 @@ class ManagerSpec:
             control_partitioning=self.control_partitioning,
             mlp_model=self.mlp_model,
             oracle=self.oracle,
+            cluster_size=self.cluster_size,
+            overprovision=self.overprovision,
         )
 
 

@@ -20,8 +20,8 @@ down.  This package describes such time-varying executions as *scenarios*:
 Scenario experiments S1..S7 (:mod:`repro.experiments.scenarios`) drive the
 engine end-to-end and are registered alongside the paper experiments; the
 many-core shapes S5 (cluster churn) and S6 (skewed load) exercise the
-hierarchical cluster tier of :class:`repro.core.managers.ClusteredManager`,
-and S7 sweeps flat vs clustered across system sizes.
+hierarchical cluster tier of :class:`repro.core.managers.CoordinatedManager`
+(its ``cluster_size``), and S7 sweeps flat vs clustered across system sizes.
 """
 
 from repro.scenarios.events import Scenario, ScenarioEvent

@@ -267,7 +267,7 @@ def cluster_churn(
     rng = rng_for("scenario", "cluster-churn", name, seed)
     workload = _initial_workload(name, ncores, apps, rng, slack)
     # The manager's own partitioning rule, so drained blocks always align
-    # with ClusteredManager clusters of the same size.
+    # with the coordinated manager's clusters of the same size.
     clusters = partition_clusters(ncores, cluster_size)
     duration_ns = horizon_intervals * interval_ns / ncores
     gap_ns = duration_ns / (cycles + 1)

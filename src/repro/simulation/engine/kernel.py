@@ -80,7 +80,6 @@ class SimulationKernel:
         workload: Workload,
         manager: ResourceManager,
         max_slices: int | None = None,
-        collect_interval_samples: bool = True,
         scenario: Scenario | None = None,
     ) -> None:
         require(workload.ncores == system.ncores, "workload size must match core count")
@@ -101,7 +100,6 @@ class SimulationKernel:
         self.db = db
         self.workload = workload
         self.manager = manager
-        self.collect_interval_samples = collect_interval_samples
         self.scenario = scenario
         self.max_slices = max_slices
         base = system.baseline_allocation()
@@ -143,35 +141,6 @@ class SimulationKernel:
         #: denominator for the scaling benchmarks).
         self.events_simulated = 0
 
-    # ---- manager-facing API (delegated to the bridge) ------------------------
-    def slack(self, core_id: int) -> float:
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.slack`."""
-        return self.bridge.slack(core_id)
-
-    def current_alloc(self, core_id: int) -> Allocation:
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.current_alloc`."""
-        return self.bridge.current_alloc(core_id)
-
-    def is_active(self, core_id: int) -> bool:
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.is_active`."""
-        return self.bridge.is_active(core_id)
-
-    def completed_snapshot(self, core_id: int):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.completed_snapshot`."""
-        return self.bridge.completed_snapshot(core_id)
-
-    def completed_record(self, core_id: int):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.completed_record`."""
-        return self.bridge.completed_record(core_id)
-
-    def active_core_ids(self):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.active_core_ids`."""
-        return self.bridge.active_core_ids()
-
-    def upcoming_records(self, core_ids):
-        """See :meth:`~repro.simulation.engine.bridge.ManagerBridge.upcoming_records`."""
-        return self.bridge.upcoming_records(core_ids)
-
     # ---- internals -----------------------------------------------------------
     def _complete_interval(self, core: CoreRun) -> None:
         rec = self.scheduler.record(core.core_id)
@@ -180,7 +149,7 @@ class SimulationKernel:
         core.last_record = rec
         core.last_snapshot = self.scheduler.observe(core.core_id)
 
-        if self.collect_interval_samples and (self.scenario is not None or core.rounds == 0):
+        if self.scenario is not None or core.rounds == 0:
             duration = self.time_ns - core.interval_start_ns
             # Baseline interval time under *this* system's QoS anchor (the
             # anchor may differ from the database's nominal, e.g. in the

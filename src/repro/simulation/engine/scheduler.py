@@ -64,10 +64,6 @@ class CompletionScheduler:
         """Drop the cached entry: the core's alloc, tenancy or slice changed."""
         self._stale.add(core_id)
 
-    def invalidate_all(self) -> None:
-        """Drop every cached entry (system-wide reconfiguration)."""
-        self._stale.update(range(len(self.cores)))
-
     def _refresh(self, core_id: int) -> None:
         core = self.cores[core_id]
         rec = self.db.record(core.app, core.seq[core.slice_idx])

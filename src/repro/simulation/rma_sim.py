@@ -63,10 +63,9 @@ class RMASimulator(SimulationKernel):
 
     A thin facade over :class:`~repro.simulation.engine.SimulationKernel`
     that keeps the historical surface stable: construction signature, the
-    ``run()`` entry point, the manager-facing API (``slack``,
-    ``current_alloc``, ``is_active``, ``completed_snapshot``,
-    ``completed_record``, ``active_core_ids``, ``upcoming_records``) and
-    the introspectable ``cores`` / ``time_ns`` / ``interval_samples`` state.
+    ``run()`` entry point, the ``bridge`` managers read (a
+    :class:`~repro.simulation.engine.bridge.ManagerBridge`) and the
+    introspectable ``cores`` / ``time_ns`` / ``interval_samples`` state.
     """
 
 

@@ -12,7 +12,8 @@
   through per-cluster node-graph :class:`~tests.oracles.node_graph.ReductionTree`s
   plus a second-level tree over the cluster roots, re-installing every
   leaf on every decision; the golden reference of the packed hierarchy and
-  the per-leaf installs in :class:`~repro.core.managers.ClusteredManager`.
+  the per-leaf installs of :class:`~repro.core.managers.CoordinatedManager`
+  with a ``cluster_size``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cache
 from repro.config import Allocation, SystemConfig
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps
-from repro.core.managers import ClusteredManager, CoordinatedManager
+from repro.core.managers import CoordinatedManager
 from tests.oracles.model_chain import analytical_curve, local_optimize, qos_target_tpi
 from tests.oracles.node_graph import ReductionTree, global_optimize
 
@@ -104,15 +105,15 @@ def reference(manager: CoordinatedManager) -> CoordinatedManager:
     history-aware manager (whose ``_analytical_curve`` override the
     reference calls).
     """
-    assert not isinstance(manager, ClusteredManager), "the hierarchy has its own oracle"
+    assert manager.cluster_size is None, "the hierarchy has its own oracle"
     cls = _reference_class(type(manager))
     twin = cls.__new__(cls)
     twin.__dict__.update(manager.__dict__)
     return twin
 
 
-class NodeGraphClusteredManager(ClusteredManager):
-    """The clustered manager reduced through node-graph trees.
+class NodeGraphClusteredManager(CoordinatedManager):
+    """The clustered coordinated manager reduced through node-graph trees.
 
     Per-cluster capped :class:`ReductionTree`\\ s plus a second-level tree
     whose leaves are the cluster roots (spliced in via ``set_leaf_node``).

@@ -2,8 +2,8 @@
 
 Two guarantees anchor the cluster tier:
 
-* **single-cluster identity** -- ``ClusteredManager`` with
-  ``cluster_size >= ncores`` must equal the flat ``CoordinatedManager``
+* **single-cluster identity** -- a ``CoordinatedManager`` with
+  ``cluster_size >= ncores`` must equal the flat one (``cluster_size=None``)
   bit for bit (decisions, energies, interval samples and metered RMA
   overhead) across fixed workloads and every dynamic scenario shape,
   because one uncapped cluster plus a pass-through second level *is* the
@@ -23,6 +23,9 @@ caps.
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,13 +33,23 @@ from hypothesis import given, settings, strategies as st
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import (
-    ClusteredManager,
     dvfs_only,
     rm1_partitioning_only,
     rm2_combined,
     rm3_core_adaptive,
 )
 from repro.core.overhead_meter import OverheadMeter
+from repro.core.packed_tree import PackedReduction
+from repro.experiments.runner import (
+    DVFS_ONLY,
+    RM1,
+    RM2,
+    RM3,
+    rm2_clustered,
+    rm2_oracle,
+    rm3_clustered,
+    rm3_with_model,
+)
 from repro.scenarios import (
     burst_load,
     churn,
@@ -82,7 +95,7 @@ def assert_same_numbers(a, b) -> None:
 def _flat_and_one_cluster(factory, ncores: int, oracle: bool = False):
     flat = factory(oracle=oracle)
     one = factory(cluster_size=ncores, oracle=oracle)
-    assert isinstance(one, ClusteredManager)
+    assert flat.cluster_size is None and one.cluster_size == ncores
     return flat, one
 
 
@@ -336,21 +349,72 @@ class TestClusteredWiring:
         # Caps always admit a full allocation.
         assert sum(caps) >= 64
 
-    def test_factories_build_clustered_variants(self):
-        for factory in (rm1_partitioning_only, rm2_combined,
-                        rm3_core_adaptive, dvfs_only):
-            mgr = factory(cluster_size=8)
-            assert isinstance(mgr, ClusteredManager)
-            assert mgr.name.endswith("-c8")
-            assert mgr.cluster_size == 8
-
     def test_manager_spec_builds_clustered(self):
         from repro.experiments.runner import rm2_clustered
 
         spec = rm2_clustered(8)
         mgr = spec.build()
-        assert isinstance(mgr, ClusteredManager)
+        assert mgr.name == "rm2-combined-c8"
         assert mgr.cluster_size == 8
         import pickle
 
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def _spec_case(label, spec, name):
+    def build(cluster_size):
+        return dataclasses.replace(spec, cluster_size=cluster_size).build()
+
+    return pytest.param(build, spec.cluster_size, name, id=label)
+
+
+def _factory_case(factory, cluster_size, name):
+    def build(size):
+        return factory(cluster_size=size)
+
+    return pytest.param(build, cluster_size, name, id=name)
+
+
+#: Every coordinated manager the runner and the factories build, with its
+#: name hard-coded: names feed run keys and ``run_result_digest``, so they
+#: must not move.
+COORDINATED_BUILDS = [
+    _spec_case("RM1", RM1, "rm1-partitioning"),
+    _spec_case("RM2", RM2, "rm2-combined"),
+    _spec_case("RM3", RM3, "rm3-core-adaptive"),
+    _spec_case("DVFS_ONLY", DVFS_ONLY, "dvfs-only"),
+    _spec_case("rm2_oracle", rm2_oracle(), "rm2-oracle"),
+    _spec_case("rm2_clustered", rm2_clustered(8), "rm2-combined-c8"),
+    _spec_case("rm3_clustered", rm3_clustered(8), "rm3-core-adaptive-c8"),
+    _spec_case("rm3_with_model", rm3_with_model("model1"), "rm3-model1"),
+    _factory_case(rm1_partitioning_only, None, "rm1-partitioning"),
+    _factory_case(rm1_partitioning_only, 8, "rm1-partitioning-c8"),
+    _factory_case(rm2_combined, None, "rm2-combined"),
+    _factory_case(rm2_combined, 8, "rm2-combined-c8"),
+    _factory_case(rm3_core_adaptive, None, "rm3-core-adaptive"),
+    _factory_case(rm3_core_adaptive, 8, "rm3-core-adaptive-c8"),
+    _factory_case(dvfs_only, None, "dvfs-only"),
+    _factory_case(dvfs_only, 8, "dvfs-only-c8"),
+]
+
+
+def _attached_plan(manager, system):
+    manager.attach(SimpleNamespace(system=system))
+    tree = manager._tree
+    return tree._group_sizes, tuple(tree._leaf_caps), tree.total_ways, tree._plan.tobytes()
+
+
+@pytest.mark.parametrize("build,cluster_size,name", COORDINATED_BUILDS)
+def test_coordinated_builds_keep_names_and_one_cluster_plan(
+    system16, build, cluster_size, name
+):
+    """Names are unchanged, and ``None`` plans what ``cluster_size=ncores`` does:
+    the flat reduction, one group of every core capped at the full LLC."""
+    manager = build(cluster_size)
+    assert manager.name == name
+    assert manager.cluster_size == cluster_size
+    n, ways = system16.ncores, system16.llc.ways
+    flat = PackedReduction((n,), (ways,), ways, system16.min_ways_per_core)
+    expected = ((n,), (ways,) * n, ways, flat._plan.tobytes())
+    assert _attached_plan(build(None), system16) == expected
+    assert _attached_plan(build(n), system16) == expected

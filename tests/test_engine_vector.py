@@ -236,18 +236,6 @@ class TestSchedulerVectorPath:
         assert sched.next_completion() == next_completion_scalar(sched)
         assert not is_valid(sched, 0)
 
-    def test_invalidate_all_is_vector_fill(self, system4, db4):
-        wl = Workload(
-            name="vec4b",
-            apps=("mcf_like", "soplex_like", "libquantum_like", "povray_like"),
-        )
-        sim = RMASimulator(system4, db4, wl, StaticBaselineManager(), max_slices=4)
-        sched = sim.scheduler
-        sched.next_completion()  # refresh every active core
-        assert all(is_valid(sched, j) for j in range(4))
-        sched.invalidate_all()
-        assert not any(is_valid(sched, j) for j in range(4))
-
 
 class TestWayBudgetAudit:
     """The delta-maintained way total must equal a from-scratch recount."""

@@ -149,7 +149,7 @@ class TestManagers:
         wl = self._wl()
         mgr = rm2_combined()
         sim = RMASimulator(system4, db4, wl, mgr, max_slices=3)
-        mgr.attach(sim)
+        mgr.attach(sim.bridge)
         # Simulate the very first completion on core 2 only.
         core = sim.cores[2]
         rec = db4.record(core.app, core.seq[0])

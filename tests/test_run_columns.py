@@ -40,8 +40,7 @@ from repro.simulation.metrics import (
     run_result_digest,
 )
 from repro.simulation.results_store import ResultsStore, run_key
-from repro.simulation.rma_sim import RMASimulator, simulate_scenario
-from repro.workloads.mixes import Workload
+from repro.simulation.rma_sim import simulate_scenario
 from tests.conftest import TEST_BENCHMARKS
 from tests.oracles import interval_stats as reference
 from tests.oracles.legacy_sim import LegacyRMASimulator
@@ -161,12 +160,8 @@ class TestDigest:
         for r in scenario_runs:
             assert run_result_digest(r) == common.run_digest(r)[:16]
 
-    def test_empty_run_digests_and_loads(self, system4, db4, tmp_path):
-        wl = Workload(name="cols-empty", apps=tuple(TEST_BENCHMARKS[:4]))
-        sim = RMASimulator(
-            system4, db4, wl, rm2_combined(), max_slices=4, collect_interval_samples=False
-        )
-        empty = sim.run()
+    def test_empty_run_digests_and_loads(self, run, tmp_path):
+        empty = dataclasses.replace(run, interval_samples=IntervalSamples())
         assert len(empty.interval_samples) == 0
         assert empty.interval_samples.packed() == b""
         assert interval_violation_stats(empty.interval_samples)["n"] == 0

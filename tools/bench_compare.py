@@ -22,9 +22,11 @@ already are).
 
 Refreshing baselines (after an intentional perf or semantics change)::
 
-    PYTHONPATH=src python tools/bench_smoke.py
+    PYTHONPATH=src REPRO_MAX_SLICES=12 REPRO_ACCESSES_PER_SET=400 python tools/bench_smoke.py
     PYTHONPATH=src python tools/bench_engine_speedup.py --horizon 512 --max-slices 24
     PYTHONPATH=src python tools/bench_manager_overhead.py
+    PYTHONPATH=src python tools/bench_scaling.py
+    PYTHONPATH=src python tools/bench_database_build.py
     python tools/bench_compare.py --update   # copy fresh over baselines
     git add benchmarks/_artifacts/baselines/ && git commit
 

@@ -5,8 +5,8 @@ The flat coordinated manager's global min-plus reduction is the scaling
 wall past ~32 cores: its top combines widen with the full LLC
 associativity, so per-invocation cost grows superlinearly with the core
 count.  This benchmark drives the 64-core S5 "cluster churn" scenario --
-whole clusters draining and refilling -- under the hierarchical
-``ClusteredManager`` (per-cluster capped reduction stages plus a
+whole clusters draining and refilling -- under the coordinated manager's
+cluster tier (``cluster_size``: per-cluster capped reduction stages plus a
 second-level combine), times it against the flat manager and
 the static baseline, and verifies the single-cluster equivalence contract
 (``cluster_size >= ncores`` is bit-identical to the flat manager) on a

@@ -22,11 +22,14 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.dirname(__file__))
 from _bench_common import (  # noqa: E402
     BENCHMARK_SUBSET,
     add_src_to_path,
     machine_calibration_s,
+    run_result_hash,
     write_bench_artifact,
 )
 
@@ -42,9 +45,34 @@ from repro.experiments.runner import (  # noqa: E402
     RM3,
     get_context,
 )
+from repro.simulation.metrics import WorkloadComparison  # noqa: E402
 from repro.simulation.results_store import ResultsStore  # noqa: E402
 from repro.scenarios import poisson_arrivals  # noqa: E402
 from repro.workloads.mixes import Workload  # noqa: E402
+
+#: One QoS outcome (``AppViolation`` without its app name) as hashed bytes.
+_VIOLATION_DTYPE = np.dtype([("core", "<i8"), ("slowdown_pct", "<f8"), ("violated", "?")])
+
+
+def _block_hash(out: dict) -> str:
+    """Digest of every number the block reports, as binary values.
+
+    A scenario ``RunResult`` contributes its full ``run_result_digest``; a
+    ``WorkloadComparison`` its ``savings_pct`` and every ``AppViolation``
+    field.
+    """
+    h = hashlib.sha256()
+    for key in sorted(out):
+        res = out[key]
+        h.update("|".join(key).encode() + b"\n")
+        if isinstance(res, WorkloadComparison):
+            h.update(np.float64(res.savings_pct).tobytes())
+            h.update("|".join(v.app for v in res.violations).encode())
+            rows = [(v.core, v.slowdown_pct, v.violated) for v in res.violations]
+            h.update(np.array(rows, dtype=_VIOLATION_DTYPE).tobytes())
+        else:
+            h.update(run_result_hash(res).encode())
+    return h.hexdigest()[:16]
 
 
 def _timed(fn) -> tuple[float, object]:
@@ -88,17 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         "calibration_s": round(machine_calibration_s(), 4),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-
-    def _block_hash(out: dict) -> str:
-        """Digest of the block's scored numbers (full precision)."""
-        parts = []
-        for key in sorted(out):
-            res = out[key]
-            if hasattr(res, "savings_pct"):  # WorkloadComparison
-                parts.append(f"{key}|{res.savings_pct!r}|{res.n_violations}")
-            else:  # RunResult
-                parts.append(f"{key}|{res.total_energy_nj!r}|{res.max_time_ns!r}")
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
     for label, block in (
         ("fixed_workload", lambda: ctx.run_matrix(workloads, [RM2, RM3])),

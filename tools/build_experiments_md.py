@@ -57,7 +57,8 @@ Beyond the papers, the **dynamic scenario experiments** (S1-S7, drivers in
 application churn with power-gated idle cores, burst loads, and the
 many-core shapes — whole-cluster churn (S5), skewed hot/cold loads (S6)
 and the flat-vs-clustered scaling sweep (S7) that exercise the
-hierarchical `ClusteredManager` (see ARCHITECTURE.md).  These have
+coordinated manager's cluster tier (`cluster_size`, see ARCHITECTURE.md).
+These have
 no paper reference values; each block reports energy savings against the
 static-baseline manager run of the *same* scenario (equal work: a fixed
 interval horizon; event exposure follows each run's own wall-clock, as in a
@@ -137,7 +138,8 @@ hashes).  See "Running as a service" in `README.md`.
 
 * `BENCH_smoke.json` (`tools/bench_smoke.py`) — a reduced-fidelity
   fixed-workload block and a scenario block, cold (simulated) and warm
-  (served from the run-results store), with a `result_hash` per block;
+  (served from the run-results store), with a `result_hash` per block
+  over every number it reports;
 * `BENCH_engine_speedup.json` (`tools/bench_engine_speedup.py`) — the
   layered kernel vs the frozen `tests/oracles/legacy_sim.py` reference on an 8-core
   scenario replay, with per-manager `bit_identical` flags;
@@ -151,15 +153,32 @@ hashes).  See "Running as a service" in `README.md`.
   end-to-end with `bit_identical=true` per manager;
 * `BENCH_scaling.json` (`tools/bench_scaling.py`) — the many-core
   trajectory: a 64-core S5 cluster-churn replay (512 intervals,
-  `--max-slices 12`, trace density 400) under the hierarchical
-  `ClusteredManager` (cluster size 8) vs flat RM2 and the
-  static baseline, recording wall-clocks, the clustered-vs-flat energy
-  gap, the modelled RMA instructions per invocation (~11× lower
-  clustered), the packed reduction's deterministic work per clustered
-  replay (`reduction_rows`, `reduction_splits`; exact-match keys), and a
-  16-core **single-cluster equivalence check** whose
-  `bit_identical` field the gate enforces exactly — the hierarchy must
-  never drift from the flat manager it degenerates to;
+  `--max-slices 12`, trace density 400) under the clustered RM2
+  manager (`cluster_size=8`) vs flat RM2 and the
+  static baseline, plus 128- **and 256-core** S7 datapoints (the scaling
+  experiment's cluster-churn-with-idle-gaps shape) under the same
+  clustered manager, recording wall-clocks, replay throughput
+  (`events_per_sec` — global simulation events per second, the
+  struct-of-arrays engine's headline number), the clustered-vs-flat
+  energy gap, the modelled RMA instructions per invocation (~11× lower
+  clustered), a report-only per-layer timing split per S7 datapoint
+  (exclusive `engine` / `managers` / `curves` / `packed_tree` seconds,
+  which add up to the replay's `run_total`, from one extra replay traced
+  by `perfbench/tracer.py` — the *where did it go* next to the gated *how
+  fast*; `python3 perfbench/run.py --workload NAME --trace 1` gives the
+  same split for any benchmark workload), the packed reduction's
+  deterministic work per clustered replay (`reduction_rows` recombined,
+  `reduction_splits` recovered; exact-match keys of the gate, equal under
+  the compiled kernel and the NumPy fallback), and a 16-core
+  **single-cluster equivalence check** whose `bit_identical` field the
+  gate enforces exactly — the hierarchy must never drift from the flat
+  manager it degenerates to.  The baseline committed with the vectorised
+  engine recorded its speedup (64-core S5 clustered replay 0.41 s →
+  0.12 s); the one committed with the packed level-synchronous reduction
+  recorded that reduction's: the 128-core S7 replay went from 1,616 to
+  3,550 `events_per_sec` (+120%, wall 0.317 s → 0.144 s best-of-3)
+  against the baseline before it on the same machine, with every
+  `result_hash` unchanged;
 * `BENCH_database_build.json` (`tools/bench_database_build.py`) — the
   cold-start datapoint: serial builds of the 8- and 64-core small-suite
   databases (trace density 400) into a throwaway directory, with the
@@ -202,7 +221,23 @@ git add benchmarks/_artifacts/baselines/
 ```
 
 Refreshes belong in the same commit as the change that motivated them, so
-the diff reviews the old against the new trajectory.
+the diff reviews the old against the new trajectory. In particular, any
+change to the replay engine's hot path (`simulation/engine/`) or the
+manager decision pipeline must refresh `BENCH_scaling.json` in the same
+commit: its wall-clocks and `events_per_sec` document the speedup, and
+its hashes prove the change was value-neutral — a hash drift there means
+the "vectorisation removes work, never changes values" invariant broke,
+and must be treated as a bug, not re-baselined.
+
+The same same-commit rule covers *added* datapoints (a new system size, a
+new metric, a changed `repeats`): the gate walks the **baseline's** keys,
+so a fresh artifact's new keys are invisible to CI until the baseline is
+refreshed, and a changed measurement context (`repeats` is a context key)
+fails the gate outright until it is. Adding the 256-core S7 datapoint
+therefore ships with the refreshed baseline that contains it — the
+datapoint's `result_hash` starts its life gated. Pre-existing hashes must
+still come out byte-identical in that refresh; "the new baseline differs
+anyway" is never license to absorb a semantics change.
 
 """
 

@@ -1,7 +1,9 @@
 /* The min-plus kernels of repro.core.packed_tree (loaded by
  * repro.core.minplus through ctypes): the box-local band combine, the
  * first-minimum split, and minplus_solve, which refreshes the dirty root
- * paths and walks the back-track of one solve in one call.
+ * paths and walks the back-track of one solve in one call.  The same
+ * library holds engine_step, one whole event of the simulation engine
+ * (see its own comment at the end of this file).
  *
  * Exactness: curves hold only finite values or +inf, never NaN.  On such
  * inputs "v < o ? v : o" is np.minimum, every cell is one IEEE add and a
@@ -213,4 +215,69 @@ ptrdiff_t minplus_solve(int64_t *plan, double *E)
         top += 2;
     }
     return touched;
+}
+
+/* Rows of the engine's lane buffer (repro.simulation.engine.core_state
+ * _LANES), n entries each, followed by one slot for the step's dt. */
+enum { INSTR, PENDING, ENERGY, TPI, EPI, PAD, LANES };
+
+/* One event of the simulation engine over the lane buffer: the next
+ * interval completion, the advance of every active lane by its span dt,
+ * and the completing lane's exact retire.  Returns the completing lane j
+ * and writes dt to lanes[LANES * n].  n_idle is the number of idle lanes
+ * (pad = +inf on an idle lane, +0.0 on an active one).
+ *
+ * Exactness: the lane state is finite and non-negative, tpi and epi are
+ * finite and (on active lanes) positive, and the pad is +0.0 or +inf,
+ * so no operation below can produce NaN.  Each one is then the single
+ * IEEE operation NumPy's fallback (CoreArrays.next_completion,
+ * advance_all and the retire in CoreArrays.step) performs on the same
+ * lane, in the same order:
+ *   - remaining = (interval - instr) * tpi + pending, plus the pad only
+ *     when some lane idles (as the fallback skips its pad add);
+ *   - a strict "<" scan from lane 0 keeps the first minimum, which is
+ *     np.argmin's tie-break; with every lane idle it returns (0, +inf);
+ *   - served = min(pending, dt) is np.minimum on non-NaN values; on a
+ *     lane with nothing pending it is +0.0 and dt - 0.0 == dt, so one
+ *     formula covers the fallback's stall and stall-free branches;
+ *   - an idle lane is skipped, which equals the fallback's masked
+ *     "+ 0.0" updates because x + 0.0 == x and x - 0.0 == x bitwise for
+ *     every x >= +0.0;
+ *   - the retire reads e_j and left before the advance, as the fallback
+ *     does, and overwrites lane j's energy and pending after it.
+ * Built with -ffp-contract=off, so no multiply-add is fused. */
+ptrdiff_t engine_step(double *lanes, ptrdiff_t n, double interval, ptrdiff_t n_idle)
+{
+    double *restrict instr = lanes + INSTR * n, *restrict pending = lanes + PENDING * n,
+                     *restrict energy = lanes + ENERGY * n;
+    const double *restrict tpi = lanes + TPI * n, *restrict epi = lanes + EPI * n,
+                           *restrict pad = lanes + PAD * n;
+    ptrdiff_t j = 0;
+    double dt = 0.0;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        double r = (interval - instr[k]) * tpi[k];
+        r = r + pending[k];
+        if (n_idle)
+            r = r + pad[k];
+        if (k == 0 || r < dt) {
+            dt = r;
+            j = k;
+        }
+    }
+    const double left = interval - instr[j], e_j = energy[j];
+    if (dt > 0.0) {
+        for (ptrdiff_t k = 0; k < n; k++) {
+            if (pad[k] != 0.0)
+                continue; /* idle */
+            const double served = pending[k] < dt ? pending[k] : dt;
+            const double x = (dt - served) / tpi[k];
+            pending[k] = pending[k] - served;
+            instr[k] = instr[k] + x;
+            energy[k] = energy[k] + x * epi[k];
+        }
+    }
+    energy[j] = e_j + left * epi[j];
+    pending[j] = 0.0;
+    lanes[LANES * n] = dt;
+    return j;
 }

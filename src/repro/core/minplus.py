@@ -7,9 +7,14 @@ buffer (header, per-row columns, walk output and stack; see
 recombines the dirty root paths, checks the root, and walks the
 back-track in one call.  Its two inner loops are exported too: the
 box-local band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
-first-minimum split.  :func:`load` compiles it with the interpreter's C
-compiler (``sysconfig``'s ``CC``, else ``cc``) and loads it with
-:mod:`ctypes`, so NumPy stays the package's only dependency.
+first-minimum split.  The same library holds the simulation engine's
+event step, ``engine_step`` (see
+:class:`~repro.simulation.engine.core_state.CoreArrays`): the next
+interval completion, the advance of every active core and the completing
+core's retire, in one call over the engine's lane buffer.  :func:`load`
+compiles it with the interpreter's C compiler (``sysconfig``'s ``CC``,
+else ``cc``) and loads it with :mod:`ctypes`, so NumPy stays the
+package's only dependency.
 
 The library is cached in the package's ``__pycache__`` under a name hashed
 from the source bytes, the compiler command, :data:`CFLAGS` and the
@@ -20,15 +25,18 @@ the same time each install a complete library.  When ``__pycache__`` is
 not writable, the library goes to a temporary directory of the process.
 
 When no library can be built or loaded, :func:`load` warns with the
-failure and returns ``None``, and the packed reduction runs the same
-solve as a Python loop with a NumPy sweep; the choice is made once, when
-:mod:`repro.core.packed_tree` is imported.
+failure and returns ``None``; then the packed reduction runs the same
+solve as a Python loop with a NumPy sweep, and the engine the same step
+as a few NumPy calls.  Both take the process's one handle from
+:func:`shared`, so the library is loaded, and a failure warned about,
+once per process.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -108,6 +116,8 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     lib.minplus_split.restype = size
     lib.minplus_solve.argtypes = [ptr, ptr]
     lib.minplus_solve.restype = size
+    lib.engine_step.argtypes = [ptr, size, ctypes.c_double, size]
+    lib.engine_step.restype = size
     return lib
 
 
@@ -124,8 +134,12 @@ def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
     nout, k0)`` writes ``out[t] = min a[t + k0 - j] + b[j]`` over
     ``j in [0, nb)`` with ``t + k0 - j in [0, na)`` (``inf`` where no such
     pair exists) for ``t in [0, nout)``; ``minplus_split(a, b, n)``
-    returns the first ``i`` minimising ``a[i] + b[n - 1 - i]``.  Arrays
-    are passed as the addresses of contiguous buffers.
+    returns the first ``i`` minimising ``a[i] + b[n - 1 - i]``.
+    ``engine_step(lanes, n, interval_instructions, n_idle)`` runs one
+    engine event over an ``n``-core lane buffer, returns the completing
+    core and writes the event's span after the lanes (the contract is in
+    :mod:`repro.simulation.engine.core_state`).  Arrays are passed as the
+    addresses of contiguous buffers.
     """
     try:
         return _library(CACHE_DIR if cache_dir is None else cache_dir)
@@ -136,3 +150,11 @@ def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
             stacklevel=2,
         )
         return None
+
+
+@functools.cache
+def shared() -> ctypes.CDLL | None:
+    """The process's one handle on the library: :func:`load` into
+    :data:`CACHE_DIR`, made on the first call and returned by every later
+    one (``None`` where it could not be built, after one warning)."""
+    return load()

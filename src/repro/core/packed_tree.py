@@ -102,7 +102,7 @@ SWEEP_BLOCK = 64
 
 #: The compiled kernel, or None where it could not be built: then every
 #: solve runs the NumPy fallback.  Chosen once, at import.
-_kernel = minplus.load()
+_kernel = minplus.shared()
 
 #: The plan buffer's header slots and then its per-row columns, in the
 #: order ``_minplus.c``'s ``minplus_solve`` reads them.

@@ -4,9 +4,11 @@ The monolithic replay loop of the original :mod:`repro.simulation.rma_sim`
 is decomposed into four components with one orchestrator:
 
 * :mod:`~repro.simulation.engine.core_state` -- :class:`CoreArrays`, the
-  struct-of-arrays hot-path state (one NumPy vector per field) behind the
-  engine's one per-event step -- a padded next-completion argmin and an
-  advance of every active lane -- and :class:`CoreRun`, the thin per-core
+  struct-of-arrays hot-path state (one row of a float64 lane buffer per
+  field) behind the engine's one per-event step -- a padded
+  next-completion argmin, an advance of every active lane and the
+  completing lane's retire, one call into the compiled library of
+  :mod:`repro.core.minplus` -- and :class:`CoreRun`, the thin per-core
   view the slow path works with;
 * :mod:`~repro.simulation.engine.scheduler` --
   :class:`CompletionScheduler`, which owns the per-core completion-time

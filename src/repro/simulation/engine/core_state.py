@@ -1,15 +1,17 @@
 """Per-core execution state: struct-of-arrays store plus thin views.
 
-The engine's hot path -- finding the next interval completion and
-advancing every core by the event span -- touches a handful of per-core
-fields.  They live in :class:`CoreArrays`, one NumPy vector per field
-(``instr_done``, ``pending_stall_ns``, ``energy_nj``, ``tpi``, ``epi`` and
-the ``active`` mask, plus ``idle_pad``, the mask's additive form), so one
-event costs a fixed handful of vector operations at any core count: with
-every core active and no reconfiguration stall pending,
-:meth:`CoreArrays.next_completion` is three arithmetic passes and an
-argmin, and :meth:`CoreArrays.advance_all` a divide, two adds and a
-multiply.
+The engine's hot path -- finding the next interval completion, advancing
+every core by the event span and retiring the completing core's interval
+-- touches a handful of per-core fields.  They live in :class:`CoreArrays`
+as the rows of one contiguous float64 lane buffer (``instr_done``,
+``pending_stall_ns``, ``energy_nj``, ``tpi``, ``epi`` and ``idle_pad``,
+the additive form of the ``active`` mask), so one event is one call at
+any core count: :meth:`CoreArrays.step` hands the buffer's address to
+``engine_step`` in the compiled library of :mod:`repro.core.minplus`,
+which does the argmin, the advance of every active lane and the retire
+in one pass each.  Where no library loaded, the same step runs as a few
+NumPy calls (:meth:`CoreArrays.next_completion`,
+:meth:`CoreArrays.advance_all` and the retire) with the same values.
 
 :class:`CoreRun` remains the per-core view the slow path works with --
 tenancy changes, interval sampling, the manager bridge, result accounting.
@@ -18,14 +20,15 @@ Python floats, so downstream ``repr``-based digests never see NumPy
 scalars); everything touched only at interval boundaries (phase position,
 round bookkeeping, last snapshot/record) stays an ordinary attribute.
 
-The arithmetic is lane for lane the scalar reference step kept in
+Both paths are lane for lane the scalar reference step kept in
 ``tests/oracles/engine_step.py``, itself the frozen
 ``tests/oracles/legacy_sim.py`` implementation: serve pending stall
 first, then retire ``dt / tpi`` instructions and charge their energy.
-Idle lanes receive exact ``+ 0.0`` updates and active lanes an exact
-``+ 0.0`` pad, which are bitwise no-ops on the non-negative state;
-``tests/test_engine_vector.py`` enforces ``==`` against the reference over
-randomised states and whole replays at 1..31 cores.
+Idle lanes receive exact ``+ 0.0`` updates (the compiled step skips them)
+and active lanes an exact ``+ 0.0`` pad, which are bitwise no-ops on the
+non-negative state; ``tests/test_engine_vector.py`` enforces ``==``
+against the reference on both paths, over randomised states and whole
+replays at 1..31 cores.
 """
 
 from __future__ import annotations
@@ -35,34 +38,42 @@ import math
 import numpy as np
 
 from repro.config import Allocation
+from repro.core import minplus
 from repro.simulation.database import PhaseRecord
 
 __all__ = ["CoreArrays", "CoreRun"]
+
+#: The compiled library, or None where it could not be built: then every
+#: step runs the NumPy fallback.  The packed reduction shares the handle.
+_kernel = minplus.shared()
+
+#: The rows of the lane buffer, in the order ``_minplus.c``'s
+#: ``engine_step`` reads them; the step's span follows the last row.
+_LANES = ("instr_done", "pending_stall_ns", "energy_nj", "tpi", "epi", "idle_pad")
 
 
 class CoreArrays:
     """Struct-of-arrays hot-path state shared by all cores of one run.
 
-    One float64 vector per field, indexed by core id.  ``tpi``/``epi`` are
-    the per-instruction rate caches owned by the
+    One float64 row per field, indexed by core id; the rows are views of
+    one contiguous lane buffer (see :data:`_LANES`), so never rebind them,
+    only write into them.  ``tpi``/``epi`` are the per-instruction rate
+    caches owned by the
     :class:`~repro.simulation.engine.scheduler.CompletionScheduler` (an
     entry is meaningful only while the scheduler holds it fresh); the
-    remaining vectors are authoritative core state.  ``idle_pad`` is
-    ``0.0`` on active lanes and ``inf`` on idle ones, and ``n_idle``
-    counts the idle lanes; write activity through :meth:`set_active`,
-    which keeps all three in step.
+    remaining rows are authoritative core state.  ``idle_pad`` is ``0.0``
+    on active lanes and ``inf`` on idle ones, and ``n_idle`` counts the
+    idle lanes; write activity through :meth:`set_active`, which keeps
+    the ``active`` mask and both in step.
     """
 
     __slots__ = (
         "n",
-        "instr_done",
-        "pending_stall_ns",
-        "energy_nj",
-        "tpi",
-        "epi",
+        *_LANES,
         "active",
-        "idle_pad",
         "n_idle",
+        "_lanes",
+        "_addr",
         "_served",
         "_rem",
         "_instr",
@@ -71,15 +82,15 @@ class CoreArrays:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.instr_done = np.zeros(n)
-        self.pending_stall_ns = np.zeros(n)
-        self.energy_nj = np.zeros(n)
-        self.tpi = np.zeros(n)
-        self.epi = np.zeros(n)
+        # Every lane row, then one slot for the compiled step's span.
+        self._lanes = np.zeros(len(_LANES) * n + 1)
+        self._addr = self._lanes.ctypes.data
+        for name, row in zip(_LANES, self._lanes[:-1].reshape(len(_LANES), n)):
+            setattr(self, name, row)
         self.active = np.ones(n, dtype=bool)
-        self.idle_pad = np.zeros(n)
         self.n_idle = 0
-        # Per-event scratch (reused across events; the hot path is serial).
+        # Per-event scratch of the NumPy fallback (reused across events;
+        # the hot path is serial).
         self._served = np.empty(n)
         self._rem = np.empty(n)
         self._instr = np.empty(n)
@@ -93,6 +104,32 @@ class CoreArrays:
         self.active[core_id] = value
         self.idle_pad[core_id] = 0.0 if value else math.inf
 
+    def step(self, interval_instructions: float) -> tuple[int, float]:
+        """One event: ``(j, dt)`` of the earliest interval completion, with
+        every active lane advanced by ``dt`` and lane ``j`` retired.
+
+        Lane ``j`` instead retires its interval's remaining instructions
+        exactly: ``energy_nj[j]`` becomes its energy before the advance
+        plus ``(interval_instructions - instr_done[j]) * epi[j]``, both
+        read before the advance, and its pending stall is cleared.  Its
+        ``instr_done`` is left advanced; the caller resets it.  Requires
+        the ``tpi``/``epi`` entries of every active lane to be fresh.
+
+        One ``engine_step`` call into the compiled library; where none
+        loaded, :meth:`next_completion`, :meth:`advance_all` and the
+        retire compute the same values with NumPy.
+        """
+        if _kernel is None:
+            j, dt = self.next_completion(interval_instructions)
+            left = interval_instructions - self.instr_done.item(j)
+            energy = self.energy_nj.item(j)
+            self.advance_all(dt)
+            self.energy_nj[j] = energy + left * self.epi.item(j)
+            self.pending_stall_ns[j] = 0.0
+            return j, dt
+        j = _kernel.engine_step(self._addr, self.n, interval_instructions, self.n_idle)
+        return j, self._lanes.item(-1)
+
     def advance_all(self, dt: float) -> None:
         """Advance every active core by ``dt`` ns at the cached rates.
 
@@ -103,10 +140,10 @@ class CoreArrays:
         are positive), and idle lanes are masked to exact ``+ 0.0``
         updates: bitwise identity on the non-negative state, as the
         reference's early returns.  With no stall pending anywhere ``rem``
-        is ``dt`` itself, and with no idle lane nothing is masked.  The
-        kernel advances the completing core too and then overwrites its
-        lane.  Requires the ``tpi``/``epi`` entries of every active core to
-        be fresh (the preceding ``next_completion`` refreshes them).
+        is ``dt`` itself, and with no idle lane nothing is masked.
+        :meth:`step` advances the completing core too and then overwrites
+        its lane.  Requires the ``tpi``/``epi`` entries of every active
+        core to be fresh.
         """
         if dt <= 0.0:
             return

@@ -24,10 +24,13 @@ frozen pre-refactor reference; the golden equivalence suite enforces it.
 
 The per-event hot path is one fused step over the struct-of-arrays core
 state (:class:`~repro.simulation.engine.core_state.CoreArrays`), the same
-at every core count: step 1 is one padded argmin, step 2 one advance of
-every active lane -- the completing core included, whose lane step 3 then
-overwrites -- with the stall arithmetic skipped when no stall is pending.
-Its lane arithmetic is the scalar reference step's
+at every core count: after the scheduler refreshes the rate entries of
+the cores invalidated since the last event, steps 1 and 2 and the retire
+of step 3 are one call into the compiled library
+(``CoreArrays.step``: a padded argmin, then one advance of every active
+lane -- the completing core included, whose energy and stall the retire
+then overwrites), or a few NumPy calls where no library loaded.  Its lane
+arithmetic is the scalar reference step's
 (``tests/oracles/engine_step.py``) operation for operation.  Per-event
 bookkeeping that used to scan every core (the all-idle check, the
 every-core-finished check) reads counters maintained incrementally by the
@@ -226,21 +229,14 @@ class SimulationKernel:
     def _step(self) -> tuple[int, float]:
         """Advance the system to the next interval completion: ``(j, dt)``.
 
-        Every active core advances by ``dt``; the completing core ``j``
-        instead retires its interval's remaining instructions exactly and
-        charges their energy directly (its epi entry is fresh:
-        ``next_completion`` refreshed every active core).  Its state is
-        read before the advance, which moves every active lane, and its
-        lane is overwritten after it.
+        Refreshes the stale active rate entries, then makes one
+        :meth:`CoreArrays.step <repro.simulation.engine.core_state.CoreArrays.step>`:
+        every active core advances by ``dt``, and the completing core
+        ``j`` instead retires its interval's remaining instructions
+        exactly and charges their energy directly.
         """
-        j, dt = self.scheduler.next_completion()
-        arrays = self.arrays
-        left = self.system.interval_instructions - arrays.instr_done.item(j)
-        energy = arrays.energy_nj.item(j)
-        arrays.advance_all(dt)
-        arrays.energy_nj[j] = energy + left * arrays.epi.item(j)
-        arrays.pending_stall_ns[j] = 0.0
-        return j, dt
+        self.scheduler.refresh_stale()
+        return self.arrays.step(self.system.interval_instructions)
 
     def _finished(self) -> bool:
         """Whether the run reached its horizon (scenario) or first rounds."""

@@ -12,15 +12,19 @@ times per interval, not per event.
 per core and recomputes an entry lazily only after an explicit
 :meth:`invalidate`, which records the core in a stale set.  The tpi/epi
 entries live in the shared
-:class:`~repro.simulation.engine.core_state.CoreArrays` vectors, so
-:meth:`next_completion` is one argmin over ``(interval_instructions -
-instr_done) * tpi + pending_stall_ns + idle_pad`` after the stale active
-entries are refreshed (:meth:`refresh_stale` -- a loop over the handful of
-cores invalidated since the previous event, not over the system).  The
-remaining-time formula and the first-minimum tie-break reproduce the
-scalar reference arithmetic exactly (``tests/oracles/engine_step.py``), so
-replay results are bit-identical -- the cache and the vectorisation remove
-lookup and interpreter work, never change values.
+:class:`~repro.simulation.engine.core_state.CoreArrays` lane buffer, so
+before each event the kernel calls :meth:`refresh_stale` -- a loop over
+the handful of cores invalidated since the previous event, not over the
+system -- and then one :meth:`CoreArrays.step
+<repro.simulation.engine.core_state.CoreArrays.step>` (compiled, or NumPy
+where no library loaded) finds the completion as the first minimum of
+``(interval_instructions - instr_done) * tpi + pending_stall_ns +
+idle_pad`` and advances every core.  :meth:`next_completion` is the same
+refresh and argmin without the advance.  The remaining-time formula and
+the first-minimum tie-break reproduce the scalar reference arithmetic
+exactly (``tests/oracles/engine_step.py``), so replay results are
+bit-identical -- the cache and the fused step remove lookup and
+interpreter work, never change values.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ class CompletionScheduler:
         stay stale and untouched (the idle pad sends their lanes to ``inf``
         and the advance leaves them unchanged).
         """
+        if not self._stale:
+            return
         active = self.arrays.active
         for j in [j for j in self._stale if active[j]]:
             self._refresh(j)
@@ -123,9 +129,9 @@ class CompletionScheduler:
 
         One argmin over the struct-of-arrays state
         (:meth:`CoreArrays.next_completion`) after refreshing the stale
-        active entries.  Ties break to the lowest core id, matching the
-        reference loop's ``min(range(n), key=remaining.__getitem__)``.
+        active entries, advancing nothing.  Ties break to the lowest core
+        id, matching the reference loop's
+        ``min(range(n), key=remaining.__getitem__)``.
         """
-        if self._stale:
-            self.refresh_stale()
+        self.refresh_stale()
         return self.arrays.next_completion(self.system.interval_instructions)

@@ -189,9 +189,6 @@ class RunResult:
     def max_time_ns(self) -> float:
         return float(max(a.time_ns for a in self.apps))
 
-    def app_times(self) -> dict[str, float]:
-        return {f"{a.core}:{a.app}": a.time_ns for a in self.apps}
-
 
 @dataclass(frozen=True)
 class AppViolation:

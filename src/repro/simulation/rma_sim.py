@@ -54,10 +54,6 @@ from repro.workloads.mixes import Workload
 
 __all__ = ["RMASimulator", "simulate_workload", "simulate_scenario", "MAX_EVENTS"]
 
-#: Completion tolerance (instructions) absorbing float accumulation error.
-EPS_INSTR = 1e-3
-
-
 class RMASimulator(SimulationKernel):
     """Drives one workload under one resource manager.
 

@@ -41,9 +41,6 @@ class Summary:
     minimum: float
     maximum: float
 
-    def as_row(self) -> list:
-        return [self.n, self.mean, self.std, self.minimum, self.maximum]
-
 
 def summarize(values) -> Summary:
     """Return a :class:`Summary` of ``values`` (all-zero summary if empty)."""

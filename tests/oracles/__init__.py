@@ -12,8 +12,9 @@
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
   the golden reference of :mod:`repro.simulation.engine`;
 * :mod:`tests.oracles.engine_step` -- the scalar per-event engine step
-  (``advance_core``, ``next_completion_scalar``), the golden reference of
-  the kernel's fused step over
+  (``advance_core``, ``next_completion_scalar``, ``lanes_step``), the
+  golden reference of the kernel's fused step (compiled, and its NumPy
+  fallback) over
   :class:`~repro.simulation.engine.core_state.CoreArrays`, and the
   per-core scheduler reads (``tpi``, ``remaining_ns``, ``is_valid``);
 * :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,

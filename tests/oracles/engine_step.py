@@ -16,10 +16,12 @@ functions are the same arithmetic one core at a time, exactly as the frozen
 entry of a :class:`~repro.simulation.engine.scheduler.CompletionScheduler`
 at a time (refreshing a stale entry first, as the scalar loop did).
 
-:func:`scalar_step` composes them into one event step over a live
-:class:`~repro.simulation.engine.kernel.SimulationKernel`, and
-``tests/test_engine_vector.py`` replays whole scenarios through it and
-through the production step and compares every number with ``==``.
+:func:`lanes_step` composes the first two into one whole event over plain
+lanes, the reference of :meth:`CoreArrays.step`, and :func:`scalar_step`
+into one event over a live
+:class:`~repro.simulation.engine.kernel.SimulationKernel`;
+``tests/test_engine_vector.py`` drives both against the production step
+(compiled, and the NumPy fallback) and compares every number with ``==``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 __all__ = [
     "advance_core",
     "is_valid",
+    "lanes_step",
     "next_completion_scalar",
     "remaining_ns",
     "scalar_step",
@@ -60,7 +63,7 @@ def remaining_ns(scheduler, core_id: int) -> float:
 def advance_core(core, dt: float, tpi: float, epi: float) -> None:
     """Advance one core by ``dt`` ns at the cached ``tpi``/``epi`` rates.
 
-    The scalar reference of :meth:`CoreArrays.advance_all`: pending
+    The scalar reference of the advance in :meth:`CoreArrays.step`: pending
     reconfiguration stall is served before any instructions retire; a core
     that spends the whole span stalled makes no progress.  ``core`` is
     anything exposing mutable ``instr_done`` / ``pending_stall_ns`` /
@@ -78,6 +81,33 @@ def advance_core(core, dt: float, tpi: float, epi: float) -> None:
     instr = dt / tpi
     core.instr_done += instr
     core.energy_nj += instr * epi
+
+
+def lanes_step(cores, rates, interval_instructions: float) -> tuple[int, float]:
+    """One event over plain lanes, the scalar reference of
+    :meth:`CoreArrays.step`: ``(j, dt)`` of the earliest completion over
+    the active ``cores`` (``rates[k]`` is lane ``k``'s ``(tpi, epi)``;
+    ``(0, inf)`` when none is active), every other lane advanced by
+    ``dt``, and lane ``j`` retired: its remaining instructions charged at
+    its epi and its pending stall cleared.  Lane ``j``'s ``instr_done`` is
+    left as it was (the production step leaves it advanced; the kernel
+    resets it either way)."""
+    best = math.inf
+    j = 0
+    for k, core in enumerate(cores):
+        if not core.active:
+            continue
+        r = core.pending_stall_ns + (interval_instructions - core.instr_done) * rates[k][0]
+        if r < best:
+            best = r
+            j = k
+    for k, core in enumerate(cores):
+        if k != j:
+            advance_core(core, best, *rates[k])
+    core = cores[j]
+    core.energy_nj += (interval_instructions - core.instr_done) * rates[j][1]
+    core.pending_stall_ns = 0.0
+    return j, best
 
 
 def next_completion_scalar(self) -> tuple[int, float]:

@@ -1,15 +1,19 @@
 """Identity suite for the engine's fused per-event step.
 
-The engine finds the next interval completion and advances every core with
-a fixed handful of vector operations over
-:class:`~repro.simulation.engine.core_state.CoreArrays`; the scalar step
-in ``tests/oracles/engine_step.py`` (``advance_core``,
-``next_completion_scalar``) is the executable specification of the same
-arithmetic.  This suite drives both over randomised core states --
-inactive cores, stall-free and stall-only spans, exact-completion ties --
-and over whole scenario replays at 1..31 cores (one of them starting with
-idle cores), and compares with ``==`` on every number: the fused step
-must remove interpreter work, never change values.
+The engine does one whole event -- next interval completion, advance of
+every core, the completing core's retire -- with one
+:meth:`~repro.simulation.engine.core_state.CoreArrays.step`: one call into
+the compiled library, or a few NumPy calls where none loaded.  The scalar
+step in ``tests/oracles/engine_step.py`` (``advance_core``,
+``next_completion_scalar``, ``lanes_step``) is the executable
+specification of the same arithmetic.  This suite drives the step over
+randomised core states -- inactive cores, every core idle, stall-free and
+stall-only spans, zero spans, exact-completion ties, a completing core
+with a stall pending -- and over whole scenario replays at 1..31 cores
+(one of them starting with idle cores), and compares with ``==`` on every
+number: the fused step must remove interpreter work, never change values.
+Every step class runs on the compiled step and again, as its
+``...NumpyStep`` subclass, on the NumPy fallback.
 
 It also covers the kernel's delta-maintained way-budget audit (the O(N)
 re-sum `_apply` used to do per reallocation) including its debug-mode full
@@ -31,14 +35,15 @@ from repro.config import Allocation
 from repro.core.managers import StaticBaselineManager, rm2_combined
 from repro.scenarios import burst_load, poisson_arrivals
 from repro.simulation.database import build_database
+from repro.simulation.engine import core_state
 from repro.simulation.engine import kernel as kernel_mod
 from repro.simulation.engine.core_state import CoreArrays
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import CACHE_DIR
 from tests.oracles.engine_step import (
-    advance_core,
     is_valid,
+    lanes_step,
     next_completion_scalar,
     scalar_step,
 )
@@ -46,6 +51,14 @@ from tests.test_engine_equivalence import assert_bit_identical
 
 #: Interval length used by the synthetic argmin states (arbitrary but fixed).
 INTERVAL_INSTR = 1000.0
+
+
+@pytest.fixture(scope="class")
+def numpy_step():
+    """Run the class on the NumPy fallback step: no compiled library."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_state, "_kernel", None)
+        yield
 
 
 @dataclass
@@ -59,14 +72,15 @@ class ScalarCore:
 
 
 def _state(n, rng_seed, stalls=True):
-    """Build (CoreArrays, [ScalarCore]) with identical randomised state.
+    """Build (CoreArrays, [ScalarCore], [(tpi, epi)]) with identical
+    randomised state.
 
-    ``stalls=False`` zeroes every pending stall, the state the advance's
-    stall-free branch serves.
+    ``stalls=False`` zeroes every pending stall, the state the fallback
+    advance's stall-free branch serves.
     """
     rng = np.random.default_rng(rng_seed)
     arrays = CoreArrays(n)
-    scalars = []
+    scalars, rates = [], []
     for j in range(n):
         instr = float(rng.uniform(0.0, INTERVAL_INSTR))
         # Mix exact zeros into the stall state: the scalar path branches on
@@ -79,61 +93,92 @@ def _state(n, rng_seed, stalls=True):
         active = bool(rng.random() < 0.8)
         tpi = float(rng.uniform(0.05, 2.0))
         epi = float(rng.uniform(0.1, 5.0))
-        arrays.instr_done[j] = instr
-        arrays.pending_stall_ns[j] = stall
-        arrays.energy_nj[j] = energy
-        arrays.set_active(j, active)
         arrays.tpi[j] = tpi
         arrays.epi[j] = epi
-        scalars.append((ScalarCore(instr, stall, energy, active), tpi, epi))
-    return arrays, scalars
+        scalars.append(ScalarCore(instr, stall, energy, active))
+        rates.append((tpi, epi))
+    _store(arrays, scalars)
+    return arrays, scalars, rates
+
+
+def _store(arrays, scalars):
+    """Write the scalar lanes' state into the arrays."""
+    for j, core in enumerate(scalars):
+        arrays.instr_done[j] = core.instr_done
+        arrays.pending_stall_ns[j] = core.pending_stall_ns
+        arrays.energy_nj[j] = core.energy_nj
+        arrays.set_active(j, core.active)
+
+
+def _step_matches_oracle(arrays, scalars, rates):
+    """One production step and one oracle step agree on ``(j, dt)`` and on
+    every lane (``instr_done`` of the completing lane aside: the oracle
+    leaves it, production advances it, the kernel resets it)."""
+    want = lanes_step(scalars, rates, INTERVAL_INSTR)
+    got = arrays.step(INTERVAL_INSTR)
+    assert got == want
+    assert type(got[0]) is int and type(got[1]) is float
+    j = got[0]
+    for k, core in enumerate(scalars):
+        if k != j:
+            assert arrays.instr_done[k] == core.instr_done, k
+        assert arrays.pending_stall_ns[k] == core.pending_stall_ns, k
+        assert arrays.energy_nj[k] == core.energy_nj, k
+    return got
+
+
+def _advance_case(n, seed, dt_kind, stalls):
+    arrays, scalars, rates = _state(n, seed, stalls)
+    k = seed % n
+    lane = scalars[k]
+    if dt_kind != "random":
+        # Lane k sits at its interval's end, so its remaining span is its
+        # pending stall: 0 ("zero"), a denormal ("tiny") or a span another
+        # lane's equal stall drains exactly ("stall_edge").
+        lane.active, lane.instr_done = True, INTERVAL_INSTR
+        lane.pending_stall_ns = {"zero": 0.0, "tiny": 5e-324}.get(
+            dt_kind, lane.pending_stall_ns or 1.0
+        )
+        if dt_kind == "stall_edge" and n > 1:
+            scalars[(k + 1) % n].pending_stall_ns = lane.pending_stall_ns
+        _store(arrays, scalars)
+    _step_matches_oracle(arrays, scalars, rates)
+
+
+#: The advance cases' draws (hypothesis runs each test method from one
+#: class only, so the fallback subclasses redeclare the given-tests).
+ADVANCE_CASES = dict(
+    n=st.integers(1, 65),
+    seed=st.integers(0, 10_000),
+    dt_kind=st.sampled_from(["random", "zero", "stall_edge", "tiny"]),
+    stalls=st.booleans(),
+)
 
 
 class TestVectorAdvance:
-    """CoreArrays.advance_all == per-core advance_core, bit for bit."""
+    """CoreArrays.step's advance == per-core advance_core, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 65),
-        seed=st.integers(0, 10_000),
-        dt_kind=st.sampled_from(["random", "zero", "stall_edge", "tiny"]),
-        stalls=st.booleans(),
-    )
+    @given(**ADVANCE_CASES)
     def test_matches_scalar(self, n, seed, dt_kind, stalls):
-        arrays, scalars = _state(n, seed, stalls)
-        if dt_kind == "random":
-            dt = float(np.random.default_rng(seed + 1).uniform(0.0, 100.0))
-        elif dt_kind == "zero":
-            dt = 0.0
-        elif dt_kind == "tiny":
-            dt = 5e-324  # denormal span: stall-serving edge arithmetic
-        else:
-            # Exactly one core's pending stall: that core serves its stall
-            # to exactly zero remaining span (the dt <= 0 early-out).
-            k = seed % n
-            dt = scalars[k][0].pending_stall_ns or 1.0
-
-        arrays.advance_all(dt)
-        for j, (core, tpi, epi) in enumerate(scalars):
-            advance_core(core, dt, tpi, epi)
-            assert arrays.instr_done[j] == core.instr_done
-            assert arrays.pending_stall_ns[j] == core.pending_stall_ns
-            assert arrays.energy_nj[j] == core.energy_nj
+        _advance_case(n, seed, dt_kind, stalls)
 
     def test_stall_only_span_makes_no_progress(self):
-        arrays = CoreArrays(2)
-        arrays.pending_stall_ns[:] = (10.0, 3.0)
+        # Lane 2 completes after exactly 3 ns of stall.
+        arrays = CoreArrays(3)
+        arrays.pending_stall_ns[:] = (10.0, 3.0, 3.0)
+        arrays.instr_done[2] = INTERVAL_INSTR
         arrays.tpi[:] = 1.0
         arrays.epi[:] = 1.0
-        arrays.advance_all(3.0)
+        assert arrays.step(INTERVAL_INSTR) == (2, 3.0)
         # Core 0 spent the whole span stalled; core 1 exactly drained it.
         assert arrays.instr_done[0] == 0.0 and arrays.energy_nj[0] == 0.0
         assert arrays.pending_stall_ns[0] == 7.0
         assert arrays.instr_done[1] == 0.0 and arrays.pending_stall_ns[1] == 0.0
 
     def test_inactive_lanes_untouched(self):
-        for stalls in (True, False):  # both advance branches
-            arrays, _ = _state(8, 7, stalls)
+        for stalls in (True, False):  # both fallback advance branches
+            arrays, _, _ = _state(8, 7, stalls)
             arrays.set_active(3, False)
             arrays.set_active(5, False)
             before = (
@@ -141,11 +186,12 @@ class TestVectorAdvance:
                 arrays.pending_stall_ns.copy(),
                 arrays.energy_nj.copy(),
             )
-            arrays.advance_all(10.0)
-            for j in (3, 5):
-                assert arrays.instr_done[j] == before[0][j]
-                assert arrays.pending_stall_ns[j] == before[1][j]
-                assert arrays.energy_nj[j] == before[2][j]
+            j, dt = arrays.step(INTERVAL_INSTR)
+            assert j not in (3, 5) and dt > 0.0
+            for k in (3, 5):
+                assert arrays.instr_done[k] == before[0][k]
+                assert arrays.pending_stall_ns[k] == before[1][k]
+                assert arrays.energy_nj[k] == before[2][k]
 
     def test_set_active_keeps_the_pad_in_step(self):
         arrays = CoreArrays(3)
@@ -171,24 +217,30 @@ def _next_completion_scalar(arrays: CoreArrays, interval_instr: float):
     return best_j, best
 
 
+def _check_completion(arrays):
+    want = _next_completion_scalar(arrays, INTERVAL_INSTR)
+    got = arrays.step(INTERVAL_INSTR)
+    assert got == want
+    return got
+
+
+ARGMIN_CASES = dict(n=st.integers(1, 65), seed=st.integers(0, 10_000))
+
+
 class TestVectorArgmin:
-    """CoreArrays.next_completion == the scalar reference loop."""
+    """CoreArrays.step's completion == the scalar reference loop."""
 
     @settings(max_examples=120, deadline=None)
-    @given(n=st.integers(1, 65), seed=st.integers(0, 10_000))
+    @given(**ARGMIN_CASES)
     def test_matches_scalar(self, n, seed):
-        arrays, _ = _state(n, seed)
-        j, r = arrays.next_completion(INTERVAL_INSTR)
-        sj, sr = _next_completion_scalar(arrays, INTERVAL_INSTR)
-        assert (j, r) == (sj, sr)
+        _check_completion(_state(n, seed)[0])
 
     def test_tie_breaks_to_lowest_core_id(self):
         arrays = CoreArrays(4)
         arrays.tpi[:] = 1.0
         # Cores 1 and 3 are exactly tied; 0 and 2 are slower.
         arrays.instr_done[:] = (0.0, 500.0, 100.0, 500.0)
-        j, r = arrays.next_completion(INTERVAL_INSTR)
-        assert j == 1 and r == 500.0
+        assert _check_completion(arrays) == (1, 500.0)
 
     def test_exact_completion_tie_with_stall(self):
         # instr_done == interval: remaining is the pending stall exactly.
@@ -196,14 +248,13 @@ class TestVectorArgmin:
         arrays.tpi[:] = 2.0
         arrays.instr_done[:] = (INTERVAL_INSTR, INTERVAL_INSTR, 0.0)
         arrays.pending_stall_ns[:] = (5.0, 5.0, 0.0)
-        j, r = arrays.next_completion(INTERVAL_INSTR)
-        assert j == 0 and r == 5.0
+        assert _check_completion(arrays) == (0, 5.0)
 
     def test_all_inactive_returns_inf(self):
         arrays = CoreArrays(3)
         for k in range(3):
             arrays.set_active(k, False)
-        j, r = arrays.next_completion(INTERVAL_INSTR)
+        j, r = _check_completion(arrays)
         assert j == 0 and math.isinf(r)
 
     def test_inactive_lane_never_wins(self):
@@ -211,8 +262,85 @@ class TestVectorArgmin:
         arrays.tpi[:] = 1.0
         arrays.instr_done[:] = (INTERVAL_INSTR, 0.0)  # lane 0 would win
         arrays.set_active(0, False)
-        j, _ = arrays.next_completion(INTERVAL_INSTR)
+        j, _ = _check_completion(arrays)
         assert j == 1
+
+
+def _step_case(n, seed, kind):
+    arrays, scalars, rates = _state(n, seed)
+    k = seed % n
+    if kind == "all_idle":
+        for core in scalars:
+            core.active = False
+    else:
+        # Keep every other lane at least half an interval away, so lane k
+        # (and its twin) completes first.
+        for core in scalars:
+            core.instr_done = min(core.instr_done, INTERVAL_INSTR / 2)
+        lane = scalars[k]
+        lane.active = True
+        lane.instr_done = INTERVAL_INSTR if kind == "zero_span" else INTERVAL_INSTR - 1.0
+        lane.pending_stall_ns = {"zero_span": 0.0, "tie": 0.25}.get(kind, 2.0)
+        if kind == "tie" and n > 1:
+            m = (k + 1) % n
+            scalars[m] = ScalarCore(lane.instr_done, lane.pending_stall_ns, 1.0, True)
+            rates[m] = rates[k]
+            arrays.tpi[m], arrays.epi[m] = rates[k]
+            k = min(k, m)
+    _store(arrays, scalars)
+    j, dt = _step_matches_oracle(arrays, scalars, rates)
+    if kind == "all_idle":
+        assert (j, dt) == (0, math.inf)
+    else:
+        assert j == k
+        assert dt == 0.0 if kind == "zero_span" else dt > 0.0
+
+
+STEP_CASES = dict(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(["all_idle", "zero_span", "tie", "stalled_completion"]),
+)
+
+
+class TestStep:
+    """CoreArrays.step as a whole == the scalar ``lanes_step``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(**STEP_CASES)
+    def test_matches_lanes_step(self, n, seed, kind):
+        _step_case(n, seed, kind)
+
+    def test_completing_lane_retires_exactly_with_a_stall_pending(self):
+        arrays = CoreArrays(2)
+        arrays.tpi[:] = (0.5, 1.0)
+        arrays.epi[:] = (2.0, 3.0)
+        arrays.instr_done[:] = (INTERVAL_INSTR - 4.0, 0.0)
+        arrays.pending_stall_ns[:] = (1.5, 0.0)
+        arrays.energy_nj[:] = (10.0, 20.0)
+        # Lane 0: 1.5 ns of stall, then 4 instructions at 0.5 ns each.
+        assert arrays.step(INTERVAL_INSTR) == (0, 3.5)
+        assert arrays.energy_nj[0] == 10.0 + 4.0 * 2.0
+        assert arrays.pending_stall_ns[0] == 0.0
+        assert arrays.instr_done[1] == 3.5 and arrays.energy_nj[1] == 20.0 + 3.5 * 3.0
+
+    def test_rows_are_views_of_one_buffer(self):
+        n = 5
+        arrays = CoreArrays(n)
+        rows = [getattr(arrays, name) for name in core_state._LANES]
+        arrays.set_active(2, False)
+        arrays.step(INTERVAL_INSTR)
+        arrays.set_active(2, True)
+        buf = arrays._lanes
+        assert arrays._addr == buf.ctypes.data
+        for i, name in enumerate(core_state._LANES):
+            row = getattr(arrays, name)
+            assert row is rows[i], name  # never rebound
+            assert row.base is buf and row.flags.c_contiguous
+            assert row.ctypes.data == buf.ctypes.data + i * n * buf.itemsize
+        arrays.tpi[3] = 7.0
+        assert buf[3 * n + 3] == 7.0
+        assert buf[5 * n + 2] == 0.0  # the pad row follows set_active
 
 
 class TestSchedulerVectorPath:
@@ -235,6 +363,36 @@ class TestSchedulerVectorPath:
         sched.invalidate(0)
         assert sched.next_completion() == next_completion_scalar(sched)
         assert not is_valid(sched, 0)
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestVectorAdvanceNumpyStep(TestVectorAdvance):
+    """The advance cases on the NumPy fallback step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**ADVANCE_CASES)
+    def test_matches_scalar(self, n, seed, dt_kind, stalls):
+        _advance_case(n, seed, dt_kind, stalls)
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestVectorArgminNumpyStep(TestVectorArgmin):
+    """The completion cases on the NumPy fallback step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(**ARGMIN_CASES)
+    def test_matches_scalar(self, n, seed):
+        _check_completion(_state(n, seed)[0])
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestStepNumpyStep(TestStep):
+    """The whole-step cases on the NumPy fallback step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(**STEP_CASES)
+    def test_matches_lanes_step(self, n, seed, kind):
+        _step_case(n, seed, kind)
 
 
 class TestWayBudgetAudit:
@@ -357,3 +515,8 @@ class TestFusedStepIdentity:
             fused = self._replay(ncores, scenario, RMASimulator)
             scalar = self._replay(ncores, scenario, ScalarStepSimulator)
             assert_bit_identical(scalar, fused)
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestFusedStepIdentityNumpyStep(TestFusedStepIdentity):
+    """The whole replays on the NumPy fallback step."""

@@ -9,7 +9,7 @@ output, offsets that reach past either end), hold the split to
 edited source gets a new library, two processes building at once both
 load a valid library, an unwritable cache falls back to a private
 directory, and a missing compiler warns once and leaves the NumPy sweep
-solving identically.
+solving, and the engine's NumPy step replaying, identically.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import minplus, packed_tree
+from tests.conftest import CACHE_DIR
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 #: A finite pad around every buffer: any read past a box would pair it
@@ -231,19 +232,49 @@ class TestBuildCache:
                         tree.set_leaf(j, curve)
                     print(sorted(tree.solve().items()))
                 print("work:", tree.rows_combined, tree.splits)
-            print("kernel:", "numpy" if packed_tree._kernel is None else "compiled")
+                # One whole replay: the reduction and the engine step both
+                # run compiled, or both on the NumPy fallback.
+                from repro import default_system
+                from repro.core.managers import rm2_combined
+                from repro.scenarios import poisson_arrivals
+                from repro.simulation.database import build_database
+                from repro.simulation.engine import core_state
+                from repro.simulation.metrics import run_result_digest
+                from repro.simulation.rma_sim import RMASimulator
+                apps = ["mcf_like", "libquantum_like", "povray_like", "namd_like"]
+                system = default_system(ncores=4)
+                db = build_database(
+                    system, names=apps, accesses_per_set=100, processes=1,
+                    cache_dir=sys.argv[2],
+                )
+                scenario = poisson_arrivals(
+                    "minplus-fallback", 4, apps, rate_per_interval=0.3,
+                    horizon_intervals=24, seed=4,
+                )
+                run = RMASimulator(
+                    system, db, scenario.workload, rm2_combined(),
+                    max_slices=4, scenario=scenario,
+                ).run()
+                print("replay:", run_result_digest(run))
+            print("kernel:", "numpy" if packed_tree._kernel is None else "compiled",
+                  "shared" if core_state._kernel is packed_tree._kernel else "split")
             for w in caught:
                 print(w.category.__name__, str(w.message).replace(chr(10), " "))
         """
         runs = {}
         for mode in ("missing", "present"):
-            proc = _run(script, mode)
-            out, err = proc.communicate(timeout=120)
+            proc = _run(script, mode, CACHE_DIR)
+            out, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err
             runs[mode] = out.splitlines()
         missing, present = runs["missing"], runs["present"]
-        assert missing[5] == "kernel: numpy" and present[5] == "kernel: compiled"
-        assert len(missing) == 7 and missing[6].startswith("RuntimeWarning"), missing[6:]
-        assert "/nonexistent/cc" in missing[6]
-        assert len(present) == 6, present[6:]
-        assert missing[:5] == present[:5]  # the same four solves and work counters
+        assert missing[6] == "kernel: numpy shared"
+        assert present[6] == "kernel: compiled shared"
+        # One warning, though both the reduction and the engine load it.
+        assert len(missing) == 8 and missing[7].startswith("RuntimeWarning"), missing[7:]
+        assert "/nonexistent/cc" in missing[7]
+        assert len(present) == 7, present[7:]
+        # The same four solves, work counters and replay digest.
+        assert missing[5].startswith("replay: ")
+        assert missing[:6] == present[:6]
+        print(missing[5])

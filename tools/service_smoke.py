@@ -21,10 +21,13 @@ The CI ``service-smoke`` job's driver, in three stages (``--stage``):
   cache directory holding a copy of the 4-core database and an empty
   ``results/``: a stored run settles at admission, so only an empty store
   keeps the burst queued at the kill, however warm ``--cache-dir`` is.
-* ``backpressure`` -- boot with ``--max-queue 1 --workers 1``, wedge the
-  worker with a never-before-seen job, and require the overflow
-  submissions to draw ``429`` + an integral ``Retry-After`` header plus a
-  nonzero ``repro_service_jobs_rejected`` counter.
+* ``backpressure`` -- boot with ``--max-queue 1 --workers 1`` and a
+  fault plan that holds the worker's first dispatch for ``HOLD_S``
+  seconds (``--fault executor.hang=1:1:HOLD_S``; no watchdog is armed),
+  submit never-before-seen jobs, and require the overflow submissions to
+  draw ``429`` + an integral ``Retry-After`` header plus a nonzero
+  ``repro_service_jobs_rejected`` counter.  The held worker fills the
+  one-slot queue by construction, however fast the replays run.
 
 Exit status is non-zero on any mismatch, so the job doubles as a semantic
 regression gate on the full HTTP path.  After an *intentional* change to
@@ -67,6 +70,10 @@ from _bench_common import (  # noqa: E402
 BASELINE_PATH = os.path.join(ARTIFACT_DIR, "baselines", "BENCH_service_smoke.json")
 
 STAGES = ("smoke", "restart", "backpressure")
+
+#: Seconds the backpressure stage's fault plan holds the worker's first
+#: dispatch: far longer than the stage's six submissions take.
+HOLD_S = 30.0
 
 #: The smoke jobs: bench_smoke's S1 scenario block, as service requests.
 SMOKE_JOBS = {
@@ -413,13 +420,16 @@ def _stage_restart(
 
 def _stage_backpressure(cache_dir: str | None, report: dict, failures: list[str]) -> None:
     """Admission: a full single-slot queue answers 429 + Retry-After."""
-    proc, base = _start_server(cache_dir, ["--no-journal", "--max-queue", "1"], workers=1)
+    hold = f"executor.hang=1:1:{HOLD_S}"
+    proc, base = _start_server(
+        cache_dir, ["--no-journal", "--max-queue", "1", "--fault", hold], workers=1
+    )
     try:
         _wait_healthy(base)
-        # Wedge the worker with jobs no store has ever seen (per-run seed)
-        # on a long horizon (the vectorised replay clears short horizons in
-        # milliseconds), so overflow happens whether or not the results
-        # store is warm and however slow the submitting client is.
+        # The fault plan holds the one worker in its first dispatch, so the
+        # first admitted job never leaves it and the next one fills the
+        # queue.  The jobs are ones no store has ever seen (per-run seed):
+        # a stored run settles at admission and would never queue.
         salt = int(time.time()) % 1_000_000 + 1_000
         bodies = [
             {
@@ -428,7 +438,7 @@ def _stage_backpressure(cache_dir: str | None, report: dict, failures: list[str]
                 "name": "smoke-backpressure",
                 "params": {
                     "rate_per_interval": 1.0,
-                    "horizon_intervals": 50_000,
+                    "horizon_intervals": 500,
                     "seed": salt + i,
                 },
                 "manager": {"kind": "baseline", "name": "baseline"},

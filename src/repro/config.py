@@ -86,9 +86,6 @@ class VFTable:
     def freqs_array(self) -> np.ndarray:
         return np.asarray(self.freqs_ghz, dtype=float)
 
-    def voltages_array(self) -> np.ndarray:
-        return self.v0 + self.kv * self.freqs_array()
-
     def index_of(self, f_ghz: float) -> int:
         """Index of the operating point equal to ``f_ghz`` (exact match)."""
         try:

@@ -5,11 +5,17 @@
  * library holds engine_step, one whole event of the simulation engine
  * (see its own comment at the end of this file).
  *
+ * These are the one implementation of the solve and the step: repro
+ * requires a working C compiler and fails its import without one.  The
+ * references they are tested against are tests/oracles/node_graph.py
+ * (the reduction) and tests/oracles/engine_step.py (the step).
+ *
  * Exactness: curves hold only finite values or +inf, never NaN.  On such
  * inputs "v < o ? v : o" is np.minimum, every cell is one IEEE add and a
  * minimum is exact in any order, so both kernels return exactly what the
- * NumPy sweep returns.  Built with -ffp-contract=off and without
- * -ffast-math so that the compiler keeps those semantics.
+ * node-graph reference's NumPy combine returns.  Built with
+ * -ffp-contract=off and without -ffast-math so that the compiler keeps
+ * those semantics.
  */
 #include <math.h>
 #include <stddef.h>
@@ -97,8 +103,9 @@ typedef struct {
     int64_t *src_a, *src_b, *parent, *nlo, *nk, *off, *flo, *fhi, *stamp, *mark;
 } Rows;
 
-/* Recombine row r from its children over their finite boxes (the
- * Python fallback's _numpy_combine does the same arithmetic). */
+/* Recombine row r from its children over their finite boxes.  Every
+ * cell outside them is the sum of at least one inf entry, so the row
+ * holds the node-graph reference's full combine over its stored range. */
 static void combine(const Rows *p, double *E, int64_t r)
 {
     const int64_t a = p->src_a[r], b = p->src_b[r];
@@ -230,21 +237,24 @@ enum { INSTR, PENDING, ENERGY, TPI, EPI, PAD, LANES };
  * Exactness: the lane state is finite and non-negative, tpi and epi are
  * finite and (on active lanes) positive, and the pad is +0.0 or +inf,
  * so no operation below can produce NaN.  Each one is then the single
- * IEEE operation NumPy's fallback (CoreArrays.next_completion,
- * advance_all and the retire in CoreArrays.step) performs on the same
- * lane, in the same order:
- *   - remaining = (interval - instr) * tpi + pending, plus the pad only
- *     when some lane idles (as the fallback skips its pad add);
- *   - a strict "<" scan from lane 0 keeps the first minimum, which is
- *     np.argmin's tie-break; with every lane idle it returns (0, +inf);
- *   - served = min(pending, dt) is np.minimum on non-NaN values; on a
- *     lane with nothing pending it is +0.0 and dt - 0.0 == dt, so one
- *     formula covers the fallback's stall and stall-free branches;
- *   - an idle lane is skipped, which equals the fallback's masked
- *     "+ 0.0" updates because x + 0.0 == x and x - 0.0 == x bitwise for
- *     every x >= +0.0;
- *   - the retire reads e_j and left before the advance, as the fallback
- *     does, and overwrites lane j's energy and pending after it.
+ * IEEE operation the scalar reference step (tests/oracles/engine_step.py,
+ * lanes_step) performs on the same lane:
+ *   - remaining = (interval - instr) * tpi + pending, the reference's
+ *     pending + left * tpi (IEEE addition commutes); the pad, added
+ *     only when some lane idles, sends an idle lane to +inf and leaves
+ *     an active one unchanged (x + 0.0 == x for every x >= +0.0);
+ *   - a strict "<" scan from lane 0 keeps the first minimum, the
+ *     reference's lowest-lane tie-break; with every lane idle it returns
+ *     (0, +inf);
+ *   - served = min(pending, dt); on a lane with nothing pending it is
+ *     +0.0 and dt - 0.0 == dt, so one formula covers the reference's
+ *     stall and stall-free branches, and a lane whose stall absorbs the
+ *     whole span retires 0.0 / tpi == +0.0 instructions, a bitwise no-op
+ *     like the reference's early return;
+ *   - an idle lane is skipped, as the reference skips it;
+ *   - the retire reads e_j and left before the advance, and overwrites
+ *     lane j's energy and pending after it: the reference's retire of a
+ *     lane it never advanced.
  * Built with -ffp-contract=off, so no multiply-add is fused. */
 ptrdiff_t engine_step(double *lanes, ptrdiff_t n, double interval, ptrdiff_t n_idle)
 {

@@ -39,14 +39,6 @@ class EnergyCurve:
         """The largest way allocation the curve covers (its array length)."""
         return int(len(self.epi))
 
-    def feasible_mask(self) -> np.ndarray:
-        """Boolean mask over ways: True where some (c, f) meets the QoS target."""
-        return np.isfinite(self.epi)
-
-    def is_feasible(self) -> bool:
-        """Whether any way allocation admits a QoS-feasible setting at all."""
-        return bool(np.any(np.isfinite(self.epi)))
-
     def same_curve(self, other: "EnergyCurve") -> bool:
         """True when ``other`` is numerically this curve (``==`` per entry).
 

@@ -24,12 +24,14 @@ name and installed with :func:`os.replace`, so processes that build at
 the same time each install a complete library.  When ``__pycache__`` is
 not writable, the library goes to a temporary directory of the process.
 
-When no library can be built or loaded, :func:`load` warns with the
-failure and returns ``None``; then the packed reduction runs the same
-solve as a Python loop with a NumPy sweep, and the engine the same step
-as a few NumPy calls.  Both take the process's one handle from
-:func:`shared`, so the library is loaded, and a failure warned about,
-once per process.
+The library is the one implementation of both the solve and the step, so
+a working C compiler is required: when no library can be built or loaded,
+:func:`load` raises :class:`ImportError` naming the compiler command and
+its error output, and importing :mod:`repro.core.packed_tree` or the
+engine fails with it.  The references the kernels are tested against live
+in ``tests/oracles/`` (``node_graph.py`` for the reduction,
+``engine_step.py`` for the step).  Both modules take the process's one
+handle from :func:`shared`, so the library is loaded once per process.
 """
 
 from __future__ import annotations
@@ -43,15 +45,14 @@ import shlex
 import shutil
 import sysconfig
 import tempfile
-import warnings
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_minplus.c")
 CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 #: Exact IEEE arithmetic: no contraction of ``a + b`` into a fused
 #: operation, no ``-ffast-math`` reassociation, and no host-only
-#: instruction set, so the library computes what the NumPy sweep computes
-#: on any machine that shares the cache.
+#: instruction set, so the library computes what the NumPy references in
+#: ``tests/oracles/`` compute on any machine that shares the cache.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -121,11 +122,11 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     return lib
 
 
-def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
+def load(cache_dir: str | None = None) -> ctypes.CDLL:
     """The compiled kernel, built into ``cache_dir`` (default
-    :data:`CACHE_DIR`) if it is not there yet; ``None``, with a
-    :class:`RuntimeWarning` naming the failure, if it cannot be built or
-    loaded.
+    :data:`CACHE_DIR`) if it is not there yet.  Raises
+    :class:`ImportError`, chained from the failure and naming the compiler
+    command and its error output, if it cannot be built or loaded.
 
     ``minplus_solve(plan, E)`` runs one solve of a packed reduction and
     returns the number of ``(leaf slot, ways)`` pairs its walk wrote, -1
@@ -144,17 +145,15 @@ def load(cache_dir: str | None = None) -> ctypes.CDLL | None:
     try:
         return _library(CACHE_DIR if cache_dir is None else cache_dir)
     except (OSError, AttributeError) as exc:
-        warnings.warn(
-            f"compiled min-plus kernel unavailable, using the NumPy sweep: {exc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        raise ImportError(
+            "cannot build or load the compiled min-plus kernel with "
+            f"{shlex.join(compiler())} (a working C compiler is required): {exc}"
+        ) from exc
 
 
 @functools.cache
-def shared() -> ctypes.CDLL | None:
+def shared() -> ctypes.CDLL:
     """The process's one handle on the library: :func:`load` into
     :data:`CACHE_DIR`, made on the first call and returned by every later
-    one (``None`` where it could not be built, after one warning)."""
+    one."""
     return load()

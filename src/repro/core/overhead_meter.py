@@ -13,7 +13,7 @@ per-invocation cost for counter collection and bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["OverheadMeter", "COST_GRID_POINT", "COST_DP_CELL", "COST_FIXED"]
 
@@ -33,21 +33,16 @@ class OverheadMeter:
     invocations: int = 0
     grid_points: int = 0
     dp_cells: int = 0
-    _per_invocation: list = field(default_factory=list)
 
     def begin_invocation(self) -> None:
         """Open a new invocation and charge its fixed bookkeeping cost."""
         self.invocations += 1
-        self._per_invocation.append(COST_FIXED)
         self.instructions += COST_FIXED
 
     def charge_grid(self, points: int) -> None:
         """Charge ``points`` evaluated (c, f, w) model grid points."""
         self.grid_points += points
-        cost = points * COST_GRID_POINT
-        self.instructions += cost
-        if self._per_invocation:
-            self._per_invocation[-1] += cost
+        self.instructions += points * COST_GRID_POINT
 
     def charge_replay(self, grid_points: int = 0, dp_cells: int = 0) -> None:
         """Re-charge cached costs for work the simulator skipped.
@@ -66,23 +61,4 @@ class OverheadMeter:
     def charge_dp(self, cells: int) -> None:
         """Charge ``cells`` dynamic-programming cells of curve reduction."""
         self.dp_cells += cells
-        cost = cells * COST_DP_CELL
-        self.instructions += cost
-        if self._per_invocation:
-            self._per_invocation[-1] += cost
-
-    @property
-    def instructions_per_invocation(self) -> float:
-        """Mean modelled instructions per RMA invocation."""
-        if not self.invocations:
-            return 0.0
-        return self.instructions / self.invocations
-
-    @property
-    def max_invocation_instructions(self) -> float:
-        """The most expensive single invocation's modelled instructions."""
-        return max(self._per_invocation, default=0.0)
-
-    def overhead_fraction(self, interval_instructions: int) -> float:
-        """RMA instructions as a fraction of one execution interval."""
-        return self.instructions_per_invocation / interval_instructions
+        self.instructions += cells * COST_DP_CELL

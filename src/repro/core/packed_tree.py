@@ -75,10 +75,11 @@ IEEE add of the same two entries the node-graph reference adds,
 ``np.minimum``; the split scans ascending with a strict ``<``, which is
 ``np.argmin``'s first minimum.  Pairs outside the finite boxes are
 infinite and can never win or tie a finite minimum, so restricting the
-combine to the boxes changes no value.  Where no C compiler works,
-:meth:`PackedReduction._numpy_solve` runs the same refresh, checks and
-walk as one Python loop over the same arrays, combining each row with
-the band-blocked NumPy sweep; the choice is made once, at import.
+combine to the boxes changes no value.  The kernel is the one
+implementation of the solve, so a working C compiler is required:
+importing this module raises :class:`ImportError` when the library
+cannot be built or loaded.  The node-graph reduction in
+``tests/oracles/node_graph.py`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -93,25 +94,17 @@ from repro.util.validation import require
 
 __all__ = ["PackedReduction"]
 
-#: Candidates per band block of the NumPy fallback sweep.  On the level-7
-#: rows of a 256-core manycore_s7 tree (350-405-wide boxes, 685 outputs;
-#: 2-CPU Xeon, NumPy 2.4), widths 64-96 took 290-330 us per row against
-#: 465-620 us for one block per box; 32 or less, and 192, give part of the
-#: gain back to NumPy call overhead.
-SWEEP_BLOCK = 64
-
-#: The compiled kernel, or None where it could not be built: then every
-#: solve runs the NumPy fallback.  Chosen once, at import.
+#: The compiled kernel, loaded (built if need be) once, at import.
 _kernel = minplus.shared()
 
 #: The plan buffer's header slots and then its per-row columns, in the
 #: order ``_minplus.c``'s ``minplus_solve`` reads them.
 _HEADER = ("nleaves", "nrows", "root", "root_s", "has_prev", "rows_combined", "splits")
 _COLUMNS = ("src_a", "src_b", "parent", "nlo", "nk", "off", "flo", "fhi", "stamp", "mark")
-_ROOT, _ROOT_S, _HAS_PREV, _ROWS_COMBINED, _SPLITS = 2, 3, 4, 5, 6
+_HAS_PREV, _ROWS_COMBINED, _SPLITS = 4, 5, 6
 
-#: ``minplus_solve``'s results other than a count of walked leaves.
-_INFEASIBLE, _UNCHANGED = -1, -2
+#: ``minplus_solve``'s result for an unchanged root (an infeasible one gives -1).
+_UNCHANGED = -2
 
 
 class _Rec:
@@ -241,7 +234,6 @@ class PackedReduction:
         row_id = {rec: r for r, rec in enumerate(recs)}
         header = len(_HEADER)
         ncols = len(_COLUMNS)
-        self._nrows = nrows
         # Header, columns, the walk's (slot, ways) output, the walk's stack
         # (at most one entry per row on a root path, plus the root's).
         plan = np.zeros(header + ncols * nrows + 2 * self.nleaves + 2 * (nrows + 1), np.int64)
@@ -267,12 +259,6 @@ class PackedReduction:
         self._E = np.full(int(nk.sum()), np.inf)
         self._plan_addr = plan.ctypes.data
         self._E_addr = self._E.ctypes.data
-        # The NumPy fallback sweeps put the narrower child on the candidate
-        # axis, so its buffers are sized by the widest narrow side.
-        combines = src_a >= 0
-        self._sweep_width = int(nk[combines].max(initial=0))
-        self._sweep_m = int(np.minimum(nk[src_a[combines]], nk[src_b[combines]]).max(initial=0))
-        self._sweep = None  # lazy NumPy sweep buffers
 
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
         self._nmissing = self.nleaves  # leaves still awaiting a first curve
@@ -295,7 +281,7 @@ class PackedReduction:
     @property
     def rows_combined(self) -> int:
         """Rows recombined by every solve so far (a deterministic work
-        counter: the same under the compiled kernel and the fallback)."""
+        counter: exactly the union of each solve's dirty root paths)."""
         return self._hdr[_ROWS_COMBINED]
 
     @property
@@ -361,10 +347,7 @@ class PackedReduction:
             meter.charge_replay(dp_cells=self._total_cells)
         # Every leaf starts dirty, so a missing one is always refreshed.
         require(not self._nmissing, "every leaf needs a curve")
-        if _kernel is None:
-            n = self._numpy_solve()
-        else:
-            n = _kernel.minplus_solve(self._plan_addr, self._E_addr)
+        n = _kernel.minplus_solve(self._plan_addr, self._E_addr)
         if n < 0:
             if n == _UNCHANGED:
                 self.last_touched = []
@@ -388,207 +371,3 @@ class PackedReduction:
         self._last_assignment = out
         self.last_touched = touched
         return out
-
-    # ---- the NumPy fallback ----------------------------------------------------
-    def _numpy_solve(self) -> int:
-        """``minplus_solve`` where no compiled kernel loaded: the same
-        refresh, checks, walk and counters, as one Python loop over the
-        same plan arrays."""
-        cols, hdr, E = self._cols, self._hdr, self._E
-        nleaves, n = self.nleaves, self._nrows
-        mark, parent, stamp = cols.mark, cols.parent, cols.stamp
-        # Mark each dirty leaf's root path up to the first row already
-        # marked, then recombine the marked rows bottom-up (ascending ids).
-        first = n
-        for i in range(nleaves):
-            if mark[i]:
-                mark[i] = 0
-                up = parent[i]
-                while up >= 0 and not mark[up]:
-                    mark[up] = 1
-                    first = min(first, up)
-                    up = parent[up]
-        for r in range(first, n):
-            if mark[r]:
-                mark[r] = 0
-                self._numpy_combine(r)
-                hdr[_ROWS_COMBINED] += 1
-
-        root, s, has_prev = hdr[_ROOT], hdr[_ROOT_S], hdr[_HAS_PREV]
-        if s < 0 or E[cols.off[root] + s - cols.nlo[root]] == np.inf:
-            return _INFEASIBLE  # never NaN: curves are finite or inf
-        if has_prev and stamp[root] == s:
-            return _UNCHANGED
-        out, touched = self._out, 0
-        stack = [(root, s)]
-        while stack:
-            r, sh = stack.pop()
-            if has_prev and stamp[r] == sh:
-                continue  # the subtree kept its assignment
-            stamp[r] = sh
-            if r < nleaves:
-                out[2 * touched] = r
-                out[2 * touched + 1] = sh
-                touched += 1
-                continue
-            sl = self._numpy_split(r, sh)
-            hdr[_SPLITS] += 1
-            stack.append((cols.src_b[r], sh - sl))
-            stack.append((cols.src_a[r], sl))
-        return touched
-
-    def _sweep_buffers(self):
-        """The NumPy sweep's buffers, built once per reduction and sized
-        for the worst (unrestricted) box; box-restricted sweeps use a
-        prefix.
-
-        They belong to one :class:`PackedReduction`, and a reduction is
-        driven by one simulation at a time, so the replay service's thread
-        executor can run reductions concurrently without a thread local.
-        """
-        buf = self._sweep
-        if buf is None:
-            # Building the (width, M) window view once lets each sweep take
-            # a plain slice instead of paying as_strided's dispatch: window
-            # cell (t, j) reads L1[t + j].
-            width, M = self._sweep_width, self._sweep_m
-            L1 = np.full(width + M - 1, np.inf)
-            (s,) = L1.strides
-            win = np.lib.stride_tricks.as_strided(L1, (width, M), (s, s))
-            R1 = np.empty(M)
-            # One block's sums, and one block's minima; _numpy_split
-            # borrows the first M cells of tflat.
-            tflat = np.empty(max(min(M, SWEEP_BLOCK) * width, M))
-            part = np.empty(width)
-            buf = self._sweep = (L1, R1, tflat, win, part)
-        return buf
-
-    def _numpy_combine(self, r: int) -> None:
-        """Recombine row ``r`` from its children over their finite boxes,
-        with the band-blocked NumPy sweep.
-
-        The combine runs only where a total can be finite: outputs limited
-        to ``[a_flo + b_flo, a_fhi + b_fhi]`` (clipped to the stored
-        range), candidates to the children's boxes.  Every excluded cell is
-        the sum of at least one infinite child entry, so its value is
-        ``inf`` either way.  Cells outside the previously recorded box are
-        ``inf`` already, so clearing the old box's span where it reaches
-        past the new one re-establishes that invariant.  Width-1 child
-        boxes (pinned or idle subtrees) collapse the sweep to a single
-        vector add, and a single output cell to one add-and-min.  The
-        general case orients the narrower child box onto the candidate
-        axis and sweeps it ``SWEEP_BLOCK`` candidates at a time, each block
-        only over the band of outputs it can reach.
-        """
-        cols, E = self._cols, self._E
-        ia, ib = cols.src_a[r], cols.src_b[r]
-        aflo, afhi, bflo, bfhi = cols.flo[ia], cols.fhi[ia], cols.flo[ib], cols.fhi[ib]
-        nlo, nk = cols.nlo[r], cols.nk[r]
-        plo = max(aflo + bflo, nlo)
-        phi = min(afhi + bfhi, nlo + nk - 1)
-        oflo, ofhi = cols.flo[r], cols.fhi[r]
-        o = cols.off[r]
-        E_row = E[o : o + nk]
-        cols.stamp[r] = -1
-        empty = aflo > afhi or bflo > bfhi or plo > phi
-        if oflo <= ofhi and (empty or oflo < plo or ofhi > phi):
-            E_row[oflo - nlo : ofhi - nlo + 1].fill(np.inf)
-        if empty:
-            cols.flo[r] = 0
-            cols.fhi[r] = -1
-            return
-        cols.flo[r] = plo
-        cols.fhi[r] = phi
-        a = E[cols.off[ia] : cols.off[ia] + cols.nk[ia]]
-        b = E[cols.off[ib] : cols.off[ib] + cols.nk[ib]]
-        a0 = aflo - cols.nlo[ia]
-        b0 = bflo - cols.nlo[ib]
-        NKp = phi - plo + 1
-        k0p = plo - (aflo + bflo)
-        t0 = plo - nlo
-        out = E_row[t0 : t0 + NKp]
-        if bflo == bfhi:
-            # Width-1 b box: output n = wa + bflo is the only candidate
-            # that can be finite, so the sweep is a's diagonal plus one
-            # scalar.  Cells whose a entry is inf stay inf exactly like
-            # the full sweep's.
-            np.add(a[a0 + k0p : a0 + k0p + NKp], b[b0], out=out)
-        elif aflo == afhi:
-            # Width-1 a box: the mirror case.
-            np.add(b[b0 + k0p : b0 + k0p + NKp], a[a0], out=out)
-        elif NKp == 1:
-            # Single output cell (the needed-range-truncated root): the
-            # exact candidate overlap is one vector add, no rectangle.
-            lo = max(plo - bfhi, aflo)
-            hi = min(plo - bflo, afhi)
-            va = a[a0 + lo - aflo : a0 + hi - aflo + 1]
-            vb = b[b0 + plo - hi - bflo : b0 + plo - lo - bflo + 1]
-            E_row[t0] = np.add(va, vb[::-1]).min() if lo < hi else va[0] + vb[0]
-        else:
-            if afhi - aflo < bfhi - bflo:
-                # Min-plus convolution commutes, so orient the narrower
-                # child onto the candidate axis: the swept band spans
-                # min(box widths) candidates instead of b's width.
-                a, b = b, a
-                a0, b0 = b0, a0
-                aflo, afhi, bflo, bfhi = bflo, bfhi, aflo, afhi
-            L1, R1, tflat, win, part = self._sweep_buffers()
-            # Box-local sweep geometry over the sliced children a' = a[box],
-            # b' = b[box]: window t, candidate j reads
-            # L1[t + j] = a'[t + j - (NBp-1) + k0p], entries below index
-            # k0p - (NBp-1) are outside every window.
-            naa = afhi - aflo + 1
-            NBp = bfhi - bflo + 1
-            WLp = NKp + NBp - 1
-            start = max(k0p - (NBp - 1), 0)
-            ofs = (NBp - 1) - k0p + start
-            n = min(naa - start, WLp - ofs)
-            L1[:WLp].fill(np.inf)
-            L1[ofs : ofs + n] = a[a0 + start : a0 + start + n]
-            R1[:NBp] = b[b0 : b0 + NBp][::-1]
-            # Band-blocked sweep: candidates j0..j1-1 can only pair with a
-            # placed a' entry for t in [ofs - (j1-1), ofs + n - j0), so each
-            # block adds and reduces just that column range (the band of
-            # pairs where both children can be finite) and folds its
-            # minima into the inf-filled output.  Every cell is the same
-            # fl(a + b) as a full-rectangle sweep and min is exact and
-            # order-free, so the values are bit-identical to it.  The
-            # transposed window puts candidates on the outer axis, so the
-            # add and the min both stream contiguous L1 slices.
-            out.fill(np.inf)
-            for j0 in range(0, NBp, SWEEP_BLOCK):
-                j1 = min(j0 + SWEEP_BLOCK, NBp)
-                t_lo = max(ofs - (j1 - 1), 0)
-                t_hi = min(ofs + n - j0, NKp)
-                tw = t_hi - t_lo
-                if tw <= 0:
-                    continue
-                tot = tflat[: (j1 - j0) * tw].reshape(j1 - j0, tw)
-                np.add(win[t_lo:t_hi, j0:j1].T, R1[j0:j1, None], out=tot)
-                seg = out[t_lo:t_hi]
-                np.minimum(seg, np.minimum.reduce(tot, axis=0, out=part[:tw]), out=seg)
-
-    def _numpy_split(self, r: int, sh: int) -> int:
-        """Left-child way count of row ``r``'s finite cell ``sh``: the
-        first minimum over the cell's box-clipped candidates in ascending
-        order -- the reference's tie-break.
-
-        Valid because the refresh rebuilds every ancestor of a changed
-        row before the walk, so the child rows read here are the ones the
-        cell's value was combined from; candidates outside the finite
-        boxes are infinite and cannot win or tie the (finite) minimum the
-        cell holds, so clipping preserves the first-minimum choice exactly.
-        """
-        cols, E = self._cols, self._E
-        ia, ib = cols.src_a[r], cols.src_b[r]
-        lo = max(sh - cols.fhi[ib], cols.flo[ia])
-        hi = min(sh - cols.flo[ib], cols.fhi[ia])
-        if lo == hi:
-            return lo
-        pa = cols.off[ia] - cols.nlo[ia]
-        pb = cols.off[ib] - cols.nlo[ib]
-        va = E[pa + lo : pa + hi + 1]
-        vb = E[pb + sh - hi : pb + sh - lo + 1]
-        tmp = self._sweep_buffers()[2][: hi - lo + 1]
-        np.add(va, vb[::-1], out=tmp)
-        return lo + int(tmp.argmin())

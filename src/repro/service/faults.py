@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.simulation import results_store as _results_store
 from repro.util.rng import seed_for
@@ -202,11 +202,6 @@ class FaultPlan:
                 site: {"invocations": s.invocations, "fires": s.fires}
                 for site, s in self._state.items()
             }
-
-    def total_fires(self) -> int:
-        """Faults fired so far across every site."""
-        with self._lock:
-            return sum(s.fires for s in self._state.values())
 
     #: Convenience used by tests to express "this plan cannot exhaust a
     #: retry budget": the summed budget of attempt-failing sites.

@@ -105,9 +105,6 @@ class SimulationDatabase:
         recs = self.records[bench].values()
         return np.sum([r.weight * r.mlp_full for r in recs], axis=0)
 
-    def baseline_tpi(self, bench: str, phase_key: int) -> float:
-        return self.record(bench, phase_key).tpi_at(self.system.baseline_allocation())
-
 
 def _config_digest(system: SystemConfig, names: tuple[str, ...], accesses_per_set: int) -> str:
     """Stable cache key over every input that changes database contents."""

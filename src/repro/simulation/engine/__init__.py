@@ -8,8 +8,9 @@ is decomposed into four components with one orchestrator:
   field) behind the engine's one per-event step -- a padded
   next-completion argmin, an advance of every active lane and the
   completing lane's retire, one call into the compiled library of
-  :mod:`repro.core.minplus` -- and :class:`CoreRun`, the thin per-core
-  view the slow path works with;
+  :mod:`repro.core.minplus` (the step's one implementation: a working C
+  compiler is required) -- and :class:`CoreRun`, the thin per-core view
+  the slow path works with;
 * :mod:`~repro.simulation.engine.scheduler` --
   :class:`CompletionScheduler`, which owns the per-core completion-time
   computation and caches each core's (record, tpi, epi) triple,

@@ -9,9 +9,9 @@ the additive form of the ``active`` mask), so one event is one call at
 any core count: :meth:`CoreArrays.step` hands the buffer's address to
 ``engine_step`` in the compiled library of :mod:`repro.core.minplus`,
 which does the argmin, the advance of every active lane and the retire
-in one pass each.  Where no library loaded, the same step runs as a few
-NumPy calls (:meth:`CoreArrays.next_completion`,
-:meth:`CoreArrays.advance_all` and the retire) with the same values.
+in one pass each.  That call is the step's one implementation, so a
+working C compiler is required (importing this module raises
+:class:`ImportError` without one).
 
 :class:`CoreRun` remains the per-core view the slow path works with --
 tenancy changes, interval sampling, the manager bridge, result accounting.
@@ -20,15 +20,14 @@ Python floats, so downstream ``repr``-based digests never see NumPy
 scalars); everything touched only at interval boundaries (phase position,
 round bookkeeping, last snapshot/record) stays an ordinary attribute.
 
-Both paths are lane for lane the scalar reference step kept in
+The step is lane for lane the scalar reference step kept in
 ``tests/oracles/engine_step.py``, itself the frozen
 ``tests/oracles/legacy_sim.py`` implementation: serve pending stall
 first, then retire ``dt / tpi`` instructions and charge their energy.
-Idle lanes receive exact ``+ 0.0`` updates (the compiled step skips them)
-and active lanes an exact ``+ 0.0`` pad, which are bitwise no-ops on the
-non-negative state; ``tests/test_engine_vector.py`` enforces ``==``
-against the reference on both paths, over randomised states and whole
-replays at 1..31 cores.
+Idle lanes are skipped (the reference's early return) and active lanes
+get an exact ``+ 0.0`` pad, a bitwise no-op on the non-negative state;
+``tests/test_engine_vector.py`` enforces ``==`` against the reference
+over randomised states and whole replays at 1..31 cores.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from repro.simulation.database import PhaseRecord
 
 __all__ = ["CoreArrays", "CoreRun"]
 
-#: The compiled library, or None where it could not be built: then every
-#: step runs the NumPy fallback.  The packed reduction shares the handle.
+#: The compiled library, loaded once, at import; the packed reduction
+#: shares the handle.
 _kernel = minplus.shared()
 
 #: The rows of the lane buffer, in the order ``_minplus.c``'s
@@ -67,18 +66,7 @@ class CoreArrays:
     the ``active`` mask and both in step.
     """
 
-    __slots__ = (
-        "n",
-        *_LANES,
-        "active",
-        "n_idle",
-        "_lanes",
-        "_addr",
-        "_served",
-        "_rem",
-        "_instr",
-        "_tmp",
-    )
+    __slots__ = ("n", *_LANES, "active", "n_idle", "_lanes", "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -89,12 +77,6 @@ class CoreArrays:
             setattr(self, name, row)
         self.active = np.ones(n, dtype=bool)
         self.n_idle = 0
-        # Per-event scratch of the NumPy fallback (reused across events;
-        # the hot path is serial).
-        self._served = np.empty(n)
-        self._rem = np.empty(n)
-        self._instr = np.empty(n)
-        self._tmp = np.empty(n)
 
     def set_active(self, core_id: int, value: bool) -> None:
         """Write one lane's activity flag, its additive pad and the count."""
@@ -115,73 +97,16 @@ class CoreArrays:
         ``instr_done`` is left advanced; the caller resets it.  Requires
         the ``tpi``/``epi`` entries of every active lane to be fresh.
 
-        One ``engine_step`` call into the compiled library; where none
-        loaded, :meth:`next_completion`, :meth:`advance_all` and the
-        retire compute the same values with NumPy.
+        One ``engine_step`` call into the compiled library.  Lane by lane
+        this is the scalar reference's arithmetic: the completion is the
+        first minimum of ``(interval_instructions - instr_done) * tpi +
+        pending_stall_ns`` over the active lanes, so ties break to the
+        lowest core id (``(0, inf)`` with no active lane); each active lane
+        serves ``min(pending, dt)`` of stall, then retires ``(dt - served)
+        / tpi`` instructions and charges them at ``epi``.
         """
-        if _kernel is None:
-            j, dt = self.next_completion(interval_instructions)
-            left = interval_instructions - self.instr_done.item(j)
-            energy = self.energy_nj.item(j)
-            self.advance_all(dt)
-            self.energy_nj[j] = energy + left * self.epi.item(j)
-            self.pending_stall_ns[j] = 0.0
-            return j, dt
         j = _kernel.engine_step(self._addr, self.n, interval_instructions, self.n_idle)
         return j, self._lanes.item(-1)
-
-    def advance_all(self, dt: float) -> None:
-        """Advance every active core by ``dt`` ns at the cached rates.
-
-        Lane by lane this is the scalar reference's arithmetic: ``served =
-        min(pending, dt)``, ``rem = dt - served``, ``instr = rem / tpi``,
-        then ``instr_done += instr`` and ``energy_nj += instr * epi``.  A
-        fully stalled lane retires ``0.0 / tpi == +0.0`` instructions (rates
-        are positive), and idle lanes are masked to exact ``+ 0.0``
-        updates: bitwise identity on the non-negative state, as the
-        reference's early returns.  With no stall pending anywhere ``rem``
-        is ``dt`` itself, and with no idle lane nothing is masked.
-        :meth:`step` advances the completing core too and then overwrites
-        its lane.  Requires the ``tpi``/``epi`` entries of every active
-        core to be fresh.
-        """
-        if dt <= 0.0:
-            return
-        pending = self.pending_stall_ns
-        rem = dt
-        if np.count_nonzero(pending):
-            served = np.minimum(pending, dt, out=self._served)
-            if self.n_idle:
-                # Exact select: x * 1.0 == x, x * 0.0 == +0.0 for x >= 0.
-                served *= self.active
-            rem = np.subtract(dt, served, out=self._rem)
-            pending -= served
-        instr = self._instr
-        if self.n_idle:
-            instr.fill(0.0)
-            np.divide(rem, self.tpi, out=instr, where=self.active)
-        else:
-            np.divide(rem, self.tpi, out=instr)
-        self.instr_done += instr
-        self.energy_nj += np.multiply(instr, self.epi, out=self._tmp)
-
-    def next_completion(self, interval_instructions: float) -> tuple[int, float]:
-        """(core id, remaining ns) of the earliest interval completion.
-
-        One argmin over ``(interval_instructions - instr_done) * tpi +
-        pending_stall_ns + idle_pad``: the pad sends idle lanes to ``inf``
-        and leaves active ones bitwise unchanged (so it is skipped when no
-        lane idles).  ``argmin`` returns the *first* minimum, reproducing
-        the scalar loop's lowest-core-id tie-break exactly.  With no active
-        core the result is ``(0, inf)``, matching the scalar reference.
-        """
-        remaining = np.subtract(interval_instructions, self.instr_done, out=self._rem)
-        remaining *= self.tpi
-        remaining += self.pending_stall_ns
-        if self.n_idle:
-            remaining += self.idle_pad
-        j = int(remaining.argmin())
-        return j, remaining.item(j)
 
 
 class CoreRun:

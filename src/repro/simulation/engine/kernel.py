@@ -29,9 +29,10 @@ the cores invalidated since the last event, steps 1 and 2 and the retire
 of step 3 are one call into the compiled library
 (``CoreArrays.step``: a padded argmin, then one advance of every active
 lane -- the completing core included, whose energy and stall the retire
-then overwrites), or a few NumPy calls where no library loaded.  Its lane
-arithmetic is the scalar reference step's
-(``tests/oracles/engine_step.py``) operation for operation.  Per-event
+then overwrites); that call is the step's one implementation, so a
+working C compiler is required.  Its lane arithmetic is the scalar
+reference step's (``tests/oracles/engine_step.py``) operation for
+operation.  Per-event
 bookkeeping that used to scan every core (the all-idle check, the
 every-core-finished check) reads counters maintained incrementally by the
 tenancy model and the completion bookkeeping, and the way-budget audit of

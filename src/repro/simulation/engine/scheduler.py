@@ -16,15 +16,14 @@ entries live in the shared
 before each event the kernel calls :meth:`refresh_stale` -- a loop over
 the handful of cores invalidated since the previous event, not over the
 system -- and then one :meth:`CoreArrays.step
-<repro.simulation.engine.core_state.CoreArrays.step>` (compiled, or NumPy
-where no library loaded) finds the completion as the first minimum of
+<repro.simulation.engine.core_state.CoreArrays.step>`, a call into the
+compiled library, finds the completion as the first minimum of
 ``(interval_instructions - instr_done) * tpi + pending_stall_ns +
-idle_pad`` and advances every core.  :meth:`next_completion` is the same
-refresh and argmin without the advance.  The remaining-time formula and
-the first-minimum tie-break reproduce the scalar reference arithmetic
-exactly (``tests/oracles/engine_step.py``), so replay results are
-bit-identical -- the cache and the fused step remove lookup and
-interpreter work, never change values.
+idle_pad`` and advances every core.  The remaining-time formula and the
+first-minimum tie-break reproduce the scalar reference arithmetic exactly
+(``tests/oracles/engine_step.py``), so replay results are bit-identical
+-- the cache and the fused step remove lookup and interpreter work, never
+change values.
 """
 
 from __future__ import annotations
@@ -122,16 +121,3 @@ class CompletionScheduler:
             val = self.system.interval_instructions * rec.tpi_at(self._baseline_alloc)
             self._baseline_ns[key] = val
         return val
-
-    # ---- completion times ---------------------------------------------------
-    def next_completion(self) -> tuple[int, float]:
-        """(core id, remaining ns) of the earliest interval completion.
-
-        One argmin over the struct-of-arrays state
-        (:meth:`CoreArrays.next_completion`) after refreshing the stale
-        active entries, advancing nothing.  Ties break to the lowest core
-        id, matching the reference loop's
-        ``min(range(n), key=remaining.__getitem__)``.
-        """
-        self.refresh_stale()
-        return self.arrays.next_completion(self.system.interval_instructions)

@@ -13,10 +13,10 @@
   the golden reference of :mod:`repro.simulation.engine`;
 * :mod:`tests.oracles.engine_step` -- the scalar per-event engine step
   (``advance_core``, ``next_completion_scalar``, ``lanes_step``), the
-  golden reference of the kernel's fused step (compiled, and its NumPy
-  fallback) over
-  :class:`~repro.simulation.engine.core_state.CoreArrays`, and the
-  per-core scheduler reads (``tpi``, ``remaining_ns``, ``is_valid``);
+  golden reference of the kernel's fused step over
+  :class:`~repro.simulation.engine.core_state.CoreArrays` (one compiled
+  call, its only implementation), and the per-core scheduler reads
+  (``tpi``, ``remaining_ns``, ``is_valid``);
 * :mod:`tests.oracles.leading_miss` -- the greedy per-miss grouping loop,
   the golden reference of :func:`repro.mem.mlp.leading_miss_groups`;
 * :mod:`tests.oracles.mlp_grid` -- the per-allocation, per-core-size MLP
@@ -27,4 +27,8 @@
 
 None of them is on a production path; tests and the ``tools/bench_*``
 speed-up benchmarks import them with the repository root on ``sys.path``.
+The packed reduction's solve and the engine step have one implementation
+each, in the compiled library ``src/repro/core/_minplus.c`` (a working C
+compiler is required); ``node_graph`` and ``engine_step`` are the
+references they are held to.
 """

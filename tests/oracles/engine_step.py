@@ -1,10 +1,11 @@
 """The scalar engine step: the reference of the kernel's fused step.
 
-The kernel finds the next interval completion and advances every core with
-a handful of vector operations over
-:class:`~repro.simulation.engine.core_state.CoreArrays`.  These two
-functions are the same arithmetic one core at a time, exactly as the frozen
-``tests/oracles/legacy_sim.py`` loop performs it:
+The kernel finds the next interval completion, advances every core and
+retires the completing one with one call into the compiled library over
+:class:`~repro.simulation.engine.core_state.CoreArrays` (``engine_step``
+in ``src/repro/core/_minplus.c``, the step's only implementation).  These
+two functions are the same arithmetic one core at a time, exactly as the
+frozen ``tests/oracles/legacy_sim.py`` loop performs it:
 
 * :func:`next_completion_scalar` -- the remaining-time formula
   ``pending_stall_ns + (interval_instructions - instr_done) * tpi`` over
@@ -21,7 +22,7 @@ lanes, the reference of :meth:`CoreArrays.step`, and :func:`scalar_step`
 into one event over a live
 :class:`~repro.simulation.engine.kernel.SimulationKernel`;
 ``tests/test_engine_vector.py`` drives both against the production step
-(compiled, and the NumPy fallback) and compares every number with ``==``.
+and compares every number with ``==``.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def lanes_step(cores, rates, interval_instructions: float) -> tuple[int, float]:
 
 
 def next_completion_scalar(self) -> tuple[int, float]:
-    """Scalar reference of :meth:`CompletionScheduler.next_completion`
-    (``self`` is the scheduler; identical arithmetic, one lane at a time)."""
+    """Scalar reference of the completion :meth:`CoreArrays.step` finds
+    after :meth:`CompletionScheduler.refresh_stale` (``self`` is the
+    scheduler; identical arithmetic, one lane at a time)."""
     interval_instr = self.system.interval_instructions
     best = math.inf
     best_j = 0

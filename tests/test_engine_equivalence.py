@@ -48,7 +48,7 @@ from repro.scenarios import (
 from repro.simulation.rma_sim import RMASimulator
 from repro.workloads.mixes import Workload
 from tests.conftest import TEST_BENCHMARKS
-from tests.oracles.engine_step import is_valid, remaining_ns, tpi
+from tests.oracles.engine_step import is_valid, next_completion_scalar, remaining_ns, tpi
 from tests.oracles.legacy_sim import LegacyRMASimulator
 from tests.oracles.reference_manager import reference
 
@@ -362,8 +362,13 @@ class TestSchedulerInvalidation:
         sim.tenancy.apply_event(sim.cores[1], ev, now=0.0)
         assert not is_valid(sched, 1)
         assert remaining_ns(sched, 1) == math.inf
-        # next_completion never picks the idle core
-        j, _ = sched.next_completion()
+        # The refresh freshens the active entries only, and the step never
+        # picks the idle core.
+        sched.refresh_stale()
+        assert [is_valid(sched, k) for k in range(4)] == [True, False, True, True]
+        want = next_completion_scalar(sched)
+        j, dt = sim.arrays.step(system4.interval_instructions)
+        assert (j, dt) == want
         assert j != 1
 
     def test_slack_event_invalidates(self, system4, db4):

@@ -3,7 +3,7 @@
 The engine does one whole event -- next interval completion, advance of
 every core, the completing core's retire -- with one
 :meth:`~repro.simulation.engine.core_state.CoreArrays.step`: one call into
-the compiled library, or a few NumPy calls where none loaded.  The scalar
+the compiled library, the step's one implementation.  The scalar
 step in ``tests/oracles/engine_step.py`` (``advance_core``,
 ``next_completion_scalar``, ``lanes_step``) is the executable
 specification of the same arithmetic.  This suite drives the step over
@@ -12,8 +12,6 @@ stall-only spans, zero spans, exact-completion ties, a completing core
 with a stall pending -- and over whole scenario replays at 1..31 cores
 (one of them starting with idle cores), and compares with ``==`` on every
 number: the fused step must remove interpreter work, never change values.
-Every step class runs on the compiled step and again, as its
-``...NumpyStep`` subclass, on the NumPy fallback.
 
 It also covers the kernel's delta-maintained way-budget audit (the O(N)
 re-sum `_apply` used to do per reallocation) including its debug-mode full
@@ -32,8 +30,8 @@ from hypothesis import strategies as st
 
 from repro import default_system
 from repro.config import Allocation
-from repro.core.managers import StaticBaselineManager, rm2_combined
-from repro.scenarios import burst_load, poisson_arrivals
+from repro.core.managers import StaticBaselineManager, rm2_combined, rm3_core_adaptive
+from repro.scenarios import burst_load, churn, poisson_arrivals, qos_ramp
 from repro.simulation.database import build_database
 from repro.simulation.engine import core_state
 from repro.simulation.engine import kernel as kernel_mod
@@ -53,14 +51,6 @@ from tests.test_engine_equivalence import assert_bit_identical
 INTERVAL_INSTR = 1000.0
 
 
-@pytest.fixture(scope="class")
-def numpy_step():
-    """Run the class on the NumPy fallback step: no compiled library."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core_state, "_kernel", None)
-        yield
-
-
 @dataclass
 class ScalarCore:
     """Plain scalar double of one CoreArrays lane for the reference path."""
@@ -75,7 +65,7 @@ def _state(n, rng_seed, stalls=True):
     """Build (CoreArrays, [ScalarCore], [(tpi, epi)]) with identical
     randomised state.
 
-    ``stalls=False`` zeroes every pending stall, the state the fallback
+    ``stalls=False`` zeroes every pending stall, the state the reference
     advance's stall-free branch serves.
     """
     rng = np.random.default_rng(rng_seed)
@@ -145,21 +135,16 @@ def _advance_case(n, seed, dt_kind, stalls):
     _step_matches_oracle(arrays, scalars, rates)
 
 
-#: The advance cases' draws (hypothesis runs each test method from one
-#: class only, so the fallback subclasses redeclare the given-tests).
-ADVANCE_CASES = dict(
-    n=st.integers(1, 65),
-    seed=st.integers(0, 10_000),
-    dt_kind=st.sampled_from(["random", "zero", "stall_edge", "tiny"]),
-    stalls=st.booleans(),
-)
-
-
 class TestVectorAdvance:
     """CoreArrays.step's advance == per-core advance_core, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(**ADVANCE_CASES)
+    @given(
+        n=st.integers(1, 65),
+        seed=st.integers(0, 10_000),
+        dt_kind=st.sampled_from(["random", "zero", "stall_edge", "tiny"]),
+        stalls=st.booleans(),
+    )
     def test_matches_scalar(self, n, seed, dt_kind, stalls):
         _advance_case(n, seed, dt_kind, stalls)
 
@@ -177,7 +162,7 @@ class TestVectorAdvance:
         assert arrays.instr_done[1] == 0.0 and arrays.pending_stall_ns[1] == 0.0
 
     def test_inactive_lanes_untouched(self):
-        for stalls in (True, False):  # both fallback advance branches
+        for stalls in (True, False):  # both reference advance branches
             arrays, _, _ = _state(8, 7, stalls)
             arrays.set_active(3, False)
             arrays.set_active(5, False)
@@ -224,14 +209,11 @@ def _check_completion(arrays):
     return got
 
 
-ARGMIN_CASES = dict(n=st.integers(1, 65), seed=st.integers(0, 10_000))
-
-
 class TestVectorArgmin:
     """CoreArrays.step's completion == the scalar reference loop."""
 
     @settings(max_examples=120, deadline=None)
-    @given(**ARGMIN_CASES)
+    @given(n=st.integers(1, 65), seed=st.integers(0, 10_000))
     def test_matches_scalar(self, n, seed):
         _check_completion(_state(n, seed)[0])
 
@@ -296,20 +278,25 @@ def _step_case(n, seed, kind):
         assert dt == 0.0 if kind == "zero_span" else dt > 0.0
 
 
-STEP_CASES = dict(
-    n=st.integers(1, 40),
-    seed=st.integers(0, 10_000),
-    kind=st.sampled_from(["all_idle", "zero_span", "tie", "stalled_completion"]),
-)
-
-
 class TestStep:
     """CoreArrays.step as a whole == the scalar ``lanes_step``."""
 
     @settings(max_examples=120, deadline=None)
-    @given(**STEP_CASES)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["all_idle", "zero_span", "tie", "stalled_completion"]),
+    )
     def test_matches_lanes_step(self, n, seed, kind):
         _step_case(n, seed, kind)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 64])
+    @pytest.mark.parametrize("kind", ["all_idle", "zero_span", "tie", "stalled_completion"])
+    def test_every_lane_completes(self, kind, n):
+        # Seeds 0..n put the completing lane (seed % n) at every position,
+        # the first and last lanes and a tie across the wrap included.
+        for seed in range(n + 1):
+            _step_case(n, seed, kind)
 
     def test_completing_lane_retires_exactly_with_a_stall_pending(self):
         arrays = CoreArrays(2)
@@ -343,8 +330,27 @@ class TestStep:
         assert buf[5 * n + 2] == 0.0  # the pad row follows set_active
 
 
+def _scheduler_step(sim):
+    """The production entry -- ``refresh_stale``, then one
+    ``CoreArrays.step`` -- against the scalar reference's ``(j, dt)``,
+    read before the step advances the lanes.  The refresh must leave every
+    active entry fresh (the reference's reads refresh a stale entry
+    themselves, so its ``(j, dt)`` alone cannot show a missed refresh).
+    The completing lane restarts its interval, as the kernel's completion
+    bookkeeping does."""
+    sched = sim.scheduler
+    sched.refresh_stale()
+    assert all(is_valid(sched, k) for k in range(sim.arrays.n) if sim.arrays.active[k])
+    want = next_completion_scalar(sched)
+    got = sim.arrays.step(sim.system.interval_instructions)
+    assert got == want
+    sim.arrays.instr_done[got[0]] = 0.0
+    return got
+
+
 class TestSchedulerVectorPath:
-    """The scheduler's argmin equals the scalar reference over live state."""
+    """The scheduler-fed step's completion equals the scalar reference
+    over live state."""
 
     def test_next_completion_matches_scalar(self, system4, db4):
         wl = Workload(
@@ -353,46 +359,17 @@ class TestSchedulerVectorPath:
         )
         sim = RMASimulator(system4, db4, wl, StaticBaselineManager(), max_slices=4)
         sched = sim.scheduler
-        assert sched.next_completion() == next_completion_scalar(sched)
+        _scheduler_step(sim)
         # Perturb state mid-run and compare again.
         sim.arrays.instr_done[2] = 0.75 * system4.interval_instructions
         sim.arrays.pending_stall_ns[1] = 123.0
-        assert sched.next_completion() == next_completion_scalar(sched)
+        _scheduler_step(sim)
         # An idle core keeps its stale entry and never wins.
         sim.cores[0].active = False
         sched.invalidate(0)
-        assert sched.next_completion() == next_completion_scalar(sched)
+        j, _ = _scheduler_step(sim)
+        assert j != 0
         assert not is_valid(sched, 0)
-
-
-@pytest.mark.usefixtures("numpy_step")
-class TestVectorAdvanceNumpyStep(TestVectorAdvance):
-    """The advance cases on the NumPy fallback step."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(**ADVANCE_CASES)
-    def test_matches_scalar(self, n, seed, dt_kind, stalls):
-        _advance_case(n, seed, dt_kind, stalls)
-
-
-@pytest.mark.usefixtures("numpy_step")
-class TestVectorArgminNumpyStep(TestVectorArgmin):
-    """The completion cases on the NumPy fallback step."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(**ARGMIN_CASES)
-    def test_matches_scalar(self, n, seed):
-        _check_completion(_state(n, seed)[0])
-
-
-@pytest.mark.usefixtures("numpy_step")
-class TestStepNumpyStep(TestStep):
-    """The whole-step cases on the NumPy fallback step."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(**STEP_CASES)
-    def test_matches_lanes_step(self, n, seed, kind):
-        _step_case(n, seed, kind)
 
 
 class TestWayBudgetAudit:
@@ -481,18 +458,19 @@ class TestFusedStepIdentity:
     run under RM2 through the production step and through the scalar
     reference step, and must agree with ``==`` on every number -- with
     the manager, transition stalls, tenancy churn and QoS scoring in the
-    loop.
+    loop.  A churn replay and a QoS-ramp replay under RM3 do the same at
+    every core count, with core-size changes in the loop.
     """
 
     @staticmethod
-    def _replay(ncores, scenario, simulator):
+    def _replay(ncores, scenario, simulator, manager=rm2_combined):
         system = default_system(ncores=ncores)
         db = build_database(
             system, names=IDENTITY_APPS, accesses_per_set=100,
             processes=1, cache_dir=CACHE_DIR,
         )
         return simulator(
-            system, db, scenario.workload, rm2_combined(),
+            system, db, scenario.workload, manager(),
             max_slices=4, scenario=scenario,
         ).run()
 
@@ -516,7 +494,25 @@ class TestFusedStepIdentity:
             scalar = self._replay(ncores, scenario, ScalarStepSimulator)
             assert_bit_identical(scalar, fused)
 
-
-@pytest.mark.usefixtures("numpy_step")
-class TestFusedStepIdentityNumpyStep(TestFusedStepIdentity):
-    """The whole replays on the NumPy fallback step."""
+    @pytest.mark.parametrize("ncores", range(1, 32))
+    def test_core_adaptive_churn_steps_bit_identical(self, ncores):
+        # RM3 moves cores between sizes, so a lane's rates jump and its
+        # transition stalls are the longest any manager charges; churn
+        # idles a lane and refills it with a fresh tenant, and a QoS ramp
+        # tightens every target in steps, forcing reallocations.
+        scenarios = [
+            churn(
+                f"step-identity-churn-{ncores}", ncores, IDENTITY_APPS,
+                cycles=3, idle_intervals=1.0, horizon_intervals=8 * ncores, seed=ncores,
+            ),
+            qos_ramp(
+                f"step-identity-ramp-{ncores}", ncores, IDENTITY_APPS,
+                start_slack=0.3, end_slack=0.0, steps=3,
+                horizon_intervals=8 * ncores, seed=ncores,
+            ),
+        ]
+        assert any(ev.kind == "depart" for ev in scenarios[0].events)
+        for scenario in scenarios:
+            fused = self._replay(ncores, scenario, RMASimulator, rm3_core_adaptive)
+            scalar = self._replay(ncores, scenario, ScalarStepSimulator, rm3_core_adaptive)
+            assert_bit_identical(scalar, fused)

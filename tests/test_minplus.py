@@ -7,14 +7,15 @@ random boxes with ``inf`` holes and the edge shapes (one candidate, one
 output, offsets that reach past either end), hold the split to
 ``np.argmin``'s first minimum on ties, and check the build cache: an
 edited source gets a new library, two processes building at once both
-load a valid library, an unwritable cache falls back to a private
-directory, and a missing compiler warns once and leaves the NumPy sweep
-solving, and the engine's NumPy step replaying, identically.
+load a valid library, an unwritable cache builds in a private
+directory, and a missing compiler fails the import with an
+:class:`ImportError` that names it, leaving nothing in the cache.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core import minplus, packed_tree
-from tests.conftest import CACHE_DIR
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 #: A finite pad around every buffer: any read past a box would pair it
@@ -35,8 +35,6 @@ PAD = -1e300
 
 @pytest.fixture(scope="module")
 def kernel():
-    if packed_tree._kernel is None:
-        pytest.skip("no C compiler: the compiled kernel is not loaded")
     return packed_tree._kernel
 
 
@@ -140,8 +138,8 @@ class TestSplit:
         assert kernel.minplus_split(a.ctypes.data, b.ctypes.data, 4) == 0
 
 
-def _run(script, *args):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _run(script, *args, **env):
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
     return subprocess.Popen(
         [sys.executable, "-c", textwrap.dedent(script), *args],
         env=env,
@@ -208,73 +206,30 @@ class TestBuildCache:
         assert lib is not None
         assert os.path.dirname(os.path.dirname(lib._name)) == tempfile.gettempdir()
 
-    def test_missing_compiler_warns_once_and_solves_identically(self):
+    def test_missing_compiler_fails_the_import(self, tmp_path):
+        # A copy of the package without its __pycache__, so the default
+        # cache directory starts empty (and no bytecode is written to it).
+        src = tmp_path / "src"
+        shutil.copytree(
+            os.path.join(SRC, "repro"), src / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
         script = """
-            import sys, sysconfig, warnings
-            import numpy as np
-            if sys.argv[1] == "missing":
-                config_var = sysconfig.get_config_var
-                sysconfig.get_config_var = lambda name: (
-                    "/nonexistent/cc" if name == "CC" else config_var(name)
-                )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            import sysconfig
+            config_var = sysconfig.get_config_var
+            sysconfig.get_config_var = lambda name: (
+                "/nonexistent/cc" if name == "CC" else config_var(name)
+            )
+            try:
                 from repro.core import packed_tree
-                from repro.core.curves import EnergyCurve
-                rng = np.random.default_rng(9)
-                tree = packed_tree.PackedReduction((6, 5), (40, 36), 64, 1)
-                for step in range(4):
-                    for j in range(11):
-                        epi = rng.uniform(0.1, 5.0, size=64)
-                        epi[rng.random(64) < 0.3] = np.inf
-                        idx = rng.integers(0, 3, size=64)
-                        curve = EnergyCurve(core_id=j, epi=epi, freq_idx=idx, core_idx=idx)
-                        tree.set_leaf(j, curve)
-                    print(sorted(tree.solve().items()))
-                print("work:", tree.rows_combined, tree.splits)
-                # One whole replay: the reduction and the engine step both
-                # run compiled, or both on the NumPy fallback.
-                from repro import default_system
-                from repro.core.managers import rm2_combined
-                from repro.scenarios import poisson_arrivals
-                from repro.simulation.database import build_database
-                from repro.simulation.engine import core_state
-                from repro.simulation.metrics import run_result_digest
-                from repro.simulation.rma_sim import RMASimulator
-                apps = ["mcf_like", "libquantum_like", "povray_like", "namd_like"]
-                system = default_system(ncores=4)
-                db = build_database(
-                    system, names=apps, accesses_per_set=100, processes=1,
-                    cache_dir=sys.argv[2],
-                )
-                scenario = poisson_arrivals(
-                    "minplus-fallback", 4, apps, rate_per_interval=0.3,
-                    horizon_intervals=24, seed=4,
-                )
-                run = RMASimulator(
-                    system, db, scenario.workload, rm2_combined(),
-                    max_slices=4, scenario=scenario,
-                ).run()
-                print("replay:", run_result_digest(run))
-            print("kernel:", "numpy" if packed_tree._kernel is None else "compiled",
-                  "shared" if core_state._kernel is packed_tree._kernel else "split")
-            for w in caught:
-                print(w.category.__name__, str(w.message).replace(chr(10), " "))
+            except ImportError as exc:
+                print("ImportError:", exc)
+            else:
+                print("loaded:", packed_tree._kernel)
         """
-        runs = {}
-        for mode in ("missing", "present"):
-            proc = _run(script, mode, CACHE_DIR)
-            out, err = proc.communicate(timeout=300)
-            assert proc.returncode == 0, err
-            runs[mode] = out.splitlines()
-        missing, present = runs["missing"], runs["present"]
-        assert missing[6] == "kernel: numpy shared"
-        assert present[6] == "kernel: compiled shared"
-        # One warning, though both the reduction and the engine load it.
-        assert len(missing) == 8 and missing[7].startswith("RuntimeWarning"), missing[7:]
-        assert "/nonexistent/cc" in missing[7]
-        assert len(present) == 7, present[7:]
-        # The same four solves, work counters and replay digest.
-        assert missing[5].startswith("replay: ")
-        assert missing[:6] == present[:6]
-        print(missing[5])
+        proc = _run(script, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.startswith("ImportError: "), out
+        assert "/nonexistent/cc" in out, out
+        cache = src / "repro" / "core" / "__pycache__"
+        assert not cache.exists() or os.listdir(cache) == []  # no library, no temporary file

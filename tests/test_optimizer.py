@@ -20,7 +20,12 @@ from hypothesis import given, settings, strategies as st
 from repro.config import default_system
 from repro.core.curves import EnergyCurve
 from repro.core.local_opt import DimSpec
-from repro.core.overhead_meter import OverheadMeter
+from repro.core.overhead_meter import (
+    COST_DP_CELL,
+    COST_FIXED,
+    COST_GRID_POINT,
+    OverheadMeter,
+)
 from repro.core.qos import qos_targets_from_grids
 from tests.oracles.model_chain import local_optimize, qos_target_tpi
 from tests.oracles.node_graph import ReductionTree, global_optimize
@@ -56,8 +61,8 @@ def brute_force(curves, total_ways, min_ways=1):
 class TestEnergyCurve:
     def test_feasibility(self):
         c = EnergyCurve(0, np.array([np.inf, 1.0]), np.zeros(2, int), np.zeros(2, int))
-        assert c.is_feasible()
-        assert list(c.feasible_mask()) == [False, True]
+        assert np.isfinite(c.epi).any()
+        assert list(np.isfinite(c.epi)) == [False, True]
 
     def test_setting_at(self):
         c = EnergyCurve(0, np.array([np.inf, 1.0]), np.array([3, 4]), np.array([0, 1]))
@@ -329,8 +334,8 @@ class TestOverheadMeter:
         m.charge_grid(100)
         m.charge_dp(50)
         assert m.invocations == 1
-        assert m.instructions > 0
-        assert m.instructions_per_invocation == m.instructions
+        assert m.instructions == COST_FIXED + 100 * COST_GRID_POINT + 50 * COST_DP_CELL
+        assert m.instructions / m.invocations == m.instructions
 
     def test_per_invocation_average(self):
         m = OverheadMeter()
@@ -339,15 +344,16 @@ class TestOverheadMeter:
         m.begin_invocation()
         m.charge_grid(30)
         assert m.invocations == 2
-        assert m.max_invocation_instructions >= m.instructions_per_invocation
+        # The costlier second invocation is at least the mean.
+        assert COST_FIXED + 30 * COST_GRID_POINT >= m.instructions / m.invocations
 
     def test_overhead_fraction(self):
         m = OverheadMeter()
         m.begin_invocation()
         m.charge_grid(1000)
-        assert 0 < m.overhead_fraction(100_000_000) < 0.01
+        assert 0 < m.instructions / m.invocations / 100_000_000 < 0.01
 
     def test_empty_meter(self):
         m = OverheadMeter()
-        assert m.instructions_per_invocation == 0.0
-        assert m.max_invocation_instructions == 0.0
+        assert m.instructions == 0.0 and m.invocations == 0
+        assert m.grid_points == 0 and m.dp_cells == 0

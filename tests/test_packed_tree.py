@@ -15,7 +15,7 @@ update sequences over inf-heavy curves (sporadic infeasible entries plus
 pinned single-way curves, the shapes idle cores and capped clusters
 produce), covering flat trees, odd leaf counts, uneven final clusters and
 over-provisioned way caps, from the one-leaf plan up.  Wide-box cases
-push the NumPy sweep across three or more candidate blocks.  An 8-core
+combine boxes of well over a hundred candidates.  An 8-core
 cluster-churn replay through the production clustered manager and through
 the node-graph clustered manager oracle pins the manager wiring end to
 end.
@@ -23,13 +23,7 @@ end.
 The one-call traces drive multi-cluster dirty unions, all-``inf`` leaves
 (infeasible roots), repeated clean solves and tied energies, and pin the
 work counters: each refresh recombines exactly the union of the dirty
-root paths.  The compiled path must make one kernel call per solve, and
-the fallback loop must reproduce its traces, counters included.
-
-The hypothesis cases, the wide-box cases and the traces run twice: over
-the compiled min-plus kernel the module loaded, and (the
-``...NumpySweep`` classes) over the NumPy fallback, forced by
-monkeypatching the kernel away.
+root paths.  Every solve must be one call of the compiled kernel.
 """
 
 from __future__ import annotations
@@ -43,21 +37,13 @@ from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.managers import rm2_combined
 from repro.core.overhead_meter import OverheadMeter
 from repro.core import packed_tree
-from repro.core.packed_tree import SWEEP_BLOCK, PackedReduction
+from repro.core.packed_tree import PackedReduction
 from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
 from tests.oracles.node_graph import ReductionTree
 from tests.oracles.reference_manager import NodeGraphClusteredManager
 from tests.test_clustered import assert_same_numbers
-
-
-@pytest.fixture(scope="class")
-def numpy_sweep():
-    """Run the class's cases over the NumPy fallback sweep."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(packed_tree, "_kernel", None)
-        yield
 
 
 def _random_curves(rng, ncores, ways, inf_p=0.25, ties=False):
@@ -249,31 +235,6 @@ class TestPackedBitIdentity:
         _all_idle_is_infeasible_then_recovers()
 
 
-@pytest.mark.usefixtures("numpy_sweep")
-class TestPackedBitIdentityNumpySweep:
-    """The same cases over the NumPy fallback sweep."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_splice_sequences_match_reference(self, seed):
-        _splice_sequences_match_reference(seed)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_tied_splice_sequences_match_reference(self, seed):
-        _splice_sequences_match_reference(seed, ties=True)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 100_000), ncores=st.integers(1, 31))
-    @example(seed=0, ncores=1)  # the one-leaf plan
-    @example(seed=0, ncores=31)
-    def test_flat_tree_matches(self, seed, ncores):
-        _flat_tree_matches(seed, ncores)
-
-    def test_all_idle_is_infeasible_then_recovers(self):
-        _all_idle_is_infeasible_then_recovers()
-
-
 class TestPackedClusteredManager:
     """The production clustered manager equals its node-graph oracle."""
 
@@ -326,9 +287,10 @@ def _row(packed, cols, r):
 
 
 def _band_sweeps(packed):
-    """Geometry of every row the refresh sends through the band-blocked
-    sweep: (narrower child box width, clipped by the needed range, a hole
-    inside a child box), plus whether any child box has width 1."""
+    """Geometry of every row the refresh sends through the general band
+    combine (both child boxes and the output span wider than one cell):
+    (narrower child box width, clipped by the needed range, a hole inside
+    a child box), plus whether any child box has width 1."""
     cols = _columns(packed)
     flo, fhi, nlo, nk = cols["flo"], cols["fhi"], cols["nlo"], cols["nk"]
     sweeps, width1 = [], False
@@ -364,14 +326,18 @@ def _assert_rows_are_exact_combines(packed):
         assert np.array_equal(_row(packed, cols, r), want), f"row {r} differs"
 
 
-class TestWideBoxes:
-    """Boxes spanning several sweep blocks, against the node-graph oracle.
+#: Narrower-box widths above this exceed every combine of the hypothesis
+#: cases above, which stay below ~100 ways.
+WIDE = 100
 
-    The hypothesis cases above stay below ~100 ways, so every sweep there
-    is one block.  Here leaves hold 60-140-way boxes with inf holes (some
-    pinned to one way), so the top combines sweep candidate axes of three
-    or more blocks with a ragged last block, and clustered caps clip the
-    outputs by the needed range.  Every step (the all-dirty attach, 3-leaf
+
+class TestWideBoxes:
+    """Wide boxes against the node-graph oracle.
+
+    Here leaves hold 60-140-way boxes with inf holes (some pinned to one
+    way), so the top combines run candidate axes wider than any of the
+    hypothesis cases', and clustered caps clip the outputs by the needed
+    range.  Every step (the all-dirty attach, 3-leaf
     splices, single-leaf moves) must match the oracle's assignment and
     meter charges exactly, and every stored row must equal the exact
     min-plus combine of its children.
@@ -381,7 +347,7 @@ class TestWideBoxes:
         "group_size, ncores, ways, overprovision",
         [(16, 16, 1200, 1.0), (4, 16, 1200, 1.5), (5, 13, 1000, 1.3)],
     )
-    def test_multi_block_sweeps_match_reference(self, group_size, ncores, ways, overprovision):
+    def test_wide_box_combines_match_reference(self, group_size, ncores, ways, overprovision):
         rng = np.random.default_rng(group_size * 1000 + ncores)
         clusters = partition_clusters(ncores, group_size)
         if len(clusters) == 1:
@@ -398,7 +364,7 @@ class TestWideBoxes:
 
         # Leaves 0 and 1 pinned: a width-1 box at level 1 as well.
         curves = [leaf(j, pinned=j in (0, 1)) for j in range(ncores)]
-        widest, ragged, clipped, holes, width1 = 0, False, False, False, False
+        wide, clipped, holes, width1 = False, False, False, False
         for step in range(8):
             ref = reference.solve(curves, m_ref)
             packed.set_leaves(curves)
@@ -408,9 +374,8 @@ class TestWideBoxes:
             sweeps, has_width1 = _band_sweeps(packed)
             width1 |= has_width1
             for nb, clip, hole in sweeps:
-                if nb > SWEEP_BLOCK:
-                    widest = max(widest, nb)
-                    ragged |= nb % SWEEP_BLOCK != 0
+                if nb > WIDE:
+                    wide = True
                     clipped |= clip
                     holes |= hole
             if step % 2 == 0:  # a 3-leaf splice: forced re-ingest plus new curves
@@ -422,17 +387,10 @@ class TestWideBoxes:
             else:  # the steady state: one leaf moves
                 j = int(rng.integers(0, ncores))
                 curves[j] = leaf(j)
-        assert widest > 2 * SWEEP_BLOCK, "no sweep spans three blocks"
-        assert ragged, "no ragged last block"
-        assert clipped, "no multi-block sweep clipped by the needed range"
-        assert holes, "no inf hole inside a multi-block child box"
+        assert wide, f"no combine wider than {WIDE} candidates"
+        assert clipped, "no wide combine clipped by the needed range"
+        assert holes, "no inf hole inside a wide child box"
         assert width1, "no width-1 child box"
-
-
-@pytest.mark.usefixtures("numpy_sweep")
-class TestWideBoxesNumpySweep(TestWideBoxes):
-    """The same wide boxes over the NumPy fallback sweep, whose candidate
-    blocks the coverage asserts are about."""
 
 
 # ---- the one-call solve --------------------------------------------------------
@@ -473,10 +431,12 @@ def _all_inf_leaf(j, ways):
                        core_idx=np.zeros(ways, dtype=int))
 
 
-def _one_call_trace(seed, ties=False):
+def _one_call_trace(seed, ties=False, rebuild=False):
     """Drive one reduction through a random splice sequence against the
     node-graph oracle and return its per-solve trace: (assignment, touched
-    cores, rows_combined, splits).
+    cores, rows_combined, splits).  With ``rebuild``, every step also
+    builds a fresh reduction over the current curves, whose assignment and
+    whole stored row buffer the incrementally refreshed one must equal.
 
     Every solve is checked against the oracle, and every stored row against
     the exact combine of its children; the refresh must recombine
@@ -514,6 +474,13 @@ def _one_call_trace(seed, ties=False):
         got = packed.solve(m_pk)
         _check_step(tag, ref, got, m_ref, m_pk)
         _assert_rows_are_exact_combines(packed)
+        if rebuild:
+            fresh = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+            fresh.set_leaves(curves)
+            want = fresh.solve(OverheadMeter())
+            assert (got is None) == (want is None), f"{tag}: rebuild feasibility"
+            assert got is None or sorted(got.items()) == sorted(want.items()), tag
+            assert np.array_equal(packed._E, fresh._E), f"{tag}: rebuilt rows differ"
         union = {r for j in dirty for r in _root_path(cols, j)}
         assert packed.rows_combined - rows0 == len(union), f"{tag}: refresh rows"
         if got is None:
@@ -589,31 +556,13 @@ class TestOneCallSolve:
         _one_call_trace(seed, ties=True)
 
 
-@pytest.mark.usefixtures("numpy_sweep")
-class TestOneCallSolveNumpySweep:
-    """The same traces over the NumPy fallback loop."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_splice_trace_matches_reference(self, seed):
-        _one_call_trace(seed)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_tied_splice_trace_matches_reference(self, seed):
-        _one_call_trace(seed, ties=True)
-
-
-@pytest.mark.skipif(packed_tree._kernel is None, reason="no C compiler: no compiled kernel")
 class TestCompiledSolve:
-    """The compiled path against the fallback loop, and its call count."""
+    """The compiled path's incremental refresh and its call count."""
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("seed", range(12))
-    def test_fallback_loop_does_the_same_work(self, seed, ties, monkeypatch):
-        compiled = _one_call_trace(seed, ties)
-        monkeypatch.setattr(packed_tree, "_kernel", None)
-        assert _one_call_trace(seed, ties) == compiled
+    def test_refresh_equals_rebuild(self, seed, ties):
+        _one_call_trace(seed, ties, rebuild=True)
 
     def test_one_kernel_call_per_solve(self, monkeypatch):
         proxy = _CountingKernel(packed_tree._kernel)

@@ -136,10 +136,13 @@ class TestDatabase:
             build_database(system4, ["nonexistent_like"], accesses_per_set=100)
 
     def test_baseline_tpi(self, db4, system4):
-        seq = db4.phase_sequence("mcf_like")
-        t = db4.baseline_tpi("mcf_like", seq[0])
-        rec = db4.record("mcf_like", seq[0])
-        assert t == rec.tpi_at(system4.baseline_allocation())
+        # The QoS anchor's interval time the scheduler serves is the
+        # record's tpi at the baseline allocation.
+        wl = Workload(name="anchor4", apps=("mcf_like", "soplex_like", "astar_like", "povray_like"))
+        sim = RMASimulator(system4, db4, wl, StaticBaselineManager(), max_slices=4)
+        rec = db4.record("mcf_like", db4.phase_sequence("mcf_like")[0])
+        t = rec.tpi_at(system4.baseline_allocation())
+        assert sim.scheduler.baseline_interval_ns(0) == system4.interval_instructions * t
 
 
 class TestOverheads:

@@ -86,7 +86,7 @@ def _replay(ctx, scenario, manager_factory, max_slices, repeats):
 def _reduction_work(sim) -> dict:
     """The replay's deterministic reduction work: rows the packed reduction
     recombined and back-track splits it recovered (exact-match keys of the
-    regression gate, equal under the compiled kernel and the fallback)."""
+    regression gate, counted by the compiled kernel)."""
     tree = sim.manager._tree
     return {"reduction_rows": tree.rows_combined, "reduction_splits": tree.splits}
 

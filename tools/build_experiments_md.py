@@ -168,8 +168,8 @@ hashes).  See "Running as a service" in `README.md`.
   fast*; `python3 perfbench/run.py --workload NAME --trace 1` gives the
   same split for any benchmark workload), the packed reduction's
   deterministic work per clustered replay (`reduction_rows` recombined,
-  `reduction_splits` recovered; exact-match keys of the gate, equal under
-  the compiled kernel and the NumPy fallback), and a 16-core
+  `reduction_splits` recovered; exact-match keys of the gate, counted by
+  the compiled kernel, the solve's one implementation), and a 16-core
   **single-cluster equivalence check** whose `bit_identical` field the
   gate enforces exactly — the hierarchy must never drift from the flat
   manager it degenerates to.  The baseline committed with the vectorised

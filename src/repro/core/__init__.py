@@ -9,8 +9,6 @@ counters + ATD -> performance model -> QoS pruning (local optimisation)
 
 from repro.core.curves import EnergyCurve
 from repro.core.models import Model1, Model2, Model3, MLP_MODELS
-from repro.core.perf_model import predict_tpi_grid_batch
-from repro.core.energy_model import predict_epi_grid_batch
 from repro.core.local_opt import DimSpec, local_optimize_batch
 from repro.core.global_opt import cluster_way_caps, partition_clusters
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
@@ -34,8 +32,6 @@ __all__ = [
     "Model2",
     "Model3",
     "MLP_MODELS",
-    "predict_tpi_grid_batch",
-    "predict_epi_grid_batch",
     "DimSpec",
     "local_optimize_batch",
     "partition_clusters",

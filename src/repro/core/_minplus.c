@@ -2,18 +2,22 @@
  * repro.core.minplus through ctypes): the box-local band combine, the
  * first-minimum split, and minplus_solve, which refreshes the dirty root
  * paths and walks the back-track of one solve in one call.  The same
- * library holds engine_step, one whole event of the simulation engine
- * (see its own comment at the end of this file).
+ * library holds engine_step, one whole event of the simulation engine,
+ * and curve_chain, the managers' whole curve construction for a batch of
+ * cores (models, QoS target and local optimisation; see their own
+ * comments after minplus_solve).
  *
- * These are the one implementation of the solve and the step: repro
- * requires a working C compiler and fails its import without one.  The
- * references they are tested against are tests/oracles/node_graph.py
- * (the reduction) and tests/oracles/engine_step.py (the step).
+ * These are the one implementation of the solve, the step and the curve
+ * chain: repro requires a working C compiler and fails its import
+ * without one.  The references they are tested against are
+ * tests/oracles/node_graph.py (the reduction),
+ * tests/oracles/engine_step.py (the step) and
+ * tests/oracles/model_chain.py (the curve chain).
  *
  * Exactness: curves hold only finite values or +inf, never NaN.  On such
  * inputs "v < o ? v : o" is np.minimum, every cell is one IEEE add and a
- * minimum is exact in any order, so both kernels return exactly what the
- * node-graph reference's NumPy combine returns.  Built with
+ * minimum is exact in any order, so the min-plus kernels return exactly
+ * what the node-graph reference's NumPy combine returns.  Built with
  * -ffp-contract=off and without -ffast-math so that the compiler keeps
  * those semantics.
  */
@@ -290,4 +294,139 @@ ptrdiff_t engine_step(double *lanes, ptrdiff_t n, double interval, ptrdiff_t n_i
     pending[j] = 0.0;
     lanes[LANES * n] = dt;
     return j;
+}
+
+/* Slots of the curve chain's plan (repro.core.local_opt.Plan): the
+ * system's grid shape, its baseline point (way index 0-based), the
+ * manager's core-size and VF choices and its way pin (0: none), then the
+ * chosen core-size and VF indices. */
+enum { NC, NF, NW, BASE_C, BASE_F, BASE_W, NC_SEL, NF_SEL, PIN_WAYS, PLAN };
+
+/* Fields of an input row (repro.core.local_opt.ROW_FIELDS and
+ * repro.core.batch_opt.MODEL_FIELDS): the select stage's slack, per-core
+ * way pin (0: the plan's) and QoS target (written), then the model
+ * stage's counter-snapshot fields, then mpki[W] and mlp[C * W]. */
+enum { ROW_SLACK, ROW_PIN, ROW_TARGET, SELECT_FIELDS };
+enum {
+    ROW_ILP = SELECT_FIELDS, ROW_CORE, ROW_EXEC, ROW_LAT, ROW_EDYN, ROW_ACC, ROW_INSTR,
+    MODEL_FIELDS
+};
+
+/* curve_chain's results: 0, or the failed check (the Python messages are
+ * repro.core.local_opt._ERRORS). */
+enum { OK, BAD_ILP, BAD_SLACK, BAD_CORE, BAD_STRIDE };
+
+/* One core's TPI and EPI grids (C, F, W) from its model row, over the
+ * model constants (repro.core.local_opt, from perf_model.tpi_constants
+ * and energy_model.epi_constants): freqs[F],
+ * 1 / width[C], ILP floors[C], speedups - floors[C], EPI factors[C],
+ * vr2[F], leak[C * F], way-static[W], then the LLC access, DRAM access
+ * and DRAM background coefficients. */
+static void model_grids(const int64_t *plan, const double *k, const double *row,
+                        double *restrict tpi, double *restrict epi)
+{
+    const int64_t C = plan[NC], F = plan[NF], W = plan[NW];
+    const double *freqs = k, *inv_width = freqs + F, *floors = inv_width + C,
+                 *dspeed = floors + C, *epi_factor = dspeed + C, *vr2 = epi_factor + C,
+                 *leak = vr2 + F, *way_static = leak + C * F;
+    const double llc_access = way_static[W], mem_access = way_static[W + 1],
+                 background = way_static[W + 2];
+    const double *mpki = row + MODEL_FIELDS, *mlp = mpki + W;
+    const double ilp = row[ROW_ILP], e = row[ROW_EXEC], lat = row[ROW_LAT];
+    const int64_t cur = (int64_t)row[ROW_CORE];
+    const double cur_factor = floors[cur] + dspeed[cur] * ilp;
+    const double lae_api = llc_access * (row[ROW_ACC] / row[ROW_INSTR]);
+    for (int64_t c = 0; c < C; c++) {
+        double x = (e * (floors[c] + dspeed[c] * ilp)) / cur_factor;
+        x = x <= inv_width[c] ? inv_width[c] : x; /* np.maximum: NaN stays */
+        const double dyn = row[ROW_EDYN] * epi_factor[c];
+        for (int64_t f = 0; f < F; f++) {
+            const double ef = x / freqs[f], d = dyn * vr2[f], lk = leak[c * F + f];
+            double *restrict t = tpi + (c * F + f) * W, *restrict en = epi + (c * F + f) * W;
+            for (int64_t w = 0; w < W; w++) {
+                const double mpi = mpki[w] / 1000.0;
+                const double v = ef + (mpi / mlp[c * W + w]) * lat;
+                t[w] = v;
+                en[w] = ((d + lk * v) + (lae_api + way_static[w] * v))
+                        + (mem_access * mpi + background * v);
+            }
+        }
+    }
+}
+
+/* One core's QoS target and local optimisation over its (C, F, W) grids:
+ * per way count, the first minimum (np.argmin's rule: the first NaN if
+ * there is one) of the QoS-masked EPI over the chosen (core size, VF)
+ * pairs in index order.  A pinned-out or all-infeasible way keeps index
+ * 0: +inf EPI at the first chosen core size and VF. */
+static void select_curve(const int64_t *plan, double *row, const double *tpi,
+                         const double *epi, double *out_epi, int64_t *out_f,
+                         int64_t *out_c, double tol)
+{
+    const int64_t F = plan[NF], W = plan[NW], nc = plan[NC_SEL], nf = plan[NF_SEL];
+    const int64_t *cores = plan + PLAN, *freqs = cores + nc;
+    const double base = tpi[(plan[BASE_C] * F + plan[BASE_F]) * W + plan[BASE_W]];
+    const double target = (base * (1.0 + row[ROW_SLACK])) * (1.0 + tol);
+    const int64_t pin = row[ROW_PIN] != 0.0 ? (int64_t)row[ROW_PIN] : plan[PIN_WAYS];
+    row[ROW_TARGET] = target;
+    for (int64_t w = 0; w < W; w++) {
+        int64_t best = 0;
+        double m = INFINITY;
+        if (!pin || w == pin - 1) {
+            for (int64_t k = 0; k < nc * nf; k++) {
+                const int64_t at = (cores[k / nf] * F + freqs[k % nf]) * W + w;
+                const double v = tpi[at] <= target ? epi[at] : INFINITY;
+                if (k == 0 || !(v >= m)) { /* a smaller value or a NaN */
+                    m = v;
+                    best = k;
+                    if (v != v)
+                        break;
+                }
+            }
+        }
+        out_epi[w] = m;
+        out_f[w] = freqs[best % nf];
+        out_c[w] = cores[best / nf];
+    }
+}
+
+/* The managers' curve construction for n cores in one call.  rows holds
+ * n input rows of stride doubles.  With the model constants k, rows are
+ * model rows and the call first writes every core's TPI and EPI grids to
+ * grids (2, n, C, F, W: TPI then EPI); without (k NULL), rows hold the
+ * select fields only and grids already holds the grids (the oracle's).
+ * Then each core's QoS target goes to its row and its curve to epi
+ * (n, W) and idx (2, n, W: VF then core-size indices).  Every input is
+ * checked before anything is written: each ILP index in [0, 1] and core
+ * index in range (model rows), then each slack non-negative.
+ *
+ * Exactness: each grid cell is the NumPy reference's expression
+ * (tests/oracles/model_chain.py) in its operation order, one IEEE
+ * operation at a time (built with -ffp-contract=off, so none is fused),
+ * and the target and the argmin follow qos_target_tpi and np.argmin. */
+ptrdiff_t curve_chain(const int64_t *plan, const double *k, ptrdiff_t n, double *rows,
+                      ptrdiff_t stride, double *grids, double *epi, int64_t *idx, double tol)
+{
+    const int64_t C = plan[NC], W = plan[NW], cells = C * plan[NF] * W;
+    if (stride != (k ? MODEL_FIELDS + W + C * W : SELECT_FIELDS))
+        return BAD_STRIDE;
+    for (ptrdiff_t i = 0; k && i < n; i++) {
+        const double ilp = rows[i * stride + ROW_ILP], core = rows[i * stride + ROW_CORE];
+        if (!(ilp >= 0.0 && ilp <= 1.0))
+            return BAD_ILP;
+        if (!(core >= 0.0 && core < (double)C) || core != (double)(int64_t)core)
+            return BAD_CORE;
+    }
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (!(rows[i * stride + ROW_SLACK] >= 0.0))
+            return BAD_SLACK;
+    double *tpi = grids, *epi_grid = grids + n * cells;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double *row = rows + i * stride;
+        if (k)
+            model_grids(plan, k, row, tpi + i * cells, epi_grid + i * cells);
+        select_curve(plan, row, tpi + i * cells, epi_grid + i * cells, epi + i * W,
+                     idx + i * W, idx + (n + i) * W, tol);
+    }
+    return OK;
 }

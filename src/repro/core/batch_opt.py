@@ -1,17 +1,29 @@
 """Curve construction: the managers' one model chain.
 
 Every manager builds its per-core energy curves
-(:class:`~repro.core.curves.EnergyCurve`) here: counter snapshots and ATD
-miss curves are stacked into ``(N, C, F, W)`` tensors, then the performance
-and energy models, the QoS targets and the local optimisation each run once
-over the whole batch.  The realistic coordinated managers pass a batch of
-one (the invoking core); oracle mode and the UCP+DVFS strawman pass every
+(:class:`~repro.core.curves.EnergyCurve`) here, in one compiled call per
+batch: :func:`~repro.core.local_opt.local_optimize_batch` runs
+``curve_chain`` (``_minplus.c``) over one input row per core.  For the
+analytical managers a row is a :data:`MODEL_FIELDS` row -- the QoS slack,
+the way pin, the counter-snapshot fields, the sampled ATD miss curve and
+the MLP model's ``(C, W)`` estimate -- and the call computes the
+execution-CPI rescale, the TPI grid (:mod:`repro.core.perf_model`), the
+EPI grid (:mod:`repro.core.energy_model`), the baseline-anchored QoS
+target (:mod:`repro.core.qos`) and the local optimisation
+(:mod:`repro.core.local_opt`).  The oracle path hands the call the
+records' exact grids instead and runs the same target and local
+optimisation.  The realistic coordinated managers pass a batch of one
+(the invoking core); oracle mode and the UCP+DVFS strawman pass every
 core they decide.
 
-Bit-identity contract: the batch axis is purely a leading dimension, so
+Bit-identity contract: a core's curve depends on its own row only, and
 each produced curve -- and every metered grid-point charge -- equals the
-per-core chain kept in ``tests/oracles/model_chain.py`` with ``==`` on
-every number.  ``tests/test_batch_opt.py`` enforces this.
+per-core NumPy chain kept in ``tests/oracles/model_chain.py`` with ``==``
+on every number.  ``tests/test_batch_opt.py`` enforces this.
+
+Thread safety: the model constants and the :class:`~repro.core.local_opt.Plan`
+are read-only once built; the rows, the grids and the outputs belong to
+the call, so concurrent replays share no mutable buffer.
 """
 
 from __future__ import annotations
@@ -20,28 +32,60 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.curves import EnergyCurve
-from repro.core.energy_model import predict_epi_grid_batch
-from repro.core.local_opt import DimSpec, local_optimize_batch
+from repro.core.local_opt import ROW_FIELDS, DimSpec, local_optimize_batch, plan_of
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.perf_model import predict_tpi_grid_batch
-from repro.core.qos import qos_targets_from_grids
 from repro.util.validation import require
 
-__all__ = ["stack_mlp_hats", "analytical_curves_batch", "oracle_curves_batch"]
+__all__ = ["MODEL_FIELDS", "model_rows", "analytical_curves_batch", "oracle_curves_batch"]
+
+#: The scalar fields of a model row, in ``curve_chain``'s order:
+#: :data:`~repro.core.local_opt.ROW_FIELDS`, then the counter snapshot's.
+#: The sampled miss curve (``W``) and the MLP estimate (``C * W``) follow.
+MODEL_FIELDS = ROW_FIELDS + (
+    "ilp_index_est",
+    "core_index",
+    "exec_cpi",
+    "avg_mem_latency_ns",
+    "epi_dyn_est_nj",
+    "llc_accesses",
+    "instructions",
+)
 
 
-def stack_mlp_hats(
+def model_rows(
     system: SystemConfig,
     model,
     snapshots: list,
+    mpki_sampled: list,
     mlp_sampled: list,
+    slacks: list[float],
+    pin_ways_per_core: list[int] | None = None,
 ) -> np.ndarray:
-    """``(N, C, W)`` MLP estimates: the model's per-core outputs, stacked.
-
-    Model evaluation itself is cheap (a fill or a cast); stacking keeps the
-    exact per-core arrays so downstream slices stay bit-identical.
-    """
-    return np.stack([model.mlp_hat(system, s, m) for s, m in zip(snapshots, mlp_sampled)])
+    """One model row per core: :data:`MODEL_FIELDS` (target 0 until the
+    call writes it), the sampled miss curve, then ``model.mlp_hat``'s
+    ``(C, W)`` estimate, row-major."""
+    n_c, n_w = system.ncore_sizes, system.llc.ways
+    k = len(MODEL_FIELDS)
+    rows = np.empty((len(snapshots), k + n_w + n_c * n_w))
+    pins = (0,) * len(snapshots) if pin_ways_per_core is None else pin_ways_per_core
+    for row, snap, mpki, mlp, slack, pin in zip(
+        rows, snapshots, mpki_sampled, mlp_sampled, slacks, pins
+    ):
+        row[:k] = (
+            slack,
+            pin,
+            0.0,
+            snap.ilp_index_est,
+            snap.core_index,
+            snap.exec_cpi,
+            snap.avg_mem_latency_ns,
+            snap.epi_dyn_est_nj,
+            snap.llc_accesses,
+            snap.instructions,
+        )
+        row[k : k + n_w] = mpki
+        row[k + n_w :].reshape(n_c, n_w)[...] = model.mlp_hat(system, snap, mlp)
+    return rows
 
 
 def analytical_curves_batch(
@@ -56,32 +100,29 @@ def analytical_curves_batch(
     meter: OverheadMeter | None = None,
     pin_ways_per_core: list[int] | None = None,
 ) -> list[EnergyCurve]:
-    """Analytical-model curves for ``N`` cores in one vectorised pass.
+    """Analytical-model curves for ``N`` cores in one compiled call.
 
     Counter snapshots and sampled ATD miss curves in, QoS-pruned energy
     curves out (``CoordinatedManager._analytical_curve`` is a batch of
     one).  ``pin_ways_per_core`` restricts each core to a fixed partition
     (the uncoordinated UCP+DVFS manager's protocol).
     """
+    n = len(core_ids)
     require(
-        len(core_ids) == len(snapshots) == len(mpki_sampled) == len(mlp_sampled) == len(slacks),
+        n == len(snapshots) == len(mpki_sampled) == len(mlp_sampled) == len(slacks),
         "batched inputs must be parallel lists",
     )
-    mpki_batch = np.stack([np.asarray(m, dtype=float) for m in mpki_sampled])
-    mlp_batch = stack_mlp_hats(system, model, snapshots, mlp_sampled)
-    tpi_batch = predict_tpi_grid_batch(system, snapshots, mpki_batch, mlp_batch)
-    epi_batch = predict_epi_grid_batch(system, snapshots, mpki_batch, tpi_batch)
-    targets = qos_targets_from_grids(system, tpi_batch, slacks)
-    return local_optimize_batch(
-        system,
-        core_ids,
-        tpi_batch,
-        epi_batch,
-        targets,
-        dims,
-        meter,
-        pin_ways_per_core=pin_ways_per_core,
+    if pin_ways_per_core is not None:
+        require(len(pin_ways_per_core) == n, "one pinned way count per core")
+        require(
+            all(1 <= p <= system.llc.ways for p in pin_ways_per_core),
+            "pinned way count out of range",
+        )
+    rows = model_rows(
+        system, model, snapshots, mpki_sampled, mlp_sampled, slacks, pin_ways_per_core
     )
+    grids = np.empty((2, n, *plan_of(system, dims).shape))
+    return local_optimize_batch(system, core_ids, rows, grids, dims, meter)
 
 
 def oracle_curves_batch(
@@ -92,16 +133,22 @@ def oracle_curves_batch(
     dims: DimSpec,
     meter: OverheadMeter | None = None,
 ) -> list[EnergyCurve]:
-    """Oracle ("perfect models") curves for ``N`` cores in one pass.
+    """Oracle ("perfect models") curves for ``N`` cores in one compiled call.
 
     The oracle path reads each core's *upcoming* record's exact ``(C, F, W)``
-    grids, so batching is a stack plus one ``local_optimize_batch`` call.
+    grids, so batching is a stack plus the target and local optimisation.
     """
+    n = len(core_ids)
+    require(n == len(records) == len(slacks), "batched inputs must be parallel lists")
+    shape = plan_of(system, dims).shape
     require(
-        len(core_ids) == len(records) == len(slacks),
-        "batched inputs must be parallel lists",
+        all(np.shape(r.tpi) == shape == np.shape(r.epi) for r in records),
+        "grid shape mismatch",
     )
-    tpi_batch = np.stack([np.asarray(r.tpi, dtype=float) for r in records])
-    epi_batch = np.stack([np.asarray(r.epi, dtype=float) for r in records])
-    targets = qos_targets_from_grids(system, tpi_batch, slacks)
-    return local_optimize_batch(system, core_ids, tpi_batch, epi_batch, targets, dims, meter)
+    grids = np.empty((2, n, *shape))
+    for i, rec in enumerate(records):
+        grids[0, i] = rec.tpi
+        grids[1, i] = rec.epi
+    rows = np.zeros((n, len(ROW_FIELDS)))
+    rows[:, 0] = slacks
+    return local_optimize_batch(system, core_ids, rows, grids, dims, meter)

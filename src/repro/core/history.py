@@ -142,7 +142,7 @@ class HistoryAwareManager(CoordinatedManager):
             [entry.mpki_sampled],
             [entry.mlp_sampled],
             [sim.slack(core_id)],
-            self._dims(system),
+            self._dimspec,
             self.meter,
         )[0]
 

@@ -8,10 +8,20 @@ For every way allocation ``w``, find the cheapest QoS-feasible setting:
 * Paper II: the ``(c*(w), f*(w))`` pair minimising predicted energy among
   all QoS-feasible combinations.
 
-Both collapse to the same vectorised computation over the ``(C, F, W)``
-grids, restricted to the dimensions the manager controls
-(:class:`DimSpec`).  The result is the per-core :class:`EnergyCurve` handed
-to the global optimiser.
+Both collapse to the same computation over the ``(C, F, W)`` grids,
+restricted to the dimensions the manager controls (:class:`DimSpec`): per
+way count, the first minimum of the QoS-masked EPI over the chosen
+``(c, f)`` pairs in index order.  The result is the per-core
+:class:`EnergyCurve` handed to the global optimiser.
+
+:func:`local_optimize_batch` is the one implementation: one call to the
+compiled ``curve_chain`` (``_minplus.c``, loaded through
+:func:`repro.core.minplus.shared`) computes every core's QoS target
+(:mod:`repro.core.qos`) and its curve, after the performance and energy
+models' grids (:mod:`repro.core.perf_model`,
+:mod:`repro.core.energy_model`) when handed model rows
+(:mod:`repro.core.batch_opt`).  Its NumPy reference is ``local_optimize``
+in ``tests/oracles/model_chain.py``.
 """
 
 from __future__ import annotations
@@ -21,11 +31,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SystemConfig
+from repro.core import minplus
 from repro.core.curves import EnergyCurve
+from repro.core.energy_model import epi_constants
 from repro.core.overhead_meter import OverheadMeter
+from repro.core.perf_model import tpi_constants
+from repro.core.qos import QOS_TOLERANCE
+from repro.util.identity_memo import identity_memo
 from repro.util.validation import require
 
-__all__ = ["DimSpec", "local_optimize_batch"]
+__all__ = ["DimSpec", "ROW_FIELDS", "Plan", "plan_of", "local_optimize_batch"]
+
+_kernel = minplus.shared()
+
+#: The fields of an input row the target and the local optimisation read,
+#: in ``curve_chain``'s order: the QoS slack, the core's own way pin (0:
+#: the :class:`DimSpec`'s) and the QoS target, which the call writes.
+ROW_FIELDS = ("slack", "pin", "target")
+
+#: ``curve_chain``'s failed checks, by its return value.
+_ERRORS = (
+    None,
+    "ilp_sensitivity must be in [0, 1]",
+    "slack must be non-negative",
+    "counter snapshot core index out of range",
+    "input rows do not match the grids",
+)
 
 
 @dataclass(frozen=True)
@@ -58,69 +89,109 @@ class DimSpec:
         )
 
 
+class Plan:
+    """A :class:`DimSpec` packed for ``curve_chain`` on one system.
+
+    ``plan`` is the int64 array the call reads: the grid shape ``(C, F,
+    W)``, the baseline point, the chosen core-size and VF counts, the way
+    pin (0: none), then the chosen indices.  Read-only once built.
+    """
+
+    __slots__ = ("shape", "points", "plan", "addr")
+
+    def __init__(self, system: SystemConfig, dims: DimSpec) -> None:
+        shape = (system.ncore_sizes, system.vf.nlevels, system.llc.ways)
+        cores, freqs = dims.cores(system), dims.freqs(system)
+        require(all(0 <= c < shape[0] for c in cores), "core-size index out of range")
+        require(all(0 <= f < shape[1] for f in freqs), "VF index out of range")
+        pin = 0 if dims.pin_ways is None else dims.pin_ways
+        require(0 <= pin <= shape[2], "pinned way count out of range")
+        self.shape = shape
+        #: Grid points one core's local optimisation evaluates (metered).
+        self.points = len(cores) * len(freqs) * shape[2]
+        head = (*shape, system.baseline_core_index, system.baseline_freq_index)
+        self.plan = np.array(
+            [*head, system.baseline_ways - 1, len(cores), len(freqs), pin, *cores, *freqs],
+            dtype=np.int64,
+        )
+        self.addr = self.plan.ctypes.data
+
+
+#: Per-system tables of :class:`Plan` by :class:`DimSpec`, memoised by the
+#: system's identity (each plan is read-only once built).
+_PLANS: dict[int, tuple] = {}
+
+
+def plan_of(system: SystemConfig, dims: DimSpec) -> Plan:
+    """The :class:`Plan` of ``dims`` on ``system``, built once per pair."""
+    plans = identity_memo(_PLANS, system, lambda s: {})
+    plan = plans.get(dims)
+    if plan is None:
+        plan = plans[dims] = Plan(system, dims)
+    return plan
+
+
+#: Per-system model constants (one read-only float64 buffer and its
+#: address), memoised by the system's identity.
+_CONSTANTS: dict[int, tuple] = {}
+
+
+def _build_constants(system: SystemConfig) -> tuple:
+    buf = np.concatenate(tpi_constants(system) + epi_constants(system))
+    return buf, buf.ctypes.data
+
+
 def local_optimize_batch(
     system: SystemConfig,
     core_ids: list[int],
-    tpi_batch: np.ndarray,
-    epi_batch: np.ndarray,
-    targets: np.ndarray,
+    rows: np.ndarray,
+    grids: np.ndarray,
     dims: DimSpec,
     meter: OverheadMeter | None = None,
-    pin_ways_per_core: list[int] | None = None,
 ) -> list[EnergyCurve]:
-    """Collapse stacked ``(N, C, F, W)`` grids into one curve per core.
+    """QoS targets and local optimisation of ``N`` cores in one compiled call.
 
-    One vectorised pass over all ``N`` cores' grids; a single core is a
-    batch of one.  Each slice's argmin runs over the flattened ``(c, f)``
-    axis in index order, so ties resolve to the lowest index exactly as a
-    per-core loop would (``tests/oracles/model_chain.py``), and the meter is
-    charged the same grid-point count per core.
+    ``rows`` holds one input row per core: :data:`ROW_FIELDS` rows, or the
+    model rows of :func:`repro.core.batch_opt.model_rows`, from which the
+    call first writes the performance and energy models' grids (over the
+    system's constants, built once per system).  ``grids`` is the call's
+    ``(2, N, C, F, W)`` float64 scratch, TPI then EPI: the grids it
+    optimises over, written by the call from model rows or else by the
+    caller.  Each core's target is written to its row's ``target`` field.
 
-    ``pin_ways_per_core`` restricts each core to its own single way count
-    (the uncoordinated UCP+DVFS manager hands every core a fixed partition);
-    it composes with -- and overrides -- ``dims.pin_ways``.
+    Per way count, the argmin runs over the chosen ``(c, f)`` pairs in
+    index order, so ties resolve to the lowest index exactly as
+    ``np.argmin`` over the flattened axis would, and the meter is charged
+    the same grid-point count per core.  A core's way pin (its row's
+    ``pin``, the uncoordinated UCP+DVFS manager's fixed partition)
+    overrides ``dims.pin_ways``.  The curves hold row views of one
+    ``(N, W)`` EPI buffer and one ``(2, N, W)`` int64 index buffer,
+    freshly allocated and owned only by these (frozen, never-mutated)
+    curves.
     """
-    require(tpi_batch.shape == epi_batch.shape, "grid shape mismatch")
-    require(tpi_batch.ndim == 4, "batched grids must be (N, C, F, W)")
-    n, n_c, n_f, n_w = tpi_batch.shape
-    require(len(core_ids) == n, "one core id per batched grid")
-
-    cores = np.asarray(dims.cores(system), dtype=int)
-    freqs = np.asarray(dims.freqs(system), dtype=int)
+    plan = plan_of(system, dims)
+    n = len(core_ids)
+    require(
+        grids.shape == (2, n, *plan.shape) and grids.dtype == np.float64, "grid shape mismatch"
+    )
+    require(
+        rows.ndim == 2 and len(rows) == n and rows.dtype == np.float64, "one input row per core"
+    )
+    require(rows.flags.c_contiguous and grids.flags.c_contiguous, "buffers must be contiguous")
+    constants = None
+    if rows.shape[1] != len(ROW_FIELDS):
+        constants = identity_memo(_CONSTANTS, system, _build_constants)[1]
+    ways = plan.shape[2]
+    epi = np.empty((n, ways))
+    idx = np.empty((2, n, ways), dtype=np.int64)
+    buffers = (rows.ctypes.data, rows.shape[1], grids.ctypes.data, epi.ctypes.data, idx.ctypes.data)
+    err = _kernel.curve_chain(plan.addr, constants, n, *buffers, QOS_TOLERANCE)
+    if err:
+        raise ValueError(_ERRORS[err])
     if meter is not None:
-        meter.charge_grid(n * len(cores) * len(freqs) * n_w)
-
-    idx = np.ix_(np.arange(n), cores, freqs, np.arange(n_w))
-    sub_tpi = tpi_batch[idx]
-    sub_epi = epi_batch[idx]
-    feasible = sub_tpi <= np.asarray(targets, dtype=float)[:, None, None, None]
-    masked = np.where(feasible, sub_epi, np.inf)
-
-    if pin_ways_per_core is not None:
-        keep = np.zeros((n, n_w), dtype=bool)
-        keep[np.arange(n), np.asarray(pin_ways_per_core, dtype=int) - 1] = True
-        masked = np.where(keep[:, None, None, :], masked, np.inf)
-    elif dims.pin_ways is not None:
-        keep = np.zeros(n_w, dtype=bool)
-        keep[dims.pin_ways - 1] = True
-        masked = np.where(keep[None, None, None, :], masked, np.inf)
-
-    flat = masked.reshape(n, -1, n_w)  # (N, C'*F', W)
-    best = np.argmin(flat, axis=1)  # (N, W)
-    epi = np.take_along_axis(flat, best[:, None, :], axis=1)[:, 0, :]
-    c_sel = cores[best // len(freqs)]
-    f_sel = freqs[best % len(freqs)]
-    # Infeasible columns keep inf epi; their (c, f) entries are meaningless
-    # but harmless because the global optimiser never selects them.
-    # Curves hold row views of the batch outputs: the arrays above are
-    # freshly allocated, owned only by these (frozen, never-mutated)
-    # curves, so per-row copies would buy nothing.
+        meter.charge_grid(n * plan.points)
+    freq_idx, core_idx = idx
     return [
-        EnergyCurve(
-            core_id=core_id,
-            epi=epi[i],
-            freq_idx=f_sel[i],
-            core_idx=c_sel[i],
-        )
+        EnergyCurve(core_id=core_id, epi=epi[i], freq_idx=freq_idx[i], core_idx=core_idx[i])
         for i, core_id in enumerate(core_ids)
     ]

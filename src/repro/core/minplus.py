@@ -11,10 +11,13 @@ first-minimum split.  The same library holds the simulation engine's
 event step, ``engine_step`` (see
 :class:`~repro.simulation.engine.core_state.CoreArrays`): the next
 interval completion, the advance of every active core and the completing
-core's retire, in one call over the engine's lane buffer.  :func:`load`
-compiles it with the interpreter's C compiler (``sysconfig``'s ``CC``,
-else ``cc``) and loads it with :mod:`ctypes`, so NumPy stays the
-package's only dependency.
+core's retire, in one call over the engine's lane buffer.  And it holds
+the managers' curve construction, ``curve_chain`` (see
+:func:`~repro.core.local_opt.local_optimize_batch`): for a batch of
+cores, the performance and energy models' grids, the QoS targets and the
+local optimisation, in one call.  :func:`load` compiles it with the
+interpreter's C compiler (``sysconfig``'s ``CC``, else ``cc``) and loads
+it with :mod:`ctypes`, so NumPy stays the package's only dependency.
 
 The library is cached in the package's ``__pycache__`` under a name hashed
 from the source bytes, the compiler command, :data:`CFLAGS` and the
@@ -24,14 +27,16 @@ name and installed with :func:`os.replace`, so processes that build at
 the same time each install a complete library.  When ``__pycache__`` is
 not writable, the library goes to a temporary directory of the process.
 
-The library is the one implementation of both the solve and the step, so
-a working C compiler is required: when no library can be built or loaded,
-:func:`load` raises :class:`ImportError` naming the compiler command and
-its error output, and importing :mod:`repro.core.packed_tree` or the
-engine fails with it.  The references the kernels are tested against live
-in ``tests/oracles/`` (``node_graph.py`` for the reduction,
-``engine_step.py`` for the step).  Both modules take the process's one
-handle from :func:`shared`, so the library is loaded once per process.
+The library is the one implementation of the solve, the step and the
+curve chain, so a working C compiler is required: when no library can be
+built or loaded, :func:`load` raises :class:`ImportError` naming the
+compiler command and its error output, and importing
+:mod:`repro.core.packed_tree`, :mod:`repro.core.local_opt` or the engine
+fails with it.  The references the kernels are tested against live in
+``tests/oracles/`` (``node_graph.py`` for the reduction,
+``engine_step.py`` for the step, ``model_chain.py`` for the curve
+chain).  All three modules take the process's one handle from
+:func:`shared`, so the library is loaded once per process.
 """
 
 from __future__ import annotations
@@ -119,6 +124,8 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     lib.minplus_solve.restype = size
     lib.engine_step.argtypes = [ptr, size, ctypes.c_double, size]
     lib.engine_step.restype = size
+    lib.curve_chain.argtypes = [ptr, ptr, size, ptr, size, ptr, ptr, ptr, ctypes.c_double]
+    lib.curve_chain.restype = size
     return lib
 
 
@@ -139,8 +146,11 @@ def load(cache_dir: str | None = None) -> ctypes.CDLL:
     ``engine_step(lanes, n, interval_instructions, n_idle)`` runs one
     engine event over an ``n``-core lane buffer, returns the completing
     core and writes the event's span after the lanes (the contract is in
-    :mod:`repro.simulation.engine.core_state`).  Arrays are passed as the
-    addresses of contiguous buffers.
+    :mod:`repro.simulation.engine.core_state`).  ``curve_chain(plan,
+    constants, n, rows, stride, grids, epi, idx, tolerance)`` builds ``n``
+    cores' curves and returns 0, or the number of the check an input
+    failed (the contract is in :mod:`repro.core.local_opt`).  Arrays are
+    passed as the addresses of contiguous buffers.
     """
     try:
         return _library(CACHE_DIR if cache_dir is None else cache_dir)

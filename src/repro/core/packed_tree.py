@@ -317,6 +317,10 @@ class PackedReduction:
                 return
         self._write_leaf(slot, curve)
 
+    def holds(self, slot: int, curve: EnergyCurve) -> bool:
+        """True when ``curve`` is the very object installed at ``slot``."""
+        return self._held[slot] is curve
+
     def set_leaves(self, curves: list[EnergyCurve]) -> None:
         """Install one curve per leaf slot, in slot order (oracle refresh)."""
         require(len(curves) == self.nleaves, "need exactly one curve per leaf")

@@ -5,10 +5,11 @@
   :class:`~repro.core.packed_tree.PackedReduction`;
 * :mod:`tests.oracles.reference_manager` -- the recompute-everything
   coordinated-manager pipeline and the node-graph clustered manager;
-* :mod:`tests.oracles.model_chain` -- the per-core model chain
+* :mod:`tests.oracles.model_chain` -- the per-core NumPy model chain
   (``exec_cpi_estimate``, ``predict_tpi_grid``, ``predict_epi_grid``,
-  ``qos_target_tpi``, ``local_optimize``), the golden reference of
-  :mod:`repro.core.batch_opt` and the batched model kernels;
+  ``qos_target_tpi``, ``local_optimize``), with its own system constants
+  and local optimisation, the golden reference of the compiled curve
+  chain behind :mod:`repro.core.batch_opt`;
 * :mod:`tests.oracles.legacy_sim` -- the frozen pre-refactor simulator,
   the golden reference of :mod:`repro.simulation.engine`;
 * :mod:`tests.oracles.engine_step` -- the scalar per-event engine step
@@ -27,8 +28,9 @@
 
 None of them is on a production path; tests and the ``tools/bench_*``
 speed-up benchmarks import them with the repository root on ``sys.path``.
-The packed reduction's solve and the engine step have one implementation
-each, in the compiled library ``src/repro/core/_minplus.c`` (a working C
-compiler is required); ``node_graph`` and ``engine_step`` are the
-references they are held to.
+The packed reduction's solve, the engine step and the managers' curve
+chain have one implementation each, in the compiled library
+``src/repro/core/_minplus.c`` (a working C compiler is required);
+``node_graph``, ``engine_step`` and ``model_chain`` are the references
+they are held to.
 """

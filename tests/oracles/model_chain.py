@@ -1,10 +1,12 @@
-"""The per-core model chain: the reference of the batched curve builders.
+"""The per-core model chain: the reference of the compiled curve chain.
 
 The production managers build every energy curve through
 :func:`repro.core.batch_opt.analytical_curves_batch` and
-:func:`~repro.core.batch_opt.oracle_curves_batch`, which stack ``N``
-cores' inputs into ``(N, C, F, W)`` tensors (the realistic path passes a
-batch of one).  These functions are the same chain one core at a time:
+:func:`~repro.core.batch_opt.oracle_curves_batch`, one compiled
+``curve_chain`` call per batch (``src/repro/core/_minplus.c``).  These
+functions are the same chain one core at a time, in NumPy, with their own
+system constants and their own local optimisation, so a drift in
+production cannot leak into its reference:
 
 * :func:`exec_cpi_estimate` -- execution CPI per core size from one
   counter snapshot;
@@ -15,8 +17,8 @@ batch of one).  These functions are the same chain one core at a time:
 * :func:`analytical_curve` -- the chain composed, exactly as the
   coordinated manager evaluated it per core before batching.
 
-``tests/test_batch_opt.py`` compares every ``[n]`` slice of the batched
-functions with these per-core calls with ``==``, and the reference
+``tests/test_batch_opt.py`` compares the compiled call's grids, targets
+and curves with these per-core calls with ``==``, and the reference
 pipeline (``tests/oracles/reference_manager.py``) replays whole runs
 through :func:`analytical_curve`.
 """
@@ -27,12 +29,11 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.curves import EnergyCurve
-from repro.core.energy_model import _system_constants
-from repro.core.local_opt import DimSpec, local_optimize_batch
+from repro.core.local_opt import DimSpec
 from repro.core.overhead_meter import OverheadMeter
-from repro.core.perf_model import _freqs_of
 from repro.core.qos import QOS_TOLERANCE
 from repro.cpu.counters import CounterSnapshot
+from repro.cpu.dvfs import voltage_ratio, voltage_ratio_sq
 from repro.cpu.microarch import ilp_cpi_factor
 from repro.util.validation import require
 
@@ -62,7 +63,7 @@ def exec_cpi_estimate(
     for ci, core in enumerate(system.core_sizes):
         factor = ilp_cpi_factor(core, snapshot.ilp_index_est)
         exec_cpi = snapshot.exec_cpi * factor / cur_factor
-        out[ci] = max(exec_cpi, 1.0 / core.width)
+        out[ci] = np.maximum(exec_cpi, 1.0 / core.width)
     return out
 
 
@@ -73,7 +74,7 @@ def predict_tpi_grid(
     mlp_hat: np.ndarray,
 ) -> np.ndarray:
     """Predicted ``TPI[c, f, w]`` (ns/instr) for the next interval."""
-    freqs = _freqs_of(system)
+    freqs = system.vf.freqs_array()
     exec_cpi = exec_cpi_estimate(system, snapshot)  # (C,)
     mpi = np.asarray(mpki_hat, dtype=float) / 1000.0  # (W,)
     mem_tpi = (mpi[None, :] / mlp_hat) * snapshot.avg_mem_latency_ns  # (C, W)
@@ -87,7 +88,10 @@ def predict_epi_grid(
     tpi_hat: np.ndarray,
 ) -> np.ndarray:
     """Predicted ``EPI[c, f, w]`` (nJ/instr) for the next interval."""
-    vr, vr2, epi_factors, leak_factors = _system_constants(system)
+    freqs = system.vf.freqs_array()
+    vr, vr2 = voltage_ratio(system.vf, freqs), voltage_ratio_sq(system.vf, freqs)
+    epi_factors = np.array([c.epi_factor for c in system.core_sizes])
+    leak_factors = np.array([c.leak_factor for c in system.core_sizes])
     ways = np.arange(1, len(mpki_hat) + 1, dtype=float)
     mpi = np.asarray(mpki_hat, dtype=float) / 1000.0
     api = snapshot.llc_accesses / snapshot.instructions
@@ -137,19 +141,35 @@ def local_optimize(
 ) -> EnergyCurve:
     """Collapse ``(C, F, W)`` grids into an :class:`EnergyCurve` over ``w``.
 
-    Thin wrapper over :func:`local_optimize_batch` with a batch of one, so
-    the single-core and batched paths can never drift apart.
+    Per way count, ``np.argmin`` over the flattened ``(c, f)`` choices in
+    index order: the first minimum (the first NaN if there is one), index 0
+    for an all-infeasible column.  Charges the meter the grid points
+    evaluated.
     """
+    require(tpi_grid.shape == epi_grid.shape, "grid shape mismatch")
     require(tpi_grid.ndim == 3, "grids must be (C, F, W)")
-    return local_optimize_batch(
-        system,
-        [core_id],
-        tpi_grid[None, ...],
-        epi_grid[None, ...],
-        np.asarray([target_tpi], dtype=float),
-        dims,
-        meter,
-    )[0]
+    n_w = tpi_grid.shape[2]
+    cores = np.asarray(dims.cores(system), dtype=int)
+    freqs = np.asarray(dims.freqs(system), dtype=int)
+    if meter is not None:
+        meter.charge_grid(len(cores) * len(freqs) * n_w)
+
+    sub_tpi = tpi_grid[np.ix_(cores, freqs, np.arange(n_w))]
+    sub_epi = epi_grid[np.ix_(cores, freqs, np.arange(n_w))]
+    masked = np.where(sub_tpi <= target_tpi, sub_epi, np.inf)
+    if dims.pin_ways is not None:
+        keep = np.zeros(n_w, dtype=bool)
+        keep[dims.pin_ways - 1] = True
+        masked = np.where(keep[None, None, :], masked, np.inf)
+
+    flat = masked.reshape(-1, n_w)  # (C'*F', W)
+    best = np.argmin(flat, axis=0)  # (W,)
+    return EnergyCurve(
+        core_id=core_id,
+        epi=flat[best, np.arange(n_w)],
+        freq_idx=freqs[best % len(freqs)],
+        core_idx=cores[best // len(freqs)],
+    )
 
 
 def analytical_curve(

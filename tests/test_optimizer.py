@@ -26,7 +26,7 @@ from repro.core.overhead_meter import (
     COST_GRID_POINT,
     OverheadMeter,
 )
-from repro.core.qos import qos_targets_from_grids
+from repro.core.local_opt import ROW_FIELDS, local_optimize_batch
 from tests.oracles.model_chain import local_optimize, qos_target_tpi
 from tests.oracles.node_graph import ReductionTree, global_optimize
 
@@ -310,21 +310,30 @@ class TestQosTarget:
         assert qos_target_tpi(system, tpi, 0.0, tolerance=0.0) == pytest.approx(1.0)
         assert qos_target_tpi(system, tpi, 0.0) == pytest.approx(1.0 + QOS_TOLERANCE)
 
+    @staticmethod
+    def _compiled_targets(system, tpi, slacks):
+        """The targets the compiled call writes back to its input rows."""
+        rows = np.zeros((len(tpi), len(ROW_FIELDS)))
+        rows[:, ROW_FIELDS.index("slack")] = slacks
+        grids = np.stack([tpi, np.ones_like(tpi)])
+        local_optimize_batch(system, list(range(len(tpi))), rows, grids, DimSpec())
+        return rows[:, ROW_FIELDS.index("target")]
+
     def test_batched_targets_equal_per_core(self):
         """The managers' batched targets are the per-core targets, bit for bit."""
         system = default_system(4)
         rng = np.random.default_rng(3)
         tpi = rng.uniform(0.2, 5.0, size=(64, 3, system.vf.nlevels, 16))
         slacks = rng.choice([0.0, 0.05, 0.1, 0.3, 0.5], size=64).tolist()
-        got = qos_targets_from_grids(system, tpi, slacks)
+        got = self._compiled_targets(system, tpi, slacks)
         assert got.tolist() == [qos_target_tpi(system, t, s) for t, s in zip(tpi, slacks)]
 
     def test_rejects_negative_slack(self):
         system = default_system(4)
         with pytest.raises(ValueError):
             qos_target_tpi(system, np.ones((3, system.vf.nlevels, 16)), -0.1)
-        with pytest.raises(ValueError):
-            qos_targets_from_grids(system, np.ones((2, 3, system.vf.nlevels, 16)), [0.0, -0.1])
+        with pytest.raises(ValueError, match="slack must be non-negative"):
+            self._compiled_targets(system, np.ones((2, 3, system.vf.nlevels, 16)), [0.0, -0.1])
 
 
 class TestOverheadMeter:

@@ -76,7 +76,7 @@ def main() -> None:
     # One core's decision is a batch of one: model chain, QoS target at
     # strict baseline QoS (slack 0), then the per-way local optimisation.
     (curve,) = analytical_curves_batch(
-        system, Model2, [0], [snap], [lookup.mpki_sampled],
+        system, Model2, [snap], [lookup.mpki_sampled],
         [lookup.mlp_sampled], [0.0],
         DimSpec(core_indices=(system.baseline_core_index,)),
     )

@@ -16,6 +16,9 @@ optimisation.  The realistic coordinated managers pass a batch of one
 (the invoking core); oracle mode and the UCP+DVFS strawman pass every
 core they decide.
 
+Curves carry no core label: each comes back in its row's position, and
+the caller places it by leaf slot.
+
 Bit-identity contract: a core's curve depends on its own row only, and
 each produced curve -- and every metered grid-point charge -- equals the
 per-core NumPy chain kept in ``tests/oracles/model_chain.py`` with ``==``
@@ -91,7 +94,6 @@ def model_rows(
 def analytical_curves_batch(
     system: SystemConfig,
     model,
-    core_ids: list[int],
     snapshots: list,
     mpki_sampled: list,
     mlp_sampled: list,
@@ -107,9 +109,9 @@ def analytical_curves_batch(
     one).  ``pin_ways_per_core`` restricts each core to a fixed partition
     (the uncoordinated UCP+DVFS manager's protocol).
     """
-    n = len(core_ids)
+    n = len(snapshots)
     require(
-        n == len(snapshots) == len(mpki_sampled) == len(mlp_sampled) == len(slacks),
+        n == len(mpki_sampled) == len(mlp_sampled) == len(slacks),
         "batched inputs must be parallel lists",
     )
     if pin_ways_per_core is not None:
@@ -122,12 +124,11 @@ def analytical_curves_batch(
         system, model, snapshots, mpki_sampled, mlp_sampled, slacks, pin_ways_per_core
     )
     grids = np.empty((2, n, *plan_of(system, dims).shape))
-    return local_optimize_batch(system, core_ids, rows, grids, dims, meter)
+    return local_optimize_batch(system, rows, grids, dims, meter)
 
 
 def oracle_curves_batch(
     system: SystemConfig,
-    core_ids: list[int],
     records: list,
     slacks: list[float],
     dims: DimSpec,
@@ -138,8 +139,8 @@ def oracle_curves_batch(
     The oracle path reads each core's *upcoming* record's exact ``(C, F, W)``
     grids, so batching is a stack plus the target and local optimisation.
     """
-    n = len(core_ids)
-    require(n == len(records) == len(slacks), "batched inputs must be parallel lists")
+    n = len(records)
+    require(n == len(slacks), "batched inputs must be parallel lists")
     shape = plan_of(system, dims).shape
     require(
         all(np.shape(r.tpi) == shape == np.shape(r.epi) for r in records),
@@ -151,4 +152,4 @@ def oracle_curves_batch(
         grids[1, i] = rec.epi
     rows = np.zeros((n, len(ROW_FIELDS)))
     rows[:, 0] = slacks
-    return local_optimize_batch(system, core_ids, rows, grids, dims, meter)
+    return local_optimize_batch(system, rows, grids, dims, meter)

@@ -5,6 +5,12 @@ curve ``E*(w)`` -- for every way allocation the minimum predicted energy per
 instruction over the (QoS-feasible) frequency/core-size choices, remembering
 which ``(c*, f*)`` achieved it.  The global optimiser then only reasons about
 way allocations.
+
+A curve is a function of its content alone -- a core's counters, its
+sampled ATD curves and its QoS slack -- and carries no core label: the
+reduction knows which core a curve belongs to from the leaf slot it is
+installed at (slot ``j`` is core ``j``), so one curve object may serve
+every core whose content matches.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ __all__ = ["EnergyCurve"]
 class EnergyCurve:
     """``E*(w)`` with the argmin settings; infeasible ``w`` hold ``inf``."""
 
-    core_id: int
     epi: np.ndarray        # (W,) nJ/instr; np.inf where no feasible (c, f)
     freq_idx: np.ndarray   # (W,) int
     core_idx: np.ndarray   # (W,) int
@@ -40,7 +45,7 @@ class EnergyCurve:
         return int(len(self.epi))
 
     def same_curve(self, other: "EnergyCurve") -> bool:
-        """True when ``other`` is numerically this curve (``==`` per entry).
+        """True when ``other`` holds this curve's values (``==`` per entry).
 
         The persistent reduction tree uses this to decide whether a leaf can
         keep its combined subtrees: curves that compare equal here are fully
@@ -49,8 +54,7 @@ class EnergyCurve:
         if self is other:
             return True
         return (
-            self.core_id == other.core_id
-            and np.array_equal(self.epi, other.epi)
+            np.array_equal(self.epi, other.epi)
             and np.array_equal(self.freq_idx, other.freq_idx)
             and np.array_equal(self.core_idx, other.core_idx)
         )
@@ -61,7 +65,9 @@ class EnergyCurve:
         return int(self.core_idx[ways - 1]), int(self.freq_idx[ways - 1]), ways
 
     @staticmethod
-    def pinned(core_id: int, ways: int, core_idx: int, freq_idx: int, max_ways: int, epi: float = 0.0) -> "EnergyCurve":
+    def pinned(
+        ways: int, core_idx: int, freq_idx: int, max_ways: int, epi: float = 0.0
+    ) -> "EnergyCurve":
         """A curve feasible only at ``ways`` (e.g. a core with no statistics yet).
 
         The paper's RMA "keeps the baseline resource setting" for cores whose
@@ -75,4 +81,4 @@ class EnergyCurve:
         e[ways - 1] = epi
         f[ways - 1] = freq_idx
         c[ways - 1] = core_idx
-        return EnergyCurve(core_id=core_id, epi=e, freq_idx=f, core_idx=c)
+        return EnergyCurve(epi=e, freq_idx=f, core_idx=c)

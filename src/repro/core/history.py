@@ -120,6 +120,11 @@ class HistoryAwareManager(CoordinatedManager):
         super().on_scenario_event(core_id, kind)
         self.history.pop(core_id, None)
 
+    def _analytical_curve_memo(self, core_id: int) -> EnergyCurve:
+        """No memo: the curve also depends on the accumulated phase tables,
+        which every invocation updates."""
+        return self._analytical_curve(core_id)
+
     def _analytical_curve(self, core_id: int) -> EnergyCurve:
         sim, system = self.sim, self.sim.system
         snap = sim.completed_snapshot(core_id)
@@ -137,7 +142,6 @@ class HistoryAwareManager(CoordinatedManager):
         return analytical_curves_batch(
             system,
             self.model,
-            [core_id],
             [entry.snapshot],
             [entry.mpki_sampled],
             [entry.mlp_sampled],

@@ -11,8 +11,9 @@ For every way allocation ``w``, find the cheapest QoS-feasible setting:
 Both collapse to the same computation over the ``(C, F, W)`` grids,
 restricted to the dimensions the manager controls (:class:`DimSpec`): per
 way count, the first minimum of the QoS-masked EPI over the chosen
-``(c, f)`` pairs in index order.  The result is the per-core
-:class:`EnergyCurve` handed to the global optimiser.
+``(c, f)`` pairs in index order.  The result is one
+:class:`EnergyCurve` per input row, handed to the global optimiser, which
+places it by leaf slot.
 
 :func:`local_optimize_batch` is the one implementation: one call to the
 compiled ``curve_chain`` (``_minplus.c``, loaded through
@@ -143,13 +144,12 @@ def _build_constants(system: SystemConfig) -> tuple:
 
 def local_optimize_batch(
     system: SystemConfig,
-    core_ids: list[int],
     rows: np.ndarray,
     grids: np.ndarray,
     dims: DimSpec,
     meter: OverheadMeter | None = None,
 ) -> list[EnergyCurve]:
-    """QoS targets and local optimisation of ``N`` cores in one compiled call.
+    """QoS targets and local optimisation of ``N`` rows in one compiled call.
 
     ``rows`` holds one input row per core: :data:`ROW_FIELDS` rows, or the
     model rows of :func:`repro.core.batch_opt.model_rows`, from which the
@@ -167,15 +167,13 @@ def local_optimize_batch(
     overrides ``dims.pin_ways``.  The curves hold row views of one
     ``(N, W)`` EPI buffer and one ``(2, N, W)`` int64 index buffer,
     freshly allocated and owned only by these (frozen, never-mutated)
-    curves.
+    curves, one per row in row order.
     """
     plan = plan_of(system, dims)
-    n = len(core_ids)
+    require(rows.ndim == 2 and rows.dtype == np.float64, "input rows must be 2-D float64")
+    n = len(rows)
     require(
         grids.shape == (2, n, *plan.shape) and grids.dtype == np.float64, "grid shape mismatch"
-    )
-    require(
-        rows.ndim == 2 and len(rows) == n and rows.dtype == np.float64, "one input row per core"
     )
     require(rows.flags.c_contiguous and grids.flags.c_contiguous, "buffers must be contiguous")
     constants = None
@@ -191,7 +189,4 @@ def local_optimize_batch(
     if meter is not None:
         meter.charge_grid(n * plan.points)
     freq_idx, core_idx = idx
-    return [
-        EnergyCurve(core_id=core_id, epi=epi[i], freq_idx=freq_idx[i], core_idx=core_idx[i])
-        for i, core_id in enumerate(core_ids)
-    ]
+    return [EnergyCurve(epi=epi[i], freq_idx=freq_idx[i], core_idx=core_idx[i]) for i in range(n)]

@@ -23,9 +23,10 @@ error-free statistics for the *upcoming* interval of every core -- the
 paper's "perfect models" configuration.
 
 Every decision runs one pipeline: curve construction goes through
-:mod:`repro.core.batch_opt`'s stacked ``(N, C, F, W)`` tensors, per-core
-curves are memoized on a digest of (counter snapshot, ATD miss curve, QoS
-slack), and the global reduction is a persistent
+:mod:`repro.core.batch_opt`'s stacked ``(N, C, F, W)`` tensors, curves
+are memoized in one table keyed on content alone (counter snapshot, ATD
+miss curve, QoS slack) and shared by every core, and the global reduction
+is a persistent
 :class:`~repro.core.packed_tree.PackedReduction` into which each decision
 re-installs only the leaves that can have changed (the invoking core's and
 those of cores touched by scenario events) and which only re-combines the
@@ -127,8 +128,9 @@ class StaticBaselineManager(ResourceManager):
         return None
 
 
-#: Curve-memo entries per manager before the table is dropped wholesale
-#: (phases x allocations x slack levels stays far below this in practice).
+#: Curve-memo entries per manager before the table is dropped wholesale at
+#: the start of a decision (phases x allocations x slack levels stays far
+#: below this in practice).
 MEMO_CAP = 8192
 
 
@@ -169,9 +171,8 @@ class CoordinatedManager(ResourceManager):
         self.curves: dict[int, EnergyCurve] = {}
         self._tree: PackedReduction | None = None
         self._memo: dict = {}
-        self._memo_shared: dict = {}
-        self._pinned_cache: dict[int, EnergyCurve] = {}
-        self._idle_cache: dict[int, EnergyCurve] = {}
+        self._pinned_leaf: EnergyCurve | None = None
+        self._idle_leaf: EnergyCurve | None = None
         self._alloc_cache: dict[tuple[int, int, int], Allocation] = {}
         self._alloc_out: tuple | None = None
         self._rec_digests: dict[tuple, tuple[bytes, bytes]] = {}
@@ -186,20 +187,32 @@ class CoordinatedManager(ResourceManager):
     def attach(self, sim) -> None:
         """Reset all run state and (re)build the persistent reduction."""
         super().attach(sim)
+        system = sim.system
         self.curves = {}
         self._memo = {}
-        self._memo_shared = {}
-        self._pinned_cache = {}
-        self._idle_cache = {}
+        # Run constants, one object each for every slot, so the reduction's
+        # identity check recognises an unchanged leaf: the baseline-pinned
+        # leaf of a core without statistics yet, and the idle leaf of a
+        # power-gated core, which releases all but the minimum ways (idle
+        # tenancy is the one case where shrinking a partition is free, so
+        # the global optimiser hands the freed capacity to active tenants).
+        base = system.baseline_allocation()
+        self._pinned_leaf = EnergyCurve.pinned(
+            ways=base.ways, core_idx=base.core, freq_idx=base.freq, max_ways=system.llc.ways,
+        )
+        self._idle_leaf = EnergyCurve.pinned(
+            ways=system.min_ways_per_core, core_idx=system.baseline_core_index,
+            freq_idx=system.baseline_freq_index, max_ways=system.llc.ways,
+        )
         self._alloc_cache = {}
         self._alloc_out = None
         # Per-run: a reattached manager may face a different database whose
         # records reuse the same (bench, phase) identities.
         self._rec_digests = {}
         self._repeat = {}
-        self._dimspec = self._dims(sim.system)
-        self._init_trees(sim.system)
-        self._stale_leaves = set(range(sim.system.ncores))
+        self._dimspec = self._dims(system)
+        self._init_trees(system)
+        self._stale_leaves = set(range(system.ncores))
 
     def _init_trees(self, system: SystemConfig) -> None:
         """Plan the persistent reduction: one capped stage per cluster plus
@@ -244,80 +257,26 @@ class CoordinatedManager(ResourceManager):
         snap = sim.completed_snapshot(core_id)
         rec = sim.completed_record(core_id)
         return analytical_curves_batch(
-            system, self.model, [core_id], [snap], [rec.mpki_sampled],
+            system, self.model, [snap], [rec.mpki_sampled],
             [rec.mlp_sampled], [sim.slack(core_id)], self._dimspec, self.meter,
         )[0]
-
-    def _pinned_curve(self, core_id: int) -> EnergyCurve:
-        """Baseline-pinned curve for a core without statistics yet."""
-        system = self.sim.system
-        base = system.baseline_allocation()
-        return EnergyCurve.pinned(
-            core_id,
-            ways=base.ways,
-            core_idx=base.core,
-            freq_idx=base.freq,
-            max_ways=system.llc.ways,
-        )
-
-    def _idle_curve(self, core_id: int) -> EnergyCurve:
-        """Curve for an idle (power-gated) core: release all but the minimum ways.
-
-        Idle tenancy is the one case where shrinking a partition is free, so
-        the global optimiser hands the freed capacity to the active tenants.
-        """
-        system = self.sim.system
-        return EnergyCurve.pinned(
-            core_id,
-            ways=system.min_ways_per_core,
-            core_idx=system.baseline_core_index,
-            freq_idx=system.baseline_freq_index,
-            max_ways=system.llc.ways,
-        )
-
-    # -- memoized / cached curve plumbing --------------------------------------
-    def _static_leaf(self, core_id: int, idle: bool) -> EnergyCurve:
-        """Cached pinned/idle curve: constant per (core, run), reused so the
-        reduction's identity check recognises unchanged leaves."""
-        cache = self._idle_cache if idle else self._pinned_cache
-        curve = cache.get(core_id)
-        if curve is None:
-            curve = self._idle_curve(core_id) if idle else self._pinned_curve(core_id)
-            cache[core_id] = curve
-        return curve
-
-    def _memo_put(self, key, curve: EnergyCurve, grid_points: int) -> None:
-        if len(self._memo) >= MEMO_CAP:
-            self._memo.clear()
-        self._memo[key] = (curve, grid_points)
 
     def _analytical_curve_memo(self, core_id: int) -> EnergyCurve:
         """Memoized `_analytical_curve`: phase-stable cores skip recomputation.
 
         The curve is a pure function of (counter snapshot, sampled ATD
-        curves, QoS slack) for a fixed manager, so the digest key fully
-        determines the output and a hit can never be stale: any QoS-ramp,
-        swap or allocation change alters the key.  Hits replay the modelled
-        grid cost so the metered overhead matches recomputing.
-
-        Memoization is two-level.  The per-core table serves repeat
-        invocations with the *same object*, which is what lets the
-        reduction tree recognise an unchanged leaf by identity.  Behind it,
-        a content-keyed table is shared across cores: the digest determines
-        the curve up to its ``core_id`` label (many-core scenario mixes run
-        the same phases at the same settings on many cores), so a
-        cross-core hit relabels the stored curve -- sharing its arrays --
-        charges the same replayed grid cost, and is bit-identical to
-        recomputing.  In front of both, a per-core repeat check: when the
-        core's completed snapshot and record are the very objects of its
-        last call and the slack is equal, the key is not even built -- the
-        held curve is returned with the same replayed grid cost.
-        Subclasses that override ``_analytical_curve`` (e.g. the
-        history-aware manager, whose curves also depend on accumulated
-        phase tables) bypass memoization entirely.
+        curves, QoS slack) for a fixed manager, so the content key fully
+        determines it and a hit can never be stale: any QoS-ramp, swap or
+        allocation change alters the key.  The table is shared by every
+        core (many-core scenario mixes run the same phases at the same
+        settings on many cores), so cores with equal content hold the same
+        curve object.  Hits replay the modelled grid cost, so the metered
+        overhead matches recomputing.  In front of the table, a per-core
+        repeat check: when the core's completed snapshot and record are the
+        very objects of its last call and the slack is equal, the key is not
+        even built -- the held curve is returned with the same replayed grid
+        cost.
         """
-        if type(self)._analytical_curve is not CoordinatedManager._analytical_curve:
-            return self._analytical_curve(core_id)
         sim = self.sim
         snap = sim.completed_snapshot(core_id)
         rec = sim.completed_record(core_id)
@@ -343,31 +302,15 @@ class CoordinatedManager(ResourceManager):
                 np.asarray(rec.mlp_sampled).tobytes(),
             )
             self._rec_digests[(rec.bench, rec.phase_key)] = digests
-        content = (snap, digests[0], digests[1], slack)
-        key = (core_id, content)
+        key = (snap, digests[0], digests[1], slack)
         hit = self._memo.get(key)
         if hit is not None:
             self.meter.charge_replay(grid_points=hit[1])
             return hit
-        shared = self._memo_shared.get(content)
-        if shared is not None:
-            curve, points = shared
-            if curve.core_id != core_id:
-                curve = EnergyCurve(
-                    core_id=core_id, epi=curve.epi,
-                    freq_idx=curve.freq_idx, core_idx=curve.core_idx,
-                )
-            self._memo_put(key, curve, points)
-            self.meter.charge_replay(grid_points=points)
-            return curve, points
         before = self.meter.grid_points
         curve = self._analytical_curve(core_id)
-        points = self.meter.grid_points - before
-        self._memo_put(key, curve, points)
-        if len(self._memo_shared) >= MEMO_CAP:
-            self._memo_shared.clear()
-        self._memo_shared[content] = (curve, points)
-        return curve, points
+        hit = self._memo[key] = (curve, self.meter.grid_points - before)
+        return hit
 
     def _oracle_leaves(self) -> dict[int, EnergyCurve]:
         """Oracle curves for every active core: memo hits plus one batched
@@ -377,28 +320,29 @@ class CoordinatedManager(ResourceManager):
         recs = sim.upcoming_records(ids)
         leaves: dict[int, EnergyCurve] = {}
         miss_ids: list[int] = []
+        miss_keys: list[tuple] = []
         miss_recs: list = []
         miss_slacks: list[float] = []
         for j, rec in zip(ids, recs):
             slack = sim.slack(j)
-            key = (j, "oracle", rec.bench, rec.phase_key, slack)
+            key = ("oracle", rec.bench, rec.phase_key, slack)
             hit = self._memo.get(key)
             if hit is not None:
                 leaves[j] = hit[0]
                 self.meter.charge_replay(grid_points=hit[1])
             else:
                 miss_ids.append(j)
+                miss_keys.append(key)
                 miss_recs.append(rec)
                 miss_slacks.append(slack)
         if miss_ids:
             before = self.meter.grid_points
             curves = oracle_curves_batch(
-                system, miss_ids, miss_recs, miss_slacks, self._dimspec, self.meter,
+                system, miss_recs, miss_slacks, self._dimspec, self.meter,
             )
             points = (self.meter.grid_points - before) // len(miss_ids)
-            for j, rec, slack, curve in zip(miss_ids, miss_recs, miss_slacks, curves):
-                self._memo_put((j, "oracle", rec.bench, rec.phase_key, slack),
-                               curve, points)
+            for j, key, curve in zip(miss_ids, miss_keys, curves):
+                self._memo[key] = (curve, points)
                 leaves[j] = curve
         return leaves
 
@@ -417,14 +361,17 @@ class CoordinatedManager(ResourceManager):
         elif self.sim.is_active(core_id):
             curve = self.curves.get(core_id)
             if curve is None:
-                return self._static_leaf(core_id, idle=False)
+                return self._pinned_leaf
         else:
             curve = None
-        return curve if curve is not None else self._static_leaf(core_id, idle=True)
+        return curve if curve is not None else self._idle_leaf
 
     def _begin_decision(self, core_id: int) -> dict[int, EnergyCurve] | None:
-        """Shared invocation prologue: meter, curve refresh, oracle leaves."""
+        """Shared invocation prologue: meter, memo cap, curve refresh,
+        oracle leaves."""
         self.meter.begin_invocation()
+        if len(self._memo) >= MEMO_CAP:
+            self._memo.clear()
         if self.oracle:
             return self._oracle_leaves()
         self.curves[core_id] = self._analytical_curve_memo(core_id)
@@ -432,6 +379,9 @@ class CoordinatedManager(ResourceManager):
 
     def _to_allocations(self, assignment, touched) -> dict[int, Allocation] | None:
         """Convert a solved ``{core: (c, f, w)}`` map into allocations.
+
+        The reduction keys its assignment by leaf slot, and slot ``j`` is
+        core ``j``.
 
         Allocation objects are cached per setting, so a core whose setting
         did not change receives the *same* object as last invocation and
@@ -441,7 +391,7 @@ class CoordinatedManager(ResourceManager):
         object, which the kernel recognises as already applied.  Returned
         maps are treated as immutable by that contract.
 
-        ``touched`` (the reduction's rewritten core ids,
+        ``touched`` (the reduction's rewritten slots,
         ``PackedReduction.last_touched``) makes every translation a delta:
         every untouched entry of ``assignment`` is object-identical to the
         previous one, so the new map copies the previous map wholesale and
@@ -642,7 +592,7 @@ class IndependentManager(ResourceManager):
         snaps = [self.snapshots[j][0] for j in order]
         recs = [self.snapshots[j][1] for j in order]
         curves = analytical_curves_batch(
-            system, self.model, list(order), snaps,
+            system, self.model, snaps,
             [r.mpki_sampled for r in recs], [r.mlp_sampled for r in recs],
             [sim.slack(j) for j in order], self._dims, self.meter,
             pin_ways_per_core=list(alloc_ways),

@@ -263,7 +263,7 @@ class PackedReduction:
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
         self._nmissing = self.nleaves  # leaves still awaiting a first curve
         self._last_assignment: dict[int, tuple[int, int, int]] | None = None
-        #: Core ids whose assignment entry the last solve's walk rewrote
+        #: Leaf slots whose assignment entry the last solve's walk rewrote
         #: (None until a walk has run).  Every other entry of the returned
         #: dict is object-identical to the previous solve's, which is what
         #: lets the manager translate only the touched cores.
@@ -334,7 +334,7 @@ class PackedReduction:
 
     # ---- solve ---------------------------------------------------------------
     def solve(self, meter: OverheadMeter | None = None) -> dict[int, tuple[int, int, int]] | None:
-        """Optimal assignment over the current leaves (or None if infeasible).
+        """Optimal ``{leaf slot: (c, f, w)}`` assignment (None if infeasible).
 
         Charges the invocation's static DP total, then makes one
         ``minplus_solve`` call (the module docstring has its contract):
@@ -367,9 +367,8 @@ class PackedReduction:
         held = self._held
         pairs = iter(self._out[: 2 * n].tolist())
         for slot, ways in zip(pairs, pairs):
-            curve = held[slot]
-            out[curve.core_id] = curve.setting_at(ways)
-            touched.append(curve.core_id)
+            out[slot] = held[slot].setting_at(ways)
+            touched.append(slot)
         if prev is None:
             self._hdr[_HAS_PREV] = 1
         self._last_assignment = out

@@ -33,12 +33,6 @@ class TransitionCost:
     stall_ns: float
     energy_nj: float
 
-    def __add__(self, other: "TransitionCost") -> "TransitionCost":
-        return TransitionCost(self.stall_ns + other.stall_ns, self.energy_nj + other.energy_nj)
-
-
-ZERO_COST = TransitionCost(0.0, 0.0)
-
 
 def transition_cost(system: SystemConfig, old: Allocation, new: Allocation) -> TransitionCost:
     """Cost of moving one core from ``old`` to ``new``."""

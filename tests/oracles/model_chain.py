@@ -132,7 +132,6 @@ def qos_target_tpi(
 
 def local_optimize(
     system: SystemConfig,
-    core_id: int,
     tpi_grid: np.ndarray,
     epi_grid: np.ndarray,
     target_tpi: float,
@@ -165,7 +164,6 @@ def local_optimize(
     flat = masked.reshape(-1, n_w)  # (C'*F', W)
     best = np.argmin(flat, axis=0)  # (W,)
     return EnergyCurve(
-        core_id=core_id,
         epi=flat[best, np.arange(n_w)],
         freq_idx=freqs[best % len(freqs)],
         core_idx=cores[best // len(freqs)],
@@ -175,7 +173,6 @@ def local_optimize(
 def analytical_curve(
     system: SystemConfig,
     model,
-    core_id: int,
     snapshot: CounterSnapshot,
     mpki_sampled: np.ndarray,
     mlp_sampled: np.ndarray,
@@ -189,4 +186,4 @@ def analytical_curve(
     tpi = predict_tpi_grid(system, snapshot, mpki_sampled, mlp_hat)
     epi = predict_epi_grid(system, snapshot, mpki_sampled, tpi)
     target = qos_target_tpi(system, tpi, slack)
-    return local_optimize(system, core_id, tpi, epi, target, dims, meter)
+    return local_optimize(system, tpi, epi, target, dims, meter)

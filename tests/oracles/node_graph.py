@@ -21,6 +21,12 @@ untouched subtrees keep their arrays.  Both produce bit-identical
 assignments, and the tree re-charges the cached DP-cell counts of skipped
 nodes so the metered RMA overhead is bit-identical too.
 
+Curves carry no core label, so each leaf takes the id its tree gives it:
+``global_optimize``'s ``curves[j]`` is core ``j``, and a
+:class:`ReductionTree` numbers its slots from ``first_id`` (a cluster tree
+starts at its cluster's first core id).  The assignment is keyed by those
+ids.
+
 **The hierarchical cluster tier** reuses the same tree at two levels: each
 cluster of cores owns a :class:`ReductionTree` whose combines are capped at
 the cluster's way budget (:func:`~repro.core.global_opt.cluster_way_caps`),
@@ -109,7 +115,9 @@ class _Node:
     right: "_Node | None" = None
     split: np.ndarray | None = None  # ways given to the left child per s
     dp_cells: int = 0  # DP work a from-scratch combine does
-    leaf_ids: tuple[int, ...] = ()  # core ids of the leaves underneath
+    # Core ids of the leaves underneath, as the tree numbers its leaves (a
+    # leaf's one id is the core its assignment entry goes to).
+    leaf_ids: tuple[int, ...] = ()
     # (tree, way total) this node received on the most recent back-track
     # walk.  Combines always build fresh nodes, so a surviving stamp
     # certifies the whole subtree (and therefore its assignment at that
@@ -122,8 +130,8 @@ class _Node:
     last_tree: object = None
 
 
-def _leaf(curve: EnergyCurve, min_ways: int, cap: int) -> _Node:
-    """Leaf node over ``[min_ways, cap]`` ways of one curve.
+def _leaf(curve: EnergyCurve, min_ways: int, cap: int, leaf_id: int) -> _Node:
+    """Leaf node over ``[min_ways, cap]`` ways of core ``leaf_id``'s curve.
 
     Clamping at ``cap`` matters only when the curve is wider than the
     tree's way budget -- a cluster tree over full-associativity curves --
@@ -138,7 +146,7 @@ def _leaf(curve: EnergyCurve, min_ways: int, cap: int) -> _Node:
         max_ways=min(curve.max_ways, cap),
         epi=epi,
         curve=curve,
-        leaf_ids=(curve.core_id,),
+        leaf_ids=(leaf_id,),
     )
 
 
@@ -221,7 +229,7 @@ def _combine(a: _Node, b: _Node, cap: int, meter: OverheadMeter | None) -> _Node
 
 def _assign(node: _Node, s: int, out: dict[int, tuple[int, int, int]]) -> None:
     if node.curve is not None:
-        out[node.curve.core_id] = node.curve.setting_at(s)
+        out[node.leaf_ids[0]] = node.curve.setting_at(s)
         return
     sl = int(node.split[s - node.min_ways])
     _assign(node.left, sl, out)
@@ -236,15 +244,15 @@ def global_optimize(
 ) -> dict[int, tuple[int, int, int]] | None:
     """Optimal per-core ``(core_idx, freq_idx, ways)`` or None if infeasible.
 
-    ``curves`` must cover every core exactly once; the returned way counts
-    sum to ``total_ways`` exactly and each is at least ``min_ways``.
+    ``curves[j]`` is core ``j``'s curve; the returned way counts sum to
+    ``total_ways`` exactly and each is at least ``min_ways``.
     """
     require(len(curves) >= 1, "need at least one curve")
     require(
         total_ways >= len(curves) * min_ways,
         "associativity cannot satisfy the per-core minimum",
     )
-    nodes = [_leaf(c, min_ways, total_ways) for c in curves]
+    nodes = [_leaf(c, min_ways, total_ways, j) for j, c in enumerate(curves)]
     while len(nodes) > 1:
         nxt = []
         for i in range(0, len(nodes) - 1, 2):
@@ -300,9 +308,12 @@ class ReductionTree:
     to the from-scratch path: the meter models the cost of the paper's
     *on-line algorithm*, which always reduces all ``N - 1`` pairs, while the
     tree is a simulator-side optimisation that must not change any result.
+
+    Leaf slot ``i`` is core ``first_id + i``: a cluster tree starts at its
+    cluster's first core id.
     """
 
-    def __init__(self, ncores: int, total_ways: int, min_ways: int = 1) -> None:
+    def __init__(self, ncores: int, total_ways: int, min_ways: int = 1, first_id: int = 0) -> None:
         require(ncores >= 1, "need at least one leaf")
         require(
             total_ways >= ncores * min_ways,
@@ -311,6 +322,7 @@ class ReductionTree:
         self.ncores = ncores
         self.total_ways = total_ways
         self.min_ways = min_ways
+        self.first_id = first_id
         self._curves: list[EnergyCurve | None] = [None] * ncores
         # Level 0 holds the leaves; level L+1 pairs level L's slots in order.
         # An entry (a, b) combines two slots; (a, None) passes slot a through.
@@ -336,21 +348,21 @@ class ReductionTree:
         # The previous solve's full assignment, backing the pruned walk.
         self._last_assignment: dict[int, tuple[int, int, int]] | None = None
 
-    def invalidate(self, core_id: int) -> None:
+    def invalidate(self, slot: int) -> None:
         """Force the leaf dirty (the tenant behind it was spliced in/out)."""
-        self._dirty[0][core_id] = True
+        self._dirty[0][slot] = True
         self._dirty_any = True
 
-    def set_leaf(self, core_id: int, curve: EnergyCurve) -> None:
+    def set_leaf(self, slot: int, curve: EnergyCurve) -> None:
         """Install a leaf curve, marking it dirty only if it changed."""
-        prev = self._curves[core_id]
-        if not self._dirty[0][core_id] and prev is not None:
+        prev = self._curves[slot]
+        if not self._dirty[0][slot] and prev is not None:
             if prev is curve or prev.same_curve(curve):
-                self._curves[core_id] = curve
+                self._curves[slot] = curve
                 return
-        self._curves[core_id] = curve
-        self._nodes[0][core_id] = _leaf(curve, self.min_ways, self.total_ways)
-        self._dirty[0][core_id] = True
+        self._curves[slot] = curve
+        self._nodes[0][slot] = _leaf(curve, self.min_ways, self.total_ways, self.first_id + slot)
+        self._dirty[0][slot] = True
         self._dirty_any = True
 
     def set_leaves(self, curves: list[EnergyCurve]) -> None:
@@ -372,7 +384,7 @@ class ReductionTree:
                     held[i] = curve
                     continue
             held[i] = curve
-            nodes[i] = _leaf(curve, self.min_ways, self.total_ways)
+            nodes[i] = _leaf(curve, self.min_ways, self.total_ways, self.first_id + i)
             dirty[i] = True
             self._dirty_any = True
 
@@ -466,7 +478,7 @@ class ReductionTree:
         node.last_s = s
         node.last_tree = self
         if node.curve is not None:
-            out[node.curve.core_id] = node.curve.setting_at(s)
+            out[node.leaf_ids[0]] = node.curve.setting_at(s)
             return
         sl = int(node.split[s - node.min_ways])
         self._assign_pruned(node.left, sl, out, prev)

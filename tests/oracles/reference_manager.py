@@ -40,18 +40,25 @@ class ReferencePipeline:
         sim, system = self.sim, self.sim.system
         (rec,) = sim.upcoming_records([core_id])
         target = qos_target_tpi(system, rec.tpi, sim.slack(core_id))
-        return local_optimize(
-            system, core_id, rec.tpi, rec.epi, target, self._dims(system), self.meter
-        )
+        return local_optimize(system, rec.tpi, rec.epi, target, self._dims(system), self.meter)
 
     def _curve_for(self, core_id: int) -> EnergyCurve:
+        system = self.sim.system
         if not self.sim.is_active(core_id):
-            return self._idle_curve(core_id)
+            # Idle (power-gated): release all but the minimum ways.
+            return EnergyCurve.pinned(
+                ways=system.min_ways_per_core, core_idx=system.baseline_core_index,
+                freq_idx=system.baseline_freq_index, max_ways=system.llc.ways,
+            )
         if self.oracle:
             return self._oracle_curve(core_id)
         if core_id in self.curves:
             return self.curves[core_id]
-        return self._pinned_curve(core_id)
+        # No statistics yet: keep the baseline setting.
+        base = system.baseline_allocation()
+        return EnergyCurve.pinned(
+            ways=base.ways, core_idx=base.core, freq_idx=base.freq, max_ways=system.llc.ways,
+        )
 
     def _on_interval_reference(self, core_id: int) -> dict[int, Allocation] | None:
         """The pre-batching decision path, verbatim (executable reference)."""
@@ -82,7 +89,7 @@ def _per_core_analytical_curve(self, core_id: int) -> EnergyCurve:
     snap = sim.completed_snapshot(core_id)
     rec = sim.completed_record(core_id)
     return analytical_curve(
-        system, self.model, core_id, snap, rec.mpki_sampled, rec.mlp_sampled,
+        system, self.model, snap, rec.mpki_sampled, rec.mlp_sampled,
         sim.slack(core_id), self._dims(system), self.meter,
     )
 
@@ -140,7 +147,7 @@ class NodeGraphClusteredManager(CoordinatedManager):
             system.min_ways_per_core, self.overprovision,
         )
         self._cluster_trees = [
-            ReductionTree(len(members), cap, system.min_ways_per_core)
+            ReductionTree(len(members), cap, system.min_ways_per_core, first_id=members[0])
             for members, cap in zip(self._clusters, caps)
         ]
         self._level2 = ReductionTree(

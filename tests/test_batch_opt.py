@@ -10,7 +10,8 @@ scratch the call is handed.  The memoization tests pin the staleness
 contract: a hit may only be served while the digest key -- counter
 snapshot, sampled ATD curves, QoS slack -- is unchanged, so QoS ramps and
 tenant swaps always recompute; the repeat tests pin the identity check in
-front of it.
+front of it; the shared-table test pins one curve object per content
+across cores.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from repro.core.managers import rm2_combined
 from repro.core.models import MLP_MODELS
 from repro.core.overhead_meter import OverheadMeter
 from repro.cpu.counters import observe_counters
+from repro.experiments.runner import rm2_clustered
+from repro.scenarios import cluster_churn
+from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
 from tests.oracles.model_chain import (
     exec_cpi_estimate,
@@ -76,7 +80,7 @@ def compiled_chain(system, model, snaps, mpki, mlp, slacks, dims, pins=None, met
     rows = model_rows(system, model, snaps, mpki, mlp, slacks, pins)
     n = len(snaps)
     grids = np.empty((2, n, system.ncore_sizes, system.vf.nlevels, system.llc.ways))
-    curves = local_optimize_batch(system, list(range(n)), rows, grids, dims, meter)
+    curves = local_optimize_batch(system, rows, grids, dims, meter)
     return curves, grids, rows
 
 
@@ -100,7 +104,6 @@ def assert_same_values(a, b):
 def assert_same_curves(batched, looped, nan_payload=True):
     assert len(batched) == len(looped)
     for a, b in zip(batched, looped):
-        assert a.core_id == b.core_id
         assert np.array_equal(a.epi, b.epi, equal_nan=True)
         assert np.array_equal(a.freq_idx, b.freq_idx)
         assert np.array_equal(a.core_idx, b.core_idx)
@@ -149,7 +152,7 @@ def _oracle_chain(system, model, rec, snap, slack, dims, meter=None):
     tpi = predict_tpi_grid(system, snap, rec.mpki_sampled, mlp_hat)
     epi = predict_epi_grid(system, snap, rec.mpki_sampled, tpi)
     target = qos_target_tpi(system, tpi, slack)
-    return tpi, epi, target, local_optimize(system, 0, tpi, epi, target, dims, meter)
+    return tpi, epi, target, local_optimize(system, tpi, epi, target, dims, meter)
 
 
 def _check_nan_case(system, model, recs, snaps, mpki, mlp):
@@ -165,8 +168,7 @@ def _check_nan_case(system, model, recs, snaps, mpki, mlp):
             assert_same_values(grids[0, i], tpi)
             assert_same_values(grids[1, i], epi)
             assert_same_values(rows[i, TARGET], target)
-            assert_same_curves([curves[i]], [dataclasses.replace(curve, core_id=i)],
-                               nan_payload=False)
+            assert_same_curves([curves[i]], [curve], nan_payload=False)
 
 
 class TestChainIdentity:
@@ -205,7 +207,7 @@ class TestChainIdentity:
             assert_same_bytes(grids[0, i], tpi)
             assert_same_bytes(grids[1, i], epi)
             assert rows[i, TARGET] == target
-            assert_same_curves([curves[i]], [dataclasses.replace(curve, core_id=i)])
+            assert_same_curves([curves[i]], [curve])
         assert meter.grid_points == want_meter.grid_points
         assert meter.instructions == want_meter.instructions
 
@@ -220,10 +222,10 @@ class TestChainIdentity:
         grids = np.stack([tpi, epi])
         dims = DimSpec(core_indices=(2, 0), freq_indices=(7, 3, 20))
         rows = np.zeros((1, len(ROW_FIELDS)))
-        (curve,) = local_optimize_batch(system4, [0], rows, grids, dims)
+        (curve,) = local_optimize_batch(system4, rows, grids, dims)
         target = qos_target_tpi(system4, tpi[0], 0.0)
         assert rows[0, TARGET] == target
-        want = local_optimize(system4, 0, tpi[0], epi[0], target, dims)
+        want = local_optimize(system4, tpi[0], epi[0], target, dims)
         assert_same_curves([curve], [want])
         assert curve.epi[0] == np.inf
         assert (curve.core_idx[0], curve.freq_idx[0]) == (2, 7)
@@ -260,7 +262,7 @@ class TestChainIdentity:
             bad = [snaps[0], dataclasses.replace(snaps[1], ilp_index_est=ilp)]
             with pytest.raises(ValueError, match=r"ilp_sensitivity must be in \[0, 1\]"):
                 analytical_curves_batch(
-                    system4, MLP_MODELS["model2"], [0, 1], bad,
+                    system4, MLP_MODELS["model2"], bad,
                     [r.mpki_sampled for r in recs], [r.mlp_sampled for r in recs],
                     [0.0, 0.0], DimSpec(),
                 )
@@ -270,12 +272,12 @@ class TestChainIdentity:
         meter = OverheadMeter()
         with pytest.raises(ValueError, match="slack must be non-negative"):
             analytical_curves_batch(
-                system4, MLP_MODELS["model2"], [0, 1], snaps,
+                system4, MLP_MODELS["model2"], snaps,
                 [r.mpki_sampled for r in recs], [r.mlp_sampled for r in recs],
                 [0.0, -0.1], DimSpec(), meter,
             )
         with pytest.raises(ValueError, match="slack must be non-negative"):
-            oracle_curves_batch(system4, [0, 1], recs, [-0.1, 0.0], DimSpec(), meter)
+            oracle_curves_batch(system4, recs, [-0.1, 0.0], DimSpec(), meter)
         assert meter.grid_points == 0  # nothing is charged for a rejected batch
 
 
@@ -296,7 +298,7 @@ class TestConcurrentChains:
         def build(job):
             snaps, mpki, mlp, slacks, dims = job
             curves = analytical_curves_batch(
-                system4, model, list(range(n)), snaps, mpki, mlp, slacks, dims
+                system4, model, snaps, mpki, mlp, slacks, dims
             )
             return [(c.epi.tobytes(), c.freq_idx.tobytes(), c.core_idx.tobytes())
                     for c in curves]
@@ -337,7 +339,7 @@ class TestBatchedCurves:
         meter_b, meter_l = OverheadMeter(), OverheadMeter()
 
         batched = analytical_curves_batch(
-            system4, model, list(range(6)), snaps,
+            system4, model, snaps,
             [r.mpki_sampled for r in recs], [r.mlp_sampled for r in recs],
             slacks, dims, meter_b,
         )
@@ -348,7 +350,7 @@ class TestBatchedCurves:
             epi = predict_epi_grid(system4, snap, rec.mpki_sampled, tpi)
             target = qos_target_tpi(system4, tpi, slacks[j])
             looped.append(
-                local_optimize(system4, j, tpi, epi, target, dims, meter_l)
+                local_optimize(system4, tpi, epi, target, dims, meter_l)
             )
         assert_same_curves(batched, looped)
         assert meter_b.grid_points == meter_l.grid_points
@@ -359,12 +361,10 @@ class TestBatchedCurves:
         slacks = [0.0, 0.1, 0.0, 0.0, 0.3]
         dims = DimSpec(core_indices=(1,))
         meter_b, meter_l = OverheadMeter(), OverheadMeter()
-        batched = oracle_curves_batch(
-            system4, list(range(5)), recs, slacks, dims, meter_b
-        )
+        batched = oracle_curves_batch(system4, recs, slacks, dims, meter_b)
         looped = [
             local_optimize(
-                system4, j, rec.tpi, rec.epi,
+                system4, rec.tpi, rec.epi,
                 qos_target_tpi(system4, rec.tpi, slacks[j]), dims, meter_l,
             )
             for j, rec in enumerate(recs)
@@ -396,7 +396,7 @@ class TestBatchedCurves:
             assert c.core_idx.base is curves[0].core_idx.base
             assert c.freq_idx.dtype == c.core_idx.dtype == np.int64
             want = local_optimize(
-                system4, i, grids[0, i], grids[1, i], float(rows[i, TARGET]), dims
+                system4, grids[0, i], grids[1, i], float(rows[i, TARGET]), dims
             )
             assert_same_curves([c], [want])
 
@@ -407,7 +407,7 @@ class TestBatchedCurves:
         pins = [2, 4, 7, 3]
         base = DimSpec(core_indices=(system4.baseline_core_index,))
         batched = analytical_curves_batch(
-            system4, model, list(range(4)), snaps,
+            system4, model, snaps,
             [r.mpki_sampled for r in recs], [r.mlp_sampled for r in recs],
             [0.0] * 4, base, None, pin_ways_per_core=pins,
         )
@@ -419,7 +419,7 @@ class TestBatchedCurves:
             dims = DimSpec(
                 core_indices=(system4.baseline_core_index,), pin_ways=pins[j]
             )
-            want = local_optimize(system4, j, tpi, epi, target, dims)
+            want = local_optimize(system4, tpi, epi, target, dims)
             assert_same_curves([batched[j]], [want])
             assert np.isfinite(batched[j].epi).sum() <= 1
 
@@ -511,7 +511,7 @@ class TestRepeatPath:
         real = module.analytical_curves_batch
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(len(args[2]))  # the batch's rows
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, "analytical_curves_batch", counted)
@@ -528,7 +528,7 @@ class TestRepeatPath:
         inc, ref = self._managers(system4, db4)
         calls = self._counting(monkeypatch, managers)
         TestCurveMemoization._assert_same_decision(inc, ref, 0)
-        assert calls == [[0]]
+        assert calls == [1]
         first = inc.curves[0]
         assert inc._repeat[0][3] is first
 
@@ -539,7 +539,7 @@ class TestRepeatPath:
         for _ in range(3):
             TestCurveMemoization._assert_same_decision(inc, ref, 0)
             assert inc.curves[0] is first
-        assert calls == [[0]]
+        assert calls == [1]
 
     def test_repeat_meters_like_the_recompute_path(self, system4, db4):
         """Decisions, instructions and grid points equal the recomputing
@@ -580,6 +580,48 @@ class TestRepeatPath:
             held.append(inc.curves[0])
             assert inc._tree.holds(0, held[-1])  # installed, not skipped
         # A fresh model chain per decision, for the manager and its twin.
-        assert calls == [[0]] * 6
+        assert calls == [1] * 6
         assert len({id(c) for c in held}) == 3
         assert inc._repeat == {}
+
+
+class TestSharedContentTable:
+    """One memo table keyed on content alone, shared by every core."""
+
+    def test_cluster_churn_serves_one_curve_per_content(self, system16, db16, monkeypatch):
+        sc = cluster_churn("shared-memo", 16, TEST_BENCHMARKS, cluster_size=4, cycles=3,
+                           idle_intervals=1.0, horizon_intervals=48, seed=5)
+        mgr = rm2_clustered(4).build()
+        contents: set = set()
+        last: dict[int, tuple] = {}  # core -> its last content key
+        static_leaves: list = []  # every pinned or idle leaf handed out
+
+        by_content, leaf = mgr._curve_by_content, mgr._leaf
+
+        def observed_content(core_id, snap, rec, slack):
+            key = (snap, np.asarray(rec.mpki_sampled).tobytes(),
+                   np.asarray(rec.mlp_sampled).tobytes(), slack)
+            contents.add(key)
+            last[core_id] = key
+            return by_content(core_id, snap, rec, slack)
+
+        def observed_leaf(core_id, oracle_leaves):
+            curve = leaf(core_id, oracle_leaves)
+            if curve is not mgr.curves.get(core_id):
+                static_leaves.append(curve)
+            return curve
+
+        monkeypatch.setattr(mgr, "_curve_by_content", observed_content)
+        monkeypatch.setattr(mgr, "_leaf", observed_leaf)
+        RMASimulator(system16, db16, sc.workload, mgr, max_slices=6, scenario=sc).run()
+
+        assert set(mgr._memo) == contents  # one entry per distinct content
+        groups: dict[tuple, list[int]] = {}
+        for j in mgr.curves:
+            groups.setdefault(last[j], []).append(j)
+        assert any(len(cores) > 1 for cores in groups.values())  # cross-core sharing
+        for key, cores in groups.items():
+            for j in cores:
+                assert mgr.curves[j] is mgr._memo[key][0]
+        assert len({id(c) for c in static_leaves}) == 2
+        assert {id(c) for c in static_leaves} == {id(mgr._pinned_leaf), id(mgr._idle_leaf)}

@@ -176,13 +176,12 @@ class TestSingleClusterIdentity:
 def _random_curves(rng: np.random.Generator, ncores: int, ways: int) -> list[EnergyCurve]:
     """Random per-core curves with sporadic infeasible (inf) entries."""
     curves = []
-    for j in range(ncores):
+    for _ in range(ncores):
         epi = rng.uniform(0.1, 5.0, size=ways)
         mask = rng.random(ways) < 0.2
         epi = np.where(mask, np.inf, epi)
         curves.append(
             EnergyCurve(
-                core_id=j,
                 epi=epi,
                 freq_idx=rng.integers(0, 4, size=ways),
                 core_idx=rng.integers(0, 3, size=ways),
@@ -195,7 +194,7 @@ def _two_level_solve(curves, clusters, caps, total_ways, meter=None):
     """One clustered solve over prebuilt curves (the manager's inner loop)."""
     level2 = ReductionTree(len(clusters), total_ways, 1)
     for ci, members in enumerate(clusters):
-        tree = ReductionTree(len(members), caps[ci], 1)
+        tree = ReductionTree(len(members), caps[ci], 1, first_id=members[0])
         for local, j in enumerate(members):
             tree.set_leaf(local, curves[j])
         root, changed = tree.refresh(meter)
@@ -297,7 +296,7 @@ class TestTwoLevelReduction:
         }
 
         curves = _random_curves(rng, ncores, ways)
-        trees = [ReductionTree(len(m), cap, 1) for m, cap in zip(clusters, caps)]
+        trees = [ReductionTree(len(m), cap, 1, first_id=m[0]) for m, cap in zip(clusters, caps)]
         level2 = ReductionTree(len(clusters), ways, 1)
         for rounds in range(4):
             # Splice a random subset of leaves with fresh curves.

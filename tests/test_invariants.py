@@ -30,11 +30,12 @@ class TestReductionTreeInvariance:
     def test_permutation_invariant_cost(self, ncores, seed):
         rng = np.random.default_rng(seed)
         ways = 8
-        curves = [random_curve(rng, j, ways, feasible_prob=1.0) for j in range(ncores)]
+        curves = [random_curve(rng, ways, feasible_prob=1.0) for _ in range(ncores)]
 
         def total_cost(order):
+            # Position p of the permuted list holds curves[order[p]].
             got = global_optimize([curves[i] for i in order], ways)
-            return sum(curves[i].epi[got[i][2] - 1] for i in order)
+            return sum(curves[i].epi[got[p][2] - 1] for p, i in enumerate(order))
 
         base = total_cost(list(range(ncores)))
         for _ in range(3):
@@ -47,10 +48,10 @@ class TestReductionTreeInvariance:
         """Identical curves must receive cost-equivalent allocations."""
         rng = np.random.default_rng(seed)
         ways = 12
-        proto = random_curve(rng, 0, ways, feasible_prob=1.0)
+        proto = random_curve(rng, ways, feasible_prob=1.0)
         curves = [
-            EnergyCurve(j, proto.epi.copy(), proto.freq_idx.copy(), proto.core_idx.copy())
-            for j in range(3)
+            EnergyCurve(proto.epi.copy(), proto.freq_idx.copy(), proto.core_idx.copy())
+            for _ in range(3)
         ]
         got = global_optimize(curves, ways)
         costs = sorted(proto.epi[got[j][2] - 1] for j in range(3))

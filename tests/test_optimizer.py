@@ -31,14 +31,13 @@ from tests.oracles.model_chain import local_optimize, qos_target_tpi
 from tests.oracles.node_graph import ReductionTree, global_optimize
 
 
-def random_curve(rng, core_id, ways, feasible_prob=0.9):
+def random_curve(rng, ways, feasible_prob=0.9):
     epi = rng.uniform(0.5, 3.0, ways)
     mask = rng.random(ways) < feasible_prob
     if not mask.any():
         mask[rng.integers(ways)] = True
     epi = np.where(mask, epi, np.inf)
     return EnergyCurve(
-        core_id=core_id,
         epi=epi,
         freq_idx=rng.integers(0, 5, ways),
         core_idx=rng.integers(0, 3, ways),
@@ -60,25 +59,25 @@ def brute_force(curves, total_ways, min_ways=1):
 
 class TestEnergyCurve:
     def test_feasibility(self):
-        c = EnergyCurve(0, np.array([np.inf, 1.0]), np.zeros(2, int), np.zeros(2, int))
+        c = EnergyCurve(np.array([np.inf, 1.0]), np.zeros(2, int), np.zeros(2, int))
         assert np.isfinite(c.epi).any()
         assert list(np.isfinite(c.epi)) == [False, True]
 
     def test_setting_at(self):
-        c = EnergyCurve(0, np.array([np.inf, 1.0]), np.array([3, 4]), np.array([0, 1]))
+        c = EnergyCurve(np.array([np.inf, 1.0]), np.array([3, 4]), np.array([0, 1]))
         assert c.setting_at(2) == (1, 4, 2)
         with pytest.raises(ValueError):
             c.setting_at(1)
 
     def test_pinned(self):
-        c = EnergyCurve.pinned(2, ways=4, core_idx=1, freq_idx=6, max_ways=16)
+        c = EnergyCurve.pinned(ways=4, core_idx=1, freq_idx=6, max_ways=16)
         assert c.setting_at(4) == (1, 6, 4)
         assert np.isfinite(c.epi).sum() == 1
         assert c.epi[3] == 0.0
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            EnergyCurve(0, np.ones(4), np.zeros(3, int), np.zeros(4, int))
+            EnergyCurve(np.ones(4), np.zeros(3, int), np.zeros(4, int))
 
 
 class TestGlobalOptimize:
@@ -87,7 +86,7 @@ class TestGlobalOptimize:
     def test_matches_bruteforce(self, ncores, seed):
         rng = np.random.default_rng(seed)
         ways = 8
-        curves = [random_curve(rng, j, ways) for j in range(ncores)]
+        curves = [random_curve(rng, ways) for _ in range(ncores)]
         got = global_optimize(curves, total_ways=ways, min_ways=1)
         want_cost, want_alloc = brute_force(curves, ways)
         if got is None:
@@ -100,17 +99,17 @@ class TestGlobalOptimize:
 
     def test_single_core_takes_all_feasible_minimum(self):
         rng = np.random.default_rng(0)
-        curve = random_curve(rng, 0, 8, feasible_prob=1.0)
+        curve = random_curve(rng, 8, feasible_prob=1.0)
         got = global_optimize([curve], total_ways=8)
         assert got[0][2] == 8  # one core owns the whole cache
 
     def test_pinned_cores_get_their_ways(self):
         rng = np.random.default_rng(1)
         curves = [
-            EnergyCurve.pinned(0, 4, 1, 2, 16),
-            EnergyCurve.pinned(1, 4, 1, 2, 16),
-            random_curve(rng, 2, 16, 1.0),
-            EnergyCurve.pinned(3, 4, 1, 2, 16),
+            EnergyCurve.pinned(4, 1, 2, 16),
+            EnergyCurve.pinned(4, 1, 2, 16),
+            random_curve(rng, 16, 1.0),
+            EnergyCurve.pinned(4, 1, 2, 16),
         ]
         got = global_optimize(curves, 16)
         assert got[0][2] == got[1][2] == got[3][2] == 4
@@ -118,28 +117,28 @@ class TestGlobalOptimize:
 
     def test_infeasible_returns_none(self):
         curves = [
-            EnergyCurve.pinned(0, 8, 0, 0, 8),
-            EnergyCurve.pinned(1, 8, 0, 0, 8),
+            EnergyCurve.pinned(8, 0, 0, 8),
+            EnergyCurve.pinned(8, 0, 0, 8),
         ]
         # both cores demand 8 ways, but only 8 exist in total
         assert global_optimize(curves, 8) is None
 
     def test_meter_counts_dp_cells(self):
         rng = np.random.default_rng(2)
-        curves = [random_curve(rng, j, 8, 1.0) for j in range(4)]
+        curves = [random_curve(rng, 8, 1.0) for _ in range(4)]
         meter = OverheadMeter()
         global_optimize(curves, 8, meter=meter)
         assert meter.dp_cells > 0
 
     def test_respects_min_ways(self):
         rng = np.random.default_rng(3)
-        curves = [random_curve(rng, j, 12, 1.0) for j in range(3)]
+        curves = [random_curve(rng, 12, 1.0) for _ in range(3)]
         got = global_optimize(curves, 12, min_ways=2)
         assert all(got[j][2] >= 2 for j in range(3))
 
     def test_total_ways_error(self):
         rng = np.random.default_rng(4)
-        curves = [random_curve(rng, j, 4, 1.0) for j in range(3)]
+        curves = [random_curve(rng, 4, 1.0) for _ in range(3)]
         with pytest.raises(ValueError):
             global_optimize(curves, 2, min_ways=1)
 
@@ -171,27 +170,27 @@ class TestReductionTree:
         rng = np.random.default_rng(seed)
         ways = 8
         tree = ReductionTree(ncores, total_ways=ways, min_ways=1)
-        curves = [random_curve(rng, j, ways) for j in range(ncores)]
+        curves = [random_curve(rng, ways) for _ in range(ncores)]
         for j, c in enumerate(curves):
             tree.set_leaf(j, c)
         self._assert_matches_scratch(tree, curves, ways)
         for op, raw in ops:
             j = raw % ncores
             if op == "update":
-                curves[j] = random_curve(rng, j, ways)
+                curves[j] = random_curve(rng, ways)
                 tree.set_leaf(j, curves[j])
             elif op == "same":
                 # A numerically identical fresh object must be a no-op.
                 c = curves[j]
                 tree.set_leaf(j, EnergyCurve(
-                    core_id=c.core_id, epi=c.epi.copy(),
+                    epi=c.epi.copy(),
                     freq_idx=c.freq_idx.copy(), core_idx=c.core_idx.copy(),
                 ))
             elif op == "splice":
                 # Scenario swap/depart/arrive: force the leaf dirty, then
                 # install the new tenant's curve (possibly equal-valued).
                 tree.invalidate(j)
-                curves[j] = random_curve(rng, j, ways)
+                curves[j] = random_curve(rng, ways)
                 tree.set_leaf(j, curves[j])
             else:
                 self._assert_matches_scratch(tree, curves, ways)
@@ -199,18 +198,18 @@ class TestReductionTree:
 
     def test_solve_requires_all_leaves(self):
         tree = ReductionTree(3, total_ways=8)
-        tree.set_leaf(0, EnergyCurve.pinned(0, 2, 0, 0, 8))
+        tree.set_leaf(0, EnergyCurve.pinned(2, 0, 0, 8))
         with pytest.raises(ValueError):
             tree.solve()
 
     def test_infeasible_total_returns_none_and_recovers(self):
         tree = ReductionTree(2, total_ways=8)
-        tree.set_leaf(0, EnergyCurve.pinned(0, 8, 0, 0, 8))
-        tree.set_leaf(1, EnergyCurve.pinned(1, 8, 0, 0, 8))
+        tree.set_leaf(0, EnergyCurve.pinned(8, 0, 0, 8))
+        tree.set_leaf(1, EnergyCurve.pinned(8, 0, 0, 8))
         assert tree.solve() is None
         # Splicing in a satisfiable pair recovers without a rebuild.
-        tree.set_leaf(0, EnergyCurve.pinned(0, 4, 0, 0, 8))
-        tree.set_leaf(1, EnergyCurve.pinned(1, 4, 0, 0, 8))
+        tree.set_leaf(0, EnergyCurve.pinned(4, 0, 0, 8))
+        tree.set_leaf(1, EnergyCurve.pinned(4, 0, 0, 8))
         got = tree.solve()
         assert got[0][2] == got[1][2] == 4
 
@@ -245,26 +244,26 @@ class TestLocalOptimize:
     def test_matches_bruteforce_full_dims(self):
         dims = DimSpec()
         target = qos_target_tpi(self.system, self.tpi, 0.0)
-        curve = local_optimize(self.system, 0, self.tpi, self.epi, target, dims)
+        curve = local_optimize(self.system, self.tpi, self.epi, target, dims)
         np.testing.assert_allclose(curve.epi, self._brute(target, dims))
 
     def test_matches_bruteforce_restricted(self):
         dims = DimSpec(core_indices=(1,), freq_indices=(0, 5, 10))
         target = qos_target_tpi(self.system, self.tpi, 0.1)
-        curve = local_optimize(self.system, 0, self.tpi, self.epi, target, dims)
+        curve = local_optimize(self.system, self.tpi, self.epi, target, dims)
         np.testing.assert_allclose(curve.epi, self._brute(target, dims))
 
     def test_pin_ways(self):
         dims = DimSpec(pin_ways=4)
         target = qos_target_tpi(self.system, self.tpi, 0.0)
-        curve = local_optimize(self.system, 0, self.tpi, self.epi, target, dims)
+        curve = local_optimize(self.system, self.tpi, self.epi, target, dims)
         assert np.isfinite(curve.epi[3])
         assert np.isinf(np.delete(curve.epi, 3)).all()
 
     def test_selected_settings_are_feasible_and_argmin(self):
         dims = DimSpec()
         target = qos_target_tpi(self.system, self.tpi, 0.0)
-        curve = local_optimize(self.system, 0, self.tpi, self.epi, target, dims)
+        curve = local_optimize(self.system, self.tpi, self.epi, target, dims)
         for w in range(self.system.llc.ways):
             if not np.isfinite(curve.epi[w]):
                 continue
@@ -275,15 +274,15 @@ class TestLocalOptimize:
     def test_baseline_always_feasible_at_zero_slack(self):
         dims = DimSpec()
         target = qos_target_tpi(self.system, self.tpi, 0.0)
-        curve = local_optimize(self.system, 0, self.tpi, self.epi, target, dims)
+        curve = local_optimize(self.system, self.tpi, self.epi, target, dims)
         assert np.isfinite(curve.epi[self.system.baseline_ways - 1])
 
     def test_more_slack_never_raises_energy(self):
         dims = DimSpec()
         t0 = qos_target_tpi(self.system, self.tpi, 0.0)
         t1 = qos_target_tpi(self.system, self.tpi, 0.5)
-        c0 = local_optimize(self.system, 0, self.tpi, self.epi, t0, dims)
-        c1 = local_optimize(self.system, 0, self.tpi, self.epi, t1, dims)
+        c0 = local_optimize(self.system, self.tpi, self.epi, t0, dims)
+        c1 = local_optimize(self.system, self.tpi, self.epi, t1, dims)
         mask = np.isfinite(c0.epi)
         assert np.all(c1.epi[mask] <= c0.epi[mask] + 1e-12)
 
@@ -292,7 +291,7 @@ class TestLocalOptimize:
         meter.begin_invocation()
         dims = DimSpec(core_indices=(1,))
         target = qos_target_tpi(self.system, self.tpi, 0.0)
-        local_optimize(self.system, 0, self.tpi, self.epi, target, dims, meter)
+        local_optimize(self.system, self.tpi, self.epi, target, dims, meter)
         assert meter.grid_points == self.system.vf.nlevels * self.system.llc.ways
 
 
@@ -316,7 +315,7 @@ class TestQosTarget:
         rows = np.zeros((len(tpi), len(ROW_FIELDS)))
         rows[:, ROW_FIELDS.index("slack")] = slacks
         grids = np.stack([tpi, np.ones_like(tpi)])
-        local_optimize_batch(system, list(range(len(tpi))), rows, grids, DimSpec())
+        local_optimize_batch(system, rows, grids, DimSpec())
         return rows[:, ROW_FIELDS.index("target")]
 
     def test_batched_targets_equal_per_core(self):

@@ -51,7 +51,7 @@ def _random_curves(rng, ncores, ways, inf_p=0.25, ties=False):
     ``ties`` rounds the energies to whole numbers, so that many splits
     tie and the first-minimum tie-break decides them."""
     curves = []
-    for j in range(ncores):
+    for _ in range(ncores):
         epi = np.where(rng.random(ways) < inf_p, np.inf,
                        rng.uniform(0.1, 5.0, size=ways))
         if rng.random() < 0.15:
@@ -60,7 +60,7 @@ def _random_curves(rng, ncores, ways, inf_p=0.25, ties=False):
         if ties:
             epi = np.round(epi)
         curves.append(EnergyCurve(
-            core_id=j, epi=epi,
+            epi=epi,
             freq_idx=rng.integers(0, 4, size=ways),
             core_idx=rng.integers(0, 3, size=ways),
         ))
@@ -88,7 +88,7 @@ class _Reference:
 
     def __init__(self, clusters, caps, ways):
         self.clusters = clusters
-        self.trees = [ReductionTree(len(m), cap, 1)
+        self.trees = [ReductionTree(len(m), cap, 1, first_id=m[0])
                       for m, cap in zip(clusters, caps)]
         self.level2 = ReductionTree(len(clusters), ways, 1)
 
@@ -185,7 +185,7 @@ def _all_idle_is_infeasible_then_recovers():
     for j in range(ncores):
         epi = np.full(ways, np.inf)
         epi[ways - 1] = 1.0  # all demand the full cache: infeasible
-        pinned.append(EnergyCurve(core_id=j, epi=epi,
+        pinned.append(EnergyCurve(epi=epi,
                                   freq_idx=np.zeros(ways, dtype=int),
                                   core_idx=np.ones(ways, dtype=int)))
     m_ref, m_pk = OverheadMeter(), OverheadMeter()
@@ -197,10 +197,10 @@ def _all_idle_is_infeasible_then_recovers():
 
     rng = np.random.default_rng(7)
     healed = [
-        EnergyCurve(core_id=j, epi=rng.uniform(0.1, 5.0, size=ways),
+        EnergyCurve(epi=rng.uniform(0.1, 5.0, size=ways),
                     freq_idx=rng.integers(0, 4, size=ways),
                     core_idx=rng.integers(0, 3, size=ways))
-        for j in range(ncores)
+        for _ in range(ncores)
     ]
     for j in range(ncores):
         packed.set_leaf(j, healed[j])
@@ -234,6 +234,25 @@ class TestPackedBitIdentity:
     def test_all_idle_is_infeasible_then_recovers(self):
         _all_idle_is_infeasible_then_recovers()
 
+    @pytest.mark.parametrize("cluster_size", [None, 2, 3])
+    def test_one_curve_object_in_every_slot(self, cluster_size):
+        """Curves carry no core label: one object installed at every slot
+        still yields one assignment entry and one touched entry per slot,
+        equal to the node-graph reference's."""
+        ncores, ways = 7, 20
+        clusters = partition_clusters(ncores, cluster_size or ncores)
+        caps = (ways,) if len(clusters) == 1 else cluster_way_caps(ways, ncores, clusters, 1)
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        curve = _finite_leaf(np.random.default_rng(3), ways)
+        packed.set_leaves([curve] * ncores)
+        m_ref, m_pk = OverheadMeter(), OverheadMeter()
+        got = packed.solve(m_pk)
+        assert sorted(got) == list(range(ncores))
+        assert sorted(packed.last_touched) == list(range(ncores))
+        assert sum(w for _, _, w in got.values()) == ways
+        ref = _Reference(clusters, caps, ways).solve([curve] * ncores, m_ref)
+        _check_step("one object", ref, got, m_ref, m_pk)
+
 
 class TestPackedClusteredManager:
     """The production clustered manager equals its node-graph oracle."""
@@ -256,7 +275,7 @@ class TestPackedClusteredManager:
         assert_same_numbers(packed, node_graph)
 
 
-def _wide_curve(rng, j, ways, cap, pinned=False):
+def _wide_curve(rng, ways, cap, pinned=False):
     """A leaf whose finite box is 60-140 ways wide with ~10% inf holes
     inside it; ``pinned`` gives a width-1 box."""
     epi = np.full(ways, np.inf)
@@ -269,7 +288,6 @@ def _wide_curve(rng, j, ways, cap, pinned=False):
         box[1:-1][rng.random(width - 2) < 0.1] = np.inf
         epi[lo : lo + width] = box
     return EnergyCurve(
-        core_id=j,
         epi=epi,
         freq_idx=rng.integers(0, 4, size=ways),
         core_idx=rng.integers(0, 3, size=ways),
@@ -360,7 +378,7 @@ class TestWideBoxes:
         m_ref, m_pk = OverheadMeter(), OverheadMeter()
 
         def leaf(j, pinned=False):
-            return _wide_curve(rng, j, ways, cap_of[j], pinned)
+            return _wide_curve(rng, ways, cap_of[j], pinned)
 
         # Leaves 0 and 1 pinned: a width-1 box at level 1 as well.
         curves = [leaf(j, pinned=j in (0, 1)) for j in range(ncores)]
@@ -405,7 +423,7 @@ def _root_path(cols, slot):
     return path
 
 
-def _one_leaf(rng, j, ways, inf_p, ties):
+def _one_leaf(rng, ways, inf_p, ties):
     """A leaf with ``inf`` holes, ~15% of them pinned to the minimum way;
     every leaf is finite there, so most roots stay feasible."""
     epi = np.where(rng.random(ways) < inf_p, np.inf, rng.uniform(0.1, 5.0, size=ways))
@@ -414,19 +432,19 @@ def _one_leaf(rng, j, ways, inf_p, ties):
     epi[0] = rng.uniform(0.1, 5.0)
     if ties:
         epi = np.round(epi)
-    return EnergyCurve(core_id=j, epi=epi,
+    return EnergyCurve(epi=epi,
                        freq_idx=rng.integers(0, 4, size=ways),
                        core_idx=rng.integers(0, 3, size=ways))
 
 
-def _finite_leaf(rng, j, ways):
-    return EnergyCurve(core_id=j, epi=rng.uniform(0.1, 5.0, size=ways),
+def _finite_leaf(rng, ways):
+    return EnergyCurve(epi=rng.uniform(0.1, 5.0, size=ways),
                        freq_idx=rng.integers(0, 4, size=ways),
                        core_idx=rng.integers(0, 3, size=ways))
 
 
-def _all_inf_leaf(j, ways):
-    return EnergyCurve(core_id=j, epi=np.full(ways, np.inf),
+def _all_inf_leaf(ways):
+    return EnergyCurve(epi=np.full(ways, np.inf),
                        freq_idx=np.zeros(ways, dtype=int),
                        core_idx=np.zeros(ways, dtype=int))
 
@@ -458,7 +476,7 @@ def _one_call_trace(seed, ties=False, rebuild=False):
     cols = _columns(packed)
     combines = len(cols["nlo"]) - ncores
     inf_p = float(rng.uniform(0.05, 0.5))
-    curves = [_one_leaf(rng, j, ways, inf_p, ties) for j in range(ncores)]
+    curves = [_one_leaf(rng, ways, inf_p, ties) for j in range(ncores)]
     moved, invalidated, held = set(range(ncores)), set(range(ncores)), list(curves)
     walked = False
     trace = []
@@ -502,11 +520,11 @@ def _one_call_trace(seed, ties=False, rebuild=False):
         if mode < 0.4 and len(clusters) > 1:  # leaves of several clusters move
             for members in rng.choice(len(clusters), size=min(3, len(clusters)), replace=False):
                 j = int(rng.choice(clusters[int(members)]))
-                curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+                curves[j] = _one_leaf(rng, ways, inf_p, ties)
                 moved.add(j)
         elif mode < 0.55:  # one leaf loses every feasible way (root: None)
             j = int(rng.integers(0, ncores))
-            curves[j] = _all_inf_leaf(j, ways)
+            curves[j] = _all_inf_leaf(ways)
             moved.add(j)
         elif mode < 0.75:  # re-ingest unchanged leaves, and heal empty ones
             for j in rng.choice(ncores, size=min(ncores, 2), replace=False):
@@ -516,11 +534,11 @@ def _one_call_trace(seed, ties=False, rebuild=False):
                 moved.add(int(j))
             for j, c in enumerate(curves):
                 if not np.isfinite(c.epi).any():
-                    curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+                    curves[j] = _one_leaf(rng, ways, inf_p, ties)
                     moved.add(j)
         else:  # the steady state: one leaf moves
             j = int(rng.integers(0, ncores))
-            curves[j] = _one_leaf(rng, j, ways, inf_p, ties)
+            curves[j] = _one_leaf(rng, ways, inf_p, ties)
             moved.add(j)
     return trace
 
@@ -572,15 +590,15 @@ class TestCompiledSolve:
         clusters = partition_clusters(ncores, 8)
         caps = cluster_way_caps(ways, ncores, clusters, 1)
         packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
-        packed.set_leaves([_finite_leaf(rng, j, ways) for j in range(ncores)])
+        packed.set_leaves([_finite_leaf(rng, ways) for j in range(ncores)])
         states = [packed.solve()]  # the first solve
         states.append(packed.solve())  # nothing dirty
-        packed.set_leaf(5, _finite_leaf(rng, 5, ways))
+        packed.set_leaf(5, _finite_leaf(rng, ways))
         states.append(packed.solve())  # one dirty path
         for j in (1, 9, 17):  # a union across three clusters
-            packed.set_leaf(j, _finite_leaf(rng, j, ways))
+            packed.set_leaf(j, _finite_leaf(rng, ways))
         states.append(packed.solve())
-        packed.set_leaf(2, _all_inf_leaf(2, ways))
+        packed.set_leaf(2, _all_inf_leaf(ways))
         states.append(packed.solve())  # infeasible
         assert states[0] is not None and states[1] is states[0] and states[-1] is None
         assert proxy.calls == ["minplus_solve"] * len(states)

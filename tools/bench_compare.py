@@ -59,6 +59,7 @@ EXACT_KEYS = {
     "result_store",
     "reduction_rows",
     "reduction_splits",
+    "curve_builds",
 }
 
 #: Fidelity context: a mismatch means the artifacts measure different

@@ -9,7 +9,10 @@ packed reduction) and with the recompute-everything reference
 (``tests/oracles/reference_manager.py``), verifies the runs are
 bit-identical, and records wall-clock, speedup and result hashes into
 ``benchmarks/_artifacts/BENCH_manager_overhead.json`` (the production
-pipeline's time under ``incremental_s``).
+pipeline's time under ``incremental_s``).  ``curve_builds`` counts the
+rows the compiled curve chain built over one production run: a
+deterministic count of the curve layer's work, which its wall-clock is
+too small to gate.
 
 Usage::
 
@@ -42,6 +45,7 @@ os.environ.setdefault("REPRO_ACCESSES_PER_SET", "400")
 add_src_to_path()
 add_repo_root_to_path()
 
+from repro.core import batch_opt  # noqa: E402
 from repro.core.managers import (  # noqa: E402
     dvfs_only,
     rm1_partitioning_only,
@@ -59,6 +63,26 @@ MANAGERS = {
     "rm3-core-adaptive": rm3_core_adaptive,
     "dvfs-only": dvfs_only,
 }
+
+
+def count_curve_builds(run):
+    """``(rows built, result)`` of ``run()``: wraps the curve chain
+    ``batch_opt.local_optimize_batch``, the module attribute every
+    manager's curve construction calls, and counts its input rows."""
+    real = batch_opt.local_optimize_batch
+    rows = 0
+
+    def counted(system, batch_rows, *args, **kwargs):
+        nonlocal rows
+        rows += len(batch_rows)
+        return real(system, batch_rows, *args, **kwargs)
+
+    batch_opt.local_optimize_batch = counted
+    try:
+        result = run()
+    finally:
+        batch_opt.local_optimize_batch = real
+    return rows, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,18 +132,20 @@ def main(argv: list[str] | None = None) -> int:
             ).run(),
             args.repeats,
         )
-        inc_s, inc_run = time_best_of(
-            lambda: RMASimulator(
+
+        def replay():
+            return RMASimulator(
                 ctx.system,
                 ctx.db,
                 scenario.workload,
                 factory(),
                 max_slices=args.max_slices,
                 scenario=scenario,
-            ).run(),
-            args.repeats,
-        )
-        same = runs_bit_identical(ref_run, inc_run)
+            ).run()
+
+        inc_s, inc_run = time_best_of(replay, args.repeats)
+        curve_builds, counted_run = count_curve_builds(replay)
+        same = runs_bit_identical(ref_run, inc_run) and runs_bit_identical(counted_run, inc_run)
         identical = identical and same
         report["managers"][name] = {
             "reference_s": round(ref_s, 4),
@@ -128,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             "bit_identical": same,
             "result_hash": run_result_hash(inc_run),
             "rma_invocations": int(inc_run.rma_invocations),
+            "curve_builds": curve_builds,
         }
         print(
             f"{name:18s} reference {ref_s:7.3f}s  incremental {inc_s:7.3f}s  "

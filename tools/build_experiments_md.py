@@ -150,7 +150,10 @@ hashes).  See "Running as a service" in `README.md`.
   (`tests/oracles/reference_manager.py`, a from-scratch node-graph
   reduction per invocation) across RM1/RM2/RM3/dvfs-only on the 8-core Poisson
   scenario (512 intervals, `--max-slices 24`, trace density 400) — ≈3–5×
-  end-to-end with `bit_identical=true` per manager;
+  end-to-end with `bit_identical=true` per manager — and `curve_builds`,
+  the rows the compiled curve chain built in one production replay (an
+  exact-match key of the gate, since the curve layer's wall-clock sits
+  under its `--min-delta-s` floor);
 * `BENCH_scaling.json` (`tools/bench_scaling.py`) — the many-core
   trajectory: a 64-core S5 cluster-churn replay (512 intervals,
   `--max-slices 12`, trace density 400) under the clustered RM2

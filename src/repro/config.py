@@ -36,7 +36,6 @@ __all__ = [
     "OverheadConfig",
     "SystemConfig",
     "Allocation",
-    "AllocationMap",
     "default_system",
     "CORE_SIZES",
     "SMALL",
@@ -287,7 +286,12 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Allocation:
-    """One core's resource setting: (core-size index, VF index, LLC ways)."""
+    """One core's resource setting: (core-size index, VF index, LLC ways).
+
+    Managers return ``{core: Allocation}`` maps of the settings to apply,
+    for any subset of the cores (see
+    :meth:`~repro.core.managers.ResourceManager.on_interval`).
+    """
 
     core: int
     freq: int
@@ -295,24 +299,6 @@ class Allocation:
 
     def __post_init__(self) -> None:
         require(self.ways >= 1, "an allocation needs at least one way")
-
-
-class AllocationMap(dict):
-    """An allocation map annotated with its change set.
-
-    ``delta`` lists the ``(core_id, allocation)`` entries that differ from
-    the previous map the manager returned (``None`` = unknown, scan all).
-    The kernel's apply loop walks only the delta when one is present:
-    entries outside it are object-identical to an already-applied map, so
-    re-probing them is a guaranteed no-op.  Plain dicts stay valid manager
-    output -- the kernel treats them as delta-less maps.
-    """
-
-    __slots__ = ("delta",)
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.delta: list[tuple[int, "Allocation"]] | None = None
 
 
 def default_system(ncores: int = 4) -> SystemConfig:

@@ -1,10 +1,8 @@
-"""Cluster planning and the metered DP work of the min-plus reduction.
+"""Cluster planning for the clustered coordinated manager.
 
-:func:`partition_clusters` and :func:`cluster_way_caps` plan the clustered
-manager's hierarchy; :func:`_dp_cell_count` (the metered DP work of one
-combine) serves :class:`~repro.core.packed_tree.PackedReduction`, the
-reduction itself.  Its node-graph reference lives in
-``tests/oracles/node_graph.py``.
+:func:`partition_clusters` and :func:`cluster_way_caps` plan the
+hierarchy that :class:`~repro.core.packed_tree.PackedReduction` reduces
+(the reduction and its metered DP work live there).
 """
 
 from __future__ import annotations
@@ -17,23 +15,6 @@ __all__ = [
     "partition_clusters",
     "cluster_way_caps",
 ]
-
-
-#: Memoised in-range DP cell counts per (left width, right width, sums):
-#: the count is a pure function of the three shapes and recurs for every
-#: combine at the same tree position, so the per-combine NumPy reduction
-#: collapses to a dict lookup.
-_DP_CELLS_MEMO: dict[tuple[int, int, int], int] = {}
-
-
-def _dp_cell_count(na: int, nb: int, nk: int) -> int:
-    """DP work of one combine: the in-range (sl, s - sl) pairs per sum."""
-    key = (na, nb, nk)
-    cells = _DP_CELLS_MEMO.get(key)
-    if cells is None:
-        cells = sum(min(k + 1, na, nb, na + nb - 1 - k) for k in range(nk))
-        _DP_CELLS_MEMO[key] = cells
-    return cells
 
 
 def partition_clusters(ncores: int, cluster_size: int) -> tuple[tuple[int, ...], ...]:

@@ -30,7 +30,9 @@ is a persistent
 :class:`~repro.core.packed_tree.PackedReduction` into which each decision
 re-installs only the leaves that can have changed (the invoking core's and
 those of cores touched by scenario events) and which only re-combines the
-root paths of leaves that actually changed.  The recompute-everything
+root paths of leaves that actually changed.  A decision returns only
+what the reduction's back-track walk rewrote: the walked cores'
+allocations, or None when the walk did not run.  The recompute-everything
 pipeline it replaced -- fresh curves and a from-scratch reduction on every
 invocation -- is kept as an executable specification in
 ``tests/oracles/reference_manager.py``: ``tests/test_engine_equivalence.py``
@@ -58,7 +60,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.config import Allocation, AllocationMap, SystemConfig
+from repro.config import Allocation, SystemConfig
 from repro.core.batch_opt import analytical_curves_batch, oracle_curves_batch
 from repro.core.curves import EnergyCurve
 from repro.core.global_opt import cluster_way_caps, partition_clusters
@@ -84,7 +86,7 @@ class ResourceManager(ABC):
 
     ``attach`` is called once per simulation run and must reset all run
     state; ``on_interval`` is called on the core that just completed an
-    execution interval and may return a full new allocation map.
+    execution interval and returns the allocations to apply.
     """
 
     name: str = "manager"
@@ -111,10 +113,10 @@ class ResourceManager(ABC):
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
         """Decide new allocations after ``core_id`` finished an interval.
 
-        The returned map is owned by the simulator from this point on and
-        must not be mutated in place afterwards; a manager re-serving a
-        fully cached decision may return the same dict object again, which
-        the kernel recognises as already applied.
+        Returns ``{core: allocation}`` for any subset of the cores -- every
+        core left out keeps its current allocation, and an entry equal to
+        the current one is a no-op -- or None to change nothing.  The
+        settings after applying it must fill the LLC exactly.
         """
 
 
@@ -174,7 +176,6 @@ class CoordinatedManager(ResourceManager):
         self._pinned_leaf: EnergyCurve | None = None
         self._idle_leaf: EnergyCurve | None = None
         self._alloc_cache: dict[tuple[int, int, int], Allocation] = {}
-        self._alloc_out: tuple | None = None
         self._rec_digests: dict[tuple, tuple[bytes, bytes]] = {}
         # The invoking core's last (snapshot, record, slack, curve, grid
         # points): a repeat of the same objects is served without a key.
@@ -205,7 +206,6 @@ class CoordinatedManager(ResourceManager):
             freq_idx=system.baseline_freq_index, max_ways=system.llc.ways,
         )
         self._alloc_cache = {}
-        self._alloc_out = None
         # Per-run: a reattached manager may face a different database whose
         # records reuse the same (bench, phase) identities.
         self._rec_digests = {}
@@ -314,13 +314,16 @@ class CoordinatedManager(ResourceManager):
 
     def _oracle_leaves(self) -> dict[int, EnergyCurve]:
         """Oracle curves for every active core: memo hits plus one batched
-        pass over the misses (stacked grids, one ``oracle_curves_batch``)."""
+        pass over the misses (stacked grids, one ``oracle_curves_batch``).
+
+        Cores that miss on the same key build its content once: the later
+        ones share the curve and replay its grid points, like a hit.
+        """
         sim, system = self.sim, self.sim.system
         ids = sim.active_core_ids()
         recs = sim.upcoming_records(ids)
         leaves: dict[int, EnergyCurve] = {}
-        miss_ids: list[int] = []
-        miss_keys: list[tuple] = []
+        misses: dict[tuple, list[int]] = {}
         miss_recs: list = []
         miss_slacks: list[float] = []
         for j, rec in zip(ids, recs):
@@ -330,20 +333,24 @@ class CoordinatedManager(ResourceManager):
             if hit is not None:
                 leaves[j] = hit[0]
                 self.meter.charge_replay(grid_points=hit[1])
+            elif key in misses:
+                misses[key].append(j)
             else:
-                miss_ids.append(j)
-                miss_keys.append(key)
+                misses[key] = [j]
                 miss_recs.append(rec)
                 miss_slacks.append(slack)
-        if miss_ids:
+        if misses:
             before = self.meter.grid_points
             curves = oracle_curves_batch(
                 system, miss_recs, miss_slacks, self._dimspec, self.meter,
             )
-            points = (self.meter.grid_points - before) // len(miss_ids)
-            for j, key, curve in zip(miss_ids, miss_keys, curves):
+            points = (self.meter.grid_points - before) // len(misses)
+            for (key, cores), curve in zip(misses.items(), curves):
                 self._memo[key] = (curve, points)
-                leaves[j] = curve
+                for j in cores:
+                    leaves[j] = curve
+                if len(cores) > 1:
+                    self.meter.charge_replay(grid_points=points * (len(cores) - 1))
         return leaves
 
     # -- the decision ----------------------------------------------------------
@@ -377,50 +384,28 @@ class CoordinatedManager(ResourceManager):
         self.curves[core_id] = self._analytical_curve_memo(core_id)
         return None
 
-    def _to_allocations(self, assignment, touched) -> dict[int, Allocation] | None:
-        """Convert a solved ``{core: (c, f, w)}`` map into allocations.
+    def _to_allocations(self, changes) -> dict[int, Allocation] | None:
+        """Translate the reduction's change set into allocations to apply.
 
-        The reduction keys its assignment by leaf slot, and slot ``j`` is
-        core ``j``.
-
-        Allocation objects are cached per setting, so a core whose setting
-        did not change receives the *same* object as last invocation and
-        the kernel's apply loop skips it on identity alone.  A fully cached
-        solve (the reduction tree returning its previous assignment object)
-        short-circuits to the previous allocation map -- the same dict
-        object, which the kernel recognises as already applied.  Returned
-        maps are treated as immutable by that contract.
-
-        ``touched`` (the reduction's rewritten slots,
-        ``PackedReduction.last_touched``) makes every translation a delta:
-        every untouched entry of ``assignment`` is object-identical to the
-        previous one, so the new map copies the previous map wholesale and
-        re-translates only the touched cores, annotating the result
-        (:class:`AllocationMap`) so the kernel's apply loop can skip the
-        untouched entries as well.  The first solve walks every leaf, so
-        its delta from the empty map lists every core in walk order.
+        ``changes`` is :meth:`PackedReduction.solve
+        <repro.core.packed_tree.PackedReduction.solve>`'s walked
+        ``(leaf slot, (c, f, w))`` pairs, and slot ``j`` is core ``j``;
+        an infeasible (None) or unchanged (``[]``) solve applies nothing.
+        Allocation objects are cached per setting, so a walked core whose
+        setting did not move hands the kernel the very object it holds
+        (after its first decision), which its apply loop skips on identity
+        alone.
         """
-        if assignment is None:
+        if not changes:
             return None
-        cached = self._alloc_out
-        if cached is not None and cached[0] is assignment:
-            return cached[1]
         cache = self._alloc_cache
-        prev_out = {} if cached is None else cached[1]
-        out = AllocationMap(prev_out)
-        delta: list[tuple[int, Allocation]] = []
-        for j in touched:
-            setting = assignment[j]
+        out: dict[int, Allocation] = {}
+        for j, setting in changes:
             alloc = cache.get(setting)
             if alloc is None:
                 c, f, w = setting
-                alloc = Allocation(core=c, freq=f, ways=w)
-                cache[setting] = alloc
-            if prev_out.get(j) is not alloc:
-                out[j] = alloc
-                delta.append((j, alloc))
-        out.delta = delta
-        self._alloc_out = (assignment, out)
+                alloc = cache[setting] = Allocation(core=c, freq=f, ways=w)
+            out[j] = alloc
         return out
 
     def on_interval(self, core_id: int) -> dict[int, Allocation] | None:
@@ -435,7 +420,7 @@ class CoordinatedManager(ResourceManager):
             or not tree.holds(core_id, self.curves[core_id])
         ):
             self._install_leaves(core_id, oracle_leaves)
-        return self._to_allocations(tree.solve(self.meter), tree.last_touched)
+        return self._to_allocations(tree.solve(self.meter))
 
     def _install_leaves(self, core_id: int, oracle_leaves) -> None:
         """Install the leaves that can have changed since the last decision.

@@ -18,7 +18,7 @@ arrays:
   one float64 buffer ``E``, row after row;
 * **one plan buffer** -- an int64 array allocated once per reduction:
   a header (``_HEADER``: leaf and row counts, root row, root way total,
-  whether a previous assignment exists, and the cumulative
+  whether a walk has run, and the cumulative
   ``rows_combined`` / ``splits`` work counters), then one column per
   row attribute (``_COLUMNS``): children ``src_a`` / ``src_b`` (-1 for a
   leaf), ``parent`` (-1 for the root), stored range ``nlo`` / ``nk``,
@@ -42,15 +42,23 @@ arrays:
   first-minimum tie-break -- is exactly that of a full-range combine);
 * **static meter totals** -- the modelled RMA cost of one invocation is
   the sum of every combine node's *untruncated* DP-cell count, a constant
-  of the tree shape, charged as one integer-exact
+  of the tree shape (:func:`_dp_cell_count` per combine), charged as one
+  integer-exact
   :meth:`~repro.core.overhead_meter.OverheadMeter.charge_replay` per
   solve (integer DP-cell counts are exact in float64 and order-free, so
-  this equals charging every combine separately).
+  this equals charging every combine separately);
+* **one change set per solve** -- a solve returns the walk's
+  ``(leaf slot, (c, f, w))`` pairs and nothing else: a subtree whose
+  stamp already holds its incoming way total keeps its settings, so the
+  pairs are exactly what this decision may change.  The manager
+  translates them into allocations and the simulation kernel applies
+  them as they are; no assignment map is kept or copied anywhere.
 
 The node-graph reduction in ``tests/oracles/node_graph.py`` is the golden
 reference: ``tests/test_packed_tree.py`` asserts bit-identity --
-assignments, splits, meter charges -- across random widths, odd leaf
-counts, way caps and splice orders.
+assignments (each solve's pairs folded into the previous ones), splits,
+meter charges -- across random widths, odd leaf counts, way caps and
+splice orders.
 
 One call into the compiled kernel (``_minplus.c``, built and loaded by
 :mod:`repro.core.minplus`) does a whole solve: ``minplus_solve(plan, E)``
@@ -88,7 +96,6 @@ import numpy as np
 
 from repro.core import minplus
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import _dp_cell_count
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
 
@@ -105,6 +112,22 @@ _HAS_PREV, _ROWS_COMBINED, _SPLITS = 4, 5, 6
 
 #: ``minplus_solve``'s result for an unchanged root (an infeasible one gives -1).
 _UNCHANGED = -2
+
+#: Memoised in-range DP cell counts per (left width, right width, sums):
+#: the count is a pure function of the three shapes and recurs for every
+#: combine at the same tree position, so planning a reduction looks most
+#: of them up instead of summing them again.
+_DP_CELLS_MEMO: dict[tuple[int, int, int], int] = {}
+
+
+def _dp_cell_count(na: int, nb: int, nk: int) -> int:
+    """DP work of one combine: the in-range (sl, s - sl) pairs per sum."""
+    key = (na, nb, nk)
+    cells = _DP_CELLS_MEMO.get(key)
+    if cells is None:
+        cells = sum(min(k + 1, na, nb, na + nb - 1 - k) for k in range(nk))
+        _DP_CELLS_MEMO[key] = cells
+    return cells
 
 
 class _Rec:
@@ -262,12 +285,6 @@ class PackedReduction:
 
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
         self._nmissing = self.nleaves  # leaves still awaiting a first curve
-        self._last_assignment: dict[int, tuple[int, int, int]] | None = None
-        #: Leaf slots whose assignment entry the last solve's walk rewrote
-        #: (None until a walk has run).  Every other entry of the returned
-        #: dict is object-identical to the previous solve's, which is what
-        #: lets the manager translate only the touched cores.
-        self.last_touched: list[int] | None = None
 
     # ---- leaf installation ---------------------------------------------------
     @property
@@ -333,19 +350,23 @@ class PackedReduction:
         self._cols.mark[slot] = 1
 
     # ---- solve ---------------------------------------------------------------
-    def solve(self, meter: OverheadMeter | None = None) -> dict[int, tuple[int, int, int]] | None:
-        """Optimal ``{leaf slot: (c, f, w)}`` assignment (None if infeasible).
+    def solve(
+        self, meter: OverheadMeter | None = None
+    ) -> list[tuple[int, tuple[int, int, int]]] | None:
+        """The solve's change set: walked ``(leaf slot, (c, f, w))`` pairs.
 
         Charges the invocation's static DP total, then makes one
         ``minplus_solve`` call (the module docstring has its contract):
         it recombines the dirty root paths and walks the back-track, and
-        this method turns the walked ``(leaf slot, ways)`` pairs into
-        settings of a copy of the previous assignment.  Bit-identical --
-        assignment, tie-breaks, meter charges -- to the node-graph
-        hierarchy (or flat tree) over the same curves.  Like the
-        reference, an unchanged root returns the previous assignment *dict
-        object*, preserving the downstream identity short-circuits
-        (allocation-map cache, kernel apply skip).
+        this method reads each walked ``(leaf slot, ways)`` pair's setting
+        off the held curve, in walk order.  Returns None when the root is
+        infeasible and ``[]`` when it kept its way total (nothing
+        changed).  The first walk lists every slot; later walks list only
+        the leaves below a row whose incoming way total moved, and every
+        other leaf keeps its setting -- so folding each solve's pairs into
+        the previous ones gives exactly the node-graph hierarchy's (or
+        flat tree's) assignment over the same curves, tie-breaks and meter
+        charges included.
         """
         if meter is not None and self._total_cells:
             meter.charge_replay(dp_cells=self._total_cells)
@@ -353,24 +374,8 @@ class PackedReduction:
         require(not self._nmissing, "every leaf needs a curve")
         n = _kernel.minplus_solve(self._plan_addr, self._E_addr)
         if n < 0:
-            if n == _UNCHANGED:
-                self.last_touched = []
-                return self._last_assignment
-            return None
-        # Start from the previous assignment (one C-speed dict copy: the
-        # leaf set is fixed, so its keys are exactly the output keys) and
-        # overwrite only the walked leaves; a subtree whose stamp matched
-        # its incoming way total kept its previous assignment verbatim.
-        prev = self._last_assignment
-        out: dict[int, tuple[int, int, int]] = {} if prev is None else dict(prev)
-        touched: list[int] = []
+            return [] if n == _UNCHANGED else None
+        self._hdr[_HAS_PREV] = 1
         held = self._held
         pairs = iter(self._out[: 2 * n].tolist())
-        for slot, ways in zip(pairs, pairs):
-            out[slot] = held[slot].setting_at(ways)
-            touched.append(slot)
-        if prev is None:
-            self._hdr[_HAS_PREV] = 1
-        self._last_assignment = out
-        self.last_touched = touched
-        return out
+        return [(slot, held[slot].setting_at(ways)) for slot, ways in zip(pairs, pairs)]

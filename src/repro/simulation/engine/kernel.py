@@ -16,8 +16,10 @@ One iteration = one global event = the earliest completion of a
 5. unless this boundary changed the completing core's tenancy (the
    completed statistics would describe a departed app), the resource
    manager is invoked through the
-   :class:`~repro.simulation.engine.bridge.ManagerBridge` and any new
-   system-wide setting is applied with transition overheads.
+   :class:`~repro.simulation.engine.bridge.ManagerBridge` and the
+   allocations it returns -- for the coordinated managers, only the
+   cores their reduction's walk rewrote -- are applied with transition
+   overheads.
 
 Accounting is bit-identical to ``tests/oracles/legacy_sim.py``, the
 frozen pre-refactor reference; the golden equivalence suite enforces it.
@@ -182,21 +184,18 @@ class SimulationKernel:
     def _apply(self, allocations: dict[int, Allocation]) -> None:
         system = self.system
         cores = self.cores
-        # One scan finds the (typically few) entries that differ from the
-        # current setting -- Allocation objects are identity-cached by the
-        # managers, so unchanged cores fail the `is not` probe -- and
-        # audits the way budget off the maintained total plus their deltas:
-        # no per-core recount, and (like the reference) the check fires
-        # before any allocation is mutated.  Entries equal in value but not
-        # identity contribute a zero delta either way.
+        # One scan finds the entries that differ from the current setting
+        # (the coordinated managers return only the cores their walk
+        # rewrote, as identity-cached Allocation objects, so an unchanged
+        # core fails the `is not` probe) and audits the way budget off the
+        # maintained total plus their deltas: no per-core recount, a map of
+        # any subset of the cores is checked against the whole LLC, and
+        # (like the reference) the check fires before any allocation is
+        # mutated.  Entries equal in value but not identity contribute a
+        # zero delta either way.
         total = self._ways_total
         changed: list[tuple[int, Allocation]] = []
-        # A delta-annotated map (AllocationMap) narrows the scan to the
-        # entries its manager actually rewrote: everything outside the
-        # delta is object-identical to an already-applied map, so probing
-        # it is a guaranteed no-op.
-        delta = getattr(allocations, "delta", None)
-        for j, new in allocations.items() if delta is None else delta:
+        for j, new in allocations.items():
             cur = cores[j].alloc
             if new is cur or new == cur:
                 continue
@@ -253,7 +252,6 @@ class SimulationKernel:
         cores = self.cores
         step = self._step
         events = 0
-        last_applied = None
         while not self._finished():
             events += 1
             require(events <= MAX_EVENTS, "event cap exceeded (manager thrashing?)")
@@ -278,20 +276,8 @@ class SimulationKernel:
                 invoke_manager = not tenancy.apply_due(self.time_ns, completed_core=j)
             if invoke_manager:
                 new_allocs = self.manager.on_interval(j)
-                # Managers serving a fully cached decision return the same
-                # dict object as last invocation; every entry in it was
-                # already applied, so re-walking it is a guaranteed no-op
-                # (returned maps are immutable by the on_interval
-                # contract).  Debug mode verifies the contract held.
                 if new_allocs:
-                    if new_allocs is not last_applied:
-                        self._apply(new_allocs)
-                        last_applied = new_allocs
-                    elif _WAYS_AUDIT:
-                        assert all(
-                            a is cores[k].alloc or a == cores[k].alloc
-                            for k, a in new_allocs.items()
-                        ), "manager mutated a previously returned allocation map"
+                    self._apply(new_allocs)
         self.events_simulated = events
 
         if self.scenario is not None:

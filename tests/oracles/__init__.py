@@ -5,6 +5,10 @@
   :class:`~repro.core.packed_tree.PackedReduction`;
 * :mod:`tests.oracles.reference_manager` -- the recompute-everything
   coordinated-manager pipeline and the node-graph clustered manager;
+* :mod:`tests.oracles.change_sets` -- ``fold``, which applies a decision
+  (a change set or a full map) to per-core state, so production change
+  sets and the references' full maps compare as state after every
+  decision;
 * :mod:`tests.oracles.model_chain` -- the per-core NumPy model chain
   (``exec_cpi_estimate``, ``predict_tpi_grid``, ``predict_epi_grid``,
   ``qos_target_tpi``, ``local_optimize``), with its own system constants

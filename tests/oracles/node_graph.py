@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.curves import EnergyCurve
-from repro.core.global_opt import _dp_cell_count
 from repro.core.overhead_meter import OverheadMeter
+from repro.core.packed_tree import _dp_cell_count
 from repro.util.validation import require
 
 __all__ = ["global_optimize", "ReductionTree"]

@@ -175,6 +175,5 @@ class NodeGraphClusteredManager(CoordinatedManager):
             root, changed = tree.refresh(meter)
             level2.set_leaf_node(ci, root, changed)
         assignment = level2.solve(meter)
-        # Every core counts as touched: the node graph tracks no delta.
-        touched = None if assignment is None else list(assignment)
-        return self._to_allocations(assignment, touched)
+        # The node graph tracks no change set: every core is listed.
+        return self._to_allocations(None if assignment is None else list(assignment.items()))

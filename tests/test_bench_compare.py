@@ -95,6 +95,15 @@ class TestCompareRules:
         problems = compare_reports(base, got)
         assert any("curve_builds" in p and "exact-match" in p for p in problems)
 
+    def test_allocation_entry_counter_drift_fails(self):
+        base = copy.deepcopy(BASE)
+        base["managers"]["rm2-combined"]["allocation_entries"] = 700
+        assert compare_reports(base, copy.deepcopy(base)) == []
+        got = copy.deepcopy(base)
+        got["managers"]["rm2-combined"]["allocation_entries"] = 701
+        problems = compare_reports(base, got)
+        assert any("allocation_entries" in p and "exact-match" in p for p in problems)
+
     def test_bit_identical_false_fails(self):
         problems = compare_reports(BASE, fresh(bit_identical=False))
         assert any("not bit-identical" in p for p in problems)

@@ -413,7 +413,8 @@ class TestWayBudgetAudit:
         assert run.rma_invocations > 0
 
     def test_reserved_map_identity_fast_path(self, system4, db4):
-        """A manager re-serving the same dict object is a recognised no-op."""
+        """A manager returning the same full map every time is a no-op:
+        every entry equals the current setting, so nothing is applied."""
         sim = self._sim(system4, db4)
 
         class ConstantManager(StaticBaselineManager):

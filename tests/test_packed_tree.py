@@ -6,9 +6,11 @@ stage -- into flat plan arrays and solves it in one kernel call that
 recombines every dirty row and walks the back-track.  The node-graph
 :class:`~tests.oracles.node_graph.ReductionTree` hierarchy is the golden
 reference: on every input the packed tree must reproduce its assignment
-(including tie-breaks), its ``None``-ness on infeasible inputs, and its
-metered RMA overhead (instructions and DP cells) *exactly* -- the packed
-path is an execution-layout change, never a semantics change.
+(including tie-breaks) -- each solve's change set folded into the
+settings the previous ones left (``tests/oracles/change_sets.py``) --
+its ``None``-ness on infeasible inputs, and its metered RMA overhead
+(instructions and DP cells) *exactly* -- the packed path is an
+execution-layout change, never a semantics change.
 
 The property tests drive persistent instances through randomized splice /
 update sequences over inf-heavy curves (sporadic infeasible entries plus
@@ -41,8 +43,10 @@ from repro.core.packed_tree import PackedReduction
 from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
+from tests.oracles.change_sets import fold
 from tests.oracles.node_graph import ReductionTree
 from tests.oracles.reference_manager import NodeGraphClusteredManager
+from tests.test_batch_opt import _StubSim, _stats
 from tests.test_clustered import assert_same_numbers
 
 
@@ -107,10 +111,12 @@ class _Reference:
                 self.trees[ci].invalidate(members.index(slot))
 
 
-def _check_step(tag, ref, got, m_ref, m_pk):
+def _check_step(tag, ref, got, held, m_ref, m_pk):
+    """Compare one solve with the reference's; ``got`` is folded into
+    ``held``, the settings the packed reduction's solves left so far."""
     assert (ref is None) == (got is None), f"{tag}: feasibility mismatch"
     if ref is not None:
-        assert got == ref, f"{tag}: assignment mismatch"
+        assert fold(held, got) == ref, f"{tag}: assignment mismatch"
     assert m_pk.instructions == m_ref.instructions, f"{tag}: meter drift"
     assert m_pk.dp_cells == m_ref.dp_cells, f"{tag}: DP-cell drift"
 
@@ -124,6 +130,7 @@ def _splice_sequences_match_reference(seed, ties=False):
         tuple(len(m) for m in clusters), tuple(caps), ways, 1)
     reference = _Reference(clusters, caps, ways)
     m_ref, m_pk = OverheadMeter(), OverheadMeter()
+    held = {}
 
     curves = _random_curves(rng, ncores, ways,
                             inf_p=float(rng.uniform(0.05, 0.6)), ties=ties)
@@ -133,14 +140,13 @@ def _splice_sequences_match_reference(seed, ties=False):
         for j in range(ncores):
             packed.set_leaf(j, curves[j])
         got = packed.solve(m_pk)
-        _check_step(tag, ref, got, m_ref, m_pk)
+        _check_step(tag, ref, got, held, m_ref, m_pk)
         if ref is not None:
-            # Identity contract: nothing changed, so the manager's
-            # delta diffing must see the very same dict object again.
+            # Nothing changed: the repeat's change set is empty.
             again = packed.solve(m_pk)
-            assert again is got, f"{tag}: cached-dict identity broken"
-            _check_step(f"{tag} (cached)", reference.solve(curves, m_ref),
-                        again, m_ref, m_pk)
+            assert again == [], f"{tag}: unchanged root changed settings"
+            _check_step(f"{tag} (unchanged)", reference.solve(curves, m_ref),
+                        again, held, m_ref, m_pk)
         mode = rng.random()
         if mode < 0.55:  # steady state: one core's curve moves
             j = int(rng.integers(0, ncores))
@@ -168,9 +174,7 @@ def _flat_tree_matches(seed, ncores):
     m_ref, m_pk = OverheadMeter(), OverheadMeter()
     want = flat.solve(m_ref)
     got = packed.solve(m_pk)
-    assert got == want
-    assert m_pk.instructions == m_ref.instructions
-    assert m_pk.dp_cells == m_ref.dp_cells
+    _check_step("flat", want, got, {}, m_ref, m_pk)
 
 
 def _all_idle_is_infeasible_then_recovers():
@@ -206,7 +210,7 @@ def _all_idle_is_infeasible_then_recovers():
         packed.set_leaf(j, healed[j])
     ref = reference.solve(healed, m_ref)
     got = packed.solve(m_pk)
-    assert got == ref
+    assert fold({}, got) == ref
     assert ref is not None
     assert m_pk.instructions == m_ref.instructions
 
@@ -237,8 +241,8 @@ class TestPackedBitIdentity:
     @pytest.mark.parametrize("cluster_size", [None, 2, 3])
     def test_one_curve_object_in_every_slot(self, cluster_size):
         """Curves carry no core label: one object installed at every slot
-        still yields one assignment entry and one touched entry per slot,
-        equal to the node-graph reference's."""
+        still yields one change per slot, equal to the node-graph
+        reference's assignment."""
         ncores, ways = 7, 20
         clusters = partition_clusters(ncores, cluster_size or ncores)
         caps = (ways,) if len(clusters) == 1 else cluster_way_caps(ways, ncores, clusters, 1)
@@ -247,11 +251,49 @@ class TestPackedBitIdentity:
         packed.set_leaves([curve] * ncores)
         m_ref, m_pk = OverheadMeter(), OverheadMeter()
         got = packed.solve(m_pk)
-        assert sorted(got) == list(range(ncores))
-        assert sorted(packed.last_touched) == list(range(ncores))
-        assert sum(w for _, _, w in got.values()) == ways
+        assert sorted(slot for slot, _ in got) == list(range(ncores))
+        assert sum(w for _, (_, _, w) in got) == ways
         ref = _Reference(clusters, caps, ways).solve([curve] * ncores, m_ref)
-        _check_step("one object", ref, got, m_ref, m_pk)
+        _check_step("one object", ref, got, {}, m_ref, m_pk)
+
+
+class TestChangeSet:
+    """A solve returns the walk's changes and nothing else, and a
+    coordinated manager's decision hands exactly those to the kernel."""
+
+    def test_first_solve_lists_every_slot(self):
+        rng = np.random.default_rng(11)
+        ncores, ways = 13, 40
+        clusters = partition_clusters(ncores, 4)
+        caps = cluster_way_caps(ways, ncores, clusters, 1)
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        curves = [_finite_leaf(rng, ways) for _ in range(ncores)]
+        packed.set_leaves(curves)
+        got = packed.solve()
+        assert sorted(slot for slot, _ in got) == list(range(ncores))
+        for slot, setting in got:
+            assert setting == curves[slot].setting_at(setting[2])
+        assert sum(w for _, (_, _, w) in got) == ways
+
+    def test_unchanged_root_gives_an_empty_change_set(self):
+        rng = np.random.default_rng(12)
+        ncores, ways = 9, 30
+        packed = PackedReduction((ncores,), (ways,), ways, 1)
+        curves = [_finite_leaf(rng, ways) for _ in range(ncores)]
+        packed.set_leaves(curves)
+        assert len(packed.solve()) == ncores
+        assert packed.solve() == []  # nothing dirty
+        packed.set_leaves(list(curves))  # the same curves again: still clean
+        assert packed.solve() == []
+
+    def test_repeat_manager_decision_returns_none(self, system4, db4):
+        recs, snaps = _stats(system4, db4, seed=21, n=system4.ncores)
+        mgr = rm2_combined()
+        mgr.attach(_StubSim(system4, recs, snaps, [0.0] * system4.ncores))
+        first = mgr.on_interval(0)
+        assert sorted(first) == list(range(system4.ncores))
+        assert sum(a.ways for a in first.values()) == system4.llc.ways
+        assert mgr.on_interval(0) is None  # the same statistics again
 
 
 class TestPackedClusteredManager:
@@ -376,6 +418,7 @@ class TestWideBoxes:
         packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
         reference = _Reference(clusters, caps, ways)
         m_ref, m_pk = OverheadMeter(), OverheadMeter()
+        held = {}
 
         def leaf(j, pinned=False):
             return _wide_curve(rng, ways, cap_of[j], pinned)
@@ -387,7 +430,7 @@ class TestWideBoxes:
             ref = reference.solve(curves, m_ref)
             packed.set_leaves(curves)
             got = packed.solve(m_pk)
-            _check_step(f"{clusters} step={step}", ref, got, m_ref, m_pk)
+            _check_step(f"{clusters} step={step}", ref, got, held, m_ref, m_pk)
             _assert_rows_are_exact_combines(packed)
             sweeps, has_width1 = _band_sweeps(packed)
             width1 |= has_width1
@@ -451,18 +494,18 @@ def _all_inf_leaf(ways):
 
 def _one_call_trace(seed, ties=False, rebuild=False):
     """Drive one reduction through a random splice sequence against the
-    node-graph oracle and return its per-solve trace: (assignment, touched
-    cores, rows_combined, splits).  With ``rebuild``, every step also
-    builds a fresh reduction over the current curves, whose assignment and
-    whole stored row buffer the incrementally refreshed one must equal.
+    node-graph oracle and return its per-solve trace: (settings after the
+    solve, changed slots, rows_combined, splits).  With ``rebuild``, every
+    step also builds a fresh reduction over the current curves, whose
+    assignment and whole stored row buffer the incrementally refreshed one
+    must equal.
 
     Every solve is checked against the oracle, and every stored row against
     the exact combine of its children; the refresh must recombine
     exactly the union of the dirty leaves' root paths, the first walk
-    must split every combine row once and touch every leaf, a walk-free
+    must split every combine row once and list every leaf, a walk-free
     solve (infeasible, or nothing changed) must split nothing, and a
-    repeated solve with nothing dirty must hand back the same dict object
-    with no touched cores.  Steps move leaves in several clusters at once,
+    repeated solve with nothing dirty must return an empty change set.  Steps move leaves in several clusters at once,
     empty a leaf (an all-``inf`` curve makes the root infeasible) and heal
     it, and re-ingest unchanged leaves.
     """
@@ -478,6 +521,7 @@ def _one_call_trace(seed, ties=False, rebuild=False):
     inf_p = float(rng.uniform(0.05, 0.5))
     curves = [_one_leaf(rng, ways, inf_p, ties) for j in range(ncores)]
     moved, invalidated, held = set(range(ncores)), set(range(ncores)), list(curves)
+    settings_held = {}
     walked = False
     trace = []
     for step in range(8):
@@ -490,14 +534,14 @@ def _one_call_trace(seed, ties=False, rebuild=False):
         rows0, splits0 = packed.rows_combined, packed.splits
         ref = reference.solve(curves, m_ref)
         got = packed.solve(m_pk)
-        _check_step(tag, ref, got, m_ref, m_pk)
+        _check_step(tag, ref, got, settings_held, m_ref, m_pk)
         _assert_rows_are_exact_combines(packed)
         if rebuild:
             fresh = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
             fresh.set_leaves(curves)
             want = fresh.solve(OverheadMeter())
             assert (got is None) == (want is None), f"{tag}: rebuild feasibility"
-            assert got is None or sorted(got.items()) == sorted(want.items()), tag
+            assert got is None or settings_held == fold({}, want), tag
             assert np.array_equal(packed._E, fresh._E), f"{tag}: rebuilt rows differ"
         union = {r for j in dirty for r in _root_path(cols, j)}
         assert packed.rows_combined - rows0 == len(union), f"{tag}: refresh rows"
@@ -505,15 +549,15 @@ def _one_call_trace(seed, ties=False, rebuild=False):
             assert packed.splits == splits0, f"{tag}: an infeasible solve walked"
         elif not walked:
             assert packed.splits - splits0 == combines, f"{tag}: first walk splits"
-            assert sorted(packed.last_touched) == list(range(ncores)), tag
+            assert sorted(slot for slot, _ in got) == list(range(ncores)), tag
             walked = True
-        touched = None if packed.last_touched is None else list(packed.last_touched)
-        trace.append((got if got is None else sorted(got.items()), touched,
-                      packed.rows_combined, packed.splits))
+        changed = None if got is None else [slot for slot, _ in got]
+        trace.append((dict(settings_held), changed, packed.rows_combined, packed.splits))
         if got is not None:
             again = packed.solve(m_pk)
-            _check_step(f"{tag} (again)", reference.solve(curves, m_ref), again, m_ref, m_pk)
-            assert again is got and packed.last_touched == [], f"{tag}: unchanged root"
+            _check_step(f"{tag} (again)", reference.solve(curves, m_ref), again,
+                        settings_held, m_ref, m_pk)
+            assert again == [], f"{tag}: unchanged root"
             assert (packed.rows_combined, packed.splits) == trace[-1][2:], tag
         moved, invalidated = set(), set()
         mode = rng.random()
@@ -600,5 +644,5 @@ class TestCompiledSolve:
         states.append(packed.solve())
         packed.set_leaf(2, _all_inf_leaf(ways))
         states.append(packed.solve())  # infeasible
-        assert states[0] is not None and states[1] is states[0] and states[-1] is None
+        assert len(states[0]) == ncores and states[1] == [] and states[-1] is None
         assert proxy.calls == ["minplus_solve"] * len(states)

@@ -60,6 +60,7 @@ EXACT_KEYS = {
     "reduction_rows",
     "reduction_splits",
     "curve_builds",
+    "allocation_entries",
 }
 
 #: Fidelity context: a mismatch means the artifacts measure different

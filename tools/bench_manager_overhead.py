@@ -12,7 +12,9 @@ bit-identical, and records wall-clock, speedup and result hashes into
 pipeline's time under ``incremental_s``).  ``curve_builds`` counts the
 rows the compiled curve chain built over one production run: a
 deterministic count of the curve layer's work, which its wall-clock is
-too small to gate.
+too small to gate.  ``allocation_entries`` counts the allocations the
+manager returned over the same run (each decision's change set), the
+work its decisions hand the simulation kernel.
 
 Usage::
 
@@ -65,24 +67,37 @@ MANAGERS = {
 }
 
 
-def count_curve_builds(run):
-    """``(rows built, result)`` of ``run()``: wraps the curve chain
-    ``batch_opt.local_optimize_batch``, the module attribute every
-    manager's curve construction calls, and counts its input rows."""
+def count_work(run, manager):
+    """``(rows built, allocation entries, result)`` of ``run(manager)``.
+
+    Wraps the curve chain ``batch_opt.local_optimize_batch``, the module
+    attribute every manager's curve construction calls, and counts its
+    input rows; wraps ``manager.on_interval`` on the instance, which the
+    simulation kernel calls, and counts the entries of every map it
+    returns.
+    """
     real = batch_opt.local_optimize_batch
-    rows = 0
+    decide = manager.on_interval
+    rows = entries = 0
 
     def counted(system, batch_rows, *args, **kwargs):
         nonlocal rows
         rows += len(batch_rows)
         return real(system, batch_rows, *args, **kwargs)
 
+    def counted_decide(core_id):
+        nonlocal entries
+        allocations = decide(core_id)
+        entries += len(allocations or ())
+        return allocations
+
     batch_opt.local_optimize_batch = counted
+    manager.on_interval = counted_decide
     try:
-        result = run()
+        result = run(manager)
     finally:
         batch_opt.local_optimize_batch = real
-    return rows, result
+    return rows, entries, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,18 +148,18 @@ def main(argv: list[str] | None = None) -> int:
             args.repeats,
         )
 
-        def replay():
+        def replay(manager):
             return RMASimulator(
                 ctx.system,
                 ctx.db,
                 scenario.workload,
-                factory(),
+                manager,
                 max_slices=args.max_slices,
                 scenario=scenario,
             ).run()
 
-        inc_s, inc_run = time_best_of(replay, args.repeats)
-        curve_builds, counted_run = count_curve_builds(replay)
+        inc_s, inc_run = time_best_of(lambda: replay(factory()), args.repeats)
+        curve_builds, entries, counted_run = count_work(replay, factory())
         same = runs_bit_identical(ref_run, inc_run) and runs_bit_identical(counted_run, inc_run)
         identical = identical and same
         report["managers"][name] = {
@@ -155,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             "result_hash": run_result_hash(inc_run),
             "rma_invocations": int(inc_run.rma_invocations),
             "curve_builds": curve_builds,
+            "allocation_entries": entries,
         }
         print(
             f"{name:18s} reference {ref_s:7.3f}s  incremental {inc_s:7.3f}s  "

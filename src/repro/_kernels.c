@@ -1,18 +1,8 @@
-/* The min-plus kernels of repro.core.packed_tree (loaded by
- * repro.core.minplus through ctypes): the box-local band combine, the
- * first-minimum split, and minplus_solve, which refreshes the dirty root
- * paths and walks the back-track of one solve in one call.  The same
- * library holds engine_step, one whole event of the simulation engine,
- * and curve_chain, the managers' whole curve construction for a batch of
- * cores (models, QoS target and local optimisation; see their own
- * comments after minplus_solve).
- *
- * These are the one implementation of the solve, the step and the curve
- * chain: repro requires a working C compiler and fails its import
- * without one.  The references they are tested against are
- * tests/oracles/node_graph.py (the reduction),
- * tests/oracles/engine_step.py (the step) and
- * tests/oracles/model_chain.py (the curve chain).
+/* The compiled kernels of repro, loaded through ctypes by repro.kernels,
+ * whose docstring lists them with their callers and the references in
+ * tests/oracles/ they are tested against.  Each is its loop's one
+ * implementation: repro requires a working C compiler and fails its
+ * import without one.
  *
  * Exactness: curves hold only finite values or +inf, never NaN.  On such
  * inputs "v < o ? v : o" is np.minimum, every cell is one IEEE add and a
@@ -24,6 +14,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Candidates folded per pass over the outputs: each pass loads and
  * stores out[] once for U candidates instead of once per candidate. */
@@ -429,4 +420,113 @@ ptrdiff_t curve_chain(const int64_t *plan, const double *k, ptrdiff_t n, double 
                      idx + i * W, idx + (n + i) * W, tol);
     }
     return OK;
+}
+
+/* repro.cache.atd.COLD: the distance of an access that misses at every
+ * allocation. */
+#define COLD INT32_MAX
+
+/* Per-access LRU stack distances of a trace: the per-set MRU walk of
+ * tests/oracles/lru_stack.py.  Set s keeps its lines most recent first
+ * in stacks[s * max_ways ..], depth[s] of them (all zero on entry),
+ * truncated at max_ways.  An access whose line sits at position d has
+ * distance d + 1; any other access is a miss (COLD) and pushes its
+ * line on, dropping the least recent line of a full set.  Either way
+ * the line moves to the front.  Every set id lies in [0, nsets) of the
+ * caller's buffers (repro.cache.atd.stack_distances checks it). */
+void lru_stack_distances(const int64_t *set_ids, const int64_t *line_ids, ptrdiff_t n,
+                         ptrdiff_t max_ways, int64_t *stacks, int64_t *depth, int32_t *dists)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        int64_t *restrict stack = stacks + set_ids[i] * max_ways;
+        const int64_t line = line_ids[i], top = depth[set_ids[i]];
+        ptrdiff_t d = 0;
+        while (d < top && stack[d] != line)
+            d++;
+        if (d < top) {
+            dists[i] = (int32_t)(d + 1);
+        } else {
+            dists[i] = COLD;
+            if (top < max_ways)
+                depth[set_ids[i]] = top + 1;
+            else
+                d = top - 1; /* the least recent line falls off */
+        }
+        memmove(stack + 1, stack, (size_t)d * sizeof *stack);
+        stack[0] = line;
+    }
+}
+
+/* Greedy leading-miss group count of the stream pos[sel[0..m)],
+ * chains[sel[0..m)]: the loop of tests/oracles/leading_miss.py.  The
+ * leader i admits the next miss while it lies inside its window
+ * (pos < pos[leader] + window, one IEEE add), a miss register is free
+ * and its chain is not in the group yet; the first miss refused leads
+ * the next group. */
+static int64_t greedy_groups(const int64_t *sel, ptrdiff_t m, const double *pos,
+                             const int64_t *chains, double window, int64_t mshrs)
+{
+    int64_t groups = 0;
+    ptrdiff_t i = 0;
+    while (i < m) {
+        const double end = pos[sel[i]] + window;
+        ptrdiff_t j = i + 1;
+        groups++;
+        while (j < m && pos[sel[j]] < end && j - i < mshrs) {
+            const int64_t chain = chains[sel[j]];
+            ptrdiff_t k = i;
+            while (k < j && chains[sel[k]] != chain)
+                k++;
+            if (k < j)
+                break; /* dependent miss: waits for its parent */
+            j++;
+        }
+        i = j;
+    }
+    return groups;
+}
+
+/* Leading-miss groups of a trace's miss streams, one per allocation: the
+ * stream at w in [1, ways] is the first cap accesses with dists > w, and
+ * for each of the ncs core sizes (windows[c], mshrs[c]) the call writes
+ * groups[c * ways + w - 1] and lengths[w - 1], its miss count.  Stops at
+ * the first empty stream (streams only shrink with w) and returns the
+ * number of allocations written.
+ *
+ * Only distinct streams are grouped.  The stream at w keeps every miss
+ * of the stream before it unless one of those has distance exactly w, so
+ * a stream serves every allocation below the smallest distance among its
+ * misses.  The next one drops the misses that became hits and refills to
+ * the cap from where the last scan stopped: every access before that
+ * point left out so far hits at w too.  sel holds min(cap, n) indices. */
+ptrdiff_t mlp_groups(const int64_t *dists, const double *pos, const int64_t *chains,
+                     ptrdiff_t n, ptrdiff_t ways, ptrdiff_t cap, const double *windows,
+                     const int64_t *mshrs, ptrdiff_t ncs, int64_t *sel, int64_t *groups,
+                     int64_t *lengths)
+{
+    ptrdiff_t m = 0, next = 0, w = 1;
+    while (w <= ways) {
+        ptrdiff_t kept = 0;
+        for (ptrdiff_t t = 0; t < m; t++)
+            if (dists[sel[t]] > w)
+                sel[kept++] = sel[t];
+        m = kept;
+        for (; m < cap && next < n; next++)
+            if (dists[next] > w)
+                sel[m++] = next;
+        if (m == 0)
+            break;
+        int64_t last = (int64_t)ways + 1; /* the first allocation of another stream */
+        for (ptrdiff_t t = 0; t < m; t++)
+            if (dists[sel[t]] < last)
+                last = dists[sel[t]];
+        for (ptrdiff_t c = 0; c < ncs; c++) {
+            const int64_t g = greedy_groups(sel, m, pos, chains, windows[c], mshrs[c]);
+            for (ptrdiff_t v = w; v < last; v++)
+                groups[c * ways + v - 1] = g;
+        }
+        for (; w < last; w++)
+            lengths[w - 1] = m;
+    }
+    return w - 1;
 }

@@ -3,7 +3,7 @@
 Every manager builds its per-core energy curves
 (:class:`~repro.core.curves.EnergyCurve`) here, in one compiled call per
 batch: :func:`~repro.core.local_opt.local_optimize_batch` runs
-``curve_chain`` (``_minplus.c``) over one input row per core.  For the
+``curve_chain`` (``_kernels.c``) over one input row per core.  For the
 analytical managers a row is a :data:`MODEL_FIELDS` row -- the QoS slack,
 the way pin, the counter-snapshot fields, the sampled ATD miss curve and
 the MLP model's ``(C, W)`` estimate -- and the call computes the

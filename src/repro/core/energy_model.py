@@ -7,7 +7,7 @@ EPI, the sampled ATD miss curve, and the performance model's predicted TPI
 of the core and main memory accesses" as the paper specifies.
 
 Per grid point, with ``t`` the predicted TPI, the compiled ``curve_chain``
-(``_minplus.c``, driven by :mod:`repro.core.batch_opt`) computes, in this
+(``_kernels.c``, driven by :mod:`repro.core.batch_opt`) computes, in this
 order::
 
     ((dyn + leak * t) + (llc_access * api + way_static(w) * t))

@@ -16,8 +16,8 @@ way count, the first minimum of the QoS-masked EPI over the chosen
 places it by leaf slot.
 
 :func:`local_optimize_batch` is the one implementation: one call to the
-compiled ``curve_chain`` (``_minplus.c``, loaded through
-:func:`repro.core.minplus.shared`) computes every core's QoS target
+compiled ``curve_chain`` (``_kernels.c``, loaded through
+:func:`repro.kernels.shared`) computes every core's QoS target
 (:mod:`repro.core.qos`) and its curve, after the performance and energy
 models' grids (:mod:`repro.core.perf_model`,
 :mod:`repro.core.energy_model`) when handed model rows
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.config import SystemConfig
-from repro.core import minplus
 from repro.core.curves import EnergyCurve
 from repro.core.energy_model import epi_constants
 from repro.core.overhead_meter import OverheadMeter
@@ -43,7 +43,7 @@ from repro.util.validation import require
 
 __all__ = ["DimSpec", "ROW_FIELDS", "Plan", "plan_of", "local_optimize_batch"]
 
-_kernel = minplus.shared()
+_kernel = kernels.shared()
 
 #: The fields of an input row the target and the local optimisation read,
 #: in ``curve_chain``'s order: the QoS slack, the core's own way pin (0:

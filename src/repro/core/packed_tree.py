@@ -60,8 +60,8 @@ assignments (each solve's pairs folded into the previous ones), splits,
 meter charges -- across random widths, odd leaf counts, way caps and
 splice orders.
 
-One call into the compiled kernel (``_minplus.c``, built and loaded by
-:mod:`repro.core.minplus`) does a whole solve: ``minplus_solve(plan, E)``
+One call into the compiled kernel (``_kernels.c``, built and loaded by
+:mod:`repro.kernels`) does a whole solve: ``minplus_solve(plan, E)``
 marks the dirty leaves' root paths, recombines the marked rows in row-id
 order, returns -1 if the root way total is unset or its cell is ``inf``
 (infeasible) and -2 if the root kept its last walk's way total (nothing
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import minplus
+from repro import kernels
 from repro.core.curves import EnergyCurve
 from repro.core.overhead_meter import OverheadMeter
 from repro.util.validation import require
@@ -102,10 +102,10 @@ from repro.util.validation import require
 __all__ = ["PackedReduction"]
 
 #: The compiled kernel, loaded (built if need be) once, at import.
-_kernel = minplus.shared()
+_kernel = kernels.shared()
 
 #: The plan buffer's header slots and then its per-row columns, in the
-#: order ``_minplus.c``'s ``minplus_solve`` reads them.
+#: order ``_kernels.c``'s ``minplus_solve`` reads them.
 _HEADER = ("nleaves", "nrows", "root", "root_s", "has_prev", "rows_combined", "splits")
 _COLUMNS = ("src_a", "src_b", "parent", "nlo", "nk", "off", "flo", "fhi", "stamp", "mark")
 _HAS_PREV, _ROWS_COMBINED, _SPLITS = 4, 5, 6

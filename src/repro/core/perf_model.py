@@ -21,7 +21,7 @@ Estimation structure (all inputs are online-observable):
   realistic model simplification);
 * ``MLP_hat`` -- per the chosen model (:mod:`repro.core.models`).
 
-The grid is computed by the compiled ``curve_chain`` (``_minplus.c``,
+The grid is computed by the compiled ``curve_chain`` (``_kernels.c``,
 driven by :mod:`repro.core.batch_opt`), one IEEE operation at a time in
 this order: ``x = (exec_cpi * factor(c)) / factor(current)``, then
 ``max(x, 1 / width)`` (a NaN stays), then ``x / f + (mpi / mlp) * L``

@@ -1,23 +1,33 @@
-"""Build and load the compiled min-plus kernel of the packed reduction.
+"""Build and load repro's compiled kernel library.
 
-``_minplus.c`` holds :class:`~repro.core.packed_tree.PackedReduction`'s
-whole solve, ``minplus_solve(plan, E)``: over the reduction's int64 plan
-buffer (header, per-row columns, walk output and stack; see
-:mod:`repro.core.packed_tree`) and its float64 value buffer, it
-recombines the dirty root paths, checks the root, and walks the
-back-track in one call.  Its two inner loops are exported too: the
-box-local band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
-first-minimum split.  The same library holds the simulation engine's
-event step, ``engine_step`` (see
-:class:`~repro.simulation.engine.core_state.CoreArrays`): the next
-interval completion, the advance of every active core and the completing
-core's retire, in one call over the engine's lane buffer.  And it holds
-the managers' curve construction, ``curve_chain`` (see
-:func:`~repro.core.local_opt.local_optimize_batch`): for a batch of
-cores, the performance and energy models' grids, the QoS targets and the
-local optimisation, in one call.  :func:`load` compiles it with the
-interpreter's C compiler (``sysconfig``'s ``CC``, else ``cc``) and loads
-it with :mod:`ctypes`, so NumPy stays the package's only dependency.
+``_kernels.c`` holds every loop repro runs compiled, in one library:
+
+* :class:`~repro.core.packed_tree.PackedReduction`'s whole solve,
+  ``minplus_solve(plan, E)``: over the reduction's int64 plan buffer
+  (header, per-row columns, walk output and stack; see
+  :mod:`repro.core.packed_tree`) and its float64 value buffer, it
+  recombines the dirty root paths, checks the root, and walks the
+  back-track in one call.  Its two inner loops are exported too: the
+  box-local band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
+  first-minimum split;
+* the simulation engine's event step, ``engine_step`` (see
+  :class:`~repro.simulation.engine.core_state.CoreArrays`): the next
+  interval completion, the advance of every active core and the
+  completing core's retire, in one call over the engine's lane buffer;
+* the managers' curve construction, ``curve_chain`` (see
+  :func:`~repro.core.local_opt.local_optimize_batch`): for a batch of
+  cores, the performance and energy models' grids, the QoS targets and
+  the local optimisation, in one call;
+* the detailed simulation's two loops: ``lru_stack_distances`` (see
+  :func:`~repro.cache.atd.stack_distances`), the ATD's per-set LRU walk,
+  and ``mlp_groups`` (see :func:`~repro.mem.mlp.mlp_grid`), the greedy
+  leading-miss grouping of every distinct miss stream of a trace.
+
+:func:`load` compiles it with the interpreter's C compiler
+(``sysconfig``'s ``CC``, else ``cc``) and loads it with :mod:`ctypes`,
+so NumPy stays the package's only dependency.  This module imports
+nothing from the package, so any layer can load the library without
+pulling in another.
 
 The library is cached in the package's ``__pycache__`` under a name hashed
 from the source bytes, the compiler command, :data:`CFLAGS` and the
@@ -27,16 +37,16 @@ name and installed with :func:`os.replace`, so processes that build at
 the same time each install a complete library.  When ``__pycache__`` is
 not writable, the library goes to a temporary directory of the process.
 
-The library is the one implementation of the solve, the step and the
-curve chain, so a working C compiler is required: when no library can be
-built or loaded, :func:`load` raises :class:`ImportError` naming the
-compiler command and its error output, and importing
-:mod:`repro.core.packed_tree`, :mod:`repro.core.local_opt` or the engine
-fails with it.  The references the kernels are tested against live in
-``tests/oracles/`` (``node_graph.py`` for the reduction,
-``engine_step.py`` for the step, ``model_chain.py`` for the curve
-chain).  All three modules take the process's one handle from
-:func:`shared`, so the library is loaded once per process.
+The library is the one implementation of each of these, so a working C
+compiler is required: when no library can be built or loaded,
+:func:`load` raises :class:`ImportError` naming the compiler command and
+its error output, and importing any module that uses it fails with it.
+The references the kernels are tested against live in ``tests/oracles/``
+(``node_graph.py`` for the reduction, ``engine_step.py`` for the step,
+``model_chain.py`` for the curve chain, ``lru_stack.py`` for the stack
+distances, ``leading_miss.py`` and ``mlp_grid.py`` for the grouping).
+Every user takes the process's one handle from :func:`shared`, so the
+library is loaded once per process.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import shutil
 import sysconfig
 import tempfile
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_minplus.c")
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 CACHE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
 
 #: Exact IEEE arithmetic: no contraction of ``a + b`` into a fused
@@ -69,7 +79,7 @@ def compiler() -> list[str]:
 def library_name(source: bytes, cc: list[str]) -> str:
     """Cache file name of the library built from ``source`` by ``cc``."""
     key = repr((hashlib.sha256(source).hexdigest(), cc, CFLAGS, sysconfig.get_platform()))
-    return f"_minplus-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+    return f"_kernels-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
 
 
 def _build(source: bytes, cc: list[str], tmp: str, path: str) -> None:
@@ -94,7 +104,7 @@ def _build(source: bytes, cc: list[str], tmp: str, path: str) -> None:
 
 
 def _private_dir() -> str:
-    path = tempfile.mkdtemp(prefix="repro-minplus-")
+    path = tempfile.mkdtemp(prefix="repro-kernels-")
     atexit.register(shutil.rmtree, path, True)
     return path
 
@@ -126,37 +136,28 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     lib.engine_step.restype = size
     lib.curve_chain.argtypes = [ptr, ptr, size, ptr, size, ptr, ptr, ptr, ctypes.c_double]
     lib.curve_chain.restype = size
+    lib.lru_stack_distances.argtypes = [ptr, ptr, size, size, ptr, ptr, ptr]
+    lib.lru_stack_distances.restype = None
+    lib.mlp_groups.argtypes = [ptr, ptr, ptr, size, size, size, ptr, ptr, size, ptr, ptr, ptr]
+    lib.mlp_groups.restype = size
     return lib
 
 
 def load(cache_dir: str | None = None) -> ctypes.CDLL:
-    """The compiled kernel, built into ``cache_dir`` (default
+    """The compiled library, built into ``cache_dir`` (default
     :data:`CACHE_DIR`) if it is not there yet.  Raises
     :class:`ImportError`, chained from the failure and naming the compiler
     command and its error output, if it cannot be built or loaded.
 
-    ``minplus_solve(plan, E)`` runs one solve of a packed reduction and
-    returns the number of ``(leaf slot, ways)`` pairs its walk wrote, -1
-    for an infeasible root or -2 for an unchanged one (the contract is in
-    :mod:`repro.core.packed_tree`).  ``minplus_band(a, na, b, nb, out,
-    nout, k0)`` writes ``out[t] = min a[t + k0 - j] + b[j]`` over
-    ``j in [0, nb)`` with ``t + k0 - j in [0, na)`` (``inf`` where no such
-    pair exists) for ``t in [0, nout)``; ``minplus_split(a, b, n)``
-    returns the first ``i`` minimising ``a[i] + b[n - 1 - i]``.
-    ``engine_step(lanes, n, interval_instructions, n_idle)`` runs one
-    engine event over an ``n``-core lane buffer, returns the completing
-    core and writes the event's span after the lanes (the contract is in
-    :mod:`repro.simulation.engine.core_state`).  ``curve_chain(plan,
-    constants, n, rows, stride, grids, epi, idx, tolerance)`` builds ``n``
-    cores' curves and returns 0, or the number of the check an input
-    failed (the contract is in :mod:`repro.core.local_opt`).  Arrays are
-    passed as the addresses of contiguous buffers.
+    Arrays are passed as the addresses of contiguous buffers.  Each
+    kernel's contract is the comment above it in ``_kernels.c`` and the
+    docstring of the module that calls it (listed above).
     """
     try:
         return _library(CACHE_DIR if cache_dir is None else cache_dir)
     except (OSError, AttributeError) as exc:
         raise ImportError(
-            "cannot build or load the compiled min-plus kernel with "
+            "cannot build or load the compiled kernel library with "
             f"{shlex.join(compiler())} (a working C compiler is required): {exc}"
         ) from exc
 

@@ -7,7 +7,7 @@ as the rows of one contiguous float64 lane buffer (``instr_done``,
 ``pending_stall_ns``, ``energy_nj``, ``tpi``, ``epi`` and ``idle_pad``,
 the additive form of the ``active`` mask), so one event is one call at
 any core count: :meth:`CoreArrays.step` hands the buffer's address to
-``engine_step`` in the compiled library of :mod:`repro.core.minplus`,
+``engine_step`` in the compiled library of :mod:`repro.kernels`,
 which does the argmin, the advance of every active lane and the retire
 in one pass each.  That call is the step's one implementation, so a
 working C compiler is required (importing this module raises
@@ -36,17 +36,17 @@ import math
 
 import numpy as np
 
+from repro import kernels
 from repro.config import Allocation
-from repro.core import minplus
 from repro.simulation.database import PhaseRecord
 
 __all__ = ["CoreArrays", "CoreRun"]
 
 #: The compiled library, loaded once, at import; the packed reduction
 #: shares the handle.
-_kernel = minplus.shared()
+_kernel = kernels.shared()
 
-#: The rows of the lane buffer, in the order ``_minplus.c``'s
+#: The rows of the lane buffer, in the order ``_kernels.c``'s
 #: ``engine_step`` reads them; the step's span follows the last row.
 _LANES = ("instr_done", "pending_stall_ns", "energy_nj", "tpi", "epi", "idle_pad")
 

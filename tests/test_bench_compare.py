@@ -136,6 +136,21 @@ class TestCompareRules:
         problems = compare_reports(BASE, got)
         assert any("rm2-combined" in p and "missing" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            ("record", "allocation_entries", 324),
+            ("report", "256core", {"ncores": 256, "build_s": 0.5, "result_hash": "a0bf"}),
+        ],
+    )
+    def test_fresh_only_key_fails_and_names_update(self, where, key, value):
+        got = fresh()
+        (got["managers"]["rm2-combined"] if where == "record" else got)[key] = value
+        problems = compare_reports(BASE, got)
+        assert len(problems) == 1, problems
+        assert key in problems[0] and "missing from the baseline" in problems[0]
+        assert "--update" in problems[0]
+
 
 class TestThroughputNotes:
     """``events_per_sec`` deltas are report-only notes, never failures."""

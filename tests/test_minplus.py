@@ -1,7 +1,7 @@
-"""The compiled min-plus kernel and its build cache.
+"""The compiled min-plus kernel and the kernel library's build cache.
 
-``repro.core.minplus`` compiles ``_minplus.c`` on first use and the
-packed reduction routes every combine and split through it.  These tests
+``repro.kernels`` compiles ``_kernels.c`` on first use and the packed
+reduction routes every combine and split through it.  These tests
 hold the kernel to exact ``==`` against a brute-force min-plus over
 random boxes with ``inf`` holes and the edge shapes (one candidate, one
 output, offsets that reach past either end), hold the split to
@@ -24,7 +24,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.core import minplus, packed_tree
+from repro import kernels
+from repro.core import packed_tree
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 #: A finite pad around every buffer: any read past a box would pair it
@@ -151,39 +152,39 @@ def _run(script, *args, **env):
 
 class TestBuildCache:
     def test_changed_source_gets_a_new_library(self, tmp_path, monkeypatch, kernel):
-        source = tmp_path / "_minplus.c"
-        with open(minplus.SOURCE, "rb") as fh:
+        source = tmp_path / "_kernels.c"
+        with open(kernels.SOURCE, "rb") as fh:
             source.write_bytes(fh.read())
-        monkeypatch.setattr(minplus, "SOURCE", str(source))
+        monkeypatch.setattr(kernels, "SOURCE", str(source))
         cache = tmp_path / "cache"
-        first = minplus.load(str(cache))
-        again = minplus.load(str(cache))
+        first = kernels.load(str(cache))
+        again = kernels.load(str(cache))
         assert again._name == first._name  # an unchanged source reuses it
         source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
-        edited = minplus.load(str(cache))
+        edited = kernels.load(str(cache))
         assert edited._name != first._name
         assert sorted(os.listdir(cache)) == sorted(
             os.path.basename(lib._name) for lib in (first, edited)
         )
 
     def test_name_covers_source_compiler_and_flags(self, monkeypatch):
-        base = minplus.library_name(b"x", ["cc"])
-        assert minplus.library_name(b"y", ["cc"]) != base
-        assert minplus.library_name(b"x", ["clang"]) != base
-        assert minplus.library_name(b"x", ["cc", "-m32"]) != base
-        monkeypatch.setattr(minplus, "CFLAGS", (*minplus.CFLAGS, "-g"))
-        assert minplus.library_name(b"x", ["cc"]) != base
+        base = kernels.library_name(b"x", ["cc"])
+        assert kernels.library_name(b"y", ["cc"]) != base
+        assert kernels.library_name(b"x", ["clang"]) != base
+        assert kernels.library_name(b"x", ["cc", "-m32"]) != base
+        monkeypatch.setattr(kernels, "CFLAGS", (*kernels.CFLAGS, "-g"))
+        assert kernels.library_name(b"x", ["cc"]) != base
 
     def test_two_processes_building_at_once_both_load(self, tmp_path, kernel):
         cache, go = str(tmp_path / "cache"), str(tmp_path / "go")
         script = """
             import os, sys, time
             import numpy as np
-            from repro.core import minplus
+            from repro import kernels
             cache, go = sys.argv[1:]
             while not os.path.exists(go):
                 time.sleep(0.001)
-            lib = minplus.load(cache)
+            lib = kernels.load(cache)
             a, b, out = np.array([1.0, 2.0]), np.array([3.0, 0.5]), np.empty(3)
             lib.minplus_band(a.ctypes.data, 2, b.ctypes.data, 2, out.ctypes.data, 3, 0)
             print(os.path.basename(lib._name), out.tolist())
@@ -202,7 +203,7 @@ class TestBuildCache:
     def test_unwritable_cache_builds_privately(self, tmp_path, kernel):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        lib = minplus.load(str(blocker / "cache"))
+        lib = kernels.load(str(blocker / "cache"))
         assert lib is not None
         assert os.path.dirname(os.path.dirname(lib._name)) == tempfile.gettempdir()
 
@@ -231,5 +232,5 @@ class TestBuildCache:
         assert proc.returncode == 0, err
         assert out.startswith("ImportError: "), out
         assert "/nonexistent/cc" in out, out
-        cache = src / "repro" / "core" / "__pycache__"
+        cache = src / "repro" / "__pycache__"
         assert not cache.exists() or os.listdir(cache) == []  # no library, no temporary file

@@ -9,6 +9,9 @@ fails (exit 1) on:
   drift is never tolerated, independent of timing noise;
 * a fidelity-context mismatch (``ncores``, ``max_slices``, ...) -- the
   baseline no longer measures the same experiment and must be refreshed;
+* a key on only one side: one the fresh artifact lost (a metric or
+  manager disappeared) or one the baseline lacks (a new metric or record,
+  ungated until ``--update`` records it);
 * a wall-clock regression beyond ``--threshold`` (default 25%) after
   rescaling the baseline by the two machines' ``calibration_s`` yardsticks,
   ignoring sub-``--min-delta-s`` absolute differences (timing noise on
@@ -78,16 +81,17 @@ CONTEXT_KEYS = {
 SKIP_KEYS = {"timestamp", "calibration_s"}
 
 
-#: Sentinel yielded for keys the fresh artifact no longer produces.
+#: Sentinel yielded for a key one of the two artifacts lacks.
 _MISSING = object()
 
 
 def _walk(base: dict, fresh: dict, path: str = ""):
-    """Yield (path, key, base_value, fresh_value) for every baseline leaf.
+    """Yield (path, key, base_value, fresh_value) for every baseline leaf,
+    then for every key only the fresh artifact has.
 
-    Keys present in the baseline but absent from the fresh artifact yield
-    ``_MISSING`` as the fresh value: a disappearing metric or manager must
-    fail the gate, not silently skip its checks.
+    The side that lacks a key yields ``_MISSING``: a disappearing metric
+    or manager must fail the gate, not silently skip its checks, and a new
+    one must fail until the baseline records it.
     """
     for key in base:
         b = base[key]
@@ -100,6 +104,9 @@ def _walk(base: dict, fresh: dict, path: str = ""):
             yield from _walk(b, f, here)
         else:
             yield path, key, b, f, here
+    for key in fresh:
+        if key not in base:
+            yield path, key, _MISSING, fresh[key], f"{path}.{key}" if path else key
 
 
 def _max_wall_s(record: dict) -> float:
@@ -148,6 +155,13 @@ def compare_reports(
             problems.append(
                 f"{here}: present in the baseline but missing from the fresh "
                 "artifact (metric or manager disappeared)"
+            )
+            continue
+        if b is _MISSING:
+            problems.append(
+                f"{here}: present in the fresh artifact but missing from the "
+                "baseline (new metric or record); record it with "
+                "tools/bench_compare.py --update"
             )
             continue
         if key in CONTEXT_KEYS:

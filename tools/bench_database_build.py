@@ -4,8 +4,10 @@
 Cold start is the database build plus the first replay, and the build is
 most of it.  This benchmark builds the small-suite databases (the tier-1
 app subset at ``accesses_per_set=400``) for each requested core count --
-8 and 64 by default -- serially and into a fresh throwaway cache directory
-per build, so nothing is served from ``.sim_cache``.  Each record holds the
+8, 64 and 256 by default; 256 cores is the 1024-way LLC, the widest stack
+walk and the most miss streams per phase -- serially and into a fresh
+throwaway cache directory per build, so nothing is served from
+``.sim_cache``.  Each record holds the
 best-of-``--repeats`` wall-clock (``build_s``) and a digest of every phase
 trace and record array (``result_hash``), computed with the same recipe
 as the ``perfbench`` database digest.
@@ -16,7 +18,7 @@ digest and on a calibration-rescaled ``build_s`` regression.
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_database_build.py [--ncores 8 64] [--repeats 2]
+    PYTHONPATH=src python tools/bench_database_build.py [--ncores 8 64 256] [--repeats 2]
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def build_once(ncores: int):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--ncores", type=int, nargs="+", default=[8, 64])
+    parser.add_argument("--ncores", type=int, nargs="+", default=[8, 64, 256])
     parser.add_argument("--repeats", type=int, default=2)
     args = parser.parse_args(argv)
 

@@ -183,9 +183,10 @@ hashes).  See "Running as a service" in `README.md`.
   against the baseline before it on the same machine, with every
   `result_hash` unchanged;
 * `BENCH_database_build.json` (`tools/bench_database_build.py`) — the
-  cold-start datapoint: serial builds of the 8- and 64-core small-suite
-  databases (trace density 400) into a throwaway directory, with the
-  best-of-2 `build_s` and a `result_hash` over every phase trace and
+  cold-start datapoint: serial builds of the 8-, 64- and 256-core
+  small-suite databases (trace density 400; 256 cores is the 1024-way
+  LLC, the widest stack walk and the most miss streams) into a throwaway
+  directory, with the best-of-2 `build_s` and a `result_hash` over every phase trace and
   record array per core count (the `perfbench` database-digest recipe),
   so a change to the detailed simulation's numbers or its build cost
   fails the gate;
@@ -203,7 +204,9 @@ hashes).  See "Running as a service" in `README.md`.
 committed baselines and fails CI on: any `result_hash` mismatch or
 `bit_identical: false` (semantic drift is never tolerated); a fidelity
 context change (`ncores`, `max_slices`, `accesses_per_set`, ... — the
-baseline must be refreshed, not silently compared); a wall-clock
+baseline must be refreshed, not silently compared); a key on one side
+only (a metric the fresh artifact lost, or one the baseline lacks, which
+stays a failure until `--update` records it); a wall-clock
 regression beyond **25%** (`--threshold 0.25`) after rescaling by the two
 machines' `calibration_s` yardsticks, with a 0.1 s absolute noise floor
 (`--min-delta-s`); or a `speedup` ratio dropping by more than 25% when the

@@ -86,17 +86,37 @@ ptrdiff_t minplus_split(const double *a, const double *b, ptrdiff_t n)
 }
 
 /* Header slots of the plan buffer (repro.core.packed_tree._HEADER). */
-enum { NLEAVES, NROWS, ROOT, ROOT_S, HAS_PREV, ROWS_COMBINED, SPLITS, HEADER };
+enum {
+    NLEAVES, NROWS, ROOT, ROOT_S, HAS_PREV, ROWS_COMBINED, SPLITS, LEAF_WRITES, MISSING,
+    HEADER
+};
 
-/* The per-row columns that follow the header, nrows entries each, in
- * packed_tree._COLUMNS order.  Row ids put the leaves first (id = slot),
- * then the combine rows level by level, so every parent sorts after its
- * children.  Row r stores ways nlo .. nlo + nk - 1 at E[off] onwards, and its
- * finite box is [flo, fhi] (flo > fhi: all inf); every cell outside the
- * box is inf. */
+/* The sections of the plan buffer after the header (packed_tree's layout):
+ * the per-row columns, nrows entries each, in packed_tree._COLUMNS order;
+ * the per-leaf columns, nleaves entries each: the held curve's packed
+ * buffer (its address; 0 before the first install) and the leaf's way cap;
+ * the walk's output, (slot, c, f, w) quads; the walk's stack, 2 * (nrows +
+ * 1) entries; and the settings, a (core, freq) pair per stored leaf cell.
+ * Row ids put the leaves first (id = slot), then the combine rows level by
+ * level, so every parent sorts after its children.  Row r stores ways nlo
+ * .. nlo + nk - 1 at E[off] onwards (a leaf's settings at 2 * (off + i)),
+ * and its finite box is [flo, fhi] (flo > fhi: all inf); every cell
+ * outside the box is inf. */
 typedef struct {
     int64_t *src_a, *src_b, *parent, *nlo, *nk, *off, *flo, *fhi, *stamp, *mark;
+    int64_t *held, *cap, *out, *stack, *settings;
 } Rows;
+
+static Rows rows_of(int64_t *plan)
+{
+    const int64_t nleaves = plan[NLEAVES], n = plan[NROWS];
+    int64_t *col = plan + HEADER, *leaf = col + 10 * n, *out = leaf + 2 * nleaves,
+            *stack = out + 4 * nleaves;
+    const Rows p = {col,  col + n,  col + 2 * n, col + 3 * n, col + 4 * n,
+                    col + 5 * n, col + 6 * n, col + 7 * n, col + 8 * n, col + 9 * n,
+                    leaf, leaf + nleaves, out, stack, stack + 2 * (n + 1)};
+    return p;
+}
 
 /* Recombine row r from its children over their finite boxes.  Every
  * cell outside them is the sum of at least one inf entry, so the row
@@ -147,24 +167,100 @@ static int64_t split_at(const Rows *p, const double *E, int64_t r, int64_t sh)
                               E + p->off[b] + (sh - hi - p->nlo[b]), hi - lo + 1);
 }
 
+/* minplus_solve's results besides the walk's quad count, and
+ * leaf_install's error (repro.core.packed_tree names them). */
+enum { INFEASIBLE = -1, UNCHANGED = -2, INF_LEAF_CELL = -3, NO_CURVE = -4 };
+enum { SHORT_CURVE = -1, BAD_SLOT = -2 };
+
+/* A curve packed for leaf_install (repro.core.curves.EnergyCurve.packed):
+ * its length W, then W epi values (float64), W freq_idx and W core_idx
+ * entries. */
+static int same_curve(const int64_t *a, const int64_t *b)
+{
+    const int64_t w = a[0];
+    if (b[0] != w)
+        return 0;
+    const double *ea = (const double *)(a + 1), *eb = (const double *)(b + 1);
+    for (int64_t i = 0; i < w; i++)
+        if (ea[i] != eb[i]) /* value equality: -0.0 == 0.0, NaN != NaN */
+            return 0;
+    const int64_t *ia = a + 1 + w, *ib = b + 1 + w; /* freq_idx, then core_idx */
+    for (int64_t i = 0; i < 2 * w; i++)
+        if (ia[i] != ib[i])
+            return 0;
+    return 1;
+}
+
+/* Install the packed curve at leaf slot (BAD_SLOT, changing nothing, if
+ * slot is not in [0, nleaves)).  Unless the leaf is marked or
+ * holds no curve yet, a curve equal to the held one (same length, == on
+ * every epi, freq_idx and core_idx entry) is only recorded as held and
+ * returns 0.  Otherwise returns SHORT_CURVE, changing nothing, if the
+ * curve is shorter than the leaf's way cap; else copies the leaf's stored
+ * window of epi into E and of (core_idx, freq_idx) into the settings,
+ * sets the finite box, marks the leaf, clears its stamp, counts the write
+ * in LEAF_WRITES and returns 1.  The plan keeps the curve's address: the
+ * caller keeps the curve alive while it is held. */
+ptrdiff_t leaf_install(int64_t *plan, double *E, ptrdiff_t slot, const int64_t *curve)
+{
+    if (slot < 0 || slot >= plan[NLEAVES])
+        return BAD_SLOT;
+    const Rows p = rows_of(plan);
+    const int64_t *prev = (const int64_t *)(intptr_t)p.held[slot];
+    if (prev && !p.mark[slot] && same_curve(prev, curve)) {
+        p.held[slot] = (int64_t)(intptr_t)curve;
+        return 0;
+    }
+    const int64_t w = curve[0];
+    if (w < p.cap[slot])
+        return SHORT_CURVE;
+    if (!prev)
+        plan[MISSING]--;
+    p.held[slot] = (int64_t)(intptr_t)curve;
+    const double *epi = (const double *)(curve + 1);
+    const int64_t *freq = curve + 1 + w, *core = freq + w;
+    const int64_t nlo = p.nlo[slot], nk = p.nk[slot], off = p.off[slot];
+    int64_t flo = 0, fhi = -1;
+    for (int64_t i = 0; i < nk; i++) {
+        const int64_t k = nlo - 1 + i;
+        E[off + i] = epi[k];
+        p.settings[2 * (off + i)] = core[k];
+        p.settings[2 * (off + i) + 1] = freq[k];
+        if (isfinite(epi[k])) {
+            if (fhi < 0)
+                flo = nlo + i;
+            fhi = nlo + i;
+        }
+    }
+    p.flo[slot] = flo;
+    p.fhi[slot] = fhi;
+    p.mark[slot] = 1;
+    p.stamp[slot] = -1;
+    plan[LEAF_WRITES]++;
+    return 1;
+}
+
 /* One solve of the packed reduction over the plan buffer and the value
- * buffer E.  Refreshes the union of the root paths of the leaves whose
+ * buffer E.  Returns NO_CURVE, changing nothing, if a leaf holds no curve.
+ * Otherwise refreshes the union of the root paths of the leaves whose
  * mark is set (in row-id order, clearing every mark), then, unless the
- * root way total is -1 or its root cell is inf (returns -1) or the root
- * kept its last walk's way total while has_prev is set (returns -2),
- * walks the back-track depth first, left child first, skipping rows
- * whose stamp already holds their incoming way total when has_prev is
- * set.  Each visited leaf's (slot, ways) pair goes to the output section
- * after the columns (2 * nleaves entries, then the walk's stack of
- * 2 * (nrows + 1)); returns the number of pairs written.  Counts every
- * recombined row in ROWS_COMBINED and every split in SPLITS. */
+ * root way total is -1 or its root cell is inf (returns INFEASIBLE) or
+ * the root kept its last walk's way total while has_prev is set (returns
+ * UNCHANGED), walks the back-track depth first, left child first,
+ * skipping rows whose stamp already holds their incoming way total when
+ * has_prev is set.  Each visited leaf's (slot, core, freq, ways) quad,
+ * its setting read from the settings section, goes to the output section;
+ * a walk that lands on an inf leaf cell writes (slot, ways) there instead
+ * and returns INF_LEAF_CELL.  A completed walk sets has_prev and returns
+ * the number of quads written.  Counts every recombined row in
+ * ROWS_COMBINED and every split in SPLITS. */
 ptrdiff_t minplus_solve(int64_t *plan, double *E)
 {
+    if (plan[MISSING])
+        return NO_CURVE;
     const int64_t nleaves = plan[NLEAVES], n = plan[NROWS];
-    int64_t *col = plan + HEADER;
-    const Rows p = {col, col + n, col + 2 * n, col + 3 * n, col + 4 * n,
-                    col + 5 * n, col + 6 * n, col + 7 * n, col + 8 * n, col + 9 * n};
-    int64_t *out = col + 10 * n, *stack = out + 2 * nleaves;
+    const Rows p = rows_of(plan);
+    int64_t *out = p.out, *stack = p.stack;
 
     /* Mark each dirty leaf's root path up to the first row already marked
      * (whose ancestors are marked too), then recombine the marked rows
@@ -190,9 +286,9 @@ ptrdiff_t minplus_solve(int64_t *plan, double *E)
 
     const int64_t root = plan[ROOT], s = plan[ROOT_S], has_prev = plan[HAS_PREV];
     if (s < 0 || E[p.off[root] + (s - p.nlo[root])] == INFINITY)
-        return -1;
+        return INFEASIBLE;
     if (has_prev && p.stamp[root] == s)
-        return -2;
+        return UNCHANGED;
     ptrdiff_t top = 1, touched = 0;
     stack[0] = root;
     stack[1] = s;
@@ -203,9 +299,17 @@ ptrdiff_t minplus_solve(int64_t *plan, double *E)
             continue; /* the subtree kept its assignment */
         p.stamp[r] = sh;
         if (r < nleaves) {
-            out[2 * touched] = r;
-            out[2 * touched + 1] = sh;
-            touched++;
+            const int64_t cell = p.off[r] + (sh - p.nlo[r]);
+            if (!isfinite(E[cell])) {
+                out[0] = r;
+                out[1] = sh;
+                return INF_LEAF_CELL;
+            }
+            int64_t *q = out + 4 * touched++;
+            q[0] = r;
+            q[1] = p.settings[2 * cell];
+            q[2] = p.settings[2 * cell + 1];
+            q[3] = sh;
             continue;
         }
         const int64_t sl = split_at(&p, E, r, sh);
@@ -216,6 +320,7 @@ ptrdiff_t minplus_solve(int64_t *plan, double *E)
         stack[2 * top + 3] = sl;
         top += 2;
     }
+    plan[HAS_PREV] = 1;
     return touched;
 }
 

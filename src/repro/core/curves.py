@@ -16,6 +16,7 @@ every core whose content matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,20 +45,28 @@ class EnergyCurve:
         """The largest way allocation the curve covers (its array length)."""
         return int(len(self.epi))
 
-    def same_curve(self, other: "EnergyCurve") -> bool:
-        """True when ``other`` holds this curve's values (``==`` per entry).
-
-        The persistent reduction tree uses this to decide whether a leaf can
-        keep its combined subtrees: curves that compare equal here are fully
-        interchangeable in the global optimisation, argmin ties included.
+    @cached_property
+    def packed(self) -> tuple[int, np.ndarray]:
+        """``(address, buffer)``: the curve as one int64 buffer, the form
+        the packed reduction's compiled leaf install reads -- its length
+        ``W``, then ``epi`` as float64, then ``freq_idx`` and ``core_idx``
+        as int64, ``W`` entries each.  Built on first use and kept with the
+        curve (curves are never mutated), so a curve installed many times
+        is packed once; the address is valid while the curve lives.
         """
-        if self is other:
-            return True
-        return (
-            np.array_equal(self.epi, other.epi)
-            and np.array_equal(self.freq_idx, other.freq_idx)
-            and np.array_equal(self.core_idx, other.core_idx)
-        )
+        w = self.max_ways
+        buf = np.empty(1 + 3 * w, dtype=np.int64)
+        buf[0] = w
+        buf[1 : 1 + w].view(np.float64)[:] = self.epi
+        buf[1 + w : 1 + 2 * w] = self.freq_idx
+        buf[1 + 2 * w :] = self.core_idx
+        return buf.ctypes.data, buf
+
+    def __getstate__(self) -> dict:
+        # A copy packs its own buffer: the cached address is this object's.
+        state = dict(self.__dict__)
+        state.pop("packed", None)
+        return state
 
     def setting_at(self, ways: int) -> tuple[int, int, int]:
         """(core_idx, freq_idx, ways) chosen at allocation ``ways``."""

@@ -18,18 +18,24 @@ arrays:
   one float64 buffer ``E``, row after row;
 * **one plan buffer** -- an int64 array allocated once per reduction:
   a header (``_HEADER``: leaf and row counts, root row, root way total,
-  whether a walk has run, and the cumulative
-  ``rows_combined`` / ``splits`` work counters), then one column per
-  row attribute (``_COLUMNS``): children ``src_a`` / ``src_b`` (-1 for a
-  leaf), ``parent`` (-1 for the root), stored range ``nlo`` / ``nk``,
-  offset ``off`` into ``E``, finite box ``flo`` / ``fhi`` (``flo > fhi``
-  is an all-``inf`` row; every cell outside the box is ``inf``), the
-  last back-track visit's way total ``stamp``, and the dirty ``mark`` a
-  changed leaf sets; then the walk's output, ``(leaf slot, ways)``
-  pairs, and its stack.  Refresh stores *values only*: the back-track
-  walk reads exactly one split per visited row, recovered from the
-  still-valid children instead of materialising ``O(ways)`` argmins per
-  row per refresh;
+  whether a walk has run, the cumulative ``rows_combined`` / ``splits``
+  / ``leaf_writes`` work counters, and the number of leaves still
+  awaiting a first curve), then one column per row attribute
+  (``_COLUMNS``): children ``src_a`` / ``src_b`` (-1 for a leaf),
+  ``parent`` (-1 for the root), stored range ``nlo`` / ``nk``, offset
+  ``off`` into ``E``, finite box ``flo`` / ``fhi`` (``flo > fhi`` is an
+  all-``inf`` row; every cell outside the box is ``inf``), the last
+  back-track visit's way total ``stamp``, and the dirty ``mark`` a
+  changed leaf sets; then one column per leaf attribute
+  (``_LEAF_COLUMNS``): the held curve's packed buffer address and the
+  leaf's way cap; then the walk's output, ``(leaf slot, c, f, w)``
+  quads, and its stack; and last the **settings**, the ``(core, freq)``
+  pair of every stored leaf cell, which the install copies from the
+  curve next to its ``epi`` values so the walk reads each walked leaf's
+  setting without going back to the curve.  Refresh stores *values
+  only*: the back-track walk reads exactly one split per visited row,
+  recovered from the still-valid children instead of materialising
+  ``O(ways)`` argmins per row per refresh;
 * **needed-range truncation** -- the root is only ever read at one way
   total ``S`` (the full associativity), so each node stores just the
   column range its computed ancestors can read, propagated top-down:
@@ -48,9 +54,10 @@ arrays:
   solve (integer DP-cell counts are exact in float64 and order-free, so
   this equals charging every combine separately);
 * **one change set per solve** -- a solve returns the walk's
-  ``(leaf slot, (c, f, w))`` pairs and nothing else: a subtree whose
-  stamp already holds its incoming way total keeps its settings, so the
-  pairs are exactly what this decision may change.  The manager
+  ``(leaf slot, (c, f, w))`` pairs, built from its quads with one
+  ``tolist``, and nothing else: a subtree whose stamp already holds its
+  incoming way total keeps its settings, so the pairs are exactly what
+  this decision may change.  The manager
   translates them into allocations and the simulation kernel applies
   them as they are; no assignment map is kept or copied anywhere.
 
@@ -60,14 +67,28 @@ assignments (each solve's pairs folded into the previous ones), splits,
 meter charges -- across random widths, odd leaf counts, way caps and
 splice orders.
 
-One call into the compiled kernel (``_kernels.c``, built and loaded by
-:mod:`repro.kernels`) does a whole solve: ``minplus_solve(plan, E)``
-marks the dirty leaves' root paths, recombines the marked rows in row-id
-order, returns -1 if the root way total is unset or its cell is ``inf``
-(infeasible) and -2 if the root kept its last walk's way total (nothing
-changed), and otherwise walks the back-track -- left child first,
-skipping a row whose stamp already holds its incoming way total -- and
-returns the number of ``(leaf slot, ways)`` pairs it wrote.  Each row is
+Two entry points of the compiled library (``_kernels.c``, built and
+loaded by :mod:`repro.kernels`) do the work.  ``leaf_install(plan, E,
+slot, curve)`` installs one leaf from the curve's packed buffer
+(:attr:`~repro.core.curves.EnergyCurve.packed`): unless the leaf is
+marked or holds no curve yet, a curve equal to the held one by value
+(same length, ``==`` on every ``epi``, ``freq_idx`` and ``core_idx``
+entry, so ``-0.0`` equals ``0.0``) is only recorded as held; otherwise
+it copies the leaf's stored window of ``epi`` into ``E`` and of the
+settings into the plan, sets the finite box, marks the leaf, clears its
+stamp and counts a leaf write.  It changes nothing and returns an error
+for a slot out of range or a curve shorter than the leaf's way cap.
+:meth:`PackedReduction.set_leaf` calls it unless the very object is
+already held at an unmarked leaf.
+``minplus_solve(plan, E)`` does a whole solve: it returns -4 if a leaf
+has no curve yet, marks the dirty leaves' root paths, recombines the
+marked rows in row-id order, returns -1 if the root way total is unset
+or its cell is ``inf`` (infeasible) and -2 if the root kept its last
+walk's way total (nothing changed), and otherwise walks the back-track
+-- left child first, skipping a row whose stamp already holds its
+incoming way total -- and returns the number of ``(leaf slot, c, f,
+w)`` quads it wrote, or -3 if the walk lands on an ``inf`` leaf cell
+(the check ``EnergyCurve.setting_at`` makes).  Each row is
 recombined over its children's finite boxes ``a`` (``na`` entries),
 ``b`` (``nb``) into the output span ``out`` (``nout``), and each split
 is the first minimum of its box-clipped candidates::
@@ -83,11 +104,10 @@ IEEE add of the same two entries the node-graph reference adds,
 ``np.minimum``; the split scans ascending with a strict ``<``, which is
 ``np.argmin``'s first minimum.  Pairs outside the finite boxes are
 infinite and can never win or tie a finite minimum, so restricting the
-combine to the boxes changes no value.  The kernel is the one
-implementation of the solve, so a working C compiler is required:
-importing this module raises :class:`ImportError` when the library
-cannot be built or loaded.  The node-graph reduction in
-``tests/oracles/node_graph.py`` is the reference it is tested against.
+combine to the boxes changes no value.  The library is the one
+implementation of the install and the solve, so a working C compiler is
+required: importing this module raises :class:`ImportError` when the
+library cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -105,13 +125,21 @@ __all__ = ["PackedReduction"]
 _kernel = kernels.shared()
 
 #: The plan buffer's header slots and then its per-row columns, in the
-#: order ``_kernels.c``'s ``minplus_solve`` reads them.
-_HEADER = ("nleaves", "nrows", "root", "root_s", "has_prev", "rows_combined", "splits")
+#: order ``_kernels.c``'s ``leaf_install`` and ``minplus_solve`` read them.
+_HEADER = (
+    "nleaves", "nrows", "root", "root_s", "has_prev", "rows_combined", "splits",
+    "leaf_writes", "missing",
+)
 _COLUMNS = ("src_a", "src_b", "parent", "nlo", "nk", "off", "flo", "fhi", "stamp", "mark")
-_HAS_PREV, _ROWS_COMBINED, _SPLITS = 4, 5, 6
+#: The per-leaf columns after the per-row ones: the held curve's packed
+#: buffer address (0: none yet) and the leaf's way cap.
+_LEAF_COLUMNS = ("held", "cap")
+_ROWS_COMBINED, _SPLITS, _LEAF_WRITES = 5, 6, 7
 
-#: ``minplus_solve``'s result for an unchanged root (an infeasible one gives -1).
-_UNCHANGED = -2
+#: ``minplus_solve``'s results besides the walk's quad count, and
+#: ``leaf_install``'s result for a slot out of range (a short curve gives -1).
+_INFEASIBLE, _UNCHANGED, _INF_LEAF_CELL, _NO_CURVE = -1, -2, -3, -4
+_BAD_SLOT = -2
 
 #: Memoised in-range DP cell counts per (left width, right width, sums):
 #: the count is a pure function of the three shapes and recurs for every
@@ -257,11 +285,14 @@ class PackedReduction:
         row_id = {rec: r for r, rec in enumerate(recs)}
         header = len(_HEADER)
         ncols = len(_COLUMNS)
-        # Header, columns, the walk's (slot, ways) output, the walk's stack
-        # (at most one entry per row on a root path, plus the root's).
-        plan = np.zeros(header + ncols * nrows + 2 * self.nleaves + 2 * (nrows + 1), np.int64)
+        # Header, row columns, leaf columns, the walk's (slot, c, f, w)
+        # output, its stack (at most one entry per row on a root path, plus
+        # the root's), and a (core, freq) setting per stored leaf cell.
+        leaf_cells = int(sum(rec.nhi - rec.nlo + 1 for rec in leaf_recs))
+        body = header + ncols * nrows + len(_LEAF_COLUMNS) * self.nleaves
+        plan = np.zeros(body + 4 * self.nleaves + 2 * (nrows + 1) + 2 * leaf_cells, np.int64)
         root_way = -1 if root_s is None else root_s
-        plan[:header] = (self.nleaves, nrows, row_id[root_rec], root_way, 0, 0, 0)
+        plan[:header] = (self.nleaves, nrows, row_id[root_rec], root_way, 0, 0, 0, 0, self.nleaves)
         cols = plan[header : header + ncols * nrows].reshape(ncols, nrows)
         src_a, src_b, parent, nlo, nk, off, flo, fhi, stamp, mark = cols
         src_a[:] = src_b[:] = parent[:] = -1
@@ -275,16 +306,18 @@ class PackedReduction:
         off[1:] = np.cumsum(nk[:-1])
         fhi[:] = stamp[:] = -1
         mark[: self.nleaves] = 1  # every leaf starts dirty
+        plan[body - self.nleaves : body] = self._leaf_caps
         self._plan = plan
         self._hdr = memoryview(plan[:header])
         self._cols = _Columns(cols)
-        self._out = plan[header + ncols * nrows : header + ncols * nrows + 2 * self.nleaves]
+        self._mark = self._cols.mark
+        self._out = plan[body : body + 4 * self.nleaves]
         self._E = np.full(int(nk.sum()), np.inf)
         self._plan_addr = plan.ctypes.data
         self._E_addr = self._E.ctypes.data
 
+        #: The installed curves, which keep the plan's held addresses valid.
         self._held: list[EnergyCurve | None] = [None] * self.nleaves
-        self._nmissing = self.nleaves  # leaves still awaiting a first curve
 
     # ---- leaf installation ---------------------------------------------------
     @property
@@ -306,33 +339,28 @@ class PackedReduction:
         """Back-track splits recovered by every solve so far."""
         return self._hdr[_SPLITS]
 
-    def _write_leaf(self, slot: int, curve: EnergyCurve) -> None:
-        require(curve.max_ways >= self._leaf_caps[slot], "leaf curve must span its group's way cap")
-        cols = self._cols
-        nlo, nk, o = cols.nlo[slot], cols.nk[slot], cols.off[slot]
-        if self._held[slot] is None:
-            self._nmissing -= 1
-        seg = self._E[o : o + nk]
-        seg[:] = curve.epi[nlo - 1 : nlo - 1 + nk]
-        fin = np.flatnonzero(np.isfinite(seg))
-        if fin.size:
-            cols.flo[slot] = nlo + int(fin[0])
-            cols.fhi[slot] = nlo + int(fin[-1])
-        else:
-            cols.flo[slot] = 0
-            cols.fhi[slot] = -1
-        self._held[slot] = curve
-        cols.mark[slot] = 1
-        cols.stamp[slot] = -1
+    @property
+    def leaf_writes(self) -> int:
+        """Installs that wrote a leaf so far (a deterministic work counter:
+        an install that keeps an equal unmarked leaf does not count)."""
+        return self._hdr[_LEAF_WRITES]
 
     def set_leaf(self, slot: int, curve: EnergyCurve) -> None:
-        """Install a leaf curve, marking it dirty only if it changed."""
-        prev = self._held[slot]
-        if prev is not None and not self._cols.mark[slot]:
-            if prev is curve or prev.same_curve(curve):
-                self._held[slot] = curve
-                return
-        self._write_leaf(slot, curve)
+        """Install a leaf curve, marking it dirty only if it changed.
+
+        The very object already held at an unmarked leaf returns at once;
+        otherwise one ``leaf_install`` call compares ``curve`` with the held
+        curve by value and writes the leaf only if they differ (the module
+        docstring has its contract).
+        """
+        if self._held[slot] is curve and not self._mark[slot]:
+            return
+        err = _kernel.leaf_install(self._plan_addr, self._E_addr, slot, curve.packed[0])
+        if err < 0:
+            if err == _BAD_SLOT:
+                raise IndexError(f"leaf slot {slot} out of range")
+            raise ValueError("leaf curve must span its group's way cap")
+        self._held[slot] = curve
 
     def holds(self, slot: int, curve: EnergyCurve) -> bool:
         """True when ``curve`` is the very object installed at ``slot``."""
@@ -357,11 +385,12 @@ class PackedReduction:
 
         Charges the invocation's static DP total, then makes one
         ``minplus_solve`` call (the module docstring has its contract):
-        it recombines the dirty root paths and walks the back-track, and
-        this method reads each walked ``(leaf slot, ways)`` pair's setting
-        off the held curve, in walk order.  Returns None when the root is
-        infeasible and ``[]`` when it kept its way total (nothing
-        changed).  The first walk lists every slot; later walks list only
+        it recombines the dirty root paths and walks the back-track,
+        writing each walked leaf's ``(slot, c, f, w)`` quad, in walk order.
+        Returns None when the root is infeasible and ``[]`` when it kept
+        its way total (nothing changed); raises :class:`ValueError` when a
+        leaf has no curve yet, or when the walk lands on an ``inf`` leaf
+        cell.  The first walk lists every slot; later walks list only
         the leaves below a row whose incoming way total moved, and every
         other leaf keeps its setting -- so folding each solve's pairs into
         the previous ones gives exactly the node-graph hierarchy's (or
@@ -370,12 +399,14 @@ class PackedReduction:
         """
         if meter is not None and self._total_cells:
             meter.charge_replay(dp_cells=self._total_cells)
-        # Every leaf starts dirty, so a missing one is always refreshed.
-        require(not self._nmissing, "every leaf needs a curve")
         n = _kernel.minplus_solve(self._plan_addr, self._E_addr)
         if n < 0:
-            return [] if n == _UNCHANGED else None
-        self._hdr[_HAS_PREV] = 1
-        held = self._held
-        pairs = iter(self._out[: 2 * n].tolist())
-        return [(slot, held[slot].setting_at(ways)) for slot, ways in zip(pairs, pairs)]
+            if n == _UNCHANGED:
+                return []
+            if n == _INFEASIBLE:
+                return None
+            if n == _INF_LEAF_CELL:
+                raise ValueError(f"ways={int(self._out[1])} is infeasible")
+            raise ValueError("every leaf needs a curve")  # _NO_CURVE
+        quads = iter(self._out[: 4 * n].tolist())
+        return [(slot, (c, f, w)) for slot, c, f, w in zip(quads, quads, quads, quads)]

@@ -141,18 +141,6 @@ def rm2_clustered(cluster_size: int = 8, overprovision: float = 2.0) -> ManagerS
     )
 
 
-def rm3_clustered(cluster_size: int = 8, overprovision: float = 2.0) -> ManagerSpec:
-    """Spec for the hierarchical RM3 variant (core resizing + cluster tier)."""
-    return ManagerSpec(
-        kind="coordinated",
-        name=f"rm3-core-adaptive-c{cluster_size}",
-        control_core_size=True,
-        mlp_model="model3",
-        cluster_size=cluster_size,
-        overprovision=overprovision,
-    )
-
-
 def rm3_with_model(model: str) -> ManagerSpec:
     return ManagerSpec(
         kind="coordinated",

@@ -2,13 +2,17 @@
 
 ``_kernels.c`` holds every loop repro runs compiled, in one library:
 
-* :class:`~repro.core.packed_tree.PackedReduction`'s whole solve,
-  ``minplus_solve(plan, E)``: over the reduction's int64 plan buffer
-  (header, per-row columns, walk output and stack; see
-  :mod:`repro.core.packed_tree`) and its float64 value buffer, it
-  recombines the dirty root paths, checks the root, and walks the
-  back-track in one call.  Its two inner loops are exported too: the
-  box-local band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
+* :class:`~repro.core.packed_tree.PackedReduction`'s leaf install and
+  whole solve, over the reduction's int64 plan buffer (header, per-row
+  and per-leaf columns, walk output and stack, leaf settings; see
+  :mod:`repro.core.packed_tree`) and its float64 value buffer.
+  ``leaf_install(plan, E, slot, curve)`` compares a packed curve
+  (:attr:`~repro.core.curves.EnergyCurve.packed`) with the held one and,
+  if it differs, copies the leaf's stored window of values and settings;
+  ``minplus_solve(plan, E)`` recombines the dirty root paths, checks the
+  root, and walks the back-track, writing each walked leaf's setting, in
+  one call.  The solve's two inner loops are exported too: the box-local
+  band combine ``out[t] = min_j a[t + k0 - j] + b[j]`` and the
   first-minimum split;
 * the simulation engine's event step, ``engine_step`` (see
   :class:`~repro.simulation.engine.core_state.CoreArrays`): the next
@@ -42,9 +46,10 @@ compiler is required: when no library can be built or loaded,
 :func:`load` raises :class:`ImportError` naming the compiler command and
 its error output, and importing any module that uses it fails with it.
 The references the kernels are tested against live in ``tests/oracles/``
-(``node_graph.py`` for the reduction, ``engine_step.py`` for the step,
-``model_chain.py`` for the curve chain, ``lru_stack.py`` for the stack
-distances, ``leading_miss.py`` and ``mlp_grid.py`` for the grouping).
+(``node_graph.py`` for the reduction, ``leaf_install.py`` for the leaf
+install, ``engine_step.py`` for the step, ``model_chain.py`` for the
+curve chain, ``lru_stack.py`` for the stack distances,
+``leading_miss.py`` and ``mlp_grid.py`` for the grouping).
 Every user takes the process's one handle from :func:`shared`, so the
 library is loaded once per process.
 """
@@ -132,6 +137,8 @@ def _library(cache_dir: str) -> ctypes.CDLL:
     lib.minplus_split.restype = size
     lib.minplus_solve.argtypes = [ptr, ptr]
     lib.minplus_solve.restype = size
+    lib.leaf_install.argtypes = [ptr, ptr, size, ptr]
+    lib.leaf_install.restype = size
     lib.engine_step.argtypes = [ptr, size, ctypes.c_double, size]
     lib.engine_step.restype = size
     lib.curve_chain.argtypes = [ptr, ptr, size, ptr, size, ptr, ptr, ptr, ctypes.c_double]

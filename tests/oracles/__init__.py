@@ -3,6 +3,10 @@
 * :mod:`tests.oracles.node_graph` -- the node-graph min-plus reduction
   (``global_optimize``, ``ReductionTree``), the golden reference of
   :class:`~repro.core.packed_tree.PackedReduction`;
+* :mod:`tests.oracles.leaf_install` -- the value comparison of two
+  curves (``same_curve``) and the Python leaf install
+  (``ReferenceLeaves``), the golden reference of the packed reduction's
+  compiled ``leaf_install``;
 * :mod:`tests.oracles.reference_manager` -- the recompute-everything
   coordinated-manager pipeline and the node-graph clustered manager;
 * :mod:`tests.oracles.change_sets` -- ``fold``, which applies a decision
@@ -32,9 +36,9 @@
 
 None of them is on a production path; tests and the ``tools/bench_*``
 speed-up benchmarks import them with the repository root on ``sys.path``.
-The packed reduction's solve, the engine step and the managers' curve
-chain have one implementation each, in the compiled library
-``src/repro/core/_minplus.c`` (a working C compiler is required);
-``node_graph``, ``engine_step`` and ``model_chain`` are the references
-they are held to.
+The packed reduction's leaf install and solve, the engine step and the
+managers' curve chain have one implementation each, in the compiled
+library ``src/repro/_kernels.c`` (a working C compiler is required);
+``leaf_install``, ``node_graph``, ``engine_step`` and ``model_chain`` are
+the references they are held to.
 """

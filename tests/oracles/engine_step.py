@@ -3,7 +3,7 @@
 The kernel finds the next interval completion, advances every core and
 retires the completing one with one call into the compiled library over
 :class:`~repro.simulation.engine.core_state.CoreArrays` (``engine_step``
-in ``src/repro/core/_minplus.c``, the step's only implementation).  These
+in ``src/repro/_kernels.c``, the step's only implementation).  These
 two functions are the same arithmetic one core at a time, exactly as the
 frozen ``tests/oracles/legacy_sim.py`` loop performs it:
 

@@ -3,7 +3,7 @@
 The production managers build every energy curve through
 :func:`repro.core.batch_opt.analytical_curves_batch` and
 :func:`~repro.core.batch_opt.oracle_curves_batch`, one compiled
-``curve_chain`` call per batch (``src/repro/core/_minplus.c``).  These
+``curve_chain`` call per batch (``src/repro/_kernels.c``).  These
 functions are the same chain one core at a time, in NumPy, with their own
 system constants and their own local optimisation, so a drift in
 production cannot leak into its reference:

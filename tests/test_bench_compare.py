@@ -104,6 +104,15 @@ class TestCompareRules:
         problems = compare_reports(base, got)
         assert any("allocation_entries" in p and "exact-match" in p for p in problems)
 
+    def test_leaf_write_counter_drift_fails(self):
+        base = copy.deepcopy(BASE)
+        base["managers"]["rm2-combined"]["leaf_writes"] = 300
+        assert compare_reports(base, copy.deepcopy(base)) == []
+        got = copy.deepcopy(base)
+        got["managers"]["rm2-combined"]["leaf_writes"] = 301
+        problems = compare_reports(base, got)
+        assert any("leaf_writes" in p and "exact-match" in p for p in problems)
+
     def test_bit_identical_false_fails(self):
         problems = compare_reports(BASE, fresh(bit_identical=False))
         assert any("not bit-identical" in p for p in problems)

@@ -45,9 +45,9 @@ from repro.experiments.runner import (
     RM1,
     RM2,
     RM3,
+    ManagerSpec,
     rm2_clustered,
     rm2_oracle,
-    rm3_clustered,
     rm3_with_model,
 )
 from repro.scenarios import (
@@ -365,6 +365,18 @@ def _spec_case(label, spec, name):
         return dataclasses.replace(spec, cluster_size=cluster_size).build()
 
     return pytest.param(build, spec.cluster_size, name, id=label)
+
+
+def rm3_clustered(cluster_size: int = 8, overprovision: float = 2.0) -> ManagerSpec:
+    """Spec for the hierarchical RM3 variant (core resizing + cluster tier)."""
+    return ManagerSpec(
+        kind="coordinated",
+        name=f"rm3-core-adaptive-c{cluster_size}",
+        control_core_size=True,
+        mlp_model="model3",
+        cluster_size=cluster_size,
+        overprovision=overprovision,
+    )
 
 
 def _factory_case(factory, cluster_size, name):

@@ -25,10 +25,19 @@ end.
 The one-call traces drive multi-cluster dirty unions, all-``inf`` leaves
 (infeasible roots), repeated clean solves and tied energies, and pin the
 work counters: each refresh recombines exactly the union of the dirty
-root paths.  Every solve must be one call of the compiled kernel.
+root paths.  Every solve must be one ``minplus_solve`` call and every
+install that is not an identity repeat of an unmarked leaf one
+``leaf_install`` call; the compiled install is held to the Python install
+in ``tests/oracles/leaf_install.py`` over random installs, equal-valued
+copies (``-0.0`` against ``0.0`` included), one-entry changes, all-``inf``
+and short curves, invalidations and solves, and every walked setting to
+``EnergyCurve.setting_at``.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +53,7 @@ from repro.scenarios import cluster_churn
 from repro.simulation.rma_sim import RMASimulator
 from tests.conftest import TEST_BENCHMARKS
 from tests.oracles.change_sets import fold
+from tests.oracles.leaf_install import ReferenceLeaves, same_curve
 from tests.oracles.node_graph import ReductionTree
 from tests.oracles.reference_manager import NodeGraphClusteredManager
 from tests.test_batch_opt import _StubSim, _stats
@@ -529,7 +539,7 @@ def _one_call_trace(seed, ties=False, rebuild=False):
         for j in moved:
             packed.set_leaf(j, curves[j])
         # A leaf is dirty if it was re-ingested or its curve changed value.
-        dirty = {j for j in moved if j in invalidated or not held[j].same_curve(curves[j])}
+        dirty = {j for j in moved if j in invalidated or not same_curve(held[j], curves[j])}
         held = list(curves)
         rows0, splits0 = packed.rows_combined, packed.splits
         ref = reference.solve(curves, m_ref)
@@ -626,7 +636,10 @@ class TestCompiledSolve:
     def test_refresh_equals_rebuild(self, seed, ties):
         _one_call_trace(seed, ties, rebuild=True)
 
-    def test_one_kernel_call_per_solve(self, monkeypatch):
+    def test_kernel_call_sequence(self, monkeypatch):
+        """One ``leaf_install`` per install that is not an identity repeat
+        of an unmarked leaf, none for such a repeat, and one
+        ``minplus_solve`` per solve."""
         proxy = _CountingKernel(packed_tree._kernel)
         monkeypatch.setattr(packed_tree, "_kernel", proxy)
         rng = np.random.default_rng(3)
@@ -634,15 +647,202 @@ class TestCompiledSolve:
         clusters = partition_clusters(ncores, 8)
         caps = cluster_way_caps(ways, ncores, clusters, 1)
         packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
-        packed.set_leaves([_finite_leaf(rng, ways) for j in range(ncores)])
+        curves = [_finite_leaf(rng, ways) for j in range(ncores)]
+        packed.set_leaves(curves)
+        want = ["leaf_install"] * ncores
         states = [packed.solve()]  # the first solve
+        packed.set_leaves(curves)  # identity repeats of unmarked leaves: no call
         states.append(packed.solve())  # nothing dirty
+        want += ["minplus_solve"] * 2
         packed.set_leaf(5, _finite_leaf(rng, ways))
         states.append(packed.solve())  # one dirty path
+        packed.set_leaf(5, _copy(packed._held[5]))  # equal values: compared, kept
+        want += ["leaf_install", "minplus_solve", "leaf_install"]
         for j in (1, 9, 17):  # a union across three clusters
             packed.set_leaf(j, _finite_leaf(rng, ways))
+        packed.invalidate(4)
+        packed.set_leaf(4, curves[4])  # a marked leaf: the same object is installed
         states.append(packed.solve())
+        want += ["leaf_install"] * 4 + ["minplus_solve"]
         packed.set_leaf(2, _all_inf_leaf(ways))
         states.append(packed.solve())  # infeasible
+        want += ["leaf_install", "minplus_solve"]
         assert len(states[0]) == ncores and states[1] == [] and states[-1] is None
-        assert proxy.calls == ["minplus_solve"] * len(states)
+        assert proxy.calls == want
+        assert packed.leaf_writes == ncores + 1 + 3 + 1 + 1
+
+    def test_walk_onto_an_inf_leaf_cell_raises(self):
+        """The walk checks every leaf cell it lands on, as ``setting_at``
+        does.  Two pinned leaves leave the root one split, which the walk
+        takes from the boxes alone; a leaf cell made ``inf`` behind the
+        reduction's back (its leaf unmarked, so no row is recombined)
+        fails the next walk instead of returning a setting."""
+        packed = PackedReduction((2,), (8,), 8, 1)
+        packed.set_leaves([EnergyCurve.pinned(3, 1, 2, 8), EnergyCurve.pinned(5, 0, 1, 8)])
+        assert packed.solve() == [(0, (1, 2, 3)), (1, (0, 1, 5))]
+        cols = _columns(packed)
+        packed._E[cols["off"][0] + 3 - cols["nlo"][0]] = np.inf
+        packed._hdr[packed_tree._HEADER.index("has_prev")] = 0  # walk every row again
+        with pytest.raises(ValueError, match="ways=3 is infeasible"):
+            packed.solve()
+
+    def test_solve_needs_every_leaf(self):
+        packed = PackedReduction((3,), (12,), 12, 1)
+        packed.set_leaf(0, EnergyCurve.pinned(4, 0, 0, 12))
+        with pytest.raises(ValueError, match="every leaf needs a curve"):
+            packed.solve()
+
+    def test_rejected_install_changes_nothing(self):
+        """A curve shorter than its group's way cap, or a slot out of range."""
+        packed = PackedReduction((2, 2), (6, 6), 12, 1)
+        before = packed._plan.tobytes()
+        with pytest.raises(ValueError, match="must span its group's way cap"):
+            packed.set_leaf(1, EnergyCurve.pinned(2, 0, 0, 5))
+        with pytest.raises(IndexError, match="out of range"):
+            packed.set_leaf(-1, EnergyCurve.pinned(2, 0, 0, 6))
+        assert packed._plan.tobytes() == before and packed.leaf_writes == 0
+
+
+def _copy(curve, flip_zeros=False):
+    """A distinct curve object with ``curve``'s values; ``flip_zeros``
+    swaps the sign of every zero energy (``-0.0 == 0.0``)."""
+    epi = curve.epi.copy()
+    if flip_zeros:
+        epi = np.where(epi == 0.0, -epi, epi)
+    return EnergyCurve(epi=epi, freq_idx=curve.freq_idx.copy(), core_idx=curve.core_idx.copy())
+
+
+def _settings(packed):
+    """The plan's settings section: a (core, freq) row per stored leaf cell."""
+    nleaves, nrows = packed.nleaves, len(packed._cols.nlo)
+    start = (len(packed_tree._HEADER) + len(packed_tree._COLUMNS) * nrows
+             + len(packed_tree._LEAF_COLUMNS) * nleaves + 4 * nleaves + 2 * (nrows + 1))
+    return packed._plan[start:].reshape(-1, 2)
+
+
+def _assert_same_leaves(packed, ref, tag):
+    """The compiled installs left every leaf as the reference's did."""
+    cols, settings = _columns(packed), _settings(packed)
+    for slot in range(packed.nleaves):
+        o, k = cols["off"][slot], cols["nk"][slot]
+        assert packed._E[o : o + k].tobytes() == ref.E[slot].tobytes(), f"{tag}: E of {slot}"
+        assert np.array_equal(settings[o : o + k], ref.settings[slot]), f"{tag}: settings"
+        got = [cols[name][slot] for name in ("flo", "fhi", "mark", "stamp")]
+        assert got == [ref.flo[slot], ref.fhi[slot], ref.mark[slot], ref.stamp[slot]], tag
+        assert packed._held[slot] is ref.held[slot], f"{tag}: held curve of {slot}"
+    assert packed.leaf_writes == ref.writes, f"{tag}: leaf writes"
+
+
+#: Energies the install property draws from: zeros of both signs and
+#: ``inf`` make equal-valued distinct curves and empty leaves likely.
+_EPI_POOL = (np.inf, 0.0, -0.0, 1.0, 2.5)
+
+_OPS = ("new", "copy", "flip", "tweak", "same", "all_inf", "short", "invalidate", "solve")
+
+
+def _tweak(curve, field, rng):
+    """A copy of ``curve`` with one entry of ``field`` changed, or with one
+    more way (``field == "length"``, the new way repeating the last)."""
+    arrays = {name: getattr(curve, name).copy() for name in ("epi", "freq_idx", "core_idx")}
+    if field == "length":
+        arrays = {name: np.append(a, a[-1]) for name, a in arrays.items()}
+    else:
+        i = int(rng.integers(0, curve.max_ways))
+        arrays[field][i] = 7.0 if arrays[field][i] != 7.0 else 8.0
+    return EnergyCurve(**arrays)
+
+
+class TestLeafInstall:
+    """The compiled install against the Python rule in
+    ``tests/oracles/leaf_install.py``, and the walk's settings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), data=st.data())
+    @example(seed=0, data=None)
+    def test_install_matches_reference(self, seed, data):
+        rng = np.random.default_rng(seed)
+        ncores = int(rng.integers(1, 7))
+        ways = int(rng.integers(ncores, 3 * ncores + 4))
+        clusters, caps = _random_hierarchy(rng, ncores, ways)
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        cols = _columns(packed)
+        leaf_caps = [cap for m, cap in zip(clusters, caps) for _ in m]
+        ref = ReferenceLeaves(cols["nlo"][:ncores], cols["nk"][:ncores], leaf_caps)
+
+        def curve(n, pool=_EPI_POOL):
+            return EnergyCurve(epi=rng.choice(pool, size=n),
+                               freq_idx=rng.integers(0, 2, size=n),
+                               core_idx=rng.integers(0, 2, size=n))
+
+        steps = 40 if data is None else data.draw(st.integers(1, 40), label="steps")
+        for step in range(steps):
+            if data is None:
+                op, slot = _OPS[step % len(_OPS)], step % ncores
+            else:
+                op = data.draw(st.sampled_from(_OPS), label="op")
+                slot = data.draw(st.integers(0, ncores - 1), label="slot")
+            tag = f"seed={seed} step={step} op={op} slot={slot}"
+            held = ref.held[slot]
+            cap = leaf_caps[slot]
+            if op == "solve":
+                if None in ref.held:
+                    continue
+                got = packed.solve()
+                ref.solved(cols["stamp"][:ncores])
+                for s, setting in got or ():
+                    assert setting == packed._held[s].setting_at(setting[2]), tag
+            elif op == "invalidate":
+                packed.invalidate(slot)
+                ref.invalidate(slot)
+            elif op == "short":
+                if cap > 1:
+                    c = curve(cap - 1)
+                    with pytest.raises(ValueError, match="way cap"):
+                        ref.set_leaf(slot, c)
+                    with pytest.raises(ValueError, match="way cap"):
+                        packed.set_leaf(slot, c)
+            else:
+                if op == "tweak" and held is not None:
+                    fields = ("epi", "freq_idx", "core_idx", "length")
+                    c = _tweak(held, fields[int(rng.integers(0, 4))], rng)
+                elif op in ("copy", "flip", "same") and held is not None:
+                    c = held if op == "same" else _copy(held, flip_zeros=op == "flip")
+                elif op == "all_inf":
+                    c = curve(cap + int(rng.integers(0, 3)), pool=(np.inf,))
+                else:  # "new", or a copy of a leaf that holds nothing yet
+                    c = curve(cap + int(rng.integers(0, 3)))
+                marked = ref.mark[slot]
+                wrote = ref.set_leaf(slot, c)
+                if held is not None and op in ("copy", "flip", "same"):
+                    # Equal values keep an unmarked leaf; a marked one is rewritten.
+                    assert wrote == bool(marked), tag
+                elif held is not None and op == "tweak":
+                    assert wrote, tag
+                packed.set_leaf(slot, c)
+            _assert_same_leaves(packed, ref, tag)
+
+    @pytest.mark.parametrize("field", ["epi", "freq_idx", "core_idx", "length"])
+    def test_any_differing_entry_rewrites_the_leaf(self, field):
+        """All-zero curves make every entry of the packed buffers equal but
+        the one that differs, so the compare must check each of them."""
+        ways = 8
+        packed = PackedReduction((2,), (ways,), ways, 1)
+        zeros = EnergyCurve(epi=np.zeros(ways), freq_idx=np.zeros(ways, dtype=int),
+                            core_idx=np.zeros(ways, dtype=int))
+        packed.set_leaves([zeros, _copy(zeros)])
+        packed.solve()
+        packed.set_leaf(0, _copy(zeros, flip_zeros=True))  # -0.0 == 0.0: kept
+        assert packed.leaf_writes == 2 and not packed._mark[0]
+        packed.set_leaf(0, _tweak(zeros, field, np.random.default_rng(0)))
+        assert packed.leaf_writes == 3 and packed._mark[0]
+
+    def test_a_copied_curve_packs_its_own_buffer(self):
+        """The packed buffer's address is the curve's own: a pickled or
+        deep-copied curve packs again instead of carrying the address."""
+        curve = _finite_leaf(np.random.default_rng(1), 12)
+        addr, buf = curve.packed
+        assert addr == buf.ctypes.data and buf[0] == 12
+        for twin in (copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+            twin_addr, twin_buf = twin.packed
+            assert twin_addr == twin_buf.ctypes.data != addr
+            assert np.array_equal(twin_buf, buf)

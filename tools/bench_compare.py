@@ -64,6 +64,7 @@ EXACT_KEYS = {
     "reduction_splits",
     "curve_builds",
     "allocation_entries",
+    "leaf_writes",
 }
 
 #: Fidelity context: a mismatch means the artifacts measure different

@@ -14,7 +14,9 @@ rows the compiled curve chain built over one production run: a
 deterministic count of the curve layer's work, which its wall-clock is
 too small to gate.  ``allocation_entries`` counts the allocations the
 manager returned over the same run (each decision's change set), the
-work its decisions hand the simulation kernel.
+work its decisions hand the simulation kernel, and ``leaf_writes`` the
+reduction leaves the run's installs wrote (an install that keeps an
+equal leaf does not count).
 
 Usage::
 
@@ -68,13 +70,14 @@ MANAGERS = {
 
 
 def count_work(run, manager):
-    """``(rows built, allocation entries, result)`` of ``run(manager)``.
+    """``(rows built, allocation entries, leaf writes, result)`` of
+    ``run(manager)``.
 
     Wraps the curve chain ``batch_opt.local_optimize_batch``, the module
     attribute every manager's curve construction calls, and counts its
     input rows; wraps ``manager.on_interval`` on the instance, which the
     simulation kernel calls, and counts the entries of every map it
-    returns.
+    returns.  The leaf writes are the run's reduction's own counter.
     """
     real = batch_opt.local_optimize_batch
     decide = manager.on_interval
@@ -97,7 +100,7 @@ def count_work(run, manager):
         result = run(manager)
     finally:
         batch_opt.local_optimize_batch = real
-    return rows, entries, result
+    return rows, entries, manager._tree.leaf_writes, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             ).run()
 
         inc_s, inc_run = time_best_of(lambda: replay(factory()), args.repeats)
-        curve_builds, entries, counted_run = count_work(replay, factory())
+        curve_builds, entries, leaf_writes, counted_run = count_work(replay, factory())
         same = runs_bit_identical(ref_run, inc_run) and runs_bit_identical(counted_run, inc_run)
         identical = identical and same
         report["managers"][name] = {
@@ -171,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             "rma_invocations": int(inc_run.rma_invocations),
             "curve_builds": curve_builds,
             "allocation_entries": entries,
+            "leaf_writes": leaf_writes,
         }
         print(
             f"{name:18s} reference {ref_s:7.3f}s  incremental {inc_s:7.3f}s  "

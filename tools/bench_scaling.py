@@ -85,10 +85,15 @@ def _replay(ctx, scenario, manager_factory, max_slices, repeats):
 
 def _reduction_work(sim) -> dict:
     """The replay's deterministic reduction work: rows the packed reduction
-    recombined and back-track splits it recovered (exact-match keys of the
-    regression gate, counted by the compiled kernel)."""
+    recombined, back-track splits it recovered and leaves its installs
+    wrote (exact-match keys of the regression gate, counted by the
+    compiled library)."""
     tree = sim.manager._tree
-    return {"reduction_rows": tree.rows_combined, "reduction_splits": tree.splits}
+    return {
+        "reduction_rows": tree.rows_combined,
+        "reduction_splits": tree.splits,
+        "leaf_writes": tree.leaf_writes,
+    }
 
 
 def _events_per_sec(sim, best_s: float) -> float:

@@ -153,7 +153,9 @@ hashes).  See "Running as a service" in `README.md`.
   end-to-end with `bit_identical=true` per manager — and `curve_builds`,
   the rows the compiled curve chain built in one production replay (an
   exact-match key of the gate, since the curve layer's wall-clock sits
-  under its `--min-delta-s` floor);
+  under its `--min-delta-s` floor), next to `allocation_entries` and
+  `leaf_writes` (the reduction leaves that replay's installs wrote), also
+  exact-match;
 * `BENCH_scaling.json` (`tools/bench_scaling.py`) — the many-core
   trajectory: a 64-core S5 cluster-churn replay (512 intervals,
   `--max-slices 12`, trace density 400) under the clustered RM2
@@ -171,8 +173,9 @@ hashes).  See "Running as a service" in `README.md`.
   fast*; `python3 perfbench/run.py --workload NAME --trace 1` gives the
   same split for any benchmark workload), the packed reduction's
   deterministic work per clustered replay (`reduction_rows` recombined,
-  `reduction_splits` recovered; exact-match keys of the gate, counted by
-  the compiled kernel, the solve's one implementation), and a 16-core
+  `reduction_splits` recovered, `leaf_writes` installed; exact-match keys
+  of the gate, counted by the compiled library, the install's and the
+  solve's one implementation), and a 16-core
   **single-cluster equivalence check** whose `bit_identical` field the
   gate enforces exactly — the hierarchy must never drift from the flat
   manager it degenerates to.  The baseline committed with the vectorised

@@ -13,10 +13,11 @@ is decomposed into four components with one orchestrator:
   the slow path works with;
 * :mod:`~repro.simulation.engine.scheduler` --
   :class:`CompletionScheduler`, which owns the per-core completion-time
-  computation and caches each core's (record, tpi, epi) triple,
-  invalidating a core's entry only when its allocation, tenancy or phase
-  slice changes instead of re-reading the database grids for every core on
-  every event;
+  inputs: one rate entry per (phase record, allocation) pair of the run
+  (tpi, epi, QoS-anchor interval time, counter snapshot), with a core's
+  pointer to its entry invalidated only when its allocation, tenancy or
+  phase slice changes instead of re-reading the database grids for every
+  core on every event;
 * :mod:`~repro.simulation.engine.tenancy` -- :class:`TenancyModel`, which
   owns the pending scenario-event queues and applies swap/depart/slack
   requests at interval boundaries;

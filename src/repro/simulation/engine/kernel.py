@@ -4,13 +4,16 @@ One iteration = one global event = the earliest completion of a
 100 M-instruction interval on any core:
 
 1. the :class:`~repro.simulation.engine.scheduler.CompletionScheduler`
-   names the completing core and the span ``dt`` (cached, incrementally
-   invalidated -- no database lookups for unchanged cores);
+   writes the lanes of the cores invalidated since the last event from
+   their rate entries (one per (phase record, allocation) pair of the run,
+   built on first use -- no database lookups for unchanged cores or
+   recurring pairs), and the step names the completing core and the span
+   ``dt``;
 2. every other active core advances by ``dt`` (stall served first, then
-   instructions retire and charge energy at the cached rates);
+   instructions retire and charge energy at the lane rates);
 3. the completing core retires its interval's remaining instructions
-   exactly, records its counter snapshot and interval sample, and moves to
-   the next phase slice;
+   exactly, records its counter snapshot and interval sample (both read
+   from its rate entry), and moves to the next phase slice;
 4. due scenario requests are applied at this boundary by the
    :class:`~repro.simulation.engine.tenancy.TenancyModel`;
 5. unless this boundary changed the completing core's tenancy (the
@@ -19,7 +22,9 @@ One iteration = one global event = the earliest completion of a
    :class:`~repro.simulation.engine.bridge.ManagerBridge` and the
    allocations it returns -- for the coordinated managers, only the
    cores their reduction's walk rewrote -- are applied with transition
-   overheads.
+   overheads, each evaluated once per distinct (old, new) allocation
+   pair of the run (:func:`~repro.simulation.overheads.transition_cost`
+   is pure).
 
 Accounting is bit-identical to ``tests/oracles/legacy_sim.py``, the
 frozen pre-refactor reference; the golden equivalence suite enforces it.
@@ -61,7 +66,7 @@ from repro.simulation.engine.core_state import CoreArrays, CoreRun
 from repro.simulation.engine.scheduler import CompletionScheduler
 from repro.simulation.engine.tenancy import TenancyModel
 from repro.simulation.metrics import AppResult, IntervalSamples, RunResult
-from repro.simulation.overheads import transition_cost
+from repro.simulation.overheads import TransitionCost, transition_cost
 from repro.util.validation import require
 from repro.workloads.mixes import Workload
 
@@ -143,26 +148,28 @@ class SimulationKernel:
         # _apply so the per-reallocation way-budget audit needs no O(N)
         # recount (debug mode recounts and asserts, see _WAYS_AUDIT).
         self._ways_total = sum(c.alloc.ways for c in self.cores)
+        # transition_cost is pure in (system, old, new): one evaluation per
+        # distinct (old, new) pair of the run, keyed by content.
+        self._transitions: dict[tuple[Allocation, Allocation], TransitionCost] = {}
         #: Global events simulated by the last run() (replay throughput
         #: denominator for the scaling benchmarks).
         self.events_simulated = 0
 
     # ---- internals -----------------------------------------------------------
     def _complete_interval(self, core: CoreRun) -> None:
-        rec = self.scheduler.record(core.core_id)
+        entry = self.scheduler.entry(core.core_id)
         core.instr_done = 0.0
         core.intervals += 1
-        core.last_record = rec
-        core.last_snapshot = self.scheduler.observe(core.core_id)
+        core.last_record = entry.rec
+        core.last_snapshot = entry.observe(self.system)
 
         if self.scenario is not None or core.rounds == 0:
             duration = self.time_ns - core.interval_start_ns
             # Baseline interval time under *this* system's QoS anchor (the
             # anchor may differ from the database's nominal, e.g. in the
-            # baseline-VF sensitivity experiment); memoised per phase record.
-            baseline_ns = self.scheduler.baseline_interval_ns(core.core_id)
+            # baseline-VF sensitivity experiment); held by the rate entry.
             self.interval_samples.append(
-                (core.core_id, core.seq[core.slice_idx], duration, baseline_ns, core.slack)
+                (core.core_id, core.seq[core.slice_idx], duration, entry.baseline_ns, core.slack)
             )
         core.interval_start_ns = self.time_ns
         core.energy_interval_start_nj = core.energy_nj
@@ -205,17 +212,18 @@ class SimulationKernel:
             total == system.llc.ways,
             f"manager allocated {total} ways, LLC has {system.llc.ways}",
         )
+        costs = self._transitions
         for j, new in changed:
             core = cores[j]
-            if not core.active:
-                # Reconfiguring an idle (power-gated) core is free: there is
-                # nothing to stall and nothing executing to charge.
-                core.alloc = new
-                self.scheduler.invalidate(j)
-                continue
-            cost = transition_cost(system, core.alloc, new)
-            core.pending_stall_ns += cost.stall_ns
-            core.energy_nj += cost.energy_nj
+            # Reconfiguring an idle (power-gated) core is free: there is
+            # nothing to stall and nothing executing to charge.
+            if core.active:
+                old = core.alloc
+                cost = costs.get((old, new))
+                if cost is None:
+                    cost = costs[old, new] = transition_cost(system, old, new)
+                core.pending_stall_ns += cost.stall_ns
+                core.energy_nj += cost.energy_nj
             core.alloc = new
             self.scheduler.invalidate(j)
         self._ways_total = total
@@ -252,9 +260,11 @@ class SimulationKernel:
         cores = self.cores
         step = self._step
         events = 0
+        cap = MAX_EVENTS
         while not self._finished():
             events += 1
-            require(events <= MAX_EVENTS, "event cap exceeded (manager thrashing?)")
+            if events > cap:
+                raise ValueError("event cap exceeded (manager thrashing?)")
             if self.scenario is not None and tenancy.n_active == 0:
                 # Every core idles: jump to the next pending request (which
                 # must exist, or the scenario can never reach its horizon).

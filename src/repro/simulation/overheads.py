@@ -11,6 +11,10 @@ change in their resource allocations."  Three costs apply:
   fetches, costing both time and DRAM energy.
 
 Stall time burns leakage and background power but retires no instructions.
+
+:func:`transition_cost` is a pure function of ``(system, old, new)``, so
+the simulation kernel evaluates it once per distinct (old, new) pair of a
+run and charges every later move between the same settings from its memo.
 """
 
 from __future__ import annotations

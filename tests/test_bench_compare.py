@@ -113,6 +113,26 @@ class TestCompareRules:
         problems = compare_reports(base, got)
         assert any("leaf_writes" in p and "exact-match" in p for p in problems)
 
+    def test_solve_call_counter_drift_fails(self):
+        base = copy.deepcopy(BASE)
+        base["managers"]["rm2-combined"]["solve_calls"] = 213
+        assert compare_reports(base, copy.deepcopy(base)) == []
+        got = copy.deepcopy(base)
+        got["managers"]["rm2-combined"]["solve_calls"] = 508
+        problems = compare_reports(base, got)
+        assert any("solve_calls" in p and "exact-match" in p for p in problems)
+
+    @pytest.mark.parametrize("key", ["rate_entries", "transition_entries"])
+    def test_engine_memo_counter_drift_fails(self, key):
+        base = copy.deepcopy(BASE)
+        base["benchmark"] = "engine_speedup"
+        base["managers"]["rm2-combined"][key] = 71
+        assert compare_reports(base, copy.deepcopy(base)) == []
+        got = copy.deepcopy(base)
+        got["managers"]["rm2-combined"][key] = 72
+        problems = compare_reports(base, got)
+        assert any(key in p and "exact-match" in p for p in problems)
+
     def test_bit_identical_false_fails(self):
         problems = compare_reports(BASE, fresh(bit_identical=False))
         assert any("not bit-identical" in p for p in problems)

@@ -639,7 +639,10 @@ class TestCompiledSolve:
     def test_kernel_call_sequence(self, monkeypatch):
         """One ``leaf_install`` per install that is not an identity repeat
         of an unmarked leaf, none for such a repeat, and one
-        ``minplus_solve`` per solve."""
+        ``minplus_solve`` per solve that follows a leaf write or an
+        invalidation: a clean solve -- nothing written (an equal-valued
+        install writes nothing) or invalidated since the last one --
+        returns what the call would, ``[]`` or ``None``, without it."""
         proxy = _CountingKernel(packed_tree._kernel)
         monkeypatch.setattr(packed_tree, "_kernel", proxy)
         rng = np.random.default_rng(3)
@@ -651,13 +654,18 @@ class TestCompiledSolve:
         packed.set_leaves(curves)
         want = ["leaf_install"] * ncores
         states = [packed.solve()]  # the first solve
+        want += ["minplus_solve"]
         packed.set_leaves(curves)  # identity repeats of unmarked leaves: no call
-        states.append(packed.solve())  # nothing dirty
-        want += ["minplus_solve"] * 2
+        states.append(packed.solve())  # nothing dirty: clean, no call
         packed.set_leaf(5, _finite_leaf(rng, ways))
         states.append(packed.solve())  # one dirty path
+        want += ["leaf_install", "minplus_solve"]
         packed.set_leaf(5, _copy(packed._held[5]))  # equal values: compared, kept
-        want += ["leaf_install", "minplus_solve", "leaf_install"]
+        states.append(packed.solve())  # nothing written: clean, no call
+        want += ["leaf_install"]
+        packed.invalidate(7)
+        states.append(packed.solve())  # an invalidation forces the call
+        want += ["minplus_solve"]
         for j in (1, 9, 17):  # a union across three clusters
             packed.set_leaf(j, _finite_leaf(rng, ways))
         packed.invalidate(4)
@@ -667,9 +675,56 @@ class TestCompiledSolve:
         packed.set_leaf(2, _all_inf_leaf(ways))
         states.append(packed.solve())  # infeasible
         want += ["leaf_install", "minplus_solve"]
-        assert len(states[0]) == ncores and states[1] == [] and states[-1] is None
+        states.append(packed.solve())  # clean after an infeasible solve
+        assert len(states[0]) == ncores
+        assert states[1] == states[3] == states[4] == []
+        assert states[-2] is None and states[-1] is None
         assert proxy.calls == want
         assert packed.leaf_writes == ncores + 1 + 3 + 1 + 1
+
+    def test_clean_solve_after_an_infeasible_one_returns_none(self, monkeypatch):
+        packed = PackedReduction((4,), (16,), 16, 1)
+        packed.set_leaves([_all_inf_leaf(16)] + [EnergyCurve.pinned(4, 0, 0, 16)] * 3)
+        assert packed.solve() is None
+        proxy = _CountingKernel(packed_tree._kernel)
+        monkeypatch.setattr(packed_tree, "_kernel", proxy)
+        assert packed.solve() is None and packed.solve() is None
+        assert proxy.calls == []
+
+    def test_clean_solve_with_a_missing_leaf_still_raises(self, monkeypatch):
+        """A solve that found a leaf without a curve is not a clean state:
+        every later solve calls the kernel, and raises, until the leaf is
+        installed."""
+        proxy = _CountingKernel(packed_tree._kernel)
+        monkeypatch.setattr(packed_tree, "_kernel", proxy)
+        packed = PackedReduction((3,), (12,), 12, 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="every leaf needs a curve"):
+                packed.solve()
+        packed.set_leaf(0, EnergyCurve.pinned(4, 0, 0, 12))
+        packed.set_leaf(1, EnergyCurve.pinned(4, 0, 0, 12))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="every leaf needs a curve"):
+                packed.solve()
+        assert proxy.calls == ["minplus_solve"] * 2 + ["leaf_install"] * 2 + ["minplus_solve"] * 2
+        packed.set_leaf(2, EnergyCurve.pinned(4, 0, 0, 12))
+        assert packed.solve() == [(0, (0, 0, 4)), (1, (0, 0, 4)), (2, (0, 0, 4))]
+
+    def test_clean_solve_charges_the_called_solves_meter_totals(self):
+        """A clean solve charges the invocation's static DP total, exactly
+        as a solve that calls the kernel does."""
+        rng = np.random.default_rng(11)
+        ncores, ways = 12, 32
+        clusters = partition_clusters(ncores, 4)
+        caps = cluster_way_caps(ways, ncores, clusters, 1)
+        packed = PackedReduction(tuple(len(m) for m in clusters), tuple(caps), ways, 1)
+        packed.set_leaves([_finite_leaf(rng, ways) for _ in range(ncores)])
+        packed.solve()
+        called, clean = OverheadMeter(), OverheadMeter()
+        packed.invalidate(3)
+        assert packed.solve(called) == []  # recombined, root kept its total
+        assert packed.solve(clean) == []  # clean
+        assert called == clean and clean.dp_cells == packed.total_cells > 0
 
     def test_walk_onto_an_inf_leaf_cell_raises(self):
         """The walk checks every leaf cell it lands on, as ``setting_at``
@@ -683,6 +738,7 @@ class TestCompiledSolve:
         cols = _columns(packed)
         packed._E[cols["off"][0] + 3 - cols["nlo"][0]] = np.inf
         packed._hdr[packed_tree._HEADER.index("has_prev")] = 0  # walk every row again
+        packed._clean = False  # and let the solve reach the kernel
         with pytest.raises(ValueError, match="ways=3 is infeasible"):
             packed.solve()
 

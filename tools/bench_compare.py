@@ -65,6 +65,9 @@ EXACT_KEYS = {
     "curve_builds",
     "allocation_entries",
     "leaf_writes",
+    "rate_entries",
+    "transition_entries",
+    "solve_calls",
 }
 
 #: Fidelity context: a mismatch means the artifacts measure different

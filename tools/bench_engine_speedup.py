@@ -6,7 +6,13 @@ Replays the same 8-core dynamic scenario through the layered kernel
 (``tests/oracles/legacy_sim.py``), verifies the results are
 bit-identical, and records wall-clock plus speedup into
 ``benchmarks/_artifacts/BENCH_engine_speedup.json`` so the perf trajectory
-is tracked as an artefact per commit.
+is tracked as an artefact per commit.  Next to the wall-clocks, which are
+too small to gate, it records two deterministic counts of the engine's
+per-run memos over one production replay: ``rate_entries``, the
+scheduler's rate entries built (one per distinct (phase record,
+allocation) pair the run reads), and ``transition_entries``, the
+reconfiguration costs evaluated (one per distinct (old, new) allocation
+pair the run charges).
 
 Usage::
 
@@ -44,10 +50,44 @@ add_src_to_path()
 add_repo_root_to_path()
 
 from repro.core.managers import StaticBaselineManager, rm2_combined  # noqa: E402
+from repro.simulation.engine import kernel as engine_kernel  # noqa: E402
+from repro.simulation.engine.scheduler import CompletionScheduler  # noqa: E402
 from repro.experiments.runner import get_context  # noqa: E402
 from repro.scenarios import poisson_arrivals  # noqa: E402
 from repro.simulation.rma_sim import RMASimulator  # noqa: E402
 from tests.oracles.legacy_sim import LegacyRMASimulator  # noqa: E402
+
+
+def count_memos(run):
+    """``(rate entries, transition entries, result)`` of ``run()``.
+
+    Wraps ``CompletionScheduler._new_entry``, which builds every rate
+    entry, and the kernel module's ``transition_cost``, which the kernel
+    calls once per (old, new) pair its memo has not seen, and counts
+    their calls.
+    """
+    new_entry = CompletionScheduler._new_entry
+    cost = engine_kernel.transition_cost
+    entries = pairs = 0
+
+    def counted_entry(self, key):
+        nonlocal entries
+        entries += 1
+        return new_entry(self, key)
+
+    def counted_cost(system, old, new):
+        nonlocal pairs
+        pairs += 1
+        return cost(system, old, new)
+
+    CompletionScheduler._new_entry = counted_entry
+    engine_kernel.transition_cost = counted_cost
+    try:
+        result = run()
+    finally:
+        CompletionScheduler._new_entry = new_entry
+        engine_kernel.transition_cost = cost
+    return entries, pairs, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,18 +136,22 @@ def main(argv: list[str] | None = None) -> int:
             ).run(),
             args.repeats,
         )
-        engine_s, engine_run = time_best_of(
-            lambda: RMASimulator(
+
+        def replay():
+            return RMASimulator(
                 ctx.system,
                 ctx.db,
                 scenario.workload,
                 factory(),
                 max_slices=args.max_slices,
                 scenario=scenario,
-            ).run(),
-            args.repeats,
+            ).run()
+
+        engine_s, engine_run = time_best_of(replay, args.repeats)
+        rate_entries, transition_entries, counted_run = count_memos(replay)
+        same = runs_bit_identical(legacy_run, engine_run) and runs_bit_identical(
+            counted_run, engine_run
         )
-        same = runs_bit_identical(legacy_run, engine_run)
         identical = identical and same
         report["managers"][name] = {
             "legacy_s": round(legacy_s, 4),
@@ -115,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": round(legacy_s / engine_s, 3),
             "bit_identical": same,
             "result_hash": run_result_hash(engine_run),
+            "rate_entries": rate_entries,
+            "transition_entries": transition_entries,
         }
         print(
             f"{name:14s} legacy {legacy_s:7.3f}s  engine {engine_s:7.3f}s  "

@@ -14,9 +14,11 @@ rows the compiled curve chain built over one production run: a
 deterministic count of the curve layer's work, which its wall-clock is
 too small to gate.  ``allocation_entries`` counts the allocations the
 manager returned over the same run (each decision's change set), the
-work its decisions hand the simulation kernel, and ``leaf_writes`` the
+work its decisions hand the simulation kernel, ``leaf_writes`` the
 reduction leaves the run's installs wrote (an install that keeps an
-equal leaf does not count).
+equal leaf does not count), and ``solve_calls`` the run's calls into the
+compiled solve (a decision that wrote and invalidated no leaf since the
+last one makes none).
 
 Usage::
 
@@ -49,7 +51,7 @@ os.environ.setdefault("REPRO_ACCESSES_PER_SET", "400")
 add_src_to_path()
 add_repo_root_to_path()
 
-from repro.core import batch_opt  # noqa: E402
+from repro.core import batch_opt, packed_tree  # noqa: E402
 from repro.core.managers import (  # noqa: E402
     dvfs_only,
     rm1_partitioning_only,
@@ -69,18 +71,41 @@ MANAGERS = {
 }
 
 
+class _CountingKernel:
+    """Proxy for the compiled library that counts ``minplus_solve`` calls."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.solves = 0
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+        if name != "minplus_solve":
+            return fn
+
+        def call(*args):
+            self.solves += 1
+            return fn(*args)
+
+        return call
+
+
 def count_work(run, manager):
-    """``(rows built, allocation entries, leaf writes, result)`` of
-    ``run(manager)``.
+    """``(rows built, allocation entries, leaf writes, solve calls, result)``
+    of ``run(manager)``.
 
     Wraps the curve chain ``batch_opt.local_optimize_batch``, the module
     attribute every manager's curve construction calls, and counts its
     input rows; wraps ``manager.on_interval`` on the instance, which the
     simulation kernel calls, and counts the entries of every map it
-    returns.  The leaf writes are the run's reduction's own counter.
+    returns; and puts a proxy in place of ``packed_tree._kernel``, the
+    compiled library the reduction calls, to count its ``minplus_solve``
+    calls.  The leaf writes are the run's reduction's own counter.
     """
     real = batch_opt.local_optimize_batch
     decide = manager.on_interval
+    lib = packed_tree._kernel
+    kernel = _CountingKernel(lib)
     rows = entries = 0
 
     def counted(system, batch_rows, *args, **kwargs):
@@ -96,11 +121,13 @@ def count_work(run, manager):
 
     batch_opt.local_optimize_batch = counted
     manager.on_interval = counted_decide
+    packed_tree._kernel = kernel
     try:
         result = run(manager)
     finally:
         batch_opt.local_optimize_batch = real
-    return rows, entries, manager._tree.leaf_writes, result
+        packed_tree._kernel = lib
+    return rows, entries, manager._tree.leaf_writes, kernel.solves, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             ).run()
 
         inc_s, inc_run = time_best_of(lambda: replay(factory()), args.repeats)
-        curve_builds, entries, leaf_writes, counted_run = count_work(replay, factory())
+        curve_builds, entries, leaf_writes, solves, counted_run = count_work(replay, factory())
         same = runs_bit_identical(ref_run, inc_run) and runs_bit_identical(counted_run, inc_run)
         identical = identical and same
         report["managers"][name] = {
@@ -175,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             "curve_builds": curve_builds,
             "allocation_entries": entries,
             "leaf_writes": leaf_writes,
+            "solve_calls": solves,
         }
         print(
             f"{name:18s} reference {ref_s:7.3f}s  incremental {inc_s:7.3f}s  "

@@ -142,7 +142,11 @@ hashes).  See "Running as a service" in `README.md`.
   over every number it reports;
 * `BENCH_engine_speedup.json` (`tools/bench_engine_speedup.py`) — the
   layered kernel vs the frozen `tests/oracles/legacy_sim.py` reference on an 8-core
-  scenario replay, with per-manager `bit_identical` flags;
+  scenario replay, with per-manager `bit_identical` flags and the engine
+  memos' sizes over one production replay: `rate_entries` (the
+  scheduler's entries, one per distinct (phase record, allocation) pair)
+  and `transition_entries` (reconfiguration costs evaluated, one per
+  distinct (old, new) allocation pair), both exact-match keys of the gate;
 * `BENCH_manager_overhead.json` (`tools/bench_manager_overhead.py`) — the
   coordinated manager's pipeline (stacked `(N, C, F, W)` curve
   construction, curve memoization, persistent `PackedReduction`; timed as
@@ -154,8 +158,9 @@ hashes).  See "Running as a service" in `README.md`.
   the rows the compiled curve chain built in one production replay (an
   exact-match key of the gate, since the curve layer's wall-clock sits
   under its `--min-delta-s` floor), next to `allocation_entries` and
-  `leaf_writes` (the reduction leaves that replay's installs wrote), also
-  exact-match;
+  `leaf_writes` (the reduction leaves that replay's installs wrote) and
+  `solve_calls` (its compiled `minplus_solve` calls: a decision that
+  wrote and invalidated no leaf makes none), also exact-match;
 * `BENCH_scaling.json` (`tools/bench_scaling.py`) — the many-core
   trajectory: a 64-core S5 cluster-churn replay (512 intervals,
   `--max-slices 12`, trace density 400) under the clustered RM2
